@@ -143,20 +143,12 @@ def claim_scale_regularity(config, catalog):
         up = mbf.mb_integral("zeta2s", energy, mbf.KernelScale(a + h), c).value
         dn = mbf.mb_integral("zeta2s", energy, mbf.KernelScale(a - h), c).value
         fd = (up - dn) / (2.0 * h)
-        analytic = _scale_derivative(energy, a, c)
+        analytic = mbf.mb_scale_derivative("zeta2s", energy,
+                                           mbf.KernelScale(a), c)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
     return _report("mb_scale_regularity", worst, 0.0, worst, 1e-6,
                    "d(value)/da against differentiation under the integral "
                    "(weight 2 s / a)")
-
-
-def _scale_derivative(energy, a, contour):
-    from .mbfilter import _graded_edges, _kernel_integrand, _nodes_from_edges
-    nu = complex(0.5, 0.5 * energy)
-    t, w = _nodes_from_edges(_graded_edges("zeta2s", nu, contour), 1)
-    s = contour.abscissa + 1j * t
-    vals = _kernel_integrand("zeta2s", s, nu, a) * (2.0 * s / a)
-    return complex(np.sum(vals * w)) * 1j * mbf.kernel_prefactor("zeta2s")
 
 
 def claim_a_to_zero(config, catalog):

@@ -6,8 +6,9 @@ mode, tagged per row); identical configuration and cache produce
 byte-identical outputs at any --threads value.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
-3 filter-root Newton failure; 4 audit/stats I/O failure (e.g. missing
-catalog); 5 invalid configuration; 6 cache verification failure.
+3 filter-root Newton failure; 4 I/O failure (missing, unusable or empty
+catalog, unwritable output); 5 invalid configuration; 6 cache
+verification failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     BasinEscape,
     ChecksumMismatch,
     ConfigError,
+    IncompleteCatalog,
     MbzeroError,
     MissedZeroSuspected,
     NoConvergence,
@@ -91,7 +93,7 @@ def _load_catalog_or_exit(config) -> list:
         raise SystemExit(EXIT_IO)
     try:
         return zc.catalog_load(config.cache_path)
-    except (ChecksumMismatch, VersionUnsupported) as exc:
+    except (ChecksumMismatch, VersionUnsupported, IncompleteCatalog) as exc:
         print(f"error: catalog unusable: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
@@ -147,8 +149,12 @@ def cmd_filter_roots(config: RunConfig) -> int:
                                config.precision)))
     worst = max((g for _, _, g in rows), default=0.0)
     lines.append(f"# worst |E - 2t| = {worst:.3e} over {len(rows)} roots")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
     print("\n".join(lines))
     return EXIT_OK
 
@@ -255,7 +261,7 @@ def cmd_cache(config: RunConfig) -> int:
         return EXIT_IO
     try:
         records = zc.catalog_load(config.cache_path)
-    except (ChecksumMismatch, VersionUnsupported) as exc:
+    except (ChecksumMismatch, VersionUnsupported, IncompleteCatalog) as exc:
         print(f"error: cache verification failed: {exc}", file=sys.stderr)
         return EXIT_CACHE
     print(f"# {config.cache_path}: {records[0].function} catalog, "

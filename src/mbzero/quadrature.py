@@ -21,19 +21,25 @@ def _gl_nodes(n_points: int):
     return x, w
 
 
-def panel_nodes(lo: float, hi: float, panel_count: int, points_per_panel: int = 16):
-    """Nodes and weights for composite Gauss-Legendre on [lo, hi].
-
-    Panel order is fixed left to right, so reductions over the returned
-    arrays are deterministic regardless of caller threading.
-    """
+def panel_nodes_from_edges(edges: np.ndarray, refine: int = 0,
+                           points_per_panel: int = 16):
+    """Composite Gauss-Legendre on sorted panel edges, every panel split
+    at its midpoint `refine` times.  Panel order is fixed left to right,
+    so reductions over the returned arrays are deterministic."""
+    for _ in range(refine):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
     x, w = _gl_nodes(points_per_panel)
-    edges = np.linspace(lo, hi, panel_count + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
+    half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def panel_nodes(lo: float, hi: float, panel_count: int, points_per_panel: int = 16):
+    """Composite Gauss-Legendre on [lo, hi] with equal panels."""
+    return panel_nodes_from_edges(np.linspace(lo, hi, panel_count + 1),
+                                  points_per_panel=points_per_panel)
 
 
 def circle_nodes(center: complex, radius: float, n_points: int = 64):

@@ -1,8 +1,13 @@
 """Complex special functions underpinning the rest of the library.
 
 Gamma is a Lanczos rational approximation with reflection below
-Re s = 1/2.  Zeta and Hurwitz zeta use Euler-Maclaurin continuation with
-truncation scaled to |Im s| and Bernoulli corrections through order 12.
+Re s = 1/2.  log_gamma_vec evaluates it over an array of nodes and is
+bit-identical to the scalar log_gamma: it replays CPython 3.10-3.13
+complex arithmetic in real numpy operations with cmath log/exp per
+element.  Python 3.14 changes the mixed float/complex rules; the
+bit-equality property test guards that.  Zeta and Hurwitz zeta use
+Euler-Maclaurin continuation with truncation scaled to |Im s| and
+Bernoulli corrections through order 12.
 All argument-sensitive quantities (S(t), continued arg Gamma) go through
 ArgTracker paths anchored at s = 2 rather than principal-branch atan2.
 """
@@ -110,6 +115,98 @@ def log_gamma(s) -> complex:
         return _lanczos_log_gamma_right(s)
     _check_gamma_pole(s)
     return math.log(math.pi) - log_sin_pi(s) - _lanczos_log_gamma_right(1.0 - s)
+
+
+# Vector Gamma.  Complex values travel as (re, im) float-array pairs and
+# every step replays the CPython 3.10-3.13 complex arithmetic of the
+# scalar path: a float operand is promoted to x + 0j, products follow
+# _Py_c_prod, quotients follow _Py_c_quot (Smith's method), and log/exp
+# are cmath per element.  numpy's complex * and / and np.log round
+# differently, so the vector result would not be bit-identical with them.
+
+def _c_mul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_div(ar, ai, br, bi):
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):     # C doubles: no traps, as in CPython
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _c_map(fn, re, im):
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    out = np.fromiter(map(fn, z.tolist()), dtype=complex, count=z.size)
+    return out.real, out.imag
+
+
+def _lanczos_right_vec(zr, zi):
+    """_lanczos_log_gamma_right, operation for operation."""
+    ser_r, ser_i = _LANCZOS_C0, 0.0
+    for j, c in enumerate(_LANCZOS_C):
+        # ser += c / (z + 1.0 + j)
+        q_r, q_i = _c_div(c, 0.0, zr + 1.0 + j, zi + 0.0 + 0.0)
+        ser_r, ser_i = ser_r + q_r, ser_i + q_i
+    tmp_r, tmp_i = zr + _LANCZOS_G + 0.5, zi + 0.0 + 0.0
+    # (z + 0.5) * log(tmp) - tmp + log(_SQRT_2PI * ser / z)
+    p_r, p_i = _c_mul(zr + 0.5, zi + 0.0, *_c_map(cmath.log, tmp_r, tmp_i))
+    q_r, q_i = _c_div(*_c_mul(_SQRT_2PI, 0.0, ser_r, ser_i), zr, zi)
+    m_r, m_i = _c_map(cmath.log, q_r, q_i)
+    return p_r - tmp_r + m_r, p_i - tmp_i + m_i
+
+
+_NEG_I_PI = -1j * math.pi
+_TWO_I_PI = 2j * math.pi
+_LOG_SIN_SHIFT = complex(-math.log(2.0), 0.5 * math.pi)
+
+
+def _log_sin_pi_vec(sr, si):
+    """log_sin_pi, operation for operation."""
+    up = si >= 0.0
+    si = np.where(up, si, -si)          # lower half-plane by conjugation
+    a_r, a_i = _c_mul(_NEG_I_PI.real, _NEG_I_PI.imag, sr, si)
+    e_r, e_i = _c_map(cmath.exp,
+                      *_c_mul(_TWO_I_PI.real, _TWO_I_PI.imag, sr, si))
+    l_r, l_i = _c_map(cmath.log, 1.0 - e_r, 0.0 - e_i)
+    out_i = a_i + l_i + _LOG_SIN_SHIFT.imag
+    return a_r + l_r + _LOG_SIN_SHIFT.real, np.where(up, out_i, -out_i)
+
+
+def log_gamma_vec(s) -> np.ndarray:
+    """log_gamma over an array, bit-identical to [log_gamma(z) for z in s].
+
+    Raises what the scalar loop would raise first: NonFiniteInput or
+    PoleProximity.
+    """
+    s = np.asarray(s, dtype=complex)
+    sr, si = s.real.ravel(), s.imag.ravel()
+    nonfinite = ~(np.isfinite(sr) & np.isfinite(si))
+    near = np.round(sr)
+    with np.errstate(invalid="ignore"):
+        pole = ((np.abs(si) < _POLE_MARGIN) & (sr < 0.5) & (near <= 0)
+                & (np.abs(sr - near) < _POLE_MARGIN))
+    bad = nonfinite | pole
+    if bad.any():
+        k = int(np.argmax(bad))
+        z = complex(s.flat[k])
+        if nonfinite[k]:
+            raise NonFiniteInput(f"non-finite argument {z!r}")
+        raise PoleProximity(f"Gamma pole within 1e-12 of s = {z!r}")
+    out = np.empty(sr.shape, dtype=complex)
+    right = sr >= 0.5
+    r_r, r_i = _lanczos_right_vec(sr[right], si[right])
+    out.real[right], out.imag[right] = r_r, r_i
+    lr, li = sr[~right], si[~right]
+    sin_r, sin_i = _log_sin_pi_vec(lr, li)
+    g_r, g_i = _lanczos_right_vec(1.0 - lr, 0.0 - li)
+    out.real[~right] = math.log(math.pi) - sin_r - g_r
+    out.imag[~right] = 0.0 - sin_i - g_i
+    return out.reshape(s.shape)
 
 
 def gamma(s) -> complex:

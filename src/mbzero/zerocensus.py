@@ -383,4 +383,6 @@ def catalog_load(path: str) -> list:
         records.append(ZeroRecord(index=int(idx), ordinate=float(ordinate),
                                   residual=float(residual), function=function,
                                   method=method))
+    if not records:
+        raise IncompleteCatalog("catalog holds no records")
     return records

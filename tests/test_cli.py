@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from mbzero import cli
 
@@ -116,6 +119,36 @@ class TestCacheCommand:
 
     def test_missing_exit_4(self, tmp_path, capsys):
         assert run(["cache"], tmp_path) == 4
+
+
+def _write_header_only_catalog(path):
+    body = b"#zerocatalog v1 zeta\n"
+    digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(body + b"#sha256 " + digest + b"\n")
+
+
+class TestHeaderOnlyCatalog:
+    def test_cache_exit_6(self, tmp_path, capsys):
+        _write_header_only_catalog(tmp_path / "cat.txt")
+        assert run(["cache"], tmp_path) == 6
+        assert "no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "audit", "bijection",
+                                         "filter-roots"])
+    def test_catalog_commands_exit_4(self, command, tmp_path, capsys):
+        _write_header_only_catalog(tmp_path / "cat.txt")
+        assert run([command], tmp_path) == 4
+        assert "no records" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_filter_roots_missing_out_dir_exit_4(self, tmp_path, capsys):
+        run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
+        code = cli.main(["filter-roots", "--function", "beta", "--e-max", "14",
+                         "--out", str(tmp_path / "missing"),
+                         "--cache", str(tmp_path / "cat.txt")])
+        assert code == 4
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestConfigValidation:

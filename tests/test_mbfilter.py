@@ -105,6 +105,48 @@ class TestContourShift:
         assert abs((hi - lo) - pred) < 1e-9
 
 
+class TestNodeSetCache:
+    def _bits(self, ev):
+        return np.array([ev.value, complex(ev.truncation_error)]).view(np.uint64)
+
+    def test_cold_and_warm_cache_give_identical_bits(self):
+        c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
+        h = 1e-5 * 0.2
+        for a in (0.2 - h, 0.2, 0.2 + h):
+            mbf._node_set.cache_clear()
+            cold = mbf.mb_integral("zeta2s", 12.0, mbf.KernelScale(a), c)
+            warm = mbf.mb_integral("zeta2s", 12.0, mbf.KernelScale(a), c)
+            assert np.array_equal(self._bits(cold), self._bits(warm))
+
+    def test_cached_sum_matches_direct_integrand(self):
+        c = mbf.ContourSpec(abscissa=0.75, t_max=45.0, panel_count=120)
+        nu = complex(0.5, 0.5 * BETA_E1)
+        edges = mbf._graded_edges("beta2s", nu, c)
+        t, w = mbf.panel_nodes_from_edges(edges, 1)
+        s = c.abscissa + 1j * t
+        direct = complex(np.sum(mbf._kernel_integrand("beta2s", s, nu, 0.2) * w)) \
+            * 1j * mbf.kernel_prefactor("beta2s")
+        assert mbf.mb_integral("beta2s", BETA_E1, A02, c).value == direct
+
+    def test_cached_arrays_are_read_only(self):
+        c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
+        w, s, (lg, arith) = mbf._node_set("zeta2s", complex(0.5, 6.0), c, 0)
+        with pytest.raises(ValueError):
+            lg[0] = 0.0
+
+    def test_contour_shift_delta_is_the_difference_of_mb_integrals(self):
+        for energy, g1, g2, t_max in ((10.0, 0.55, 0.70, None),
+                                      (17.5, 0.62, 0.91, 45.0)):
+            got = mbf.contour_shift_delta("zeta2s", energy, A02, g1, g2,
+                                          t_max=t_max)
+            specs = [mbf.ContourSpec.default(g, energy) if t_max is None else
+                     mbf.ContourSpec(abscissa=g, t_max=t_max, panel_count=160)
+                     for g in (g1, g2)]
+            v1, v2 = (mbf.mb_integral("zeta2s", energy, A02, c).value
+                      for c in specs)
+            assert got == abs(v1 - v2)
+
+
 class TestResidueSimpleZero:
     def test_first_zero(self, zeta_catalog_60):
         s0 = complex(0.25, 0.5 * zeta_catalog_60[0].ordinate)

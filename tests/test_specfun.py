@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import specfun as sf
-from mbzero.errors import ArgumentDomain, BranchJump, LimitTooLarge, PoleProximity
+from mbzero.errors import (
+    ArgumentDomain,
+    BranchJump,
+    LimitTooLarge,
+    MbzeroError,
+    PoleProximity,
+)
 
 
 class TestGamma:
@@ -51,6 +59,55 @@ class TestGamma:
             h = 1e-6
             fd = (sf.log_gamma(z + h) - sf.log_gamma(z - h)) / (2 * h)
             assert abs(sf.digamma(z) - fd) < 1e-8
+
+
+# both half-planes, |Im s| <= 200, and points on or next to the real axis
+_IMAG = hst.one_of(hst.floats(-200.0, 200.0), hst.floats(-1e-6, 1e-6),
+                   hst.sampled_from([0.0, -0.0, 1e-13, -1e-13]))
+_POINTS = hst.builds(complex, hst.floats(-40.0, 40.0), _IMAG)
+_NEAR_POLES = hst.builds(
+    lambda n, dx, dy: complex(-n + dx, dy), hst.integers(0, 30),
+    hst.floats(-3e-12, 3e-12), hst.floats(-3e-12, 3e-12))
+_NON_FINITE = hst.sampled_from([complex(math.nan, 0.0), complex(1.0, math.inf),
+                                complex(-math.inf, -2.0)])
+
+
+def _first_error(points):
+    for z in points:
+        try:
+            sf.log_gamma(z)
+        except MbzeroError as exc:
+            return type(exc)
+    return None
+
+
+class TestLogGammaVec:
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(_POINTS, min_size=1, max_size=60))
+    def test_bit_identical_to_scalar(self, points):
+        points = [z for z in points if _first_error([z]) is None]
+        want = np.array([sf.log_gamma(z) for z in points], dtype=complex)
+        got = sf.log_gamma_vec(np.array(points, dtype=complex))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.one_of(_POINTS, _NEAR_POLES, _NON_FINITE),
+                     min_size=1, max_size=8))
+    def test_raises_what_the_scalar_loop_raises(self, points):
+        expected = _first_error(points)
+        if expected is None:
+            sf.log_gamma_vec(np.array(points))
+            return
+        with pytest.raises(MbzeroError) as err:
+            sf.log_gamma_vec(np.array(points))
+        assert type(err.value) is expected
+
+    def test_real_input_and_shape(self):
+        x = np.array([[0.25, 3.5], [-2.5, 11.0]])
+        got = sf.log_gamma_vec(x)
+        assert got.shape == x.shape
+        want = np.array([[sf.log_gamma(v) for v in row] for row in x])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLogGammaContinuous:

@@ -187,3 +187,12 @@ class TestCatalogPersistence:
     def test_empty_refused(self):
         with pytest.raises(ArgumentDomain):
             zc.catalog_serialize([])
+
+    def test_header_only_catalog_is_incomplete(self, tmp_path):
+        import hashlib
+        path = tmp_path / "cat.txt"
+        body = b"#zerocatalog v1 zeta\n"
+        digest = hashlib.sha256(body).hexdigest().encode()
+        path.write_bytes(body + b"#sha256 " + digest + b"\n")
+        with pytest.raises(IncompleteCatalog):
+            zc.catalog_load(str(path))
