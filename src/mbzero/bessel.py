@@ -238,14 +238,3 @@ def ode_residual(nu: complex, x: float, h_rel: float = 1e-3) -> float:
     res = x * x * d2 + x * d1 - (x * x + nu * nu) * f0
     return abs(res) / max(1.0, abs(f0))
 
-
-def l2_weighted_tail(nu: complex, x_lo: float = 1e-3, x_hi: float = 40.0,
-                     n: int = 4000):
-    """Cumulative trapezoid of x |K_nu(x)|^2 and its increment past x = 35."""
-    xs = np.geomspace(x_lo, x_hi, n)
-    vals = np.array([x * abs(bessel_K(nu, float(x)).value) ** 2 for x in xs])
-    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(xs)
-    cum = np.cumsum(inc)
-    tail_mask = xs[1:] >= 35.0
-    tail_inc = float(np.sum(inc[tail_mask]))
-    return float(cum[-1]), tail_inc

@@ -253,15 +253,8 @@ def claim_s_t_bound(config, catalog):
 
 
 def claim_bijection(config, catalog):
-    e_max = min(config.e_max, 2.0 * catalog[-1].ordinate - 0.2)
-    scale = mbf.KernelScale(config.a)
-    roots = []
-    for r in catalog:
-        if 2.0 * r.ordinate <= e_max + 0.5:
-            rec = mbf.newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05,
-                                         scale)
-            roots.append(2.0 * rec.ordinate)
-    audit = zc.bijection_audit(catalog, roots, e_max)
+    audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
+                                 config.e_max)
     bad = max((abs(d) for d in audit.delta_values), default=0)
     return AuditReport(
         claim_id="bijection_delta_zero",

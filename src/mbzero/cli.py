@@ -79,10 +79,7 @@ class RunConfig:
                               f"known: {', '.join(sorted(cl.REGISTRY))}")
 
 
-def _fmt(x: float, precision: str = "double") -> str:
-    if precision == "double_double":
-        import mpmath as mp
-        return mp.nstr(mp.mpf(x), 32)
+def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
@@ -118,6 +115,9 @@ def cmd_census(config: RunConfig) -> int:
 
 def cmd_filter_roots(config: RunConfig) -> int:
     catalog = _load_catalog_or_exit(config)
+    if catalog[0].function != config.function:
+        raise ConfigError(f"--function {config.function} does not match the "
+                          f"{catalog[0].function} catalog {config.cache_path}")
     kernel = "beta2s" if config.function == "beta" else "zeta2s"
     scale = mbf.KernelScale(config.a)
     rows = []
@@ -161,20 +161,12 @@ def cmd_filter_roots(config: RunConfig) -> int:
 
 def cmd_bijection(config: RunConfig) -> int:
     catalog = _load_catalog_or_exit(config)
-    e_max = min(config.e_max, 2.0 * catalog[-1].ordinate - 0.2)
-    scale = mbf.KernelScale(config.a)
-    roots = []
-    for r in catalog:
-        if 2.0 * r.ordinate <= e_max + 0.5:
-            try:
-                rec = mbf.newton_filter_root(
-                    "zeta2s", 2.0 * r.ordinate + 0.05, scale,
-                    precision=config.precision)
-            except (NoConvergence, BasinEscape) as exc:
-                print(f"error: Newton failed: {exc}", file=sys.stderr)
-                return EXIT_NEWTON
-            roots.append(2.0 * rec.ordinate)
-    audit = zc.bijection_audit(catalog, roots, e_max)
+    try:
+        audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
+                                     config.e_max, config.precision)
+    except (NoConvergence, BasinEscape) as exc:
+        print(f"error: Newton failed: {exc}", file=sys.stderr)
+        return EXIT_NEWTON
     print(f"{'E':>12}  {'N_H':>4}  {'N_zeta':>6}  {'Delta':>5}")
     for e, nh, nz, d in zip(audit.E_grid, audit.N_H_values,
                             audit.N_zeta_values, audit.delta_values):

@@ -21,6 +21,9 @@ Line sums take the scale-free part of the integrand (Gamma factors by
 specfun.log_gamma_vec, and the L-function) from a small cache keyed by
 (kernel, nu, contour, refine); only (2a)^{2s} is recomputed per scale, so
 sweeps over a on one contour do the expensive work once.
+
+Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
+31-digit mpmath scalars (mpmath is imported on first use).
 """
 
 import cmath
@@ -28,10 +31,10 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import specfun as sf
+from . import zerocensus as zc
 from .errors import (
     ArgumentDomain,
     BasinEscape,
@@ -43,7 +46,6 @@ from .errors import (
     TailBoundViolated,
 )
 from .quadrature import circle_nodes, panel_nodes_from_edges
-from .zerocensus import ZeroRecord
 
 KERNELS = ("zeta2s", "beta2s", "xi2s")
 _DD_DPS = 31  # working digits of the double-double mode
@@ -186,10 +188,12 @@ def _dressing_log(kernel: str, point: SpectralPoint, a: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# High-precision (double-double scale) backend
+# 31-digit (double-double scale) arithmetic factor
 # ---------------------------------------------------------------------------
 
 def _hp_arithmetic(kernel: str, z):
+    """L-type factor at z in the current mpmath working precision."""
+    import mpmath as mp
     if kernel == "zeta2s":
         return mp.zeta(z)
     if kernel == "beta2s":
@@ -197,14 +201,6 @@ def _hp_arithmetic(kernel: str, z):
                                     - mp.zeta(z, mp.mpf(3) / 4))
     return (mp.pi ** (-z / 2) * mp.gamma(z / 2 + 1) * (z - 1) * mp.zeta(z)
             if abs(z - 1) > mp.mpf("1e-25") else mp.mpf("0.5"))
-
-
-def _hp_dressing(kernel: str, s0, nu, a):
-    log2a = mp.log(2 * a)
-    if kernel in ("zeta2s", "beta2s"):
-        return mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
-    return (mp.gamma(s0 - nu) * mp.exp(s0 * mp.log(mp.pi) + 2 * s0 * log2a)
-            / (2 * s0 * (2 * s0 - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,7 @@ def _tail_checked_sum(kernel: str, energy: float, scale: KernelScale,
 
 
 def mb_integral(kernel: str, energy: float, scale: KernelScale,
-                contour: ContourSpec = None,
-                precision: str = "double") -> FilterEvaluation:
+                contour: ContourSpec = None) -> FilterEvaluation:
     """Literal vertical-line quadrature of the kernel at Re s = abscissa.
 
     truncation_error combines the discarded-tail bound with a half-panel
@@ -318,9 +313,6 @@ def mb_integral(kernel: str, energy: float, scale: KernelScale,
     _check_kernel(kernel)
     if contour is None:
         contour = ContourSpec.default(0.75 if kernel != "zeta2s" else 0.6, energy)
-    if precision == "double_double":
-        validate_contour(kernel, contour)
-        return _mb_integral_hp(kernel, SpectralPoint(energy), scale, contour)
     fine = _tail_checked_sum(kernel, energy, scale, contour)
     coarse = _line_sum(kernel, SpectralPoint(energy).nu, scale.a, contour, 0)
     return replace(fine, truncation_error=fine.truncation_error
@@ -336,38 +328,11 @@ def mb_scale_derivative(kernel: str, energy: float, scale: KernelScale,
                      True)
 
 
-def _mb_integral_hp(kernel: str, point: SpectralPoint, scale: KernelScale,
-                    contour: ContourSpec) -> FilterEvaluation:
-    with mp.workdps(_DD_DPS):
-        nu = mp.mpc(0.5, 0.5 * point.energy)
-        a = mp.mpf(scale.a)
-        log2a = mp.log(2 * a)
-        t, w = panel_nodes_from_edges(_graded_edges(kernel, point.nu, contour))
-        total = mp.mpc(0)
-        for ti, wi in zip(t, w):
-            s = mp.mpc(contour.abscissa, ti)
-            if kernel in ("zeta2s", "beta2s"):
-                val = mp.gamma(s) * mp.gamma(s - nu) * mp.exp(2 * s * log2a)
-                val *= _hp_arithmetic(kernel, 2 * s)
-            else:
-                val = (mp.gamma(s - nu)
-                       * mp.exp(s * mp.log(mp.pi) + 2 * s * log2a)
-                       * _hp_arithmetic(kernel, 2 * s)
-                       / (2 * s * (2 * s - 1)))
-            total += val * wi
-        total *= 1j * kernel_prefactor(kernel)
-        value = complex(total)
-    tail = _tail_estimate(kernel, point.nu, scale.a, contour)
-    return FilterEvaluation(energy=point.energy, kernel=kernel, value=value,
-                            truncation_error=tail, contour=contour)
-
-
 # ---------------------------------------------------------------------------
 # Spectral filter (residue-localized) and Newton root finding
 # ---------------------------------------------------------------------------
 
-def spectral_filter(kernel: str, energy: float, scale: KernelScale,
-                    precision: str = "double") -> complex:
+def spectral_filter(kernel: str, energy: float, scale: KernelScale) -> complex:
     """Residue extraction of kernel(s)/(s - s0) at s0(E) = 1/4 + iE/4.
 
     Equals prefactor * 2 pi i * Gamma-dressing * L(1/2 + iE/2); vanishes
@@ -376,29 +341,8 @@ def spectral_filter(kernel: str, energy: float, scale: KernelScale,
     _check_kernel(kernel)
     point = SpectralPoint(energy)
     norm = kernel_prefactor(kernel) * 2j * math.pi
-    if precision == "double_double":
-        with mp.workdps(_DD_DPS):
-            s0 = mp.mpc(0.25, 0.25 * energy)
-            nu = mp.mpc(0.5, 0.5 * energy)
-            val = (_hp_dressing(kernel, s0, nu, mp.mpf(scale.a))
-                   * _hp_arithmetic(kernel, 2 * s0))
-            return complex(val * norm)
     dress = cmath.exp(_dressing_log(kernel, point, scale.a))
     return norm * dress * arithmetic_factor(kernel, 2.0 * point.s0)
-
-
-def spectral_filter_circle(kernel: str, energy: float, scale: KernelScale,
-                           radius: float = 0.05, n_points: int = 64) -> complex:
-    """Same object as spectral_filter, by closed-circle quadrature.
-
-    Independent route used to cross-check the direct product; spectrally
-    accurate since the integrand is meromorphic with one enclosed pole.
-    """
-    _check_kernel(kernel)
-    point = SpectralPoint(energy)
-    s, w = circle_nodes(point.s0, radius, n_points)
-    vals = _kernel_integrand(kernel, s, point.nu, scale.a) / (s - point.s0)
-    return complex(np.sum(vals * w)) * kernel_prefactor(kernel)
 
 
 def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
@@ -428,104 +372,122 @@ def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
     return f, df
 
 
+def _hp_filter_with_derivative(kernel: str, energy, a):
+    """The same (F, dF/dE) in the current mpmath precision, without the
+    constant prefactor; energy and a are mpmath numbers."""
+    import mpmath as mp
+    hh = mp.mpf("1e-12")
+    s0 = mp.mpf(1) / 4 + 1j * energy / 4
+    nu = mp.mpf(1) / 2 + 1j * energy / 2
+    log2a = mp.log(2 * a)
+    if kernel in ("zeta2s", "beta2s"):
+        dress = mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
+        dlog = (mp.digamma(s0) - mp.digamma(s0 - nu)
+                + 2 * log2a) * mp.mpc(0, 0.25)
+    else:
+        dress = (mp.gamma(s0 - nu) * mp.exp(s0 * mp.log(mp.pi) + 2 * s0 * log2a)
+                 / (2 * s0 * (2 * s0 - 1)))
+        dlog = (-mp.mpc(0, 0.25) * mp.digamma(s0 - nu)
+                + mp.mpc(0, 0.25) * (mp.log(mp.pi) + 2 * log2a)
+                - mp.mpc(0, 0.5) / (2 * s0)
+                - mp.mpc(0, 0.5) / (2 * s0 - 1))
+    lval = _hp_arithmetic(kernel, 2 * s0)
+    lp = (_hp_arithmetic(kernel, 2 * s0 + 1j * hh)
+          - _hp_arithmetic(kernel, 2 * s0 - 1j * hh)) / (2j * hh)
+    return dress * lval, dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
+
+
+def _newton(filter_and_derivative, e_guess, tol_step, max_iter: int):
+    """Newton in E from e_guess on a backend's (F, dF/dE), in the backend's
+    number type (float, or mpf for the 31-digit backend).
+
+    The iterate must stay within +-1 of the guess and |F| must decrease
+    over the first two steps.  Converges when the step falls below
+    tol_step * max(1, |E|).
+    """
+    e = e_guess
+    f_hist = []
+    for it in range(max_iter):
+        f, df = filter_and_derivative(e)
+        f_hist.append(abs(f))
+        if it == 2 and not (f_hist[2] < f_hist[0]):
+            raise BasinEscape(f"|filter| not decreasing from guess "
+                              f"{float(e_guess)}")
+        if df == 0:
+            raise NoConvergence("filter derivative vanished")
+        step = (f / df).real
+        e_new = e - step
+        if abs(e_new - e_guess) > 1:
+            raise BasinEscape(f"iterate {float(e_new):.6f} left "
+                              f"[{e_guess - 1}, {e_guess + 1}]")
+        e = e_new
+        if abs(step) < tol_step * max(1, abs(e)):
+            return e
+    raise NoConvergence(f"Newton did not converge from {float(e_guess)} "
+                        f"in {max_iter}")
+
+
+def _root_residual(kernel: str, energy: float) -> float:
+    """|L(1/2 + iE/2)| at a converged Newton root; NoConvergence unless it
+    is below the catalog's residual limit.  The dressed filter value is no
+    test: the dressing alone makes |F| < 1e-11 for every E above ~30."""
+    residual = abs(arithmetic_factor(kernel, complex(0.5, 0.5 * energy)))
+    if not residual < zc.RESIDUAL_LIMIT:
+        raise NoConvergence(f"|L| = {residual:.3e} at the converged "
+                            f"E = {energy:.6f}: not a zero")
+    return residual
+
+
 def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale,
                    max_iter: int = 50):
     """Newton on the spectral filter carried entirely in 31-digit scalars.
 
     Returns the root as an mpmath mpf (full working precision) for the
-    32-digit serialization path; newton_filter_root wraps it for the
-    double_double precision tag.
+    32-digit serialization path.
     """
+    import mpmath as mp
     _check_kernel(kernel)
     with mp.workdps(_DD_DPS):
-        e = mp.mpf(e_guess)
         a = mp.mpf(scale.a)
-        hh = mp.mpf("1e-12")
-        f_hist = []
-        for it in range(max_iter):
-            s0 = mp.mpf(1) / 4 + 1j * e / 4
-            nu = mp.mpf(1) / 2 + 1j * e / 2
-            dress = _hp_dressing(kernel, s0, nu, a)
-            lval = _hp_arithmetic(kernel, 2 * s0)
-            lp = (_hp_arithmetic(kernel, 2 * s0 + 1j * hh)
-                  - _hp_arithmetic(kernel, 2 * s0 - 1j * hh)) / (2j * hh)
-            if kernel in ("zeta2s", "beta2s"):
-                dlog = (mp.digamma(s0) - mp.digamma(s0 - nu)
-                        + 2 * mp.log(2 * a)) * mp.mpc(0, 0.25)
-            else:
-                dlog = (-mp.mpc(0, 0.25) * mp.digamma(s0 - nu)
-                        + mp.mpc(0, 0.25) * (mp.log(mp.pi) + 2 * mp.log(2 * a))
-                        - mp.mpc(0, 0.5) / (2 * s0)
-                        - mp.mpc(0, 0.5) / (2 * s0 - 1))
-            f = dress * lval
-            df = dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
-            f_hist.append(abs(f))
-            if it == 2 and not (f_hist[2] < f_hist[0]):
-                raise BasinEscape(
-                    f"|filter| not decreasing from guess {e_guess}"
-                )
-            if df == 0:
-                raise NoConvergence("filter derivative vanished")
-            step = mp.re(f / df)
-            e_new = e - step
-            if abs(e_new - e_guess) > 1:
-                raise BasinEscape(
-                    f"iterate {float(e_new):.6f} left the guess basin"
-                )
-            e = e_new
-            if abs(step) < mp.mpf(10) ** (-_DD_DPS + 4) * max(1, abs(e)):
-                return +e
-    raise NoConvergence(f"dd Newton did not converge from {e_guess}")
+        root = +_newton(lambda e: _hp_filter_with_derivative(kernel, e, a),
+                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
+                        max_iter)
+    _root_residual(kernel, float(root))
+    return root
 
 
 def newton_filter_root(kernel: str, e_guess: float, scale: KernelScale,
-                       contour: ContourSpec = None,
                        precision: str = "double",
-                       max_iter: int = 50) -> ZeroRecord:
+                       max_iter: int = 50) -> zc.ZeroRecord:
     """Newton iteration in E on the spectral filter from e_guess.
 
-    Converged roots satisfy |spectral_filter(E)| < 1e-9 (double) or
-    < 1e-11 (double-double).  The iterate must stay within +-1 of the
-    guess and |F| must decrease over the first two steps.
+    The root is accepted when |L(1/2 + iE/2)| < 1e-8; with
+    precision="double_double" it is found by newton_root_dd and rounded.
     """
     _check_kernel(kernel)
     if precision == "double_double":
-        root = newton_root_dd(kernel, e_guess, scale, max_iter)
-        e = float(root)
-        if abs(spectral_filter(kernel, e, scale, "double_double")) >= 1e-11:
-            raise NoConvergence("dd filter residual above 1e-11 at the root")
-        residual = abs(arithmetic_factor(kernel, complex(0.5, 0.5 * e)))
-        return ZeroRecord(index=0, ordinate=0.5 * e, residual=residual,
-                          function="zeta" if kernel != "beta2s" else "beta",
-                          method="filter_root")
-    e = float(e_guess)
-    tol_val = 1e-9
-    tol_step = 1e-12
-    f_hist = []
-    for it in range(max_iter):
-        f, df = _filter_with_derivative(kernel, e, scale)
-        f_hist.append(abs(f))
-        if it == 2 and not (f_hist[2] < f_hist[0]):
-            raise BasinEscape(
-                f"|filter| not decreasing from guess {e_guess}: {f_hist[:3]}"
-            )
-        if df == 0:
-            raise NoConvergence("filter derivative vanished")
-        step = (f / df).real
-        e_new = e - step
-        if abs(e_new - e_guess) > 1.0:
-            raise BasinEscape(
-                f"iterate {e_new:.6f} left [{e_guess - 1}, {e_guess + 1}]"
-            )
-        e = e_new
-        if abs(step) < tol_step * max(1.0, abs(e)):
-            f_final = abs(spectral_filter(kernel, e, scale, precision))
-            if f_final < tol_val:
-                residual = abs(arithmetic_factor(kernel, complex(0.5, 0.5 * e)))
-                return ZeroRecord(index=0, ordinate=0.5 * e, residual=residual,
-                                  function="zeta" if kernel != "beta2s" else "beta",
-                                  method="filter_root")
-    raise NoConvergence(f"Newton did not converge from {e_guess} in {max_iter}")
+        e = float(newton_root_dd(kernel, e_guess, scale, max_iter))
+    else:
+        e = _newton(lambda x: _filter_with_derivative(kernel, x, scale),
+                    float(e_guess), 1e-12, max_iter)
+    return zc.ZeroRecord(index=0, ordinate=0.5 * e,
+                         residual=_root_residual(kernel, e),
+                         function="zeta" if kernel != "beta2s" else "beta",
+                         method="filter_root")
+
+
+def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
+                     precision: str = "double") -> zc.BijectionAudit:
+    """Newton roots of the zeta filter from every catalog ordinate, audited
+    against the catalog up to min(e_max, 2 t_last - 0.2)."""
+    if catalog[0].function != "zeta":
+        raise ArgumentDomain("the bijection audit needs a zeta catalog, "
+                             f"not a {catalog[0].function} one")
+    e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
+    roots = [2.0 * newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05, scale,
+                                      precision=precision).ordinate
+             for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
+    return zc.bijection_audit(catalog, roots, e_max)
 
 
 # ---------------------------------------------------------------------------

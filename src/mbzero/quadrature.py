@@ -36,12 +36,6 @@ def panel_nodes_from_edges(edges: np.ndarray, refine: int = 0,
     return nodes, weights
 
 
-def panel_nodes(lo: float, hi: float, panel_count: int, points_per_panel: int = 16):
-    """Composite Gauss-Legendre on [lo, hi] with equal panels."""
-    return panel_nodes_from_edges(np.linspace(lo, hi, panel_count + 1),
-                                  points_per_panel=points_per_panel)
-
-
 def circle_nodes(center: complex, radius: float, n_points: int = 64):
     """Equispaced nodes and d(s) weights for a counterclockwise circle."""
     theta = 2.0 * math.pi * np.arange(n_points) / n_points
@@ -104,8 +98,3 @@ def rk_adaptive(f, x0: float, y0: float, x1: float, tol: float = 1e-10,
                 raise StepUnderflow(f"step underflow at x = {x}")
     return y
 
-
-def trapezoid_cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid with a leading zero, pairwise-stable enough."""
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return np.concatenate(([0.0], np.cumsum(inc)))

@@ -401,17 +401,6 @@ def completed_xi(s) -> complex:
     return out
 
 
-def completed_beta(s) -> complex:
-    """Completed beta: (4/pi)^{(s+1)/2} Gamma((s+1)/2) beta(s).
-
-    Entire, real on the critical line, invariant under s -> 1 - s.
-    """
-    s = _require_finite(s)
-    pref = cmath.exp(0.5 * (s + 1.0) * math.log(4.0 / math.pi)
-                     + log_gamma(0.5 * (s + 1.0)))
-    return pref * dirichlet_beta(s)
-
-
 def riemann_siegel_theta(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, continuous in t."""
     return (_lanczos_log_gamma_right(complex(0.25, 0.5 * t)).imag

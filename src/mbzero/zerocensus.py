@@ -30,7 +30,7 @@ from .errors import (
 
 _T_CEILING = 200.0
 _SCAN_STEP = 0.05
-_RESIDUAL_LIMIT = 1e-8
+RESIDUAL_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class ZeroRecord:
             raise ArgumentDomain(f"unknown function {self.function!r}")
         if self.method not in ("sign_scan", "newton_refine", "filter_root"):
             raise ArgumentDomain(f"unknown method {self.method!r}")
-        if not (self.residual < _RESIDUAL_LIMIT):
+        if not (self.residual < RESIDUAL_LIMIT):
             raise ArgumentDomain(
-                f"residual {self.residual:.3e} above {_RESIDUAL_LIMIT}"
+                f"residual {self.residual:.3e} above {RESIDUAL_LIMIT}"
             )
 
 
@@ -378,11 +378,15 @@ def catalog_load(path: str) -> list:
         raise VersionUnsupported(f"unsupported catalog version {header[1]!r}")
     function = header[2]
     records = []
-    for line in lines[1:]:
-        idx, ordinate, residual, method = line.split("\t")
-        records.append(ZeroRecord(index=int(idx), ordinate=float(ordinate),
-                                  residual=float(residual), function=function,
-                                  method=method))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            idx, ordinate, residual, method = line.split("\t")
+            records.append(ZeroRecord(
+                index=int(idx), ordinate=float(ordinate),
+                residual=float(residual), function=function, method=method))
+        except (ValueError, ArgumentDomain) as exc:
+            raise VersionUnsupported(
+                f"malformed record on line {number}: {exc}") from None
     if not records:
         raise IncompleteCatalog("catalog holds no records")
     return records

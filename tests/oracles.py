@@ -4,12 +4,17 @@ Every oracle here deliberately uses a different algorithm from the
 library path it checks (Stirling-with-recurrence vs Lanczos, doubled
 working precision Euler-Maclaurin vs the double-precision one, Miller
 backward recurrence vs the ascending series, the Mellin-Barnes
-representation vs the cosh integral).
+representation vs the cosh integral, 31-digit mpmath line sums and
+circle quadrature vs the double-precision filter paths).
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
+
+from mbzero import mbfilter as mbf
+from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
 _STIRLING_SHIFT = 24
 
@@ -130,6 +135,41 @@ def arg_gamma_fine(t_target: float, sigma: float = 2.0, steps: int = 1000,
             cur = raw + twopi * wind
             prev = cur
         return prev
+
+
+def mb_integral_hp(kernel: str, energy: float, a: float,
+                   contour, dps: int = 31) -> complex:
+    """The vertical-line sum of mbfilter.mb_integral on its coarse node set
+    (refine 0), every node in mpmath Gamma and L-functions at dps digits."""
+    with mp.workdps(dps):
+        nu = mp.mpc(0.5, 0.5 * energy)
+        log2a = mp.log(2 * mp.mpf(a))
+        edges = mbf._graded_edges(kernel, complex(0.5, 0.5 * energy), contour)
+        t, w = panel_nodes_from_edges(edges)
+        total = mp.mpc(0)
+        for ti, wi in zip(t, w):
+            s = mp.mpc(contour.abscissa, ti)
+            if kernel in ("zeta2s", "beta2s"):
+                val = mp.gamma(s) * mp.gamma(s - nu) * mp.exp(2 * s * log2a)
+                val *= mbf._hp_arithmetic(kernel, 2 * s)
+            else:
+                val = (mp.gamma(s - nu)
+                       * mp.exp(s * mp.log(mp.pi) + 2 * s * log2a)
+                       * mbf._hp_arithmetic(kernel, 2 * s)
+                       / (2 * s * (2 * s - 1)))
+            total += val * wi
+        return complex(total * 1j * mbf.kernel_prefactor(kernel))
+
+
+def spectral_filter_circle(kernel: str, energy: float, a: float,
+                           radius: float = 0.05, n_points: int = 64) -> complex:
+    """mbfilter.spectral_filter by closed-circle quadrature of
+    kernel(s)/(s - s0) around s0 = 1/4 + iE/4; spectrally accurate since
+    the integrand is meromorphic with one enclosed pole."""
+    point = mbf.SpectralPoint(energy)
+    s, w = circle_nodes(point.s0, radius, n_points)
+    vals = mbf._kernel_integrand(kernel, s, point.nu, a) / (s - point.s0)
+    return complex(np.sum(vals * w)) * mbf.kernel_prefactor(kernel)
 
 
 # 25-digit reference ordinates (independent bisection on the completed

@@ -60,11 +60,6 @@ class TestBesselK:
             k2 = bs.bessel_K(nu.conjugate(), x).value
             assert abs(k2 - k1.conjugate()) <= 1e-10 * abs(k1)
 
-    def test_critical_line_integrability(self):
-        total, tail = bs.l2_weighted_tail(complex(0.5, 0.5 * 14.1347))
-        assert total > 0.0
-        assert tail < 1e-12
-
     def test_ode_residual_50_points(self):
         rng = np.random.RandomState(9)
         for _ in range(50):

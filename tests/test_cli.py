@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbzero
 from mbzero import cli
+from mbzero import zerocensus as zc
 
 
 def run(args, tmp_path):
@@ -121,24 +127,87 @@ class TestCacheCommand:
         assert run(["cache"], tmp_path) == 4
 
 
-def _write_header_only_catalog(path):
-    body = b"#zerocatalog v1 zeta\n"
-    digest = hashlib.sha256(body).hexdigest().encode()
-    path.write_bytes(body + b"#sha256 " + digest + b"\n")
+def _write_checksummed_catalog(path, *records):
+    body = "".join(line + "\n" for line in ("#zerocatalog v1 zeta",) + records)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body + f"#sha256 {digest}\n")
 
 
 class TestHeaderOnlyCatalog:
     def test_cache_exit_6(self, tmp_path, capsys):
-        _write_header_only_catalog(tmp_path / "cat.txt")
+        _write_checksummed_catalog(tmp_path / "cat.txt")
         assert run(["cache"], tmp_path) == 6
         assert "no records" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["stats", "audit", "bijection",
                                          "filter-roots"])
     def test_catalog_commands_exit_4(self, command, tmp_path, capsys):
-        _write_header_only_catalog(tmp_path / "cat.txt")
+        _write_checksummed_catalog(tmp_path / "cat.txt")
         assert run([command], tmp_path) == 4
         assert "no records" in capsys.readouterr().err
+
+
+MALFORMED_RECORDS = {
+    "two_fields": "1\t14.134725141734695",
+    "non_numeric_residual": "1\t14.134725141734695\tsmall\tsign_scan",
+}
+
+
+class TestMalformedCatalogRecord:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_RECORDS))
+    def test_cache_exit_6(self, kind, tmp_path, capsys):
+        _write_checksummed_catalog(tmp_path / "cat.txt", MALFORMED_RECORDS[kind])
+        assert run(["cache"], tmp_path) == 6
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_RECORDS))
+    @pytest.mark.parametrize("command", ["stats", "audit", "bijection",
+                                         "filter-roots"])
+    def test_catalog_commands_exit_4(self, command, kind, tmp_path, capsys):
+        _write_checksummed_catalog(tmp_path / "cat.txt", MALFORMED_RECORDS[kind])
+        assert run([command], tmp_path) == 4
+        assert "line 2" in capsys.readouterr().err
+
+
+class TestCatalogFunctionTag:
+    def test_filter_roots_function_mismatch_exit_5(self, tmp_path, capsys):
+        run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
+        capsys.readouterr()
+        assert run(["filter-roots", "--function", "zeta"], tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "zeta" in err and "beta" in err
+
+    def test_bijection_on_beta_catalog_exit_5(self, tmp_path, capsys):
+        run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
+        capsys.readouterr()
+        assert run(["bijection", "--function", "beta", "--e-max", "30"],
+                   tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "zeta" in err and "beta" in err
+
+
+class TestRootAcceptance:
+    def test_residual_above_limit_exit_3(self, tmp_path, capsys, monkeypatch):
+        run(["census", "--function", "beta", "--t-max", "13"], tmp_path)
+        records = zc.catalog_load(str(tmp_path / "cat.txt"))
+        monkeypatch.setattr(zc, "catalog_load", lambda path: records)
+        monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        code = run(["filter-roots", "--function", "beta", "--e-max", "13",
+                    "--precision", "double_double"], tmp_path)
+        assert code == 3
+        assert "not a zero" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    src = str(Path(mbzero.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mbzero.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestUnwritableOutput:

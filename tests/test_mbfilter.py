@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oracles as oc
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
+from mbzero import zerocensus as zc
 from mbzero.errors import (
     ArgumentDomain,
     BasinEscape,
@@ -67,9 +69,17 @@ class TestMbIntegral:
     def test_dd_precision_agrees_with_double(self):
         c = mbf.ContourSpec(abscissa=0.75, t_max=40.0, panel_count=100)
         d = mbf.mb_integral("beta2s", 10.0, A02, c).value
-        dd = mbf.mb_integral("beta2s", 10.0, A02, c,
-                             precision="double_double").value
+        dd = oc.mb_integral_hp("beta2s", 10.0, 0.2, c)
         assert abs(d - dd) <= 1e-12 * abs(d)
+
+
+class TestSpectralFilter:
+    @pytest.mark.parametrize("kernel", mbf.KERNELS)
+    def test_agrees_with_circle_quadrature(self, kernel):
+        for energy in (5.0, 17.3, 41.7, 60.0):
+            direct = mbf.spectral_filter(kernel, energy, A02)
+            circle = oc.spectral_filter_circle(kernel, energy, 0.2)
+            assert abs(direct - circle) <= 1e-11 * abs(direct)
 
 
 class TestContourShift:
@@ -237,6 +247,25 @@ class TestNewtonFilterRoot:
                                      precision="double_double")
         want = 2.0 * float(oc.BETA_ORDINATES[0][:22])
         assert abs(2.0 * rec.ordinate - want) < 1e-10
+
+    def test_dressed_filter_value_is_no_root_test(self):
+        # at E = 60, far from any root, the dressing alone pushes |F| below
+        # 1e-11 while |L(1/2 + 30i)| is about 0.6
+        assert abs(mbf.spectral_filter("zeta2s", 60.0, A02)) < 1e-11
+        with pytest.raises(NoConvergence, match="not a zero"):
+            mbf._root_residual("zeta2s", 60.0)
+
+    @pytest.mark.parametrize("precision", ["double", "double_double"])
+    def test_residual_above_limit_is_no_convergence(self, precision,
+                                                     monkeypatch):
+        monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        with pytest.raises(NoConvergence, match="not a zero"):
+            mbf.newton_filter_root("beta2s", 12.0, A02, precision=precision)
+
+    def test_dd_root_keeps_full_precision(self):
+        root = mbf.newton_root_dd("beta2s", 12.0, A02)
+        with mp.workdps(31):
+            assert abs(root - 2 * mp.mpf(oc.BETA_ORDINATES[0])) < 1e-20
 
     def test_unreachable_guess(self):
         with pytest.raises((BasinEscape, NoConvergence)):

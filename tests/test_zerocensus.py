@@ -196,3 +196,18 @@ class TestCatalogPersistence:
         path.write_bytes(body + b"#sha256 " + digest + b"\n")
         with pytest.raises(IncompleteCatalog):
             zc.catalog_load(str(path))
+
+    @pytest.mark.parametrize("record", [
+        "1\t14.134725141734695",                       # two fields
+        "1\t14.134725141734695\tsmall\tsign_scan",     # non-numeric residual
+        "1\t14.134725141734695\t0.001\tsign_scan",     # residual above 1e-8
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        import hashlib
+        path = tmp_path / "cat.txt"
+        good = "1\t14.134725141734695\t1e-15\tsign_scan\n"
+        body = f"#zerocatalog v1 zeta\n{good}{record}\n".encode()
+        digest = hashlib.sha256(body).hexdigest().encode()
+        path.write_bytes(body + b"#sha256 " + digest + b"\n")
+        with pytest.raises(VersionUnsupported, match="line 3"):
+            zc.catalog_load(str(path))
