@@ -61,6 +61,9 @@ class RunConfig:
     def validate(self):
         if self.function not in ("zeta", "beta"):
             raise ConfigError(f"--function must be zeta or beta, got {self.function}")
+        if self.command == "bijection" and self.function != "zeta":
+            raise ConfigError(f"--function {self.function}: bijection is a "
+                              "zeta-only audit (the Guinand-Weil count is zeta's)")
         if not (0.0 < self.t_max <= 200.0):
             raise ConfigError("--t-max must be in (0, 200]")
         if not (0.0 < self.e_max <= 400.0):

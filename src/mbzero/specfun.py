@@ -5,11 +5,13 @@ Re s = 1/2.  log_gamma_vec evaluates it over an array of nodes and is
 bit-identical to the scalar log_gamma: it replays CPython 3.10-3.13
 complex arithmetic in real numpy operations with cmath log/exp per
 element.  Python 3.14 changes the mixed float/complex rules; the
-bit-equality property test guards that.  Zeta and Hurwitz zeta use
+bit-equality property test guards that.  Zeta and beta use
 Euler-Maclaurin continuation with truncation scaled to |Im s| and
 Bernoulli corrections through order 12.
-All argument-sensitive quantities (S(t), continued arg Gamma) go through
-ArgTracker paths anchored at s = 2 rather than principal-branch atan2.
+The continued arguments of zeta and beta on the critical line (S(t)) start
+from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
+(0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped with
+ArgTracker along the horizontal leg to 1/2 + it.
 """
 
 from __future__ import annotations
@@ -239,9 +241,10 @@ def digamma(s) -> complex:
 class ArgTracker:
     """Continuous argument along a sample path, unwrapped step by step.
 
-    Paths start where the principal branch is unambiguous (convention:
-    s = 2).  A step whose unwrapped argument still moves by >= pi raises
-    BranchJump: the caller refines the path instead of guessing a sheet.
+    Paths start where the principal branch is unambiguous: arg_rectangle
+    starts at 2 + it, where Re L(2 + it) > 0 for zeta and beta.  A step
+    whose unwrapped argument still moves by >= pi raises BranchJump: the
+    caller refines the path instead of guessing a sheet.
     """
 
     path: list = field(default_factory=list)
@@ -259,14 +262,6 @@ class ArgTracker:
         self.path.append(s)
         self.accumulated_arg = candidate
         return candidate
-
-
-def log_gamma_continuous(s, tracker: ArgTracker) -> complex:
-    """log Gamma with imaginary part continued along the tracker path."""
-    s = _require_finite(s)
-    val = log_gamma(s)
-    unwrapped = tracker.step(s, val.imag)
-    return complex(val.real, unwrapped)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +294,6 @@ def _hurwitz_core(s_arr: np.ndarray, a: float, order: int = 12) -> np.ndarray:
         if j < m_terms:
             poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
     return head + tail
-
-
-def hurwitz_zeta(s, a: float) -> complex:
-    """Hurwitz zeta(s, a) for 0 < a <= 1, Re s > -1, s != 1."""
-    s = _require_finite(s)
-    if abs(s - 1.0) <= 1e-10:
-        raise PoleProximity("Hurwitz zeta pole at s = 1")
-    return complex(_hurwitz_core(np.array([s]), a)[0])
 
 
 def zeta(s) -> complex:
@@ -477,12 +464,18 @@ def walk_arg_generic(tracker: ArgTracker, evaluate, point_at,
 
 
 def arg_rectangle(evaluate, t: float) -> float:
-    """arg of evaluate at 1/2 + it, continued along 2 -> 2 + it -> 1/2 + it."""
+    """arg of evaluate (zeta or beta) at 1/2 + it, continued along
+    2 -> 2 + it -> 1/2 + it (Titchmarsh, 2nd ed., 9.3).
+
+    The leg up Re s = 2 needs no walk: |L(2 + iy) - 1| <= L(2) - 1, which
+    is zeta(2) - 1 = 0.645 and pi^2/8 - 1 = 0.234, so Re L(2 + iy) > 0 and
+    the argument continued from s = 2 is the principal one at 2 + it.  Only
+    the horizontal leg 2 + it -> 1/2 + it is walked.
+    """
     if t < 0:
         raise ArgumentDomain("arg_rectangle defined for t >= 0")
     tracker = ArgTracker()
-    tracker.step(complex(2.0, 0.0), cmath.phase(evaluate(complex(2.0, 0.0))))
-    walk_arg_generic(tracker, evaluate, lambda y: complex(2.0, y), 0.0, t, 1.0)
+    tracker.step(complex(2.0, t), cmath.phase(evaluate(complex(2.0, t))))
     walk_arg_generic(tracker, evaluate, lambda x: complex(x, t), 2.0, 0.5, 0.25)
     return tracker.accumulated_arg
 
@@ -492,15 +485,9 @@ def arg_zeta_rectangle(t: float) -> float:
     return arg_rectangle(zeta, t)
 
 
-_S_ANCHOR_T = 2.0
-_s_anchor_cache: list = []
-
-
 def s_of_t(t: float) -> float:
     """S(t) = (1/pi) arg zeta(1/2 + it), normalized so S(2) = 0."""
-    if not _s_anchor_cache:
-        _s_anchor_cache.append(arg_zeta_rectangle(_S_ANCHOR_T))
-    return (arg_zeta_rectangle(t) - _s_anchor_cache[0]) / math.pi
+    return (arg_zeta_rectangle(t) - arg_zeta_rectangle(2.0)) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from . import specfun as sf
 from .audit import AuditReport
 from .errors import (
     ArgumentDomain,
-    BranchJump,
     ChecksumMismatch,
     IncompleteCatalog,
     MissedZeroSuspected,
@@ -219,33 +218,19 @@ def hmty_bound(t: float) -> float:
 
 
 def s_grid(t_max: float, grid_step: float = 0.1):
-    """S(t) on the grid e, e+step, ... <= t_max, sharing one vertical leg.
+    """S(t) on the grid e, e+step, ... <= t_max, one arg rectangle a point.
 
-    The arg continuation along Re s = 2 is marched once; each grid height
-    branches a horizontal walk 2 + it -> 1/2 + it.  Equivalent to per-point
-    rectangles at a fraction of the zeta evaluations.
+    Each rectangle starts at 2 + it (see specfun.arg_rectangle), so a
+    point costs the horizontal walk only.
     """
     if t_max < math.e:
         raise ArgumentDomain("grid needs t_max >= e")
     anchor = sf.arg_zeta_rectangle(2.0)
-    vertical = sf.ArgTracker()
-    vertical.step(complex(2.0, 0.0), math.atan2(sf.zeta(2.0 + 0j).imag,
-                                                sf.zeta(2.0 + 0j).real))
-    sf.walk_arg_generic(vertical, sf.zeta, lambda y: complex(2.0, y),
-                        0.0, math.e, 1.0)
     out = []
     t = math.e
     while t <= t_max + 1e-12:
-        branch = sf.ArgTracker(path=[complex(2.0, t)],
-                               accumulated_arg=vertical.accumulated_arg)
-        sf.walk_arg_generic(branch, sf.zeta, lambda x, _t=t: complex(x, _t),
-                            2.0, 0.5, 0.25)
-        out.append((t, (branch.accumulated_arg - anchor) / math.pi))
-        t_next = t + grid_step
-        if t_next <= t_max + 1e-12:
-            sf.walk_arg_generic(vertical, sf.zeta, lambda y: complex(2.0, y),
-                                t, t_next, 1.0)
-        t = t_next
+        out.append((t, (sf.arg_zeta_rectangle(t) - anchor) / math.pi))
+        t += grid_step
     return out
 
 

@@ -5,15 +5,21 @@ library path it checks (Stirling-with-recurrence vs Lanczos, doubled
 working precision Euler-Maclaurin vs the double-precision one, Miller
 backward recurrence vs the ascending series, the Mellin-Barnes
 representation vs the cosh integral, 31-digit mpmath line sums and
-circle quadrature vs the double-precision filter paths).
+circle quadrature vs the double-precision filter paths, the march up
+Re s = 2 vs the arg rectangle started at 2 + it).  The last section holds
+helpers whose only callers are tests.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import mpmath as mp
 import numpy as np
 
 from mbzero import mbfilter as mbf
+from mbzero import specfun as sf
+from mbzero.errors import PoleProximity
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
 _STIRLING_SHIFT = 24
@@ -137,6 +143,18 @@ def arg_gamma_fine(t_target: float, sigma: float = 2.0, steps: int = 1000,
         return prev
 
 
+def arg_rectangle_march(evaluate, t: float) -> float:
+    """specfun.arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it, the
+    leg up Re s = 2 marched in unit steps with the argument unwrapped."""
+    tracker = sf.ArgTracker()
+    tracker.step(complex(2.0, 0.0), cmath.phase(evaluate(complex(2.0, 0.0))))
+    sf.walk_arg_generic(tracker, evaluate, lambda y: complex(2.0, y),
+                        0.0, t, 1.0)
+    sf.walk_arg_generic(tracker, evaluate, lambda x: complex(x, t),
+                        2.0, 0.5, 0.25)
+    return tracker.accumulated_arg
+
+
 def mb_integral_hp(kernel: str, energy: float, a: float,
                    contour, dps: int = 31) -> complex:
     """The vertical-line sum of mbfilter.mb_integral on its coarse node set
@@ -193,3 +211,24 @@ ZETA_ORDINATES = (
     "48.00515088116715972794247",
     "49.77383247767230218191678",
 )
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+# ---------------------------------------------------------------------------
+
+def log_gamma_continuous(s, tracker: sf.ArgTracker) -> complex:
+    """log Gamma with imaginary part continued along the tracker path."""
+    s = sf._require_finite(s)
+    val = sf.log_gamma(s)
+    unwrapped = tracker.step(s, val.imag)
+    return complex(val.real, unwrapped)
+
+
+def hurwitz_zeta(s, a: float) -> complex:
+    """Hurwitz zeta(s, a) for 0 < a <= 1, Re s > -1, s != 1, on the
+    Euler-Maclaurin core of specfun.zeta."""
+    s = sf._require_finite(s)
+    if abs(s - 1.0) <= 1e-10:
+        raise PoleProximity("Hurwitz zeta pole at s = 1")
+    return complex(sf._hurwitz_core(np.array([s]), a)[0])

@@ -185,6 +185,25 @@ class TestCatalogFunctionTag:
         err = capsys.readouterr().err
         assert "zeta" in err and "beta" in err
 
+    def test_bijection_default_function_on_beta_catalog_exit_5(
+            self, tmp_path, capsys):
+        run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
+        capsys.readouterr()
+        assert run(["bijection", "--e-max", "30"], tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "zeta catalog" in err and "beta" in err
+
+    def test_bijection_function_beta_on_zeta_catalog_exit_5(
+            self, tmp_path, capsys):
+        run(["census", "--function", "zeta", "--t-max", "32"], tmp_path)
+        capsys.readouterr()
+        assert run(["bijection", "--function", "beta", "--e-max", "60"],
+                   tmp_path) == 5
+        captured = capsys.readouterr()
+        assert "--function beta" in captured.err
+        assert "zeta-only" in captured.err
+        assert "verdict" not in captured.out
+
 
 class TestRootAcceptance:
     def test_residual_above_limit_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import specfun as sf
+from mbzero import zerocensus as zc
 from mbzero.errors import (
     ArgumentDomain,
     BranchJump,
@@ -113,7 +115,7 @@ class TestLogGammaVec:
 class TestLogGammaContinuous:
     def test_fresh_tracker_at_two(self):
         tracker = sf.ArgTracker()
-        val = sf.log_gamma_continuous(complex(2.0, 0.0), tracker)
+        val = oc.log_gamma_continuous(complex(2.0, 0.0), tracker)
         assert abs(val) < 1e-14
 
     def test_path_to_2_plus_10i_matches_fine_unwrap(self):
@@ -121,7 +123,7 @@ class TestLogGammaContinuous:
         want = 15.274040648533635
         tracker = sf.ArgTracker()
         for k in range(101):
-            val = sf.log_gamma_continuous(complex(2.0, 0.1 * k), tracker)
+            val = oc.log_gamma_continuous(complex(2.0, 0.1 * k), tracker)
         assert abs(val.imag - want) < 1e-10
         assert abs(cmath.exp(val) - sf.gamma(complex(2.0, 10.0))) \
             <= 1e-12 * abs(sf.gamma(complex(2.0, 10.0)))
@@ -137,9 +139,9 @@ class TestLogGammaContinuous:
     def test_branch_jump_on_coarse_step(self):
         # half-circle around the pole at s = -1 in one hop: arg moves ~0.96 pi
         tracker = sf.ArgTracker()
-        sf.log_gamma_continuous(complex(-1.0 + 0.1, 0.0), tracker)
+        oc.log_gamma_continuous(complex(-1.0 + 0.1, 0.0), tracker)
         with pytest.raises(BranchJump):
-            sf.log_gamma_continuous(-1.0 + 0.1 * cmath.exp(0.96j * math.pi),
+            oc.log_gamma_continuous(-1.0 + 0.1 * cmath.exp(0.96j * math.pi),
                                     tracker)
 
 
@@ -183,17 +185,17 @@ class TestZeta:
 class TestHurwitzZeta:
     def test_reduces_to_zeta_at_unit_shift(self):
         s = complex(1.7, 9.0)
-        assert abs(sf.hurwitz_zeta(s, 1.0) - sf.zeta(s)) < 1e-14 * abs(sf.zeta(s))
+        assert abs(oc.hurwitz_zeta(s, 1.0) - sf.zeta(s)) < 1e-14 * abs(sf.zeta(s))
 
     def test_quarter_shift_against_oracle(self):
         # frozen from mpmath.zeta(s, 1/4) at 30 digits
         want = complex(-7.120812258920156, 2.348382710839155)
-        got = sf.hurwitz_zeta(complex(1.5, 2.0), 0.25)
+        got = oc.hurwitz_zeta(complex(1.5, 2.0), 0.25)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
-            sf.hurwitz_zeta(1.0, 0.25)
+            oc.hurwitz_zeta(1.0, 0.25)
 
 
 class TestDirichletBeta:
@@ -277,6 +279,66 @@ class TestHardyZ:
 class TestSNormalization:
     def test_s_at_anchor_is_zero(self):
         assert abs(sf.s_of_t(2.0)) < 1e-12
+
+
+class TestArgRectangle:
+    """arg_rectangle starts at 2 + it; oc.arg_rectangle_march, which
+    marches up Re s = 2 first, is the reference."""
+
+    @staticmethod
+    def _assert_bits_match(evaluate, heights):
+        # the marches share their integer heights; evaluate is pure, so a
+        # memo changes their cost, not their bits
+        memo = functools.lru_cache(maxsize=None)(evaluate)
+        for t in heights:
+            got = sf.arg_rectangle(evaluate, t)
+            assert got == oc.arg_rectangle_march(memo, t), t
+
+    def test_zeta_bits_on_bijection_grid(self, zeta_catalog_full, monkeypatch):
+        heights = []
+        monkeypatch.setattr(sf, "arg_zeta_rectangle",
+                            lambda t: heights.append(t) or 0.0)
+        roots = [2.0 * r.ordinate for r in zeta_catalog_full]
+        zc.bijection_audit(zeta_catalog_full, roots, 240.0)
+        assert len(heights) == 306
+        self._assert_bits_match(sf.zeta, heights)
+
+    def test_zeta_bits_on_sevenths(self):
+        self._assert_bits_match(sf.zeta, [k / 7 for k in range(7, 1400)])
+
+    def test_beta_bits_on_sevenths(self):
+        self._assert_bits_match(sf.dirichlet_beta,
+                                [k / 7 for k in range(7, 140)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.floats(1.0, 200.0))
+    def test_agrees_with_march(self, t):
+        # a tolerance: within 1e-15 above an integer the march stops at
+        # 2 + i floor(t)
+        want = oc.arg_rectangle_march(sf.zeta, t)
+        assert abs(sf.arg_zeta_rectangle(t) - want) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.floats(0.0, 200.0))
+    def test_right_half_plane_on_re_two(self, y):
+        # |zeta(2 + iy) - 1| <= 0.645, |beta(2 + iy) - 1| <= 0.234
+        assert sf.zeta(complex(2.0, y)).real > 0.3
+        assert sf.dirichlet_beta(complex(2.0, y)).real > 0.7
+
+    @pytest.mark.parametrize("t", [10.0, 100.0, 190.0])
+    def test_zeta_evaluations_bounded(self, t, monkeypatch):
+        points = []
+        zeta = sf.zeta
+        monkeypatch.setattr(sf, "zeta", lambda s: points.append(s) or zeta(s))
+        sf.arg_zeta_rectangle(t)
+        assert 0 < len(points) <= 20
+
+    @pytest.mark.parametrize("arg", [sf.arg_zeta_rectangle,
+                                     lambda t: oc.arg_rectangle_march(sf.zeta, t)])
+    def test_pole_on_real_axis(self, arg):
+        # at t = 0 the horizontal leg runs through s = 1
+        with pytest.raises(PoleProximity):
+            arg(0.0)
 
 
 class TestVonMangoldt:
