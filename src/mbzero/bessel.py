@@ -227,14 +227,3 @@ def asymptotic_validator(nu: complex, regime: str) -> AuditReport:
     raise ArgumentDomain(f"unknown regime {regime!r}")
 
 
-def ode_residual(nu: complex, x: float, h_rel: float = 1e-3) -> float:
-    """Finite-difference residual of x^2 K'' + x K' - (x^2 + nu^2) K."""
-    nu = _check_order(nu)
-    h = x * h_rel
-    f = lambda u: bessel_K(nu, u, tol=1e-13).value
-    fm, f0, fp = f(x - h), f(x), f(x + h)
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    res = x * x * d2 + x * d1 - (x * x + nu * nu) * f0
-    return abs(res) / max(1.0, abs(f0))
-

@@ -34,6 +34,7 @@ from .errors import (
     MissedZeroSuspected,
     NoConvergence,
     VersionUnsupported,
+    WindowTooSparse,
 )
 
 EXIT_OK = 0
@@ -178,8 +179,12 @@ def cmd_bijection(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _emit_stats(config: RunConfig, catalog: list) -> None:
-    spectrum = st.unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
+def _unfold_catalog(catalog: list):
+    """The whole catalog unfolded; WindowTooSparse below 20 zeros."""
+    return st.unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
+
+
+def _emit_stats(config: RunConfig, spectrum) -> None:
     spacings = spectrum.spacings
     edges = np.arange(0.0, 3.2001, 0.2)
     counts, _ = np.histogram(spacings, bins=edges)
@@ -221,7 +226,7 @@ def _emit_stats(config: RunConfig, catalog: list) -> None:
 def cmd_stats(config: RunConfig) -> int:
     catalog = _load_catalog_or_exit(config)
     try:
-        _emit_stats(config, catalog)
+        _emit_stats(config, _unfold_catalog(catalog))
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -233,6 +238,15 @@ def cmd_stats(config: RunConfig) -> int:
 def cmd_audit(config: RunConfig) -> int:
     catalog = _load_catalog_or_exit(config)
     only = set(config.claims) or None
+    if only is None:
+        # the full audit also writes the spacing statistics: check that the
+        # catalog unfolds before any claim runs or any file is written
+        try:
+            spectrum = _unfold_catalog(catalog)
+        except WindowTooSparse as exc:
+            print(f"error: {exc}; the full audit writes spacing statistics, "
+                  "so choose claims with --claims", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         reports = cl.run_claims(config, catalog, only=only)
         ledger = ledger_json(reports)
@@ -240,7 +254,7 @@ def cmd_audit(config: RunConfig) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(ledger + "\n")
         if only is None:
-            _emit_stats(config, catalog)
+            _emit_stats(config, spectrum)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

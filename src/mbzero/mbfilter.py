@@ -22,6 +22,12 @@ specfun.log_gamma_vec, and the L-function) from a small cache keyed by
 (kernel, nu, contour, refine); only (2a)^{2s} is recomputed per scale, so
 sweeps over a on one contour do the expensive work once.
 
+Mirror rule: Gamma(s), zeta(2s), beta(2s) and xi(2s) are conjugation-
+equivariant bit for bit, so each is evaluated once per conjugate pair of
+nodes.  A node whose exact conjugate is also a node (about 85 % of a line
+node set, where -t is a node bit for bit) takes the conjugate of its
+partner's value; Gamma(s - nu) has no mirror and is evaluated everywhere.
+
 Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
 31-digit mpmath scalars (mpmath is imported on first use).
 """
@@ -40,8 +46,6 @@ from .errors import (
     BasinEscape,
     ContourOnPole,
     NoConvergence,
-    NotAZero,
-    DerivativeVanishes,
     PoleInStrip,
     TailBoundViolated,
 )
@@ -147,14 +151,50 @@ def pole_abscissas(kernel: str, span: float = 12.0) -> np.ndarray:
     return arr[np.abs(arr) <= span]
 
 
+# below this |Im s| a factor's imaginary part can underflow to a zero whose
+# sign conjugation does not mirror (zeta(2 +- 5e-324i) has Im +0 both ways)
+_MIRROR_MIN_IM = 1e-150
+
+
+def _conjugate_split(s: np.ndarray):
+    """Index arrays (canon, mirror, partner) over the 1-d nodes s:
+    s[mirror] is conj(s[partner]) bit for bit with Im s[mirror] < -1e-150,
+    and canon holds every other node, the partners included."""
+    order = np.argsort(s)
+    lower = np.flatnonzero(s.imag < -_MIRROR_MIN_IM)
+    want = np.conj(s[lower])
+    partner = order[np.minimum(np.searchsorted(s[order], want), s.size - 1)]
+    same = (s[partner].view(np.int64) == want.view(np.int64)).reshape(-1, 2)
+    paired = same.all(axis=1)
+    mirror, partner = lower[paired], partner[paired]
+    canon = np.ones(s.size, dtype=bool)
+    canon[mirror] = False
+    return np.flatnonzero(canon), mirror, partner
+
+
+def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
+    """f(s) for a conjugation-equivariant f, evaluated on the canonical
+    nodes only; f's Euler-Maclaurin N (from max |Im|) is unchanged, as the
+    extreme node or its mirror is canonical."""
+    canon, mirror, partner = split
+    out = np.empty(s.shape, dtype=complex)
+    out[canon] = f(s[canon])
+    out[mirror] = np.conj(out[partner])
+    return out
+
+
 def _scale_free_factors(kernel: str, s: np.ndarray, nu: complex):
     """(log-Gamma part, L factor) of the integrand: all but (2a)^{2s}."""
+    split = _conjugate_split(s)
     lg_nu = sf.log_gamma_vec(s - nu)
     if kernel == "zeta2s":
-        return sf.log_gamma_vec(s) + lg_nu, sf.zeta_vec(2.0 * s)
+        return (_mirrored(sf.log_gamma_vec, s, split) + lg_nu,
+                _mirrored(lambda z: sf.zeta_vec(2.0 * z), s, split))
     if kernel == "beta2s":
-        return sf.log_gamma_vec(s) + lg_nu, sf.dirichlet_beta_vec(2.0 * s)
-    xi = np.array([sf.completed_xi(2.0 * z) for z in s])
+        return (_mirrored(sf.log_gamma_vec, s, split) + lg_nu,
+                _mirrored(lambda z: sf.dirichlet_beta_vec(2.0 * z), s, split))
+    xi = _mirrored(lambda z: np.array([sf.completed_xi(2.0 * x) for x in z]),
+                   s, split)
     return lg_nu + s * math.log(math.pi), xi
 
 
@@ -519,42 +559,6 @@ def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
         for g in (g1, g2)
     ]
     return abs(evals[0].value - evals[1].value)
-
-
-def residue_at_pole(kernel: str, energy: float, scale: KernelScale,
-                    pole: complex, radius: float = 0.05,
-                    n_points: int = 64) -> complex:
-    """Residue of the raw kernel integrand at a pole, by circle quadrature."""
-    _check_kernel(kernel)
-    point = SpectralPoint(energy)
-    s, w = circle_nodes(complex(pole), radius, n_points)
-    vals = _kernel_integrand(kernel, s, point.nu, scale.a)
-    return complex(np.sum(vals * w)) / (2j * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# Residue at a simple zero
-# ---------------------------------------------------------------------------
-
-def residue_simple_zero(s0: complex, scale: KernelScale,
-                        h: float = 1e-6) -> complex:
-    """2 Phi(s0) zeta'(2 s0) with Phi(s) = pi^{-s} Gamma(s/2).
-
-    This is the coefficient extracted by circling Phi(s) zeta(2s)/(s-s0)^2
-    at a simple zero s0 of zeta(2s); zeta' comes from Richardson-refined
-    central differences at step h.
-    """
-    s0 = complex(s0)
-    z = 2.0 * s0
-    if abs(sf.zeta(z)) > 1e-8:
-        raise NotAZero(f"zeta(2 s0) = {sf.zeta(z):.3e} at s0 = {s0!r}")
-    d1 = (sf.zeta(z + h) - sf.zeta(z - h)) / (2.0 * h)
-    d2 = (sf.zeta(z + 0.5 * h) - sf.zeta(z - 0.5 * h)) / h
-    dz = (4.0 * d2 - d1) / 3.0
-    if abs(dz) < 1e-8:
-        raise DerivativeVanishes(f"zeta'(2 s0) = {dz:.3e}: multiple zero?")
-    phi = cmath.exp(-s0 * math.log(math.pi) + sf.log_gamma(0.5 * s0))
-    return 2.0 * phi * dz
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,6 @@ def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
     return states
 
 
-def node_count(states) -> int:
-    """floor((theta(b) - theta(a)) / pi) over the trajectory window."""
-    return int(math.floor((states[-1].phase - states[0].phase) / math.pi))
-
-
 def phase_advance(problem: RadialProblem, tol: float = 1e-10) -> float:
     states = prufer_integrate(problem, tol=tol)
     return states[-1].phase - states[0].phase
@@ -128,17 +123,6 @@ def frobenius_classify(nu: complex) -> str:
             "|Re nu - 1/2| >~ 5e-4"
         )
     return analytic
-
-
-def frobenius_divergence_profile(nu: complex):
-    """Cutoff-ladder integrals of the binding branch, for reporting."""
-    expo = -2.0 * complex(nu).real
-    out = []
-    for k in range(2, 7):
-        lo = 10.0 ** (-k)
-        xs = np.geomspace(lo, 0.1, 4000)
-        out.append((lo, float(np.trapezoid(xs ** expo, xs))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Bernoulli corrections through order 12.
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
 (0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped with
-ArgTracker along the horizontal leg to 1/2 + it.
+ArgTracker along the horizontal leg to 1/2 + it, evaluated in one vector
+call.
 """
 
 from __future__ import annotations
@@ -433,56 +434,55 @@ def hardy_Z_for(function: str):
 # Continued arg zeta along the census rectangle
 # ---------------------------------------------------------------------------
 
-def walk_arg_generic(tracker: ArgTracker, evaluate, point_at,
-                     u0: float, u1: float, step: float) -> None:
-    """March u from u0 to u1 unwrapping arg evaluate(point_at(u)).
+def _leg_step(tracker: ArgTracker, evaluate, t: float, x0: float, x1: float,
+              value: complex) -> None:
+    """Unwrap value = L(x1 + it) after x0 + it.  A move of >= pi/2 is
+    split in halves, each midpoint evaluated on its own; BranchJump once the
+    split stalls (a zero of L sits on the path)."""
+    s = complex(x1, t)
+    try:
+        tracker.step(s, cmath.phase(value), limit=0.5 * math.pi)
+    except BranchJump:
+        if x0 - x1 < 1e-11:
+            raise BranchJump(
+                f"arg path stalled at {s!r}; a zero sits on the path"
+            ) from None
+        mid = 0.5 * (x0 + x1)
+        _leg_step(tracker, evaluate, t, x0, mid,
+                  evaluate(np.array([complex(mid, t)]))[0])
+        _leg_step(tracker, evaluate, t, mid, x1, value)
 
-    Halves the step whenever a move would change the unwrapped argument
-    by >= pi/2; raises BranchJump if refinement stalls (a zero of the
-    evaluated function sits on the path).
-    """
-    if u0 == u1:
-        return
-    direction = 1.0 if u1 > u0 else -1.0
-    u = u0
-    h = step
-    while direction * (u1 - u) > 1e-15:
-        h = min(h, abs(u1 - u))
-        s = point_at(u + direction * h)
-        arg = cmath.phase(evaluate(s))
-        try:
-            tracker.step(s, arg, limit=0.5 * math.pi)
-        except BranchJump:
-            if h < 1e-11:
-                raise BranchJump(
-                    f"arg path stalled at {s!r}; a zero sits on the path"
-                ) from None
-            h *= 0.5
-            continue
-        u += direction * h
-        h = min(step, h * 2.0)
+
+_LEG = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5)
 
 
 def arg_rectangle(evaluate, t: float) -> float:
-    """arg of evaluate (zeta or beta) at 1/2 + it, continued along
-    2 -> 2 + it -> 1/2 + it (Titchmarsh, 2nd ed., 9.3).
+    """arg L(1/2 + it) continued along 2 -> 2 + it -> 1/2 + it (Titchmarsh,
+    2nd ed., 9.3); evaluate is the vector form of L (zeta_vec or
+    dirichlet_beta_vec).
 
     The leg up Re s = 2 needs no walk: |L(2 + iy) - 1| <= L(2) - 1, which
     is zeta(2) - 1 = 0.645 and pi^2/8 - 1 = 0.234, so Re L(2 + iy) > 0 and
-    the argument continued from s = 2 is the principal one at 2 + it.  Only
-    the horizontal leg 2 + it -> 1/2 + it is walked.
+    the argument continued from s = 2 is the principal one at 2 + it.  The
+    horizontal leg is one vector call: its seven points 2, 1.75, ..., 1/2
+    (+ it) share one Euler-Maclaurin N, so each value equals the scalar
+    one bit for bit.  The tracker then takes them in order, and only a step
+    it rejects is split and evaluated point by point.
     """
+    _require_finite(t)
     if t < 0:
         raise ArgumentDomain("arg_rectangle defined for t >= 0")
+    values = evaluate(np.array([complex(x, t) for x in _LEG]))
     tracker = ArgTracker()
-    tracker.step(complex(2.0, t), cmath.phase(evaluate(complex(2.0, t))))
-    walk_arg_generic(tracker, evaluate, lambda x: complex(x, t), 2.0, 0.5, 0.25)
+    tracker.step(complex(2.0, t), cmath.phase(values[0]))
+    for k in range(1, len(_LEG)):
+        _leg_step(tracker, evaluate, t, _LEG[k - 1], _LEG[k], values[k])
     return tracker.accumulated_arg
 
 
 def arg_zeta_rectangle(t: float) -> float:
     """arg zeta(1/2 + it) continued along the census rectangle."""
-    return arg_rectangle(zeta, t)
+    return arg_rectangle(zeta_vec, t)
 
 
 def s_of_t(t: float) -> float:

@@ -67,20 +67,6 @@ def wigner_dyson_cdf(s):
         - (4.0 * s / math.pi) * np.exp(-4.0 * s * s / math.pi)
 
 
-def wigner_dyson_sample(n: int, seed: int = 20260808) -> np.ndarray:
-    """Deterministic inverse-CDF draws from the Wigner-Dyson surmise."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.uniform(size=n)
-    lo = np.zeros(n)
-    hi = np.full(n, 6.0)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = wigner_dyson_cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def ks_distance(sample: np.ndarray, cdf) -> float:
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size

@@ -101,7 +101,7 @@ def _critical_abs(function: str, t: float) -> float:
 
 def _arg_beta_rect(t: float) -> float:
     """arg beta(1/2 + it) continued along the census rectangle."""
-    return sf.arg_rectangle(sf.dirichlet_beta, t)
+    return sf.arg_rectangle(sf.dirichlet_beta_vec, t)
 
 
 def counting_prediction(function: str, t: float) -> float:
@@ -353,7 +353,7 @@ def catalog_load(path: str) -> list:
         raise ChecksumMismatch("missing checksum line")
     body = head + b"\n"
     digest = hashlib.sha256(body).hexdigest()
-    if last.split(b" ", 1)[1].decode("ascii") != digest:
+    if last[len(b"#sha256 "):] != digest.encode("ascii"):
         raise ChecksumMismatch("catalog checksum does not match contents")
     lines = body.decode("utf-8").splitlines()
     header = lines[0].split()

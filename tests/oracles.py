@@ -5,21 +5,30 @@ library path it checks (Stirling-with-recurrence vs Lanczos, doubled
 working precision Euler-Maclaurin vs the double-precision one, Miller
 backward recurrence vs the ascending series, the Mellin-Barnes
 representation vs the cosh integral, 31-digit mpmath line sums and
-circle quadrature vs the double-precision filter paths, the march up
-Re s = 2 vs the arg rectangle started at 2 + it).  The last section holds
-helpers whose only callers are tests.
+circle quadrature vs the double-precision filter paths, the scalar march
+up Re s = 2 and along the leg vs the arg rectangle started at 2 + it with
+one vector call, every node evaluated vs one evaluation per conjugate pair
+of nodes).  The last section holds helpers whose only callers are tests.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import mpmath as mp
 import numpy as np
 
+from mbzero import bessel as bs
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
-from mbzero.errors import PoleProximity
+from mbzero import spectrostats as st
+from mbzero.errors import (
+    BranchJump,
+    DerivativeVanishes,
+    NotAZero,
+    PoleProximity,
+)
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
 _STIRLING_SHIFT = 24
@@ -143,15 +152,46 @@ def arg_gamma_fine(t_target: float, sigma: float = 2.0, steps: int = 1000,
         return prev
 
 
+def walk_arg_generic(tracker: sf.ArgTracker, evaluate, point_at,
+                     u0: float, u1: float, step: float) -> None:
+    """March u from u0 to u1 unwrapping arg evaluate(point_at(u)), one
+    scalar evaluation a point.
+
+    Halves the step whenever a move would change the unwrapped argument
+    by >= pi/2 and doubles it back after each accepted move; raises
+    BranchJump if refinement stalls (a zero of the evaluated function sits
+    on the path).
+    """
+    if u0 == u1:
+        return
+    direction = 1.0 if u1 > u0 else -1.0
+    u = u0
+    h = step
+    while direction * (u1 - u) > 1e-15:
+        h = min(h, abs(u1 - u))
+        s = point_at(u + direction * h)
+        arg = cmath.phase(evaluate(s))
+        try:
+            tracker.step(s, arg, limit=0.5 * math.pi)
+        except BranchJump:
+            if h < 1e-11:
+                raise BranchJump(
+                    f"arg path stalled at {s!r}; a zero sits on the path"
+                ) from None
+            h *= 0.5
+            continue
+        u += direction * h
+        h = min(step, h * 2.0)
+
+
 def arg_rectangle_march(evaluate, t: float) -> float:
-    """specfun.arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it, the
-    leg up Re s = 2 marched in unit steps with the argument unwrapped."""
+    """specfun.arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it with
+    the scalar evaluate, the leg up Re s = 2 marched in unit steps and the
+    horizontal leg by walk_arg_generic, with the argument unwrapped."""
     tracker = sf.ArgTracker()
     tracker.step(complex(2.0, 0.0), cmath.phase(evaluate(complex(2.0, 0.0))))
-    sf.walk_arg_generic(tracker, evaluate, lambda y: complex(2.0, y),
-                        0.0, t, 1.0)
-    sf.walk_arg_generic(tracker, evaluate, lambda x: complex(x, t),
-                        2.0, 0.5, 0.25)
+    walk_arg_generic(tracker, evaluate, lambda y: complex(2.0, y), 0.0, t, 1.0)
+    walk_arg_generic(tracker, evaluate, lambda x: complex(x, t), 2.0, 0.5, 0.25)
     return tracker.accumulated_arg
 
 
@@ -177,6 +217,18 @@ def mb_integral_hp(kernel: str, energy: float, a: float,
                        / (2 * s * (2 * s - 1)))
             total += val * wi
         return complex(total * 1j * mbf.kernel_prefactor(kernel))
+
+
+def scale_free_factors_unmirrored(kernel: str, s: np.ndarray, nu: complex):
+    """mbfilter._scale_free_factors with every node evaluated on its own
+    account: no conjugate pair of nodes shares an evaluation."""
+    lg_nu = sf.log_gamma_vec(s - nu)
+    if kernel == "zeta2s":
+        return sf.log_gamma_vec(s) + lg_nu, sf.zeta_vec(2.0 * s)
+    if kernel == "beta2s":
+        return sf.log_gamma_vec(s) + lg_nu, sf.dirichlet_beta_vec(2.0 * s)
+    xi = np.array([sf.completed_xi(2.0 * z) for z in s])
+    return lg_nu + s * math.log(math.pi), xi
 
 
 def spectral_filter_circle(kernel: str, energy: float, a: float,
@@ -232,3 +284,78 @@ def hurwitz_zeta(s, a: float) -> complex:
     if abs(s - 1.0) <= 1e-10:
         raise PoleProximity("Hurwitz zeta pole at s = 1")
     return complex(sf._hurwitz_core(np.array([s]), a)[0])
+
+
+def residue_at_pole(kernel: str, energy: float, scale: mbf.KernelScale,
+                    pole: complex, radius: float = 0.05,
+                    n_points: int = 64) -> complex:
+    """Residue of the raw kernel integrand at a pole, by circle quadrature."""
+    mbf._check_kernel(kernel)
+    point = mbf.SpectralPoint(energy)
+    s, w = circle_nodes(complex(pole), radius, n_points)
+    vals = mbf._kernel_integrand(kernel, s, point.nu, scale.a)
+    return complex(np.sum(vals * w)) / (2j * math.pi)
+
+
+def residue_simple_zero(s0: complex, scale: mbf.KernelScale,
+                        h: float = 1e-6) -> complex:
+    """2 Phi(s0) zeta'(2 s0) with Phi(s) = pi^{-s} Gamma(s/2).
+
+    This is the coefficient extracted by circling Phi(s) zeta(2s)/(s-s0)^2
+    at a simple zero s0 of zeta(2s); zeta' comes from Richardson-refined
+    central differences at step h.  Phi carries no (2a)^{2s}, so the
+    value does not depend on scale.
+    """
+    s0 = complex(s0)
+    z = 2.0 * s0
+    if abs(sf.zeta(z)) > 1e-8:
+        raise NotAZero(f"zeta(2 s0) = {sf.zeta(z):.3e} at s0 = {s0!r}")
+    d1 = (sf.zeta(z + h) - sf.zeta(z - h)) / (2.0 * h)
+    d2 = (sf.zeta(z + 0.5 * h) - sf.zeta(z - 0.5 * h)) / h
+    dz = (4.0 * d2 - d1) / 3.0
+    if abs(dz) < 1e-8:
+        raise DerivativeVanishes(f"zeta'(2 s0) = {dz:.3e}: multiple zero?")
+    phi = cmath.exp(-s0 * math.log(math.pi) + sf.log_gamma(0.5 * s0))
+    return 2.0 * phi * dz
+
+
+def ode_residual(nu: complex, x: float, h_rel: float = 1e-3) -> float:
+    """Finite-difference residual of x^2 K'' + x K' - (x^2 + nu^2) K."""
+    nu = bs._check_order(nu)
+    h = x * h_rel
+    f = lambda u: bs.bessel_K(nu, u, tol=1e-13).value
+    fm, f0, fp = f(x - h), f(x), f(x + h)
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    res = x * x * d2 + x * d1 - (x * x + nu * nu) * f0
+    return abs(res) / max(1.0, abs(f0))
+
+
+def frobenius_divergence_profile(nu: complex):
+    """Cutoff-ladder integrals of the binding branch x^{-2 Re nu}."""
+    expo = -2.0 * complex(nu).real
+    out = []
+    for k in range(2, 7):
+        lo = 10.0 ** (-k)
+        xs = np.geomspace(lo, 0.1, 4000)
+        out.append((lo, float(np.trapezoid(xs ** expo, xs))))
+    return out
+
+
+def node_count(states) -> int:
+    """floor((theta(b) - theta(a)) / pi) over a Pruefer trajectory."""
+    return int(math.floor((states[-1].phase - states[0].phase) / math.pi))
+
+
+def wigner_dyson_sample(n: int, seed: int = 20260808) -> np.ndarray:
+    """Deterministic inverse-CDF draws from the Wigner-Dyson surmise."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.uniform(size=n)
+    lo = np.zeros(n)
+    hi = np.full(n, 6.0)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        below = st.wigner_dyson_cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

@@ -168,7 +168,7 @@ def test_criterion_7_counting_agreement(zeta_catalog_full):
 
 def test_criterion_8_comparators_and_deterministic_ledger(zeta_catalog_full):
     t0 = time.monotonic()
-    gue = st.spacing_vs_gue(st.wigner_dyson_sample(10_000))
+    gue = st.spacing_vs_gue(oc.wigner_dyson_sample(10_000))
     rng = np.random.Generator(np.random.PCG64(99))
     poisson = st.spacing_vs_gue(rng.exponential(size=10_000))
     spectrum = st.unfold(zeta_catalog_full, (0.0, 201.0))
@@ -183,7 +183,7 @@ def test_criterion_8_comparators_and_deterministic_ledger(zeta_catalog_full):
     ledger1 = ledger_json([gue, poisson, real_spacing, real_pairs]
                           + non_reproducible)
     ledger2 = ledger_json([
-        st.spacing_vs_gue(st.wigner_dyson_sample(10_000)),
+        st.spacing_vs_gue(oc.wigner_dyson_sample(10_000)),
         st.spacing_vs_gue(
             np.random.Generator(np.random.PCG64(99)).exponential(size=10_000)),
         st.spacing_vs_gue(st.unfold(zeta_catalog_full, (0.0, 201.0))),

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mbzero
 from mbzero import cli
@@ -97,6 +99,17 @@ class TestAuditCommand:
         code = run(["audit", "--claims", "nonsense"], tmp_path)
         assert code == 5
 
+    def test_full_audit_on_sparse_catalog_exit_5(self, tmp_path, capsys):
+        # 3 zeros: the spacing statistics of a full audit need 20, which is
+        # checked before any claim runs or any file is written
+        run(["census", "--function", "zeta", "--t-max", "30"], tmp_path)
+        capsys.readouterr()
+        assert run(["audit"], tmp_path) == 5
+        assert "--claims" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+        assert run(["audit", "--claims", "bijection_delta_zero"], tmp_path) == 0
+        assert (tmp_path / "audit_ledger.json").exists()
+
 
 class TestStatsCommand:
     def test_emits_plot_files(self, tmp_path, capsys):
@@ -125,6 +138,28 @@ class TestCacheCommand:
 
     def test_missing_exit_4(self, tmp_path, capsys):
         assert run(["cache"], tmp_path) == 4
+
+
+class TestCorruptedCatalogProperty:
+    _BLOB = zc.catalog_serialize([
+        zc.ZeroRecord(index=i + 1, ordinate=t, residual=1e-14,
+                      function="beta", method="newton_refine")
+        for i, t in enumerate((6.020948904697597, 10.243770304166555,
+                               12.988098012312423))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.data())
+    def test_one_byte_changed_anywhere(self, tmp_path_factory, data):
+        position = data.draw(hst.integers(0, len(self._BLOB) - 1))
+        byte = data.draw(hst.integers(0, 255).filter(
+            lambda b: b != self._BLOB[position]))
+        blob = bytearray(self._BLOB)
+        blob[position] = byte
+        directory = tmp_path_factory.mktemp("corrupt")
+        (directory / "cat.txt").write_bytes(bytes(blob))
+        args = ["--out", str(directory), "--cache", str(directory / "cat.txt")]
+        assert cli.main(["cache"] + args) == 6
+        assert cli.main(["stats"] + args) == 4
 
 
 def _write_checksummed_catalog(path, *records):

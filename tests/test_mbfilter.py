@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import mbfilter as mbf
@@ -109,7 +111,7 @@ class TestContourShift:
         c_hi = mbf.ContourSpec(abscissa=0.70, t_max=50.0, panel_count=140)
         lo = mbf.mb_integral("beta2s", energy, A02, c_lo).value
         hi = mbf.mb_integral("beta2s", energy, A02, c_hi).value
-        res = mbf.residue_at_pole("beta2s", energy, A02,
+        res = oc.residue_at_pole("beta2s", energy, A02,
                                   complex(0.5, 0.5 * energy))
         pred = mbf.kernel_prefactor("beta2s") * 2j * math.pi * res
         assert abs((hi - lo) - pred) < 1e-9
@@ -157,21 +159,98 @@ class TestNodeSetCache:
             assert got == abs(v1 - v2)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _contour_shift_pairs():
+    """The (energy, g1, g2) draws of the mb_contour_shift ledger claim."""
+    rng = np.random.RandomState(8)
+    pairs = []
+    for _ in range(20):
+        energy = rng.uniform(5.0, 35.0)
+        pairs.append((energy, *sorted(rng.uniform(0.54, 0.96, 2))))
+    return pairs
+
+
+class TestMirroredFactors:
+    """_node_set evaluates Gamma(s) and L(2s) once per conjugate pair of
+    nodes; oc.scale_free_factors_unmirrored evaluates every node."""
+
+    @staticmethod
+    def _assert_matches_oracle(kernel, energy, contour, refine):
+        nu = mbf.SpectralPoint(energy).nu
+        _, s, factors = mbf._node_set(kernel, nu, contour, refine)
+        want = oc.scale_free_factors_unmirrored(kernel, s, nu)
+        for got, ref in zip(factors, want):
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    # zeta2s on the ledger claim's own node sets; beta2s on their coarse
+    # sets, and xi2s (a scalar completed_xi per node) on shorter contours
+    @pytest.mark.parametrize("kernel, refine", [("zeta2s", 1), ("beta2s", 0),
+                                                ("xi2s", 0)])
+    def test_contour_shift_pairs(self, kernel, refine):
+        for energy, g1, g2 in _contour_shift_pairs():
+            for g in (g1, g2):
+                contour = (mbf.ContourSpec.default(g, energy) if kernel != "xi2s"
+                           else mbf.ContourSpec(abscissa=g, t_max=12.0,
+                                                panel_count=24))
+                self._assert_matches_oracle(kernel, energy, contour, refine)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.sampled_from(mbf.KERNELS), hst.floats(-2.9, 2.9),
+           hst.floats(-40.0, 40.0), hst.floats(2.0, 40.0),
+           hst.integers(1, 40), hst.integers(0, 1))
+    def test_random_contours(self, kernel, g, energy, t_max, panels, refine):
+        contour = mbf.ContourSpec(abscissa=g, t_max=t_max, panel_count=panels)
+        try:
+            mbf.validate_contour(kernel, contour)
+        except ContourOnPole:
+            assume(False)
+        self._assert_matches_oracle(kernel, energy, contour, refine)
+
+    def test_most_nodes_are_mirrors_and_max_im_is_canonical(self):
+        for energy, g1, g2 in _contour_shift_pairs()[:3]:
+            contour = mbf.ContourSpec.default(g1, energy)
+            _, s, _ = mbf._node_set("zeta2s", mbf.SpectralPoint(energy).nu,
+                                    contour, 1)
+            canon, mirror, partner = mbf._conjugate_split(s)
+            assert mirror.size > 0.4 * s.size
+            assert np.array_equal(_bits(s[mirror]), _bits(np.conj(s[partner])))
+            assert np.all(np.isin(partner, canon))
+            # the Euler-Maclaurin N comes from max |Im|, which canon keeps
+            assert np.max(np.abs(s[canon].imag)) == np.max(np.abs(s.imag))
+
+    def test_zeta_vec_sees_canonical_nodes_only(self, monkeypatch):
+        seen = []
+        zeta_vec = sf.zeta_vec
+        monkeypatch.setattr(sf, "zeta_vec",
+                            lambda z: seen.append(z.size) or zeta_vec(z))
+        s = 0.6 + 1j * np.array([-3.0, -1.0, 1e-300, 1.0, 2.0, 3.0,
+                                 -1e-300, 4.0])
+        lg, arith = mbf._scale_free_factors("zeta2s", s, complex(0.5, 6.0))
+        # -3 and -1 mirror 3 and 1; the 1e-300 pair is below the cut-off
+        assert seen == [6]
+        want = oc.scale_free_factors_unmirrored("zeta2s", s, complex(0.5, 6.0))
+        assert np.array_equal(_bits(lg), _bits(want[0]))
+        assert np.array_equal(_bits(arith), _bits(want[1]))
+
+
 class TestResidueSimpleZero:
     def test_first_zero(self, zeta_catalog_60):
         s0 = complex(0.25, 0.5 * zeta_catalog_60[0].ordinate)
-        val = mbf.residue_simple_zero(s0, A02)
+        val = oc.residue_simple_zero(s0, A02)
         assert abs(val) > 1e-6
         assert math.isfinite(abs(val))
 
     def test_not_a_zero(self):
         with pytest.raises(NotAZero):
-            mbf.residue_simple_zero(complex(0.25, 5.0), A02)
+            oc.residue_simple_zero(complex(0.25, 5.0), A02)
 
     def test_conjugate_symmetry(self, zeta_catalog_60):
         s0 = complex(0.25, 0.5 * zeta_catalog_60[0].ordinate)
-        v = mbf.residue_simple_zero(s0, A02)
-        vc = mbf.residue_simple_zero(s0.conjugate(), A02)
+        v = oc.residue_simple_zero(s0, A02)
+        vc = oc.residue_simple_zero(s0.conjugate(), A02)
         assert abs(vc - v.conjugate()) <= 1e-10 * abs(v)
 
 

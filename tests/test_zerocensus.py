@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import mbfilter as mbf
@@ -183,6 +185,23 @@ class TestCatalogPersistence:
         open(path, "w").write(body + f"#sha256 {digest}\n")
         with pytest.raises(VersionUnsupported):
             zc.catalog_load(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.sampled_from(["zeta", "beta"]), hst.lists(hst.tuples(
+        hst.integers(-10 ** 6, 10 ** 9),
+        hst.floats(allow_nan=False, allow_infinity=False),
+        hst.floats(0.0, zc.RESIDUAL_LIMIT, exclude_max=True),
+        hst.sampled_from(["sign_scan", "newton_refine", "filter_root"])),
+        min_size=1, max_size=30))
+    def test_store_load_round_trip(self, tmp_path_factory, function, rows):
+        records = [zc.ZeroRecord(index=i, ordinate=t, residual=r,
+                                 function=function, method=m)
+                   for i, t, r, m in rows]
+        path = str(tmp_path_factory.mktemp("catalog") / "cat.txt")
+        zc.catalog_store(path, records)
+        loaded = zc.catalog_load(path)
+        assert loaded == records
+        assert zc.catalog_serialize(loaded) == zc.catalog_serialize(records)
 
     def test_empty_refused(self):
         with pytest.raises(ArgumentDomain):
