@@ -175,11 +175,19 @@ def _conjugate_split(s: np.ndarray):
 def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
     """f(s) for a conjugation-equivariant f, evaluated on the canonical
     nodes only; f's Euler-Maclaurin N (from max |Im|) is unchanged, as the
-    extreme node or its mirror is canonical."""
+    extreme node or its mirror is canonical.
+
+    A partner value that is non-finite or has an exactly zero imaginary
+    part has no bit-exact mirror: a cancellation to 0 gives +0 at both
+    nodes, and a NaN's sign bit is arbitrary, so then every node is
+    evaluated."""
     canon, mirror, partner = split
     out = np.empty(s.shape, dtype=complex)
     out[canon] = f(s[canon])
-    out[mirror] = np.conj(out[partner])
+    v = out[partner]
+    if not np.all(np.isfinite(v) & (v.imag != 0.0)):
+        return f(s)
+    out[mirror] = np.conj(v)
     return out
 
 

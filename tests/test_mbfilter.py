@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles as oc
@@ -201,6 +201,8 @@ class TestMirroredFactors:
     @given(hst.sampled_from(mbf.KERNELS), hst.floats(-2.9, 2.9),
            hst.floats(-40.0, 40.0), hst.floats(2.0, 40.0),
            hst.integers(1, 40), hst.integers(0, 1))
+    # zeta(2s) at Re 2s = -5.75 cancels to Im +0 at a node and its mirror
+    @example("zeta2s", -2.875, 0.0, 27.0, 1, 0)
     def test_random_contours(self, kernel, g, energy, t_max, panels, refine):
         contour = mbf.ContourSpec(abscissa=g, t_max=t_max, panel_count=panels)
         try:
