@@ -7,8 +7,9 @@ byte-identical outputs at any --threads value.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 filter-root Newton failure; 4 I/O failure (missing, unusable or empty
-catalog, unwritable output); 5 invalid configuration; 6 cache
-verification failure.
+catalog, unwritable output); 5 invalid configuration or command line;
+6 cache verification failure.  Commands that write into --out check that
+it is a directory before any work starts.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ EXIT_NEWTON = 3
 EXIT_IO = 4
 EXIT_CONFIG = 5
 EXIT_CACHE = 6
+
+# commands that write files into --out
+_WRITES_OUT = ("filter-roots", "stats", "audit")
 
 
 @dataclass
@@ -88,8 +92,8 @@ def _fmt(x: float) -> str:
 
 
 def _load_catalog_or_exit(config) -> list:
-    if not os.path.exists(config.cache_path):
-        print(f"error: catalog {config.cache_path} not found; "
+    if not os.path.isfile(config.cache_path):
+        print(f"error: catalog {config.cache_path} not found or not a file; "
               "run `mbzero census` first", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     try:
@@ -153,12 +157,8 @@ def cmd_filter_roots(config: RunConfig) -> int:
                                config.precision)))
     worst = max((g for _, _, g in rows), default=0.0)
     lines.append(f"# worst |E - 2t| = {worst:.3e} over {len(rows)} roots")
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -225,11 +225,7 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
 
 def cmd_stats(config: RunConfig) -> int:
     catalog = _load_catalog_or_exit(config)
-    try:
-        _emit_stats(config, _unfold_catalog(catalog))
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _emit_stats(config, _unfold_catalog(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
           f"-> {config.out_dir}")
     return EXIT_OK
@@ -247,17 +243,13 @@ def cmd_audit(config: RunConfig) -> int:
             print(f"error: {exc}; the full audit writes spacing statistics, "
                   "so choose claims with --claims", file=sys.stderr)
             return EXIT_CONFIG
-    try:
-        reports = cl.run_claims(config, catalog, only=only)
-        ledger = ledger_json(reports)
-        path = os.path.join(config.out_dir, "audit_ledger.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(ledger + "\n")
-        if only is None:
-            _emit_stats(config, spectrum)
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    reports = cl.run_claims(config, catalog, only=only)
+    ledger = ledger_json(reports)
+    path = os.path.join(config.out_dir, "audit_ledger.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ledger + "\n")
+    if only is None:
+        _emit_stats(config, spectrum)
     for rep in sorted(reports, key=lambda r: r.claim_id):
         print(f"{rep.claim_id:<36} {rep.verdict}")
     print(f"# {len(reports)} claims -> {path}")
@@ -265,7 +257,7 @@ def cmd_audit(config: RunConfig) -> int:
 
 
 def cmd_cache(config: RunConfig) -> int:
-    if not os.path.exists(config.cache_path):
+    if not os.path.isfile(config.cache_path):
         print(f"error: {config.cache_path} not found", file=sys.stderr)
         return EXIT_IO
     try:
@@ -290,12 +282,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 5 (invalid configuration), not argparse's 2,
+    which is the missed-zero code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbzero",
         description="Spectral-filter laboratory for critical-line zeros.",
         epilog="exit codes: 0 ok, 2 missed-zero suspicion, 3 Newton failure, "
-               "4 I/O failure, 5 invalid config, 6 cache verification failure",
+               "4 I/O failure, 5 invalid config or usage, "
+               "6 cache verification failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -316,23 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command, function=args.function, t_max=args.t_max,
-        e_max=args.e_max, a=args.a, abscissa=args.abscissa,
-        precision=args.precision, out_dir=args.out, cache_path=args.cache,
-        threads=args.threads,
-        claims=tuple(c for c in args.claims.split(",") if c),
-    )
     try:
+        args = build_parser().parse_args(argv)
+        config = RunConfig(
+            command=args.command, function=args.function, t_max=args.t_max,
+            e_max=args.e_max, a=args.a, abscissa=args.abscissa,
+            precision=args.precision, out_dir=args.out,
+            cache_path=args.cache, threads=args.threads,
+            claims=tuple(c for c in args.claims.split(",") if c),
+        )
         config.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        if config.command in _WRITES_OUT and not os.path.isdir(config.out_dir):
+            raise NotADirectoryError(f"cannot write outputs: --out "
+                                     f"{config.out_dir} is not a directory")
         return _COMMANDS[config.command](config)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help 0, usage error 5, catalog unusable 4
         return int(exc.code)
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     except MbzeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

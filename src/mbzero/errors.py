@@ -53,14 +53,6 @@ class PoleInStrip(MbzeroError):
         self.pole = pole
 
 
-class NotAZero(MbzeroError):
-    """Residue extraction requested at a point that is not a zero."""
-
-
-class DerivativeVanishes(MbzeroError):
-    """Derivative at a claimed simple zero is numerically zero."""
-
-
 class NoConvergence(MbzeroError):
     """Iteration (Newton, ladder extrapolation) failed to converge."""
 

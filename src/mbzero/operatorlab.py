@@ -56,6 +56,13 @@ class PruferState:
     phase: float
 
 
+def _phase_rhs(problem: RadialProblem):
+    def rhs(x, th):
+        s, c = math.sin(th), math.cos(th)
+        return 1.0 - problem.v_of_x(x) * s * s - s * c / x
+    return rhs
+
+
 def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
     """Integrate theta' = 1 - V sin^2(theta) - (1/x) sin(theta) cos(theta).
 
@@ -64,12 +71,6 @@ def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
     Node count over the window is floor(delta theta / pi).
     """
     states = [PruferState(x=problem.x_min, amplitude=1.0, phase=0.0)]
-
-    def rhs(x, y):
-        th = y
-        s, c = math.sin(th), math.cos(th)
-        return 1.0 - problem.v_of_x(x) * s * s - s * c / x
-
     log_r = [0.0]
 
     def record(x, th):
@@ -80,13 +81,16 @@ def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
         log_r.append(log_r[-1] + dlr * dx)
         states.append(PruferState(x=x, amplitude=math.exp(log_r[-1]), phase=th))
 
-    rk_adaptive(rhs, problem.x_min, 0.0, problem.x_max, tol=tol, record=record)
+    rk_adaptive(_phase_rhs(problem), problem.x_min, 0.0, problem.x_max,
+                tol=tol, record=record)
     return states
 
 
 def phase_advance(problem: RadialProblem, tol: float = 1e-10) -> float:
-    states = prufer_integrate(problem, tol=tol)
-    return states[-1].phase - states[0].phase
+    """theta(x_max) - theta(x_min) for theta(x_min) = 0: the phase equation
+    of `prufer_integrate`, without building the trajectory."""
+    return rk_adaptive(_phase_rhs(problem), problem.x_min, 0.0,
+                       problem.x_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------

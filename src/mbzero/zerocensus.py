@@ -342,7 +342,11 @@ def catalog_store(path: str, records: list) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def catalog_load(path: str) -> list:

@@ -8,7 +8,9 @@ representation vs the cosh integral, 31-digit mpmath line sums and
 circle quadrature vs the double-precision filter paths, the scalar march
 up Re s = 2 and along the leg vs the arg rectangle started at 2 + it with
 one vector call, every node evaluated vs one evaluation per conjugate pair
-of nodes).  The last section holds helpers whose only callers are tests.
+of nodes, a trapezoid pass built from scratch at each spacing vs nested
+passes sharing one evaluation).  The last section holds helpers whose
+only callers are tests.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from mbzero import specfun as sf
 from mbzero import spectrostats as st
 from mbzero.errors import (
     BranchJump,
-    DerivativeVanishes,
-    NotAZero,
+    MbzeroError,
     PoleProximity,
+    QuadratureNonConvergence,
 )
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
@@ -242,6 +244,48 @@ def spectral_filter_circle(kernel: str, energy: float, a: float,
     return complex(np.sum(vals * w)) * mbf.kernel_prefactor(kernel)
 
 
+def _k_path_two_pass(nu: complex, x: float) -> float:
+    b = abs(nu.imag)
+    if b <= 4.0:
+        return 0.0
+    saddle = math.asin(min(b / x, 1.0))
+    return min(saddle, 0.5 * math.pi - min(0.35, 4.0 / b))
+
+
+def _k_quad(nu: complex, x: float, beta: float, step: float) -> complex:
+    """One trapezoid pass of the rotated cosh integral with given spacing."""
+    shift = -1j * beta * (1.0 if nu.imag >= 0.0 else -1.0)
+    cosb = math.cos(beta) if beta > 0.0 else 1.0
+    t_max = math.acosh(1.0 + 46.0 / (x * cosb))
+    t_max = math.acosh(1.0 + (46.0 + abs(nu.real) * t_max + 2.0) / (x * cosb))
+    n = int(t_max / step) + 1
+    t = np.arange(-n, n + 1, dtype=float) * step + shift
+    vals = np.exp(-x * np.cosh(t) - nu * t)
+    return 0.5 * step * complex(np.sum(vals))
+
+
+def bessel_K_two_pass(nu: complex, x: float, tol: float = 1e-12):
+    """bessel.bessel_K with every trapezoid pass built from scratch.
+
+    Returns the BesselEval and the number of passes after the first.
+    """
+    nu = bs._check_order(nu)
+    beta = _k_path_two_pass(nu, x)
+    b = abs(nu.imag)
+    delta = 0.5 * math.pi - beta if beta > 0.0 else 0.5 * math.pi
+    h = min(0.1, 2.0 * math.pi / (b + 40.0 / delta))
+    prev = _k_quad(nu, x, beta, h)
+    for halvings in range(1, 8):
+        h *= 0.5
+        cur = _k_quad(nu, x, beta, h)
+        err = abs(cur - prev)
+        if err <= tol * max(abs(cur), 1e-300):
+            return bs.BesselEval(order=nu, argument=x, value=cur,
+                                 abs_error_estimate=err), halvings
+        prev = cur
+    raise QuadratureNonConvergence(f"last delta {err:.3e}")
+
+
 # 25-digit reference ordinates (independent bisection on the completed
 # functions at mpmath dps = 40)
 BETA_ORDINATES = (
@@ -268,6 +312,14 @@ ZETA_ORDINATES = (
 # ---------------------------------------------------------------------------
 # Test-only helpers
 # ---------------------------------------------------------------------------
+
+class NotAZero(MbzeroError):
+    """Residue extraction requested at a point that is not a zero."""
+
+
+class DerivativeVanishes(MbzeroError):
+    """Derivative at a claimed simple zero is numerically zero."""
+
 
 def log_gamma_continuous(s, tracker: sf.ArgTracker) -> complex:
     """log Gamma with imaginary part continued along the tracker path."""

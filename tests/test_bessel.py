@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import bessel as bs
-from mbzero.errors import ArgumentDomain, SeriesOverflow
+from mbzero.errors import (
+    ArgumentDomain,
+    QuadratureNonConvergence,
+    SeriesOverflow,
+)
 
 
 class TestSpectralParameter:
@@ -67,6 +73,92 @@ class TestBesselK:
             nu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-10, 10))
             x = rng.uniform(0.5, 10.0)
             assert oc.ode_residual(nu, x) < 1e-6
+
+
+def _assert_same_as_two_pass(nu, x, tol=1e-12):
+    """bessel_K equals the scratch-built passes bit for bit, or both fail
+    with the same last delta; returns the oracle's halving count."""
+    try:
+        want, halvings = oc.bessel_K_two_pass(nu, x, tol)
+    except QuadratureNonConvergence as exc:
+        with pytest.raises(QuadratureNonConvergence) as got:
+            bs.bessel_K(nu, x, tol)
+        assert str(got.value).endswith(str(exc))
+        return None
+    got = bs.bessel_K(nu, x, tol)
+    assert got.value == want.value
+    assert got.abs_error_estimate == want.abs_error_estimate
+    return halvings
+
+
+def _pass_lengths(nu, x):
+    """Spacing h and the half-lengths n and n_half of the h and h/2
+    trapezoid grids."""
+    beta, _ = bs._k_path(nu, x)
+    delta = 0.5 * math.pi - beta if beta > 0.0 else 0.5 * math.pi
+    h = min(0.1, 2.0 * math.pi / (abs(nu.imag) + 40.0 / delta))
+    t_max = bs._k_reach(nu, x, beta)
+    return h, int(t_max / h) + 1, int(t_max / (0.5 * h)) + 1
+
+
+class TestNestedTrapezoid:
+    """One evaluation on the h/2 grid serves the h and h/2 passes."""
+
+    EIGEN_ORDER = complex(0.5, 7.0673)
+
+    def test_eigenfunction_l2_points(self):
+        # the 9,000 points of the eigenfunction_l2 claim
+        for lo in (1e-3, 5e-4, 2.5e-4):
+            for x in np.geomspace(lo, 40.0, 3000):
+                got = bs.bessel_K(self.EIGEN_ORDER, float(x))
+                want, _ = oc.bessel_K_two_pass(self.EIGEN_ORDER, float(x))
+                assert got.value == want.value
+                assert got.abs_error_estimate == want.abs_error_estimate
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.floats(-5.0, 5.0), hst.floats(-100.0, 100.0),
+           hst.floats(0.05, 50.0))
+    def test_order_box(self, re, im, x):
+        _assert_same_as_two_pass(complex(re, im), x)
+
+    @pytest.mark.parametrize("nu, x, tol", [
+        (complex(-2.0, 30.0), 3.0, 1e-15),   # cached grid, 6 halvings
+        (complex(0.3, 60.0), 70.0, 1e-15),   # x-dependent path, 2 halvings
+        (complex(0.5, 7.0673), 20.0, 1e-16),  # x-dependent path, 4 halvings
+    ])
+    def test_further_halvings(self, nu, x, tol):
+        assert _assert_same_as_two_pass(nu, x, tol) >= 2
+
+    def test_stalled_quadrature_same_delta(self):
+        assert _assert_same_as_two_pass(complex(1.5, 2.0), 0.1, 1e-16) is None
+
+    @pytest.mark.parametrize("x, odd", [(0.1, False), (0.2, True)])
+    def test_half_grid_end_index(self, x, odd):
+        _, n, n_half = _pass_lengths(self.EIGEN_ORDER, x)
+        assert n_half == (2 * n - 1 if odd else 2 * n)
+        assert _assert_same_as_two_pass(self.EIGEN_ORDER, x) == 1
+
+    def test_cached_grid_is_read_only(self):
+        nu = self.EIGEN_ORDER
+        bs._k_cached.cache_clear()
+        bs.bessel_K(nu, 0.5)
+        bs.bessel_K(nu, 0.51)
+        assert bs._k_cached.cache_info()[:2] == (1, 1)  # hits, misses
+        beta, fixed = bs._k_path(nu, 0.5)
+        h, n, _ = _pass_lengths(nu, 0.5)
+        cosh_t, nu_t = bs._k_cached(nu, beta, 0.5 * h, -(-2 * n // 64) * 64)
+        assert bs._k_cached.cache_info()[:2] == (2, 1)
+        for arr in (cosh_t, nu_t):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_path_fixed_below_saddle_cap(self):
+        nu = self.EIGEN_ORDER
+        assert bs._k_path(nu, 0.01) == bs._k_path(nu, 7.0)
+        assert bs._k_path(nu, 7.0)[1]
+        assert not bs._k_path(nu, 20.0)[1]
+        assert bs._k_path(complex(1.0, 4.0), 30.0) == (0.0, True)
 
 
 class TestBesselI:

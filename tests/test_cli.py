@@ -264,6 +264,10 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the output check")
+
+
 class TestUnwritableOutput:
     def test_filter_roots_missing_out_dir_exit_4(self, tmp_path, capsys):
         run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
@@ -272,6 +276,61 @@ class TestUnwritableOutput:
                          "--cache", str(tmp_path / "cat.txt")])
         assert code == 4
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, work", [
+        (["audit"], (cli.cl, "run_claims")),
+        (["filter-roots", "--precision", "double_double"],
+         (cli.mbf, "newton_root_dd")),
+        (["stats"], (cli.st, "unfold")),
+    ])
+    def test_out_checked_before_work(self, command, work, tmp_path,
+                                     zeta_catalog_60, capsys, monkeypatch):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
+        monkeypatch.setattr(*work, _fail_if_called)
+        code = cli.main(command + ["--out", str(tmp_path / "missing"),
+                                   "--cache", str(tmp_path / "cat.txt")])
+        assert code == 4
+        assert "is not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
+
+class TestIOErrorsExit4:
+    def test_census_cache_in_missing_dir(self, tmp_path, capsys):
+        code = cli.main(["census", "--t-max", "20",
+                         "--cache", str(tmp_path / "nodir" / "z.txt")])
+        assert code == 4
+        assert "I/O failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_census_cache_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "cat.txt").mkdir()
+        assert run(["census", "--t-max", "20"], tmp_path) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
+    @pytest.mark.parametrize("command", ["stats", "cache", "audit",
+                                         "bijection", "filter-roots"])
+    def test_cache_is_a_directory(self, command, tmp_path, capsys):
+        (tmp_path / "cat.txt").mkdir()
+        assert run([command], tmp_path) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["census", "--t-max", "abc"],
+        ["nonsense"],
+        [],
+        ["census", "--function", "gamma"],
+        ["census", "--bogus-flag"],
+    ])
+    def test_usage_error_exit_5(self, argv, capsys):
+        assert cli.main(argv) == 5
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "exit codes" in capsys.readouterr().out
+        assert cli.main(["census", "--help"]) == 0
 
 
 class TestConfigValidation:

@@ -15,9 +15,7 @@ from mbzero.errors import (
     ArgumentDomain,
     BasinEscape,
     ContourOnPole,
-    DerivativeVanishes,
     NoConvergence,
-    NotAZero,
     PoleInStrip,
 )
 
@@ -246,7 +244,7 @@ class TestResidueSimpleZero:
         assert math.isfinite(abs(val))
 
     def test_not_a_zero(self):
-        with pytest.raises(NotAZero):
+        with pytest.raises(oc.NotAZero):
             oc.residue_simple_zero(complex(0.25, 5.0), A02)
 
     def test_conjugate_symmetry(self, zeta_catalog_60):

@@ -33,6 +33,12 @@ class TestPruferIntegrate:
                                                energy=5.0))
         assert hi >= lo
 
+    @pytest.mark.parametrize("energy", [1.0, 2.5, 4.5, 9.0, 12.0])
+    def test_phase_advance_is_trajectory_end(self, energy):
+        prob = ol.RadialProblem(nu=0.5, x_min=0.1, x_max=10.0, energy=energy)
+        states = ol.prufer_integrate(prob)
+        assert ol.phase_advance(prob) == states[-1].phase - states[0].phase
+
     def test_node_count_grows_with_energy(self):
         counts = [oc.node_count(ol.prufer_integrate(
             ol.RadialProblem(nu=0.5, x_min=0.1, x_max=6.0, energy=e)))
