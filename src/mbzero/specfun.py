@@ -6,8 +6,9 @@ bit-identical to the scalar log_gamma: it replays CPython 3.10-3.13
 complex arithmetic in real numpy operations with cmath log/exp per
 element.  Python 3.14 changes the mixed float/complex rules; the
 bit-equality property test guards that.  Zeta and beta use
-Euler-Maclaurin continuation with truncation scaled to |Im s| and
-Bernoulli corrections through order 12.
+Euler-Maclaurin continuation with truncation scaled to |Im s| (the
+largest of a vector call, or each point's own in critical_line_values)
+and Bernoulli corrections through order 12.
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
 (0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped with
@@ -273,18 +274,52 @@ def _em_truncation(im_max: float) -> int:
     return max(24, int(1.4 * abs(im_max)) + 16)
 
 
-def _hurwitz_core(s_arr: np.ndarray, a: float, order: int = 12) -> np.ndarray:
+def _em_truncations(s: np.ndarray):
+    """Each point's N as the scalar zeta/dirichlet_beta picks it for that
+    point alone, or the one N when every point gets the same."""
+    ns = [_em_truncation(y) for y in s.imag.tolist()]
+    return ns[0] if min(ns) == max(ns) else ns
+
+
+def _em_head(s: np.ndarray, n_trunc, terms) -> np.ndarray:
+    """Euler-Maclaurin head sums; terms(z, n) gives the terms k < n at z.
+
+    A shared N (an int) sums every row in one np.sum(axis=1).  A list
+    gives each point its own N: the point's first N terms are summed on
+    their own, so numpy's pairwise summation groups them as it does for a
+    one-point call, and the value equals the scalar one bit for bit.
+    """
+    if isinstance(n_trunc, int):
+        return np.sum(terms(s[:, None], n_trunc), axis=1)
+    return np.array([terms(z, n).sum() for z, n in zip(s, n_trunc)])
+
+
+def _em_log(n_trunc, a: float):
+    """log(N + a) at the truncation point: a float, or one per point."""
+    if isinstance(n_trunc, int):
+        return math.log(n_trunc + a)
+    return np.array([math.log(n + a) for n in n_trunc])
+
+
+def _hurwitz_core(s_arr: np.ndarray, a: float, order: int = 12,
+                  n_trunc=None) -> np.ndarray:
     """Euler-Maclaurin Hurwitz zeta(s, a) over a 1-d array of s.
 
     head(n=0..N-1) + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
                    + sum_j B_{2j}/(2j)! (s)_{2j-1} (N+a)^{-s-2j+1}
     Valid for Re s > -1, s != 1; pairwise summation via np.sum.
+    By default every point shares the N of the largest |Im s|.  n_trunc
+    from _em_truncations gives each point its own N instead (see
+    _em_head); the tail is elementwise either way, with log(N + a) per
+    point, so each value equals the scalar call at that point.
     """
     s = np.atleast_1d(np.asarray(s_arr, dtype=complex))
-    n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
-    log_pts = np.log(np.arange(n_trunc, dtype=float) + a)
-    head = np.sum(np.exp(-s[:, None] * log_pts[None, :]), axis=1)
-    logx0 = math.log(n_trunc + a)
+    if n_trunc is None:
+        n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
+    width = n_trunc if isinstance(n_trunc, int) else max(n_trunc)
+    log_pts = np.log(np.arange(width, dtype=float) + a)
+    head = _em_head(s, n_trunc, lambda z, n: np.exp(-z * log_pts[:n]))
+    logx0 = _em_log(n_trunc, a)
     tail = np.exp((1.0 - s) * logx0) / (s - 1.0)
     tail += 0.5 * np.exp(-s * logx0)
     poch = s.copy()
@@ -325,21 +360,25 @@ def zeta_shifted(s) -> complex:
     return (s - 1.0) * complex(_hurwitz_core(np.array([s]), 1.0)[0])
 
 
-def _beta_core(s_arr: np.ndarray, order: int = 12) -> np.ndarray:
+def _beta_core(s_arr: np.ndarray, order: int = 12,
+               n_trunc=None) -> np.ndarray:
     """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] with the s = 1 poles cancelled.
 
     The two Euler-Maclaurin tails share a truncation point, so the
     (x^{1-s} - y^{1-s})/(s-1) difference can be taken in expm1 form and
-    beta stays entire numerically as well.
+    beta stays entire numerically as well.  n_trunc is as in
+    _hurwitz_core.
     """
     s = np.atleast_1d(np.asarray(s_arr, dtype=complex))
-    n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
-    base = np.arange(n_trunc, dtype=float)
+    if n_trunc is None:
+        n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
+    width = n_trunc if isinstance(n_trunc, int) else max(n_trunc)
+    base = np.arange(width, dtype=float)
     log_a = np.log(base + 0.25)
     log_b = np.log(base + 0.75)
-    head = np.sum(np.exp(-s[:, None] * log_a[None, :])
-                  - np.exp(-s[:, None] * log_b[None, :]), axis=1)
-    la, lb = math.log(n_trunc + 0.25), math.log(n_trunc + 0.75)
+    head = _em_head(s, n_trunc, lambda z, n: np.exp(-z * log_a[:n])
+                    - np.exp(-z * log_b[:n]))
+    la, lb = _em_log(n_trunc, 0.25), _em_log(n_trunc, 0.75)
     # (xa^{1-s} - xb^{1-s})/(s-1) = xa^{1-s} (lb-la) (e^w - 1)/w,
     # w = (1-s)(lb-la); (e^w - 1)/w is entire, series below |w| = 1e-4
     w = (1.0 - s) * (lb - la)
@@ -402,32 +441,60 @@ def beta_theta(t: float) -> float:
             + _lanczos_log_gamma_right(0.5 * (s + 1.0))).imag
 
 
-def hardy_Z(t: float) -> float:
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real for real t >= 0."""
-    if t < 0:
-        raise ArgumentDomain("hardy_Z defined for t >= 0")
-    val = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t))
-    if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
-        raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
-    return val.real
+def riemann_siegel_theta_vec(t: np.ndarray) -> np.ndarray:
+    """riemann_siegel_theta over an array, bit for bit."""
+    t = np.asarray(t, dtype=float)
+    _, g_i = _lanczos_right_vec(np.full(t.shape, 0.25), 0.5 * t)
+    return g_i - 0.5 * t * math.log(math.pi)
 
 
-def hardy_Z_beta(t: float) -> float:
-    """Real rotation of beta on the critical line (completed-function phase)."""
-    if t < 0:
-        raise ArgumentDomain("hardy_Z_beta defined for t >= 0")
-    val = cmath.exp(1j * beta_theta(t)) * dirichlet_beta(complex(0.5, t))
-    if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
-        raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
-    return val.real
+def beta_theta_vec(t: np.ndarray) -> np.ndarray:
+    """beta_theta over an array, operation for operation."""
+    t = np.asarray(t, dtype=float)
+    # z = 0.5 * (s + 1.0) with s = 0.5 + it
+    z_r, z_i = _c_mul(0.5, 0.0, 0.5 + 1.0, t + 0.0)
+    _, p_i = _c_mul(z_r, z_i, math.log(4.0 / math.pi), 0.0)
+    _, g_i = _lanczos_right_vec(z_r, z_i)
+    return p_i + g_i
 
 
-def hardy_Z_for(function: str):
+def critical_line_values(function: str, t) -> np.ndarray:
+    """L(1/2 + it) at each t of a 1-d array, L = zeta or beta.  Each point
+    gets the Euler-Maclaurin N that zeta/dirichlet_beta give it alone, so
+    each value equals the scalar call bit for bit."""
+    t = np.asarray(t, dtype=float)
+    s = np.empty(t.shape, dtype=complex)
+    s.real, s.imag = 0.5, t
     if function == "zeta":
-        return hardy_Z
+        return _hurwitz_core(s, 1.0, n_trunc=_em_truncations(s))
     if function == "beta":
-        return hardy_Z_beta
+        return _beta_core(s, n_trunc=_em_truncations(s))
     raise ArgumentDomain(f"unknown function tag {function!r}")
+
+
+def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
+    """Real rotation e^{i theta(t)} L(1/2 + it) at each t >= 0: Hardy Z for
+    zeta, the completed-function phase beta_theta for beta.
+
+    L comes from critical_line_values and the rotation replays CPython
+    complex arithmetic, so each value equals the one-point evaluation bit
+    for bit.  Raises ArgumentDomain for the first t whose rotation leaves
+    an imaginary residue of 1e-10 relative or more.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ArgumentDomain("hardy_Z_vec defined for t >= 0")
+    vals = critical_line_values(function, t)
+    theta = (riemann_siegel_theta_vec(t) if function == "zeta"
+             else beta_theta_vec(t))
+    # cmath.exp(1j * theta) * vals
+    r_r, r_i = _c_map(cmath.exp, *_c_mul(0.0, 1.0, theta, 0.0))
+    v_r, v_i = _c_mul(r_r, r_i, vals.real, vals.imag)
+    bad = np.abs(v_i) >= 1e-10 * np.maximum(1.0, np.hypot(v_r, v_i))
+    if bad.any():
+        raise ArgumentDomain(f"rotation left imaginary residue "
+                             f"{v_i[np.argmax(bad)]:.3e}")
+    return v_r
 
 
 # ---------------------------------------------------------------------------

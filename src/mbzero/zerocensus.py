@@ -3,7 +3,7 @@ argument bound check, and the catalog file format.
 
 Zeros are located by sign-change bracketing on the rotated real function
 (Hardy Z for zeta, the completed-function rotation for beta), refined by
-bisection plus a secant polish.  Completeness is checked against the
+bisection of all brackets in lockstep.  Completeness is checked against the
 counting prediction theta(T)/pi (+1 for zeta) + S(T).
 """
 
@@ -79,20 +79,18 @@ class BijectionAudit:
 def _rotated_values(function: str, ts: np.ndarray) -> np.ndarray:
     s = 0.5 + 1j * ts
     if function == "zeta":
-        vals = sf.zeta_vec(s)
-        rot = np.exp(1j * np.array([sf.riemann_siegel_theta(float(t)) for t in ts]))
+        vals, theta = sf.zeta_vec(s), sf.riemann_siegel_theta_vec(ts)
     else:
-        vals = sf.dirichlet_beta_vec(s)
-        rot = np.exp(1j * np.array([sf.beta_theta(float(t)) for t in ts]))
-    out = rot * vals
+        vals, theta = sf.dirichlet_beta_vec(s), sf.beta_theta_vec(ts)
+    out = np.exp(1j * theta) * vals
     return out.real
 
 
-def _critical_abs(function: str, t: float) -> float:
-    s = complex(0.5, t)
-    if function == "zeta":
-        return abs(sf.zeta(s))
-    return abs(sf.dirichlet_beta(s))
+def _critical_abs(function: str, ts: list) -> list:
+    """|L(1/2 + it)| at each t, equal to abs() of the scalar call."""
+    if not ts:
+        return []
+    return [abs(v) for v in sf.critical_line_values(function, ts).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +114,31 @@ def counting_prediction(function: str, t: float) -> float:
 # Scan
 # ---------------------------------------------------------------------------
 
-def _refine_bracket(function: str, lo: float, hi: float) -> float:
-    z = sf.hardy_Z_for(function)
-    f_lo = z(lo)
+def _refine_brackets(function: str, brackets: list) -> list:
+    """Bisect every bracket in lockstep, one sf.hardy_Z_vec call a step.
+
+    Each bracket keeps the one-bracket control flow: at most 80 halvings,
+    keep [lo, mid] when f_lo * f_mid <= 0, stop once hi - lo < 1e-13
+    max(1, hi).  The vector rotation equals the scalar one bit for bit,
+    so each ordinate equals that of bisecting its bracket alone.
+    """
+    if not brackets:
+        return []
+    lo, hi = (np.array(side) for side in zip(*brackets))
+    f_lo = sf.hardy_Z_vec(function, lo)
+    active = np.arange(len(brackets))
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = z(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-13 * max(1.0, hi):
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = sf.hardy_Z_vec(function, mid)
+        left = f_lo[active] * f_mid <= 0.0
+        hi[active[left]] = mid[left]
+        right = active[~left]
+        lo[right], f_lo[right] = mid[~left], f_mid[~left]
+        done = hi[active] - lo[active] < 1e-13 * np.maximum(1.0, hi[active])
+        active = active[~done]
+        if not active.size:
             break
-    return 0.5 * (lo + hi)
+    return (0.5 * (lo + hi)).tolist()
 
 
 def _scan_slice(function: str, ts: np.ndarray):
@@ -143,7 +153,10 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
 
     The bracketing grid is global and fixed before partitioning, so any
     thread count sees identical grid points and produces bit-identical
-    records.
+    records.  The brackets are then bisected in lockstep
+    (_refine_brackets), each evaluation with the per-point
+    Euler-Maclaurin N of the scalar call, so every ordinate and residual
+    equals that of bisecting its bracket alone with scalar calls.
     """
     if function not in ("zeta", "beta"):
         raise ArgumentDomain(f"unknown function {function!r}")
@@ -163,19 +176,19 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
     else:
         brackets = [b for ts in slices for b in _scan_slice(function, ts)]
     brackets.sort()
-    records = []
+    ordinates = []
     seen = set()
-    for lo, hi in brackets:
-        t = _refine_bracket(function, lo, hi)
+    for t in _refine_brackets(function, brackets):
         key = round(t, 9)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(ZeroRecord(
-            index=len(records) + 1, ordinate=t,
-            residual=_critical_abs(function, t),
-            function=function, method="sign_scan",
-        ))
+        if key not in seen:
+            seen.add(key)
+            ordinates.append(t)
+    records = [
+        ZeroRecord(index=k, ordinate=t, residual=r,
+                   function=function, method="sign_scan")
+        for k, (t, r) in enumerate(
+            zip(ordinates, _critical_abs(function, ordinates)), start=1)
+    ]
     predicted = counting_prediction(function, t_max)
     if abs(len(records) - predicted) > 0.5:
         if _depth < 2:

@@ -5,7 +5,8 @@ library path it checks (Stirling-with-recurrence vs Lanczos, doubled
 working precision Euler-Maclaurin vs the double-precision one, Miller
 backward recurrence vs the ascending series, the Mellin-Barnes
 representation vs the cosh integral, 31-digit mpmath line sums and
-circle quadrature vs the double-precision filter paths, the scalar march
+circle quadrature vs the double-precision filter paths, one-point Hardy Z
+and one-bracket bisection vs the lockstep census refinement, the scalar march
 up Re s = 2 and along the leg vs the arg rectangle started at 2 + it with
 one vector call, every node evaluated vs one evaluation per conjugate pair
 of nodes, a trapezoid pass built from scratch at each spacing vs nested
@@ -26,6 +27,7 @@ from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import spectrostats as st
 from mbzero.errors import (
+    ArgumentDomain,
     BranchJump,
     MbzeroError,
     PoleProximity,
@@ -307,6 +309,68 @@ ZETA_ORDINATES = (
     "48.00515088116715972794247",
     "49.77383247767230218191678",
 )
+
+
+# ---------------------------------------------------------------------------
+# One point at a time: the scalar Hardy rotations and bisection that the
+# census's lockstep refinement (zerocensus._refine_brackets through
+# specfun.hardy_Z_vec) reproduces bit for bit
+# ---------------------------------------------------------------------------
+
+def hardy_Z(t: float) -> float:
+    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real for real t >= 0."""
+    if t < 0:
+        raise ArgumentDomain("hardy_Z defined for t >= 0")
+    val = cmath.exp(1j * sf.riemann_siegel_theta(t)) * sf.zeta(complex(0.5, t))
+    if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
+        raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
+    return val.real
+
+
+def hardy_Z_beta(t: float) -> float:
+    """Real rotation of beta on the critical line (completed-function phase)."""
+    if t < 0:
+        raise ArgumentDomain("hardy_Z_beta defined for t >= 0")
+    val = (cmath.exp(1j * sf.beta_theta(t))
+           * sf.dirichlet_beta(complex(0.5, t)))
+    if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
+        raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
+    return val.real
+
+
+def hardy_Z_for(function: str):
+    if function == "zeta":
+        return hardy_Z
+    if function == "beta":
+        return hardy_Z_beta
+    raise ArgumentDomain(f"unknown function tag {function!r}")
+
+
+def refine_bracket(function: str, lo: float, hi: float) -> float:
+    """Bisection of one sign-change bracket, one scalar evaluation a step."""
+    z = hardy_Z_for(function)
+    f_lo = z(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = z(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo < 1e-13 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def refine_brackets_scalar(function: str, brackets: list) -> list:
+    """zerocensus._refine_brackets, one bracket and one point at a time."""
+    return [refine_bracket(function, lo, hi) for lo, hi in brackets]
+
+
+def critical_abs_scalar(function: str, ts: list) -> list:
+    """zerocensus._critical_abs, one scalar call a point."""
+    value = sf.zeta if function == "zeta" else sf.dirichlet_beta
+    return [abs(value(complex(0.5, t))) for t in ts]
 
 
 # ---------------------------------------------------------------------------

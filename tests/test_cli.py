@@ -14,6 +14,11 @@ from mbzero import cli
 from mbzero import zerocensus as zc
 
 
+# sha256 of the zeta t <= 200 catalog file
+ZETA_200_SHA256 = ("3ea12789cf626f9d671f4b28bb8fc0ff"
+                   "58ca7749fbcd55e6288b741eb922bbe5")
+
+
 def run(args, tmp_path):
     return cli.main(args + ["--out", str(tmp_path),
                             "--cache", str(tmp_path / "cat.txt")])
@@ -39,6 +44,13 @@ class TestCensusCommand:
         blob1 = (tmp_path / "cat.txt").read_bytes()
         run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
         assert (tmp_path / "cat.txt").read_bytes() == blob1
+
+    def test_threads2_full_census_bytes(self, tmp_path, capsys):
+        # the catalog bytes pinned in test_zerocensus, through two threads
+        assert run(["census", "--t-max", "200", "--threads", "2"],
+                   tmp_path) == 0
+        blob = (tmp_path / "cat.txt").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == ZETA_200_SHA256
 
     def test_threads_identical_output(self, tmp_path, capsys):
         run(["census", "--function", "zeta", "--t-max", "40",
@@ -342,3 +354,12 @@ class TestConfigValidation:
 
     def test_bad_threads(self, tmp_path, capsys):
         assert run(["census", "--threads", "0"], tmp_path) == 5
+
+    @pytest.mark.parametrize("threads", ["65", "1000000000"])
+    def test_threads_above_bound(self, threads, tmp_path, capsys,
+                                 monkeypatch):
+        # scan_zeros would build a threads-sized array and pool
+        monkeypatch.setattr(zc, "scan_zeros", _fail_if_called)
+        assert run(["census", "--threads", threads], tmp_path) == 5
+        assert "[1, 64]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -199,6 +199,15 @@ class TestHurwitzZeta:
             oc.hurwitz_zeta(1.0, 0.25)
 
 
+# Functional equations on the ledger's strip box (Re s in [0.05, 0.95],
+# |Im s| <= 45) and 1e-11 relative bound.  Every zero there lies on
+# Re s = 1/2; within 0.01 of it the relative error grows like
+# 1e-14 / distance, so those points are left out.
+_FE_RE = hst.floats(0.05, 0.95)
+_FE_IM = hst.floats(-45.0, 45.0)
+_FE_LINE_GAP = 0.01
+
+
 class TestDirichletBeta:
     def test_leibniz(self):
         assert abs(sf.dirichlet_beta(1.0) - math.pi / 4) < 1e-14
@@ -219,6 +228,15 @@ class TestDirichletBeta:
                    * sf.gamma(s) * sf.dirichlet_beta(s))
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
         assert worst < 1e-11
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.builds(complex, _FE_RE, _FE_IM))
+    def test_functional_equation_property(self, s):
+        assume(abs(s.real - 0.5) >= _FE_LINE_GAP)
+        lhs = sf.dirichlet_beta(1.0 - s)
+        rhs = ((math.pi / 2.0) ** (-s) * cmath.sin(0.5 * math.pi * s)
+               * sf.gamma(s) * sf.dirichlet_beta(s))
+        assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
 
     def test_entire_at_one(self):
         # no pole: beta(1 +- tiny) is smooth
@@ -247,28 +265,35 @@ class TestCompletedXi:
             x1 = sf.completed_xi(s)
             assert abs(x1 - sf.completed_xi(1 - s)) <= 1e-11 * abs(x1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hst.builds(complex, _FE_RE, _FE_IM))
+    def test_functional_equation_property(self, s):
+        assume(abs(s.real - 0.5) >= _FE_LINE_GAP)
+        x1 = sf.completed_xi(s)
+        assert abs(x1 - sf.completed_xi(1.0 - s)) <= 1e-11 * abs(x1)
+
 
 class TestHardyZ:
     def test_at_zero(self):
         # Euler-Maclaurin oracle value of zeta(1/2)
-        assert abs(sf.hardy_Z(0.0) + 1.4603545088095868) < 1e-12
+        assert abs(oc.hardy_Z(0.0) + 1.4603545088095868) < 1e-12
 
     def test_at_first_ordinate(self, zeta_catalog_60):
-        assert abs(sf.hardy_Z(zeta_catalog_60[0].ordinate)) < 1e-8
+        assert abs(oc.hardy_Z(zeta_catalog_60[0].ordinate)) < 1e-8
 
     def test_sign_at_20_matches_oracle(self):
         # doubled-precision oracle: Z(20) = +1.1478424121851...
-        assert sf.hardy_Z(20.0) > 0
-        assert abs(sf.hardy_Z(20.0) - 1.1478424121851972) < 1e-10
+        assert oc.hardy_Z(20.0) > 0
+        assert abs(oc.hardy_Z(20.0) - 1.1478424121851972) < 1e-10
 
     def test_modulus_identity(self):
         for t in (5.0, 17.3, 48.2):
-            assert abs(abs(sf.hardy_Z(t)) - abs(sf.zeta(complex(0.5, t)))) < 1e-10
+            assert abs(abs(oc.hardy_Z(t)) - abs(sf.zeta(complex(0.5, t)))) < 1e-10
 
     def test_zero_sets_coincide(self, zeta_catalog_60):
         # every sign-change bracket of Z contains exactly one census zero
         ts = np.arange(12.0, 60.0, 0.05)
-        vals = [sf.hardy_Z(float(t)) for t in ts]
+        vals = [oc.hardy_Z(float(t)) for t in ts]
         brackets = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)
                     if vals[i] * vals[i + 1] < 0]
         ordinates = [r.ordinate for r in zeta_catalog_60 if r.ordinate >= 12.0]
@@ -442,6 +467,99 @@ class TestConjugationEquivariance:
         keep[np.argmax(np.abs(s.imag))] = True
         for f in (sf.zeta_vec, sf.dirichlet_beta_vec):
             assert np.array_equal(_bits(f(s[keep])), _bits(f(s)[keep]))
+
+
+# heights in [0, 200] with the points where the Euler-Maclaurin N steps
+# (1.4 t an integer) and the integers, each with its neighbouring floats
+_N_STEP = hst.integers(0, 280).map(lambda k: k / 1.4)
+_HEIGHT = hst.one_of(
+    hst.floats(0.0, 200.0),
+    hst.tuples(hst.one_of(_N_STEP, hst.integers(0, 200).map(float)),
+               hst.sampled_from((-1.0, 0.0, 1.0)))
+    .map(lambda p: float(np.clip(np.nextafter(p[0], p[0] + p[1]), 0.0, 200.0))),
+)
+_HEIGHTS = hst.lists(_HEIGHT, min_size=1, max_size=24)
+
+
+class TestPointwise:
+    """Per-point Euler-Maclaurin N: each vector value equals the scalar
+    call at that point bit for bit, and shared-N vector calls stay as they
+    were."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_HEIGHTS, hst.floats(-0.9, 3.5, exclude_min=True,
+                                exclude_max=True))
+    def test_zeta_and_beta_equal_scalar(self, heights, re):
+        line = [complex(0.5, t) for t in heights]
+        assert np.array_equal(_bits(sf.critical_line_values("zeta", heights)),
+                              _bits([sf.zeta(z) for z in line]))
+        assert np.array_equal(_bits(sf.critical_line_values("beta", heights)),
+                              _bits([sf.dirichlet_beta(z) for z in line]))
+        # off the line, through the cores with the per-point N
+        s = np.array([complex(re, t) for t in heights])
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        n_trunc = sf._em_truncations(s)
+        assert np.array_equal(_bits(sf._hurwitz_core(s, 1.0, n_trunc=n_trunc)),
+                              _bits([sf.zeta(z) for z in s]))
+        assert np.array_equal(_bits(sf._beta_core(s, n_trunc=n_trunc)),
+                              _bits([sf.dirichlet_beta(z) for z in s]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(hst.one_of(_HEIGHT, hst.floats(-200.0, 0.0)),
+                     min_size=1, max_size=24))
+    def test_theta_and_beta_phase_equal_scalar(self, heights):
+        t = np.array(heights)
+        assert np.array_equal(
+            sf.riemann_siegel_theta_vec(t).view(np.uint64),
+            np.array([sf.riemann_siegel_theta(x) for x in heights]).view(np.uint64))
+        assert np.array_equal(
+            sf.beta_theta_vec(t).view(np.uint64),
+            np.array([sf.beta_theta(x) for x in heights]).view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_HEIGHTS)
+    def test_hardy_rotation_equals_scalar(self, heights):
+        t = np.array(heights)
+        for function in ("zeta", "beta"):
+            scalar = oc.hardy_Z_for(function)
+            assert np.array_equal(
+                sf.hardy_Z_vec(function, t).view(np.uint64),
+                np.array([scalar(x) for x in heights]).view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(hst.builds(complex, _STRIP_RE, hst.floats(-120.0, 120.0)),
+                     min_size=1, max_size=16))
+    def test_shared_n_vector_calls_unchanged(self, points):
+        # a list of equal N takes the per-point head: it must equal the
+        # one np.sum(axis=1) of the shared-N call, and a shared-N array
+        # equals the scalar loop
+        s = np.array(points)
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        n = sf._em_truncation(float(np.max(np.abs(s.imag))))
+        assert np.array_equal(
+            _bits(sf.zeta_vec(s)),
+            _bits(sf._hurwitz_core(s, 1.0, n_trunc=[n] * len(s))))
+        assert np.array_equal(
+            _bits(sf.dirichlet_beta_vec(s)),
+            _bits(sf._beta_core(s, n_trunc=[n] * len(s))))
+        shared = s[[sf._em_truncation(y) == n for y in s.imag]]
+        for vec, scalar in ((sf.zeta_vec, sf.zeta),
+                            (sf.dirichlet_beta_vec, sf.dirichlet_beta)):
+            assert np.array_equal(_bits(vec(shared)),
+                                  _bits([scalar(z) for z in shared]))
+
+    def test_hardy_rotation_residue_names_first_point(self, monkeypatch):
+        monkeypatch.setattr(sf, "riemann_siegel_theta_vec", np.zeros_like)
+        monkeypatch.setattr(sf, "critical_line_values", lambda f, t: np.array(
+            [1.0, 1.0 + 3e-9j, 1.0 + 5e-9j]))
+        with pytest.raises(ArgumentDomain, match="residue 3.000e-09"):
+            sf.hardy_Z_vec("zeta", np.array([1.0, 2.0, 3.0]))
+
+    def test_hardy_rotation_rejects(self):
+        with pytest.raises(ArgumentDomain):
+            sf.hardy_Z_vec("zeta", np.array([1.0, -0.5]))
+        with pytest.raises(ArgumentDomain):
+            sf.hardy_Z_vec("gamma", np.array([1.0]))
 
 
 class TestVonMangoldt:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,15 +65,75 @@ class TestScanZeros:
         for a, b in zip(zeta_catalog_60, zeta_catalog_60[1:]):
             lo, hi = a.ordinate + 1e-6, b.ordinate - 1e-6
             grid = np.linspace(lo, hi, 40)
-            vals = [sf.hardy_Z(float(t)) for t in grid]
+            vals = [oc.hardy_Z(float(t)) for t in grid]
             flips = sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
             assert flips == 0
 
     def test_simplicity_probe(self, zeta_catalog_60):
         for r in zeta_catalog_60:
             h = 1e-4
-            dz = (sf.hardy_Z(r.ordinate + h) - sf.hardy_Z(r.ordinate - h)) / (2 * h)
+            dz = (oc.hardy_Z(r.ordinate + h) - oc.hardy_Z(r.ordinate - h)) / (2 * h)
             assert abs(dz) > 1e-6
+
+
+# zeta census heights of the benchmark's seed variants
+_BENCH_HEIGHTS = (200.0, 199.0, 198.5, 197.5, 199.5, 196.5, 196.0)
+
+
+def _scalar_census(monkeypatch, function, t_max, **kwargs):
+    """scan_zeros with every bracket bisected alone, one point a step."""
+    with monkeypatch.context() as m:
+        m.setattr(zc, "_refine_brackets", oc.refine_brackets_scalar)
+        m.setattr(zc, "_critical_abs", oc.critical_abs_scalar)
+        return zc.scan_zeros(function, t_max, **kwargs)
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("t_max", _BENCH_HEIGHTS)
+    def test_zeta_equals_scalar_bisection(self, t_max, monkeypatch):
+        assert zc.scan_zeros("zeta", t_max) == \
+            _scalar_census(monkeypatch, "zeta", t_max)
+
+    def test_beta_equals_scalar_bisection(self, monkeypatch):
+        assert zc.scan_zeros("beta", 60.0) == \
+            _scalar_census(monkeypatch, "beta", 60.0)
+
+    @pytest.mark.parametrize("function, t_max, step", [
+        ("zeta", 200.0, 1.0), ("beta", 40.0, 2.0)])
+    def test_step_halving_retry(self, function, t_max, step, monkeypatch):
+        depths = []
+        scan = zc.scan_zeros
+
+        def counted(*args, **kwargs):
+            depths.append(kwargs.get("_depth", 0))
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(zc, "scan_zeros", counted)
+        lockstep = zc.scan_zeros(function, t_max, step=step)
+        assert depths == [0, 1]
+        assert lockstep == _scalar_census(monkeypatch, function, t_max,
+                                          step=step)
+
+    def test_brackets_equal_one_at_a_time(self):
+        brackets = [(14.1, 14.15), (0.6, 0.65), (21.0, 21.05), (25.0, 25.05)]
+        assert zc._refine_brackets("zeta", brackets) == \
+            oc.refine_brackets_scalar("zeta", brackets)
+        assert zc._refine_brackets("zeta", []) == []
+
+
+class TestCatalogBytes:
+    """The catalog files are a byte contract: pinned here at the heights
+    of the benchmark's variant 0."""
+
+    def test_zeta_200(self, zeta_catalog_full):
+        blob = zc.catalog_serialize(zeta_catalog_full)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "3ea12789cf626f9d671f4b28bb8fc0ff58ca7749fbcd55e6288b741eb922bbe5")
+
+    def test_beta_17(self, beta_catalog):
+        blob = zc.catalog_serialize(beta_catalog)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "34d2479d3206c095d0ea8c6ee323f3fcd68373acd3f806ace69dba414b5d3a1f")
 
 
 class TestRiemannVonMangoldt:
