@@ -6,10 +6,12 @@ mode, tagged per row); identical configuration and cache produce
 byte-identical outputs at any --threads value from 1 to 64.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
-3 filter-root Newton failure; 4 I/O failure (missing, unusable or empty
-catalog, unwritable output); 5 invalid configuration or command line;
-6 cache verification failure.  Commands that write into --out check that
-it is a directory before any work starts.
+3 numerical failure (Newton, quadrature, ODE step or argument walk);
+4 I/O failure (missing, unusable or empty catalog, unwritable output);
+5 invalid configuration or command line; 6 cache verification failure.
+Each library error class carries its code (errors.py); main maps it
+once.  Commands that write into --out check that it is a directory
+before any work starts.
 """
 
 from __future__ import annotations
@@ -26,21 +28,9 @@ from . import mbfilter as mbf
 from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import ledger_json
-from .errors import (
-    BasinEscape,
-    ChecksumMismatch,
-    ConfigError,
-    IncompleteCatalog,
-    MbzeroError,
-    MissedZeroSuspected,
-    NoConvergence,
-    VersionUnsupported,
-    WindowTooSparse,
-)
+from .errors import ConfigError, MbzeroError, WindowTooSparse
 
 EXIT_OK = 0
-EXIT_MISSED_ZERO = 2
-EXIT_NEWTON = 3
 EXIT_IO = 4
 EXIT_CONFIG = 5
 EXIT_CACHE = 6
@@ -76,6 +66,9 @@ class RunConfig:
             raise ConfigError("--t-max must be in (0, 200]")
         if not (0.0 < self.e_max <= 400.0):
             raise ConfigError("--e-max must be in (0, 400]")
+        if self.command == "bijection" and not self.e_max >= 4.0:
+            raise ConfigError("--e-max must be >= 4 for bijection (the "
+                              "Guinand-Weil count starts at E = 4)")
         if not (0.0 < self.a < 1.0):
             raise ConfigError("--a must be in (0, 1)")
         if not (-8.0 < self.abscissa < 8.0):
@@ -94,25 +87,16 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _load_catalog_or_exit(config) -> list:
+def _load_catalog(config) -> list:
     if not os.path.isfile(config.cache_path):
-        print(f"error: catalog {config.cache_path} not found or not a file; "
-              "run `mbzero census` first", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    try:
-        return zc.catalog_load(config.cache_path)
-    except (ChecksumMismatch, VersionUnsupported, IncompleteCatalog) as exc:
-        print(f"error: catalog unusable: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise FileNotFoundError(f"catalog {config.cache_path} not found or "
+                                "not a file; run `mbzero census` first")
+    return zc.catalog_load(config.cache_path)
 
 
 def cmd_census(config: RunConfig) -> int:
-    try:
-        records = zc.scan_zeros(config.function, config.t_max,
-                                threads=config.threads)
-    except MissedZeroSuspected as exc:
-        print(f"error: {exc}; suspect interval {exc.interval}", file=sys.stderr)
-        return EXIT_MISSED_ZERO
+    records = zc.scan_zeros(config.function, config.t_max,
+                            threads=config.threads)
     if records:
         zc.catalog_store(config.cache_path, records)
     print(f"# {config.function} zeros with ordinate <= {_fmt(config.t_max)}")
@@ -125,7 +109,7 @@ def cmd_census(config: RunConfig) -> int:
 
 
 def cmd_filter_roots(config: RunConfig) -> int:
-    catalog = _load_catalog_or_exit(config)
+    catalog = _load_catalog(config)
     if catalog[0].function != config.function:
         raise ConfigError(f"--function {config.function} does not match the "
                           f"{catalog[0].function} catalog {config.cache_path}")
@@ -136,20 +120,15 @@ def cmd_filter_roots(config: RunConfig) -> int:
         if 2.0 * r.ordinate > config.e_max:
             break
         guess = 2.0 * r.ordinate + 0.05
-        try:
-            if config.precision == "double_double":
-                import mpmath as mp
-                root = mbf.newton_root_dd(kernel, guess, scale)
-                e_str = mp.nstr(root, 32)
-                e_val = float(root)
-            else:
-                rec = mbf.newton_filter_root(kernel, guess, scale)
-                e_val = 2.0 * rec.ordinate
-                e_str = _fmt(e_val)
-        except (NoConvergence, BasinEscape) as exc:
-            print(f"error: Newton failed from guess {guess}: {exc}",
-                  file=sys.stderr)
-            return EXIT_NEWTON
+        if config.precision == "double_double":
+            import mpmath as mp
+            root = mbf.newton_root_dd(kernel, guess, scale)
+            e_str = mp.nstr(root, 32)
+            e_val = float(root)
+        else:
+            rec = mbf.newton_filter_root(kernel, guess, scale)
+            e_val = 2.0 * rec.ordinate
+            e_str = _fmt(e_val)
         rows.append((e_str, r.ordinate, abs(e_val - 2.0 * r.ordinate)))
     out_path = os.path.join(config.out_dir, "filter_roots.csv")
     lines = ["# kernel=%s g=%s a=%s precision=%s" % (
@@ -167,13 +146,9 @@ def cmd_filter_roots(config: RunConfig) -> int:
 
 
 def cmd_bijection(config: RunConfig) -> int:
-    catalog = _load_catalog_or_exit(config)
-    try:
-        audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
-                                     config.e_max, config.precision)
-    except (NoConvergence, BasinEscape) as exc:
-        print(f"error: Newton failed: {exc}", file=sys.stderr)
-        return EXIT_NEWTON
+    catalog = _load_catalog(config)
+    audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
+                                 config.e_max, config.precision)
     print(f"{'E':>12}  {'N_H':>4}  {'N_zeta':>6}  {'Delta':>5}")
     for e, nh, nz, d in zip(audit.E_grid, audit.N_H_values,
                             audit.N_zeta_values, audit.delta_values):
@@ -227,7 +202,7 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
 
 
 def cmd_stats(config: RunConfig) -> int:
-    catalog = _load_catalog_or_exit(config)
+    catalog = _load_catalog(config)
     _emit_stats(config, _unfold_catalog(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
           f"-> {config.out_dir}")
@@ -235,7 +210,7 @@ def cmd_stats(config: RunConfig) -> int:
 
 
 def cmd_audit(config: RunConfig) -> int:
-    catalog = _load_catalog_or_exit(config)
+    catalog = _load_catalog(config)
     only = set(config.claims) or None
     if only is None:
         # the full audit also writes the spacing statistics: check that the
@@ -243,9 +218,9 @@ def cmd_audit(config: RunConfig) -> int:
         try:
             spectrum = _unfold_catalog(catalog)
         except WindowTooSparse as exc:
-            print(f"error: {exc}; the full audit writes spacing statistics, "
-                  "so choose claims with --claims", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"{exc}; the full audit writes spacing "
+                              "statistics, so choose claims with --claims"
+                              ) from None
     reports = cl.run_claims(config, catalog, only=only)
     ledger = ledger_json(reports)
     path = os.path.join(config.out_dir, "audit_ledger.json")
@@ -260,14 +235,7 @@ def cmd_audit(config: RunConfig) -> int:
 
 
 def cmd_cache(config: RunConfig) -> int:
-    if not os.path.isfile(config.cache_path):
-        print(f"error: {config.cache_path} not found", file=sys.stderr)
-        return EXIT_IO
-    try:
-        records = zc.catalog_load(config.cache_path)
-    except (ChecksumMismatch, VersionUnsupported, IncompleteCatalog) as exc:
-        print(f"error: cache verification failed: {exc}", file=sys.stderr)
-        return EXIT_CACHE
+    records = _load_catalog(config)
     print(f"# {config.cache_path}: {records[0].function} catalog, "
           f"{len(records)} records, checksum ok")
     print(f"# ordinate range [{_fmt(records[0].ordinate)}, "
@@ -298,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mbzero",
         description="Spectral-filter laboratory for critical-line zeros.",
-        epilog="exit codes: 0 ok, 2 missed-zero suspicion, 3 Newton failure, "
+        epilog="exit codes: 0 ok, 2 missed-zero suspicion, 3 numerical "
+               "failure (Newton, quadrature, ODE step or argument walk), "
                "4 I/O failure, 5 invalid config or usage, "
                "6 cache verification failure",
     )
@@ -323,6 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help 0, usage error 5
+        return int(exc.code)
+    try:
         config = RunConfig(
             command=args.command, function=args.function, t_max=args.t_max,
             e_max=args.e_max, a=args.a, abscissa=args.abscissa,
@@ -335,14 +307,14 @@ def main(argv=None) -> int:
             raise NotADirectoryError(f"cannot write outputs: --out "
                                      f"{config.out_dir} is not a directory")
         return _COMMANDS[config.command](config)
-    except SystemExit as exc:  # --help 0, usage error 5, catalog unusable 4
-        return int(exc.code)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except MbzeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if exc.exit_code == EXIT_IO and args.command == "cache":
+            return EXIT_CACHE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

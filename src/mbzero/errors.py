@@ -1,12 +1,15 @@
 """Exception types shared across the library.
 
-Every failure mode named in an operation contract gets its own class so
-callers (and the CLI) can map them to distinct exit paths.
+Every failure mode named in an operation contract gets its own class,
+and each class carries the CLI exit code it maps to: 2 suspected missed
+zero, 3 numerical failure, 4 unusable catalog (6 under `cache`), and the
+base class's 5, invalid configuration, for the rest.
 """
 
 
 class MbzeroError(Exception):
     """Base class for all library errors."""
+    exit_code = 5
 
 
 class NonFiniteInput(MbzeroError):
@@ -19,6 +22,7 @@ class PoleProximity(MbzeroError):
 
 class BranchJump(MbzeroError):
     """A tracked-argument path step would move arg by >= pi."""
+    exit_code = 3
 
 
 class LimitTooLarge(MbzeroError):
@@ -31,6 +35,7 @@ class ArgumentDomain(MbzeroError):
 
 class QuadratureNonConvergence(MbzeroError):
     """Interval-halving failed to shrink the quadrature error estimate."""
+    exit_code = 3
 
 
 class SeriesOverflow(MbzeroError):
@@ -43,6 +48,7 @@ class ContourOnPole(MbzeroError):
 
 class TailBoundViolated(MbzeroError):
     """Contour truncation height too small for the requested tolerance."""
+    exit_code = 3
 
 
 class PoleInStrip(MbzeroError):
@@ -55,22 +61,22 @@ class PoleInStrip(MbzeroError):
 
 class NoConvergence(MbzeroError):
     """Iteration (Newton, ladder extrapolation) failed to converge."""
+    exit_code = 3
 
 
 class BasinEscape(MbzeroError):
     """Newton iterate left the trust interval around the initial guess."""
+    exit_code = 3
 
 
 class MissedZeroSuspected(MbzeroError):
     """Scan count disagrees with the counting-formula prediction."""
-
-    def __init__(self, message, interval=None):
-        super().__init__(message)
-        self.interval = interval
+    exit_code = 2
 
 
 class IncompleteCatalog(MbzeroError):
     """Operation needs more catalog zeros than are available."""
+    exit_code = 4
 
 
 class WindowTooSparse(MbzeroError):
@@ -79,18 +85,22 @@ class WindowTooSparse(MbzeroError):
 
 class ChecksumMismatch(MbzeroError):
     """Catalog file failed its trailing-checksum verification."""
+    exit_code = 4
 
 
 class VersionUnsupported(MbzeroError):
     """Catalog file declares a format version this build does not read."""
+    exit_code = 4
 
 
 class SeriesDivergent(MbzeroError):
     """Series parameters outside the convergence disk."""
+    exit_code = 3
 
 
 class StepUnderflow(MbzeroError):
     """Adaptive ODE step shrank below the hardware floor."""
+    exit_code = 3
 
 
 class ConfigError(MbzeroError):

@@ -73,18 +73,8 @@ class BijectionAudit:
 
 
 # ---------------------------------------------------------------------------
-# Rotated-function evaluation (vectorized)
+# Critical-line moduli
 # ---------------------------------------------------------------------------
-
-def _rotated_values(function: str, ts: np.ndarray) -> np.ndarray:
-    s = 0.5 + 1j * ts
-    if function == "zeta":
-        vals, theta = sf.zeta_vec(s), sf.riemann_siegel_theta_vec(ts)
-    else:
-        vals, theta = sf.dirichlet_beta_vec(s), sf.beta_theta_vec(ts)
-    out = np.exp(1j * theta) * vals
-    return out.real
-
 
 def _critical_abs(function: str, ts: list) -> list:
     """|L(1/2 + it)| at each t, equal to abs() of the scalar call."""
@@ -142,7 +132,7 @@ def _refine_brackets(function: str, brackets: list) -> list:
 
 
 def _scan_slice(function: str, ts: np.ndarray):
-    vals = _rotated_values(function, ts)
+    vals = sf.hardy_Z_vec(function, ts)
     hits = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     return [(float(ts[i]), float(ts[i + 1])) for i in hits]
 
@@ -151,12 +141,12 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
                step: float = _SCAN_STEP, _depth: int = 0) -> list:
     """All critical-line zeros with ordinate <= t_max, residual < 1e-9.
 
-    The bracketing grid is global and fixed before partitioning, so any
-    thread count sees identical grid points and produces bit-identical
-    records.  The brackets are then bisected in lockstep
-    (_refine_brackets), each evaluation with the per-point
-    Euler-Maclaurin N of the scalar call, so every ordinate and residual
-    equals that of bisecting its bracket alone with scalar calls.
+    The bracketing grid is global and fixed before partitioning.  Every
+    rotated value, on the grid and in the lockstep bisection of the
+    brackets (_refine_brackets), comes from sf.hardy_Z_vec with the
+    per-point Euler-Maclaurin N of the scalar call, so any thread count
+    gives bit-identical records, and every ordinate and residual equals
+    that of bisecting its bracket alone with scalar calls.
     """
     if function not in ("zeta", "beta"):
         raise ArgumentDomain(f"unknown function {function!r}")
@@ -202,9 +192,8 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
         lo = records[gap_at - 1].ordinate if gap_at > 0 else t_lo
         hi = records[gap_at].ordinate if gap_at < len(records) else t_max
         raise MissedZeroSuspected(
-            f"found {len(records)} zeros <= {t_max}, prediction {predicted:.3f}",
-            interval=(lo, hi),
-        )
+            f"found {len(records)} zeros <= {t_max}, prediction "
+            f"{predicted:.3f}; suspect interval {(lo, hi)}")
     return records
 
 

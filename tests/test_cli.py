@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import mbzero
-from mbzero import cli
+from mbzero import cli, errors
+from mbzero import mbfilter as mbf
 from mbzero import zerocensus as zc
 
 
@@ -264,15 +267,20 @@ class TestRootAcceptance:
         assert "not a zero" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_mpmath_unloaded():
+def _env_importing_this_mbzero():
     src = str(Path(mbzero.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_mpmath_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, mbzero.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+        capture_output=True, text=True, env=_env_importing_this_mbzero(),
+        timeout=120, check=True)
     assert proc.stdout.strip() == "False"
 
 
@@ -363,3 +371,179 @@ class TestConfigValidation:
         assert run(["census", "--threads", threads], tmp_path) == 5
         assert "[1, 64]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# every library error class and the exit code it carries to main
+_CLASS_CODES = {
+    "MbzeroError": 5, "NonFiniteInput": 5, "PoleProximity": 5,
+    "LimitTooLarge": 5, "ArgumentDomain": 5, "SeriesOverflow": 5,
+    "ContourOnPole": 5, "PoleInStrip": 5, "WindowTooSparse": 5,
+    "ConfigError": 5,
+    "MissedZeroSuspected": 2,
+    "BranchJump": 3, "QuadratureNonConvergence": 3, "TailBoundViolated": 3,
+    "NoConvergence": 3, "BasinEscape": 3, "SeriesDivergent": 3,
+    "StepUnderflow": 3,
+    "IncompleteCatalog": 4, "ChecksumMismatch": 4, "VersionUnsupported": 4,
+}
+_COMPUTATION_FAILURES = sorted(n for n, c in _CLASS_CODES.items() if c == 3)
+
+
+def _raiser(name):
+    def fail(*args, **kwargs):
+        raise getattr(errors, name)(f"{name} raised for the test")
+    return fail
+
+
+class TestExitCodeMapping:
+    def test_every_class_carries_its_code(self):
+        classes = {name: cls for name, cls in vars(errors).items()
+                   if isinstance(cls, type)
+                   and issubclass(cls, errors.MbzeroError)}
+        assert {name: cls.exit_code for name, cls in classes.items()} == \
+            _CLASS_CODES
+
+    def test_missed_zero_exit_2(self, tmp_path, capsys, monkeypatch):
+        # three zeros below 30: the widest gap runs from the grid start
+        # to the first one
+        monkeypatch.setattr(zc, "counting_prediction", lambda f, t: 99.0)
+        assert run(["census", "--t-max", "30"], tmp_path) == 2
+        assert "suspect interval (0.5, 14.1347251417" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", _COMPUTATION_FAILURES)
+    def test_computation_failure_exit_3(self, name, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(zc, "scan_zeros", _raiser(name))
+        assert run(["census", "--t-max", "30"], tmp_path) == 3
+        assert f"{name} raised" in capsys.readouterr().err
+
+    def test_quadrature_failure_inside_filter_roots_exit_3(
+            self, tmp_path, zeta_catalog_60, capsys, monkeypatch):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
+        monkeypatch.setattr(mbf, "_filter_with_derivative",
+                            _raiser("QuadratureNonConvergence"))
+        assert run(["filter-roots", "--e-max", "40"], tmp_path) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
+    @pytest.mark.parametrize("command", ["stats", "cache", "audit",
+                                         "bijection", "filter-roots"])
+    def test_missing_catalog_names_census(self, command, tmp_path, capsys):
+        assert run([command], tmp_path) == 4
+        assert "run `mbzero census` first" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBijectionEnergyBound:
+    @pytest.mark.parametrize("e_max", ["3.9", "1e-300"])
+    def test_below_four_exit_5(self, e_max, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(zc, "catalog_load", _fail_if_called)
+        assert run(["bijection", "--e-max", e_max], tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "--e-max" in err and ">= 4" in err
+
+    def test_four_accepted(self, tmp_path, capsys):
+        run(["census", "--t-max", "32"], tmp_path)
+        assert run(["bijection", "--e-max", "4"], tmp_path) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["census", "--t-max", "500"], 5),
+    (["cache", "--cache", "missing.txt"], 4),
+])
+def test_exit_code_of_real_process(argv, code, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "mbzero.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=_env_importing_this_mbzero(), cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+_EDGE_NUMBERS = ("nan", "inf", "-inf", "-2.5", "1e308", "5e-324", "0")
+
+
+def _floats(lo, hi):
+    return hst.floats(lo, hi).map(repr)
+
+
+# flag -> (values inside the documented range, edge values mostly outside)
+_FLAGS = {
+    "--function": (hst.sampled_from(["zeta", "beta"]), hst.just("gamma")),
+    "--t-max": (_floats(1.0, 40.0), hst.sampled_from(_EDGE_NUMBERS)),
+    "--e-max": (_floats(4.0, 60.0),
+                hst.sampled_from(_EDGE_NUMBERS + ("3.9",))),
+    "--a": (_floats(0.01, 0.99),
+            hst.sampled_from(_EDGE_NUMBERS + ("1", "0.9999999999999999"))),
+    "--abscissa": (_floats(-7.9, 7.9), hst.sampled_from(_EDGE_NUMBERS)),
+    "--precision": (hst.sampled_from(["double", "double_double"]),
+                    hst.just("quad")),
+    "--threads": (hst.sampled_from(["1", "2"]),
+                  hst.sampled_from(["0", "-1", "65", "nan"])),
+    "--claims": (hst.sampled_from(["mb_double_pole_circle",
+                                   "trace_class_p2,fredholm_z0.4"]),
+                 hst.sampled_from(["", "nonsense"])),
+}
+
+
+def _snapshot(directory):
+    return {p.relative_to(directory): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))}
+
+
+def _make_cache(kind, path, catalogs, data):
+    if kind in catalogs:
+        path.write_bytes(catalogs[kind])
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "one_byte_changed":
+        blob = bytearray(catalogs["zeta"])
+        position = data.draw(hst.integers(0, len(blob) - 1))
+        blob[position] = data.draw(hst.integers(0, 255).filter(
+            lambda b: b != blob[position]))
+        path.write_bytes(bytes(blob))
+    elif kind == "header_only":
+        _write_checksummed_catalog(path)
+    elif kind == "malformed":
+        _write_checksummed_catalog(path, data.draw(
+            hst.sampled_from(sorted(MALFORMED_RECORDS.values()))))
+
+
+class TestArgvGrammarProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(hst.data())
+    def test_exit_code_documented_and_failures_write_nothing(
+            self, tmp_path_factory, zeta_catalog_60, beta_catalog, data):
+        directory = tmp_path_factory.mktemp("argv")
+        cache = directory / "cat.txt"
+        catalogs = {"zeta": zc.catalog_serialize(zeta_catalog_60),
+                    "beta": zc.catalog_serialize(beta_catalog)}
+        _make_cache(data.draw(hst.sampled_from(
+            ["zeta", "zeta", "zeta", "beta", "missing", "directory",
+             "one_byte_changed", "header_only", "malformed"])), cache,
+            catalogs, data)
+        out = {"dir": directory, "missing": directory / "nodir",
+               "file": cache}[data.draw(hst.sampled_from(
+                   ["dir", "dir", "missing", "file"]))]
+        argv = [data.draw(hst.sampled_from(sorted(cli._COMMANDS)))]
+        flags = data.draw(hst.lists(hst.sampled_from(sorted(_FLAGS)),
+                                    unique=True))
+        # half the argv hold one edge value, the rest none
+        edge = data.draw(hst.none() | hst.sampled_from(flags)) \
+            if flags else None
+        for flag in flags:
+            inside, outside = _FLAGS[flag]
+            argv += [flag, data.draw(outside if flag == edge else inside)]
+        argv += ["--out", str(out), "--cache", str(cache)]
+        before = _snapshot(directory)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3, 4, 5, 6)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert _snapshot(directory) == before

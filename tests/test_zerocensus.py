@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,33 @@ class TestLockstepRefinement:
         assert zc._refine_brackets("zeta", brackets) == \
             oc.refine_brackets_scalar("zeta", brackets)
         assert zc._refine_brackets("zeta", []) == []
+
+
+class TestScanGridValues:
+    @settings(max_examples=20, deadline=None)
+    @given(function=hst.sampled_from(["zeta", "beta"]),
+           t_max=hst.floats(1.0, 200.0), threads=hst.integers(1, 4),
+           data=hst.data())
+    def test_grid_values_equal_scalar_rotation(self, function, t_max,
+                                               threads, data):
+        # the first `threads` hardy_Z_vec calls are the scan's grid slices
+        calls = []
+        vector = sf.hardy_Z_vec
+
+        def recording(fn, t):
+            values = vector(fn, t)
+            calls.append((t, values))
+            return values
+
+        with mock.patch.object(sf, "hardy_Z_vec", recording):
+            zc.scan_zeros(function, t_max, threads=threads)
+        grid = np.concatenate([t for t, _ in calls[:threads]])
+        values = np.concatenate([v for _, v in calls[:threads]])
+        assert grid.min() == 0.5 and grid.max() == t_max
+        scalar = oc.hardy_Z_for(function)
+        for i in data.draw(hst.lists(hst.integers(0, len(grid) - 1),
+                                     min_size=1, max_size=12)):
+            assert values[i].hex() == scalar(float(grid[i])).hex()
 
 
 class TestCatalogBytes:
