@@ -29,17 +29,6 @@ _I_SERIES_X_MAX = 30.0
 
 
 @dataclass(frozen=True)
-class SpectralParameter:
-    """Real energy E with its attached order nu = 1/2 + i E/2."""
-
-    energy: float
-
-    @property
-    def order(self) -> complex:
-        return complex(0.5, 0.5 * self.energy)
-
-
-@dataclass(frozen=True)
 class BesselEval:
     order: complex
     argument: float
@@ -217,9 +206,8 @@ def _fit_line(xs, ys):
 def asymptotic_validator(nu: complex, regime: str) -> AuditReport:
     """Fit K_nu's leading behavior on an x-ladder against the two lemmas.
 
-    small_x: |K_nu| ~ x^{-Re nu} on 1e-3..1e-1 (power fit; nu = 0 is the
-    log-singular case and is flagged, not power-fit).  large_x: the decay
-    e^{-x}/sqrt(x) on 10..40 (log-linear fit of |K| sqrt(x)).
+    small_x: |K_nu| ~ x^{-Re nu} on 1e-3..1e-1 (power fit).  large_x: the
+    decay e^{-x}/sqrt(x) on 10..40 (log-linear fit of |K| sqrt(x)).
     """
     nu = _check_order(nu)
     if regime == "small_x":
@@ -227,18 +215,6 @@ def asymptotic_validator(nu: complex, regime: str) -> AuditReport:
             raise ArgumentDomain("small_x mode needs |Re nu| < 1/2")
         xs = np.geomspace(1e-3, 1e-1, 9)
         ks = np.array([abs(bessel_K(nu, float(x)).value) for x in xs])
-        if nu == 0:
-            # K_0 ~ -log(x/2) - gamma_E: compare against the log profile
-            profile = -np.log(xs / 2.0) - 0.5772156649015329
-            dev = float(np.max(np.abs(ks / profile - 1.0)))
-            return AuditReport(
-                claim_id="bessel_small_x_log_case",
-                lhs=complex(dev), rhs=0j,
-                abs_discrepancy=dev, rel_discrepancy=dev,
-                verdict="pass" if dev < 0.02 else "fail",
-                notes="nu = 0 log singularity; power fit ill-posed, "
-                      "log profile compared instead",
-            )
         # pairwise log-log slopes, extrapolated to x -> 0 against the known
         # x^{2 Re nu} reflection-partner correction (it tilts the top decade)
         logx = np.log(xs)

@@ -109,18 +109,6 @@ def claim_bessel_wronskian(config, catalog):
                    "|x W(K, I) - 1| with finite-difference derivatives")
 
 
-def claim_bessel_small_x(config, catalog):
-    return bs.asymptotic_validator(complex(0.3, 0.0), "small_x")
-
-
-def claim_bessel_large_x(config, catalog):
-    return bs.asymptotic_validator(complex(0.5, 4.0), "large_x")
-
-
-def claim_bessel_l2(config, catalog):
-    return ol.eigenfunction_L2_classifier(complex(0.5, 7.0673))
-
-
 def claim_contour_shift(config, catalog):
     rng = np.random.RandomState(8)
     scale = mbf.KernelScale(config.a)
@@ -179,10 +167,6 @@ def claim_a_to_zero(config, catalog):
         extra={"magnitudes_g_plus": mags_in, "magnitudes_g_minus": mags_out,
                "predicted_floor": plateau},
     )
-
-
-def claim_double_pole(config, catalog):
-    return mbf.double_pole_circle(complex(0.3, 0.2))
 
 
 def claim_hadamard_ladders(config, catalog):
@@ -248,10 +232,6 @@ def claim_counting_rvm(config, catalog):
                    "main + S(T) within 1/2 of the catalog jump count")
 
 
-def claim_s_t_bound(config, catalog):
-    return zc.s_of_t_bound_check(min(config.t_max, 60.0))
-
-
 def claim_bijection(config, catalog):
     audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
                                  config.e_max)
@@ -268,13 +248,11 @@ def claim_bijection(config, catalog):
 
 
 def claim_spacing(config, catalog):
-    spectrum = st.unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
-    return st.spacing_vs_gue(spectrum)
+    return st.spacing_vs_gue(st.unfold_catalog(catalog))
 
 
 def claim_pair_correlation(config, catalog):
-    spectrum = st.unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
-    return st.pair_correlation(spectrum)
+    return st.pair_correlation(st.unfold_catalog(catalog))
 
 
 def claim_density_peaks(config, catalog):
@@ -290,22 +268,6 @@ def claim_density_peaks(config, catalog):
                    "(the printed positive sign anti-aligns)")
 
 
-def claim_trace_I(config, catalog):
-    return st.trace_I_of_a(config.a, catalog)
-
-
-def claim_weil(config, catalog):
-    return st.weil_prime_side(100000, catalog)
-
-
-def claim_trace_class(config, catalog):
-    return st.trace_class_audit(2.0, config.a, catalog)
-
-
-def claim_fredholm(config, catalog):
-    return st.fredholm_audit(0.4, config.a)
-
-
 def claim_frobenius(config, catalog):
     grid = list(np.linspace(0.02, 0.98, 25)) + [complex(0.5, e)
                                                 for e in np.linspace(1, 40, 25)]
@@ -317,10 +279,6 @@ def claim_frobenius(config, catalog):
             bad += 1
     return _report("frobenius_criterion_grid", float(bad), 0.0, float(bad), 0.5,
                    "Re nu < 1/2 criterion on a 50-point order grid")
-
-
-def claim_deficiency(config, catalog):
-    return ol.deficiency_divergence_check()
 
 
 def claim_prufer_monotonicity(config, catalog):
@@ -336,6 +294,7 @@ def claim_prufer_monotonicity(config, catalog):
                    "phase advance non-decreasing in E across 10 energy pairs")
 
 
+# a claim that is one library call with fixed arguments is written in place
 REGISTRY = {
     "specfun_conjugation": claim_specfun_conjugation,
     "gamma_reflection": claim_gamma_reflection,
@@ -343,28 +302,37 @@ REGISTRY = {
     "beta_functional_equation": claim_beta_functional_equation,
     "bessel_k_order_symmetry": claim_bessel_symmetry,
     "bessel_wronskian": claim_bessel_wronskian,
-    "bessel_small_x_power": claim_bessel_small_x,
-    "bessel_large_x_decay": claim_bessel_large_x,
-    "eigenfunction_l2": claim_bessel_l2,
+    "bessel_small_x_power": lambda config, catalog:
+        bs.asymptotic_validator(complex(0.3, 0.0), "small_x"),
+    "bessel_large_x_decay": lambda config, catalog:
+        bs.asymptotic_validator(complex(0.5, 4.0), "large_x"),
+    "eigenfunction_l2": lambda config, catalog:
+        ol.eigenfunction_L2_classifier(complex(0.5, 7.0673)),
     "mb_contour_shift": claim_contour_shift,
     "mb_scale_regularity": claim_scale_regularity,
     "mb_a_to_zero_limit": claim_a_to_zero,
-    "mb_double_pole_circle": claim_double_pole,
+    "mb_double_pole_circle": lambda config, catalog:
+        mbf.double_pole_circle(complex(0.3, 0.2)),
     "mb_hadamard_ladder_independence": claim_hadamard_ladders,
     "filter_zero_pairing_beta": claim_filter_pairing_beta,
     "guinand_weil_formula": claim_guinand_weil_forms,
     "counting_rvm": claim_counting_rvm,
-    "s_t_bound_hmty": claim_s_t_bound,
+    "s_t_bound_hmty": lambda config, catalog:
+        zc.s_of_t_bound_check(min(config.t_max, 60.0)),
     "bijection_delta_zero": claim_bijection,
     "spacing_wigner_dyson": claim_spacing,
     "pair_correlation_sine_kernel": claim_pair_correlation,
     "density_peak_alignment": claim_density_peaks,
-    "trace_I_even_odd": claim_trace_I,
-    "weil_prime_side": claim_weil,
-    "trace_class_p2": claim_trace_class,
-    "fredholm_z0.4": claim_fredholm,
+    "trace_I_even_odd": lambda config, catalog:
+        st.trace_I_of_a(config.a, catalog),
+    "weil_prime_side": lambda config, catalog:
+        st.weil_prime_side(100000, catalog),
+    "trace_class_p2": lambda config, catalog:
+        st.trace_class_audit(2.0, config.a, catalog),
+    "fredholm_z0.4": lambda config, catalog: st.fredholm_audit(0.4, config.a),
     "frobenius_criterion_grid": claim_frobenius,
-    "deficiency_log_divergence": claim_deficiency,
+    "deficiency_log_divergence": lambda config, catalog:
+        ol.deficiency_divergence_check(),
     "prufer_monotonicity": claim_prufer_monotonicity,
 }
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -157,11 +158,6 @@ def cmd_bijection(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _unfold_catalog(catalog: list):
-    """The whole catalog unfolded; WindowTooSparse below 20 zeros."""
-    return st.unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
-
-
 def _emit_stats(config: RunConfig, spectrum) -> None:
     spacings = spectrum.spacings
     edges = np.arange(0.0, 3.2001, 0.2)
@@ -203,7 +199,7 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
 
 def cmd_stats(config: RunConfig) -> int:
     catalog = _load_catalog(config)
-    _emit_stats(config, _unfold_catalog(catalog))
+    _emit_stats(config, st.unfold_catalog(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
           f"-> {config.out_dir}")
     return EXIT_OK
@@ -216,7 +212,7 @@ def cmd_audit(config: RunConfig) -> int:
         # the full audit also writes the spacing statistics: check that the
         # catalog unfolds before any claim runs or any file is written
         try:
-            spectrum = _unfold_catalog(catalog)
+            spectrum = st.unfold_catalog(catalog)
         except WindowTooSparse as exc:
             raise ConfigError(f"{exc}; the full audit writes spacing "
                               "statistics, so choose claims with --claims"
@@ -255,7 +251,13 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 5 (invalid configuration), not argparse's 2,
-    which is the missed-zero code."""
+    which is the missed-zero code.  An argument that starts with '-' and
+    a digit is a number: argparse's own pattern misses exponent forms and
+    read `--abscissa -1e-3` as an option missing its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

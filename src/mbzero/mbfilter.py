@@ -22,11 +22,11 @@ specfun.log_gamma_vec, and the L-function) from a small cache keyed by
 (kernel, nu, contour, refine); only (2a)^{2s} is recomputed per scale, so
 sweeps over a on one contour do the expensive work once.
 
-Mirror rule: Gamma(s), zeta(2s), beta(2s) and xi(2s) are conjugation-
-equivariant bit for bit, so each is evaluated once per conjugate pair of
-nodes.  A node whose exact conjugate is also a node (about 85 % of a line
-node set, where -t is a node bit for bit) takes the conjugate of its
-partner's value; Gamma(s - nu) has no mirror and is evaluated everywhere.
+Mirror rule: Gamma(s), zeta(2s) and beta(2s) are conjugation-equivariant
+bit for bit, so each is evaluated once per conjugate pair of nodes.  A
+node whose exact conjugate is also a node (about 85 % of a line node set,
+where -t is a node bit for bit) takes the conjugate of its partner's
+value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 
 Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
 31-digit mpmath scalars (mpmath is imported on first use).
@@ -51,8 +51,9 @@ from .errors import (
 )
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
-KERNELS = ("zeta2s", "beta2s", "xi2s")
+KERNELS = ("zeta2s", "beta2s")
 _DD_DPS = 31  # working digits of the double-double mode
+_NEWTON_MAX_ITER = 50
 _POLE_MARGIN = 1e-6
 
 
@@ -128,7 +129,7 @@ def _check_kernel(kernel: str) -> str:
 
 
 def kernel_prefactor(kernel: str) -> complex:
-    """1/(4 pi i) for the zeta kernel, 1/(2 pi i) for beta and xi."""
+    """1/(4 pi i) for the zeta kernel, 1/(2 pi i) for beta."""
     if kernel == "zeta2s":
         return 1.0 / (4j * math.pi)
     return 1.0 / (2j * math.pi)
@@ -139,14 +140,10 @@ def pole_abscissas(kernel: str, span: float = 12.0) -> np.ndarray:
     _check_kernel(kernel)
     ladders = set()
     n_max = int(span) + 2
-    if kernel in ("zeta2s", "beta2s"):
-        ladders.update(float(-n) for n in range(n_max))          # Gamma(s)
-        ladders.update(0.5 - n for n in range(n_max))            # Gamma(s - nu)
-        if kernel == "zeta2s":
-            ladders.add(0.5)                                     # zeta(2s) pole
-    else:
-        ladders.update(0.5 - n for n in range(n_max))            # Gamma(s - nu)
-        ladders.update((0.0, 0.5))                               # 1/(2s(2s-1))
+    ladders.update(float(-n) for n in range(n_max))              # Gamma(s)
+    ladders.update(0.5 - n for n in range(n_max))                # Gamma(s - nu)
+    if kernel == "zeta2s":
+        ladders.add(0.5)                                         # zeta(2s) pole
     arr = np.array(sorted(ladders))
     return arr[np.abs(arr) <= span]
 
@@ -194,45 +191,28 @@ def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
 def _scale_free_factors(kernel: str, s: np.ndarray, nu: complex):
     """(log-Gamma part, L factor) of the integrand: all but (2a)^{2s}."""
     split = _conjugate_split(s)
-    lg_nu = sf.log_gamma_vec(s - nu)
-    if kernel == "zeta2s":
-        return (_mirrored(sf.log_gamma_vec, s, split) + lg_nu,
-                _mirrored(lambda z: sf.zeta_vec(2.0 * z), s, split))
-    if kernel == "beta2s":
-        return (_mirrored(sf.log_gamma_vec, s, split) + lg_nu,
-                _mirrored(lambda z: sf.dirichlet_beta_vec(2.0 * z), s, split))
-    xi = _mirrored(lambda z: np.array([sf.completed_xi(2.0 * x) for x in z]),
-                   s, split)
-    return lg_nu + s * math.log(math.pi), xi
+    l_vec = sf.zeta_vec if kernel == "zeta2s" else sf.dirichlet_beta_vec
+    return (_mirrored(sf.log_gamma_vec, s, split) + sf.log_gamma_vec(s - nu),
+            _mirrored(lambda z: l_vec(2.0 * z), s, split))
 
 
 def _kernel_integrand(kernel: str, s: np.ndarray, nu: complex, a: float,
                       factors=None) -> np.ndarray:
     """Kernel integrand (no prefactor) on an array of contour nodes."""
     lg, arith = _scale_free_factors(kernel, s, nu) if factors is None else factors
-    vals = np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith
-    if kernel == "xi2s":
-        vals = vals / (2.0 * s * (2.0 * s - 1.0))
-    return vals
+    return np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith
 
 
 def arithmetic_factor(kernel: str, z: complex) -> complex:
     """The kernel's L-type factor evaluated at argument z (= 2s)."""
-    if kernel == "zeta2s":
-        return sf.zeta(z)
-    if kernel == "beta2s":
-        return sf.dirichlet_beta(z)
-    return sf.completed_xi(z)
+    return sf.zeta(z) if kernel == "zeta2s" else sf.dirichlet_beta(z)
 
 
 def _dressing_log(kernel: str, point: SpectralPoint, a: float) -> complex:
     """log of the never-vanishing factor multiplying L(2 s0) in the filter."""
     s0, nu = point.s0, point.nu
-    log2a = math.log(2.0 * a)
-    if kernel in ("zeta2s", "beta2s"):
-        return sf.log_gamma(s0) + sf.log_gamma(s0 - nu) + 2.0 * s0 * log2a
-    return (sf.log_gamma(s0 - nu) + s0 * math.log(math.pi) + 2.0 * s0 * log2a
-            - cmath.log(2.0 * s0) - cmath.log(2.0 * s0 - 1.0))
+    return (sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
+            + 2.0 * s0 * math.log(2.0 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +224,8 @@ def _hp_arithmetic(kernel: str, z):
     import mpmath as mp
     if kernel == "zeta2s":
         return mp.zeta(z)
-    if kernel == "beta2s":
-        return mp.mpf(4) ** (-z) * (mp.zeta(z, mp.mpf(1) / 4)
-                                    - mp.zeta(z, mp.mpf(3) / 4))
-    return (mp.pi ** (-z / 2) * mp.gamma(z / 2 + 1) * (z - 1) * mp.zeta(z)
-            if abs(z - 1) > mp.mpf("1e-25") else mp.mpf("0.5"))
+    return mp.mpf(4) ** (-z) * (mp.zeta(z, mp.mpf(1) / 4)
+                                - mp.zeta(z, mp.mpf(3) / 4))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +384,8 @@ def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
     lval = arithmetic_factor(kernel, 2.0 * s0)
     lp = (arithmetic_factor(kernel, 2.0 * s0 + 1j * h)
           - arithmetic_factor(kernel, 2.0 * s0 - 1j * h)) / (2j * h)
-    if kernel in ("zeta2s", "beta2s"):
-        dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
-                        + 2.0 * math.log(2.0 * scale.a))
-    else:
-        dlog = (-0.25j * sf.digamma(s0 - nu)
-                + 0.25j * (math.log(math.pi) + 2.0 * math.log(2.0 * scale.a))
-                - 0.5j / (2.0 * s0) - 0.5j / (2.0 * s0 - 1.0))
+    dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
+                    + 2.0 * math.log(2.0 * scale.a))
     norm = kernel_prefactor(kernel) * 2j * math.pi
     f = norm * dress * lval
     df = norm * dress * (dlog * lval + 0.5j * lp)
@@ -428,24 +400,15 @@ def _hp_filter_with_derivative(kernel: str, energy, a):
     s0 = mp.mpf(1) / 4 + 1j * energy / 4
     nu = mp.mpf(1) / 2 + 1j * energy / 2
     log2a = mp.log(2 * a)
-    if kernel in ("zeta2s", "beta2s"):
-        dress = mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
-        dlog = (mp.digamma(s0) - mp.digamma(s0 - nu)
-                + 2 * log2a) * mp.mpc(0, 0.25)
-    else:
-        dress = (mp.gamma(s0 - nu) * mp.exp(s0 * mp.log(mp.pi) + 2 * s0 * log2a)
-                 / (2 * s0 * (2 * s0 - 1)))
-        dlog = (-mp.mpc(0, 0.25) * mp.digamma(s0 - nu)
-                + mp.mpc(0, 0.25) * (mp.log(mp.pi) + 2 * log2a)
-                - mp.mpc(0, 0.5) / (2 * s0)
-                - mp.mpc(0, 0.5) / (2 * s0 - 1))
+    dress = mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
+    dlog = (mp.digamma(s0) - mp.digamma(s0 - nu) + 2 * log2a) * mp.mpc(0, 0.25)
     lval = _hp_arithmetic(kernel, 2 * s0)
     lp = (_hp_arithmetic(kernel, 2 * s0 + 1j * hh)
           - _hp_arithmetic(kernel, 2 * s0 - 1j * hh)) / (2j * hh)
     return dress * lval, dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
 
 
-def _newton(filter_and_derivative, e_guess, tol_step, max_iter: int):
+def _newton(filter_and_derivative, e_guess, tol_step):
     """Newton in E from e_guess on a backend's (F, dF/dE), in the backend's
     number type (float, or mpf for the 31-digit backend).
 
@@ -455,7 +418,7 @@ def _newton(filter_and_derivative, e_guess, tol_step, max_iter: int):
     """
     e = e_guess
     f_hist = []
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         f, df = filter_and_derivative(e)
         f_hist.append(abs(f))
         if it == 2 and not (f_hist[2] < f_hist[0]):
@@ -472,7 +435,7 @@ def _newton(filter_and_derivative, e_guess, tol_step, max_iter: int):
         if abs(step) < tol_step * max(1, abs(e)):
             return e
     raise NoConvergence(f"Newton did not converge from {float(e_guess)} "
-                        f"in {max_iter}")
+                        f"in {_NEWTON_MAX_ITER}")
 
 
 def _root_residual(kernel: str, energy: float) -> float:
@@ -486,8 +449,7 @@ def _root_residual(kernel: str, energy: float) -> float:
     return residual
 
 
-def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale,
-                   max_iter: int = 50):
+def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale):
     """Newton on the spectral filter carried entirely in 31-digit scalars.
 
     Returns the root as an mpmath mpf (full working precision) for the
@@ -498,15 +460,13 @@ def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale,
     with mp.workdps(_DD_DPS):
         a = mp.mpf(scale.a)
         root = +_newton(lambda e: _hp_filter_with_derivative(kernel, e, a),
-                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
-                        max_iter)
+                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4))
     _root_residual(kernel, float(root))
     return root
 
 
 def newton_filter_root(kernel: str, e_guess: float, scale: KernelScale,
-                       precision: str = "double",
-                       max_iter: int = 50) -> zc.ZeroRecord:
+                       precision: str = "double") -> zc.ZeroRecord:
     """Newton iteration in E on the spectral filter from e_guess.
 
     The root is accepted when |L(1/2 + iE/2)| < 1e-8; with
@@ -514,13 +474,13 @@ def newton_filter_root(kernel: str, e_guess: float, scale: KernelScale,
     """
     _check_kernel(kernel)
     if precision == "double_double":
-        e = float(newton_root_dd(kernel, e_guess, scale, max_iter))
+        e = float(newton_root_dd(kernel, e_guess, scale))
     else:
         e = _newton(lambda x: _filter_with_derivative(kernel, x, scale),
-                    float(e_guess), 1e-12, max_iter)
+                    float(e_guess), 1e-12)
     return zc.ZeroRecord(index=0, ordinate=0.5 * e,
                          residual=_root_residual(kernel, e),
-                         function="zeta" if kernel != "beta2s" else "beta",
+                         function="zeta" if kernel == "zeta2s" else "beta",
                          method="filter_root")
 
 
@@ -543,8 +503,7 @@ def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
 # ---------------------------------------------------------------------------
 
 def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
-                        g1: float, g2: float,
-                        t_max: float = None) -> float:
+                        g1: float, g2: float) -> float:
     """|mb_integral(g1) - mb_integral(g2)| over a pole-free strip."""
     _check_kernel(kernel)
     lo, hi = min(g1, g2), max(g1, g2)
@@ -557,15 +516,10 @@ def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
         )
     if g1 == g2:
         return 0.0
-    t_cap = t_max if t_max is not None else max(60.0, 0.5 * abs(energy) + 35.0)
     # only the values are compared: no coarse consistency pass
-    evals = [
-        _tail_checked_sum(kernel, energy, scale,
-                          ContourSpec.default(g, energy) if t_max is None else
-                          ContourSpec(abscissa=g, t_max=t_cap,
-                                      panel_count=max(160, int(2 * t_cap))))
-        for g in (g1, g2)
-    ]
+    evals = [_tail_checked_sum(kernel, energy, scale,
+                               ContourSpec.default(g, energy))
+             for g in (g1, g2)]
     return abs(evals[0].value - evals[1].value)
 
 
@@ -573,8 +527,7 @@ def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
 # Double-pole circle audit
 # ---------------------------------------------------------------------------
 
-def double_pole_circle(anchor: complex, epsilon: float = 0.05,
-                       ladder=(0.05, 0.025, 0.0125)):
+def double_pole_circle(anchor: complex):
     """Audit the double-pole expansion on the built-in pair at the anchor.
 
     A(s) = exp(s), B(s) = cosh(s - anchor + 1).  The circle integral of
@@ -585,8 +538,6 @@ def double_pole_circle(anchor: complex, epsilon: float = 0.05,
     """
     from .audit import AuditReport
 
-    if not (0.0 < epsilon < 0.1):
-        raise ArgumentDomain("epsilon must be in (0, 0.1)")
     s0 = complex(anchor)
     A = cmath.exp
     B = lambda s: cmath.cosh(s - s0 + 1.0)
@@ -595,7 +546,7 @@ def double_pole_circle(anchor: complex, epsilon: float = 0.05,
     full = 2j * math.pi * (a1 * b0 + a0 * b1)
     printed = 2j * math.pi * (a0 * b1)
     rows = []
-    for eps in ladder:
+    for eps in (0.05, 0.025, 0.0125):
         s, w = circle_nodes(s0, eps, 64)
         quad = complex(np.sum(np.array([A(z) * B(z) for z in s]) * w
                               / (s - s0) ** 2))
@@ -627,16 +578,15 @@ def double_pole_circle(anchor: complex, epsilon: float = 0.05,
 # Hadamard finite part
 # ---------------------------------------------------------------------------
 
-def hadamard_finite_part(f, s0: complex, epsilon_ladder,
-                         half_width: float = 1.0) -> complex:
+def hadamard_finite_part(f, s0: complex, epsilon_ladder) -> complex:
     """Finite part of the vertical-segment integral of f through s0.
 
     f may carry up to a double pole at s0.  For each ladder epsilon the
-    symmetric segment [s0 - i H, s0 + i H] minus the epsilon ball is
+    symmetric segment [s0 - i, s0 + i] minus the epsilon ball is
     integrated and the divergent 2 i g(s0)/epsilon profile (g the
-    analytic factor (s - s0)^2 f) is removed together with its
-    -2 i g(s0)/H completion; the remaining drift is c1 eps + c3 eps^3 and
-    the ladder is extrapolated through that model.  The result is
+    analytic factor (s - s0)^2 f) is removed together with its -2 i g(s0)
+    completion at the segment ends; the remaining drift is
+    c1 eps + c3 eps^3 and the ladder is extrapolated through that model.  The result is
     independent of the particular ladder.
     """
     eps = list(epsilon_ladder)
@@ -658,22 +608,16 @@ def hadamard_finite_part(f, s0: complex, epsilon_ladder,
     r1b = (4.0 * g_c - g_b) / 3.0
     g0 = (16.0 * r1b - r1a) / 15.0
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(16)
-
     def both_sides(e: float) -> complex:
         # geometric panels from the excluded ball outward: the integrand
         # grows like u^{-2} toward the ball and uniform panels lose digits
-        edges = np.geomspace(e, half_width, 33)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        u = (mid[:, None] + half[:, None] * x_gl[None, :]).ravel()
-        w = (half[:, None] * w_gl[None, :]).ravel()
+        u, w = panel_nodes_from_edges(np.geomspace(e, 1.0, 33))
         vals = np.array([f(s0 + 1j * ui) + f(s0 - 1j * ui) for ui in u])
         return complex(np.sum(vals * w)) * 1j
 
     estimates = []
     for e in eps:
-        total = both_sides(e) + 2j * g0 / e - 2j * g0 / half_width
+        total = both_sides(e) + 2j * g0 / e - 2j * g0
         estimates.append(total)
     # after removing the 1/epsilon profile the estimates drift like
     # c1 eps + c3 eps^3 + c5 eps^5 (even Taylor orders cancel by symmetry);

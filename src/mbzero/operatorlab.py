@@ -63,7 +63,7 @@ def _phase_rhs(problem: RadialProblem):
     return rhs
 
 
-def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
+def prufer_integrate(problem: RadialProblem):
     """Integrate theta' = 1 - V sin^2(theta) - (1/x) sin(theta) cos(theta).
 
     Returns the trajectory as a list of PruferState; the matched
@@ -82,15 +82,14 @@ def prufer_integrate(problem: RadialProblem, tol: float = 1e-10):
         states.append(PruferState(x=x, amplitude=math.exp(log_r[-1]), phase=th))
 
     rk_adaptive(_phase_rhs(problem), problem.x_min, 0.0, problem.x_max,
-                tol=tol, record=record)
+                record=record)
     return states
 
 
-def phase_advance(problem: RadialProblem, tol: float = 1e-10) -> float:
+def phase_advance(problem: RadialProblem) -> float:
     """theta(x_max) - theta(x_min) for theta(x_min) = 0: the phase equation
     of `prufer_integrate`, without building the trajectory."""
-    return rk_adaptive(_phase_rhs(problem), problem.x_min, 0.0,
-                       problem.x_max, tol=tol)
+    return rk_adaptive(_phase_rhs(problem), problem.x_min, 0.0, problem.x_max)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +212,16 @@ def deficiency_divergence_check() -> AuditReport:
 # L2 classification of K_nu candidates
 # ---------------------------------------------------------------------------
 
-def eigenfunction_L2_classifier(nu, im_cap: float = 60.0) -> AuditReport:
+def eigenfunction_L2_classifier(nu: complex) -> AuditReport:
     """Convergence audit of  integral x |K_nu(x)|^2 dx  on [1e-3, 40].
 
-    Accepts a complex order or a SpectralParameter.  Convergent iff the
-    tail increments past x = 35 are below 1e-12 and the integral is
-    stable under halving the origin cutoff; near-origin divergence
-    (Re nu >= 1) is detected by cutoff-ladder growth.
+    Convergent iff the tail increments past x = 35 are below 1e-12 and
+    the integral is stable under halving the origin cutoff; near-origin
+    divergence (Re nu >= 1) is detected by cutoff-ladder growth.
     """
-    nu = complex(getattr(nu, "order", nu))
-    if abs(nu.imag) > im_cap:
-        raise ArgumentDomain(f"|Im nu| > {im_cap}")
+    nu = complex(nu)
+    if abs(nu.imag) > 60.0:
+        raise ArgumentDomain("|Im nu| > 60")
 
     def weighted(lo: float) -> tuple:
         xs = np.geomspace(lo, 40.0, 3000)

@@ -15,20 +15,19 @@ import numpy as np
 from .errors import StepUnderflow
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n_points: int):
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    # on first use: numpy.polynomial costs milliseconds to import
+    return np.polynomial.legendre.leggauss(16)
 
 
-def panel_nodes_from_edges(edges: np.ndarray, refine: int = 0,
-                           points_per_panel: int = 16):
-    """Composite Gauss-Legendre on sorted panel edges, every panel split
-    at its midpoint `refine` times.  Panel order is fixed left to right,
-    so reductions over the returned arrays are deterministic."""
+def panel_nodes_from_edges(edges: np.ndarray, refine: int = 0):
+    """Composite 16-point Gauss-Legendre on sorted panel edges, every
+    panel split at its midpoint `refine` times.  Panel order is fixed left
+    to right, so reductions over the returned arrays are deterministic."""
     for _ in range(refine):
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-    x, w = _gl_nodes(points_per_panel)
+    x, w = _gl_nodes()
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -61,11 +60,11 @@ _CK_D = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
 
 
 def rk_adaptive(f, x0: float, y0: float, x1: float, tol: float = 1e-10,
-                record=None, h_min: float = 1e-14):
+                record=None):
     """Integrate y' = f(x, y) from x0 to x1 with a Cash-Karp 4(5) pair.
 
     `record(x, y)` is invoked after each accepted step.  Raises
-    StepUnderflow if the step collapses below h_min * span.
+    StepUnderflow if the step collapses below 1e-14 * span.
     """
     span = abs(x1 - x0)
     if span == 0.0:
@@ -73,7 +72,7 @@ def rk_adaptive(f, x0: float, y0: float, x1: float, tol: float = 1e-10,
     direction = 1.0 if x1 > x0 else -1.0
     x, y = x0, y0
     h = direction * min(0.1 * span, 0.1)
-    floor = h_min * span
+    floor = 1e-14 * span
     while direction * (x1 - x) > 1e-15 * span:
         if abs(h) > abs(x1 - x):
             h = x1 - x

@@ -53,7 +53,7 @@ _LANCZOS_C = (
 )
 _SQRT_2PI = 2.5066282746310005
 
-# B_2 .. B_16; the order-12 default uses the first six.
+# B_2 .. B_12: the Euler-Maclaurin corrections through order 12
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -61,8 +61,6 @@ _BERNOULLI = (
     -1.0 / 30.0,
     5.0 / 66.0,
     -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
 )
 
 _POLE_MARGIN = 1e-12
@@ -301,8 +299,7 @@ def _em_log(n_trunc, a: float):
     return np.array([math.log(n + a) for n in n_trunc])
 
 
-def _hurwitz_core(s_arr: np.ndarray, a: float, order: int = 12,
-                  n_trunc=None) -> np.ndarray:
+def _hurwitz_core(s_arr: np.ndarray, a: float, n_trunc=None) -> np.ndarray:
     """Euler-Maclaurin Hurwitz zeta(s, a) over a 1-d array of s.
 
     head(n=0..N-1) + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
@@ -323,7 +320,7 @@ def _hurwitz_core(s_arr: np.ndarray, a: float, order: int = 12,
     tail = np.exp((1.0 - s) * logx0) / (s - 1.0)
     tail += 0.5 * np.exp(-s * logx0)
     poch = s.copy()
-    m_terms = order // 2
+    m_terms = len(_BERNOULLI)
     for j in range(1, m_terms + 1):
         coeff = _BERNOULLI[j - 1] / math.factorial(2 * j)
         tail += coeff * poch * np.exp((-s - (2 * j - 1)) * logx0)
@@ -360,8 +357,7 @@ def zeta_shifted(s) -> complex:
     return (s - 1.0) * complex(_hurwitz_core(np.array([s]), 1.0)[0])
 
 
-def _beta_core(s_arr: np.ndarray, order: int = 12,
-               n_trunc=None) -> np.ndarray:
+def _beta_core(s_arr: np.ndarray, n_trunc=None) -> np.ndarray:
     """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] with the s = 1 poles cancelled.
 
     The two Euler-Maclaurin tails share a truncation point, so the
@@ -389,7 +385,7 @@ def _beta_core(s_arr: np.ndarray, order: int = 12,
     tail = np.exp((1.0 - s) * la) * (lb - la) * phi
     tail += 0.5 * (np.exp(-s * la) - np.exp(-s * lb))
     poch = s.copy()
-    m_terms = order // 2
+    m_terms = len(_BERNOULLI)
     for j in range(1, m_terms + 1):
         coeff = _BERNOULLI[j - 1] / math.factorial(2 * j)
         tail += coeff * poch * (np.exp((-s - (2 * j - 1)) * la)
@@ -570,10 +566,6 @@ class PrimeTable:
 
     limit: int
     mangoldt: dict
-
-    def psi(self) -> float:
-        """Chebyshev psi(limit) = sum of all table entries."""
-        return math.fsum(self.mangoldt.values())
 
 
 def von_mangoldt_table(limit: int) -> PrimeTable:

@@ -17,10 +17,11 @@ import numpy as np
 
 from .audit import AuditReport
 from .errors import ArgumentDomain, LimitTooLarge, SeriesDivergent, WindowTooSparse
-from .specfun import gamma, primes_upto, von_mangoldt_table, zeta
+from .specfun import primes_upto, von_mangoldt_table, zeta
 
 _PRIME_LIMIT_CEILING = 1_000_000
 _GAMMA_QUARTER_NEG = -4.901666809860711  # Gamma(-1/4)
+_ZERO_CAP = 100  # zeros summed by the trace audits
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,11 @@ def unfold(catalog: list, window: tuple) -> UnfoldedSpectrum:
         raise WindowTooSparse(f"window {window} holds {len(raw)} zeros, need 20")
     unfolded = [smooth_count(t) for t in raw]
     return UnfoldedSpectrum(raw=raw, unfolded=unfolded, window=(lo, hi))
+
+
+def unfold_catalog(catalog: list) -> UnfoldedSpectrum:
+    """The whole catalog unfolded; WindowTooSparse below 20 zeros."""
+    return unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +182,8 @@ def mean_density(e):
     return np.log(e / (2.0 * math.pi)) / (2.0 * math.pi)
 
 
-def oscillatory_density(e_grid, prime_limit: int, sigma: float = 0.3,
-                        table=None) -> np.ndarray:
+def oscillatory_density(e_grid, prime_limit: int,
+                        sigma: float = 0.3) -> np.ndarray:
     """Prime-sum oscillation of the zero density, Gaussian-damped.
 
     Carries the sign that makes mean_density + oscillatory_density peak at
@@ -189,8 +195,7 @@ def oscillatory_density(e_grid, prime_limit: int, sigma: float = 0.3,
         raise LimitTooLarge(f"prime_limit above {_PRIME_LIMIT_CEILING}")
     e = np.asarray(e_grid, dtype=float)
     out = np.zeros_like(e)
-    primes = primes_upto(prime_limit) if table is None else table
-    for p in primes:
+    for p in primes_upto(prime_limit):
         logp = math.log(p)
         k = 1
         while True:
@@ -215,12 +220,12 @@ def density_peaks(e_grid, prime_limit: int, sigma: float = 0.3) -> np.ndarray:
 # Trace audits
 # ---------------------------------------------------------------------------
 
-def _ordinates(catalog, cap=None):
-    ts = sorted(r.ordinate for r in catalog)
-    return ts[:cap] if cap else ts
+def _ordinates(catalog):
+    """The lowest _ZERO_CAP ordinates of the catalog, ascending."""
+    return sorted(r.ordinate for r in catalog)[:_ZERO_CAP]
 
 
-def trace_I_of_a(a: float, catalog: list, zero_cap: int = 100) -> AuditReport:
+def trace_I_of_a(a: float, catalog: list) -> AuditReport:
     """Even/odd split of the zero-side trace behind the I(a) bracket.
 
     The even part sum 1/(1 + 4 gamma^2) converges (tail quantified from
@@ -231,7 +236,7 @@ def trace_I_of_a(a: float, catalog: list, zero_cap: int = 100) -> AuditReport:
     """
     if not (0.0 < a <= 1.0):
         raise ArgumentDomain("need 0 < a <= 1")
-    ts = _ordinates(catalog, zero_cap)
+    ts = _ordinates(catalog)
     if len(ts) < 10:
         raise ArgumentDomain("catalog too small for the trace audit")
     cap = len(ts)
@@ -272,7 +277,7 @@ def trace_I_of_a(a: float, catalog: list, zero_cap: int = 100) -> AuditReport:
     )
 
 
-def weil_prime_side(prime_limit: int, catalog=None, zero_cap: int = 100):
+def weil_prime_side(prime_limit: int, catalog=None):
     """Prime side 2 sum Lambda(n)/sqrt(n) phihat(log n / 2pi) with the
     exponential test transform phihat(u) = (pi/4) e^{-pi |u|}.
 
@@ -302,7 +307,7 @@ def weil_prime_side(prime_limit: int, catalog=None, zero_cap: int = 100):
     slope = float(np.polyfit(xs, ys, 1)[0])
     zero_side = 0j
     if catalog:
-        for t in _ordinates(catalog, zero_cap):
+        for t in _ordinates(catalog):
             zero_side += complex(-0.5, t) / (1.0 + 4.0 * t * t)
     return AuditReport(
         claim_id="weil_prime_side",
@@ -321,12 +326,11 @@ def weil_prime_side(prime_limit: int, catalog=None, zero_cap: int = 100):
     )
 
 
-def trace_class_audit(p: float, a: float, catalog: list,
-                      zero_cap: int = 100) -> AuditReport:
+def trace_class_audit(p: float, a: float, catalog: list) -> AuditReport:
     """Sum (E_n + i)^{-p} with E_n = 2 t_n against i^{-p} (2a)^p zeta(p)."""
     if not (p > 1.0):
         raise ArgumentDomain("trace audit needs p > 1")
-    ts = _ordinates(catalog, zero_cap)
+    ts = _ordinates(catalog)
     terms = [cmath.exp(-p * cmath.log(complex(2.0 * t, 1.0))) for t in ts]
     lhs = complex(sum(terms))
     e_top = 2.0 * ts[-1]

@@ -26,6 +26,7 @@ from .errors import (
     MissedZeroSuspected,
     VersionUnsupported,
 )
+from .spectrostats import smooth_count
 
 _T_CEILING = 200.0
 _SCAN_STEP = 0.05
@@ -205,8 +206,7 @@ def riemann_von_mangoldt(t: float, catalog: list) -> CountingReport:
     """Main term + arg-tracked S(T) against the catalog jump count."""
     if t < 2.0:
         raise ArgumentDomain("riemann_von_mangoldt needs T >= 2")
-    x = t / (2.0 * math.pi)
-    main = x * math.log(x) - x + 0.875
+    main = smooth_count(t)
     s_term = sf.s_of_t(t)
     jumps = sum(1 for r in catalog if r.ordinate <= t)
     return CountingReport(T=t, main_term=main, S_term=s_term,
@@ -219,8 +219,8 @@ def hmty_bound(t: float) -> float:
     return 0.1038 * math.log(t) + 0.2573 * math.log(math.log(t)) + 8.3675
 
 
-def s_grid(t_max: float, grid_step: float = 0.1):
-    """S(t) on the grid e, e+step, ... <= t_max, one arg rectangle a point.
+def s_grid(t_max: float):
+    """S(t) on the grid e, e + 0.1, ... <= t_max, one arg rectangle a point.
 
     Each rectangle starts at 2 + it (see specfun.arg_rectangle), so a
     point costs the horizontal walk only.
@@ -232,16 +232,16 @@ def s_grid(t_max: float, grid_step: float = 0.1):
     t = math.e
     while t <= t_max + 1e-12:
         out.append((t, (sf.arg_zeta_rectangle(t) - anchor) / math.pi))
-        t += grid_step
+        t += 0.1
     return out
 
 
-def s_of_t_bound_check(t_max: float, grid_step: float = 0.1) -> AuditReport:
+def s_of_t_bound_check(t_max: float) -> AuditReport:
     """Check |S(t)| against the unconditional argument bound on a grid."""
     worst_ratio = 0.0
     worst_t = math.e
     max_abs_s = 0.0
-    for t, s_val in s_grid(t_max, grid_step):
+    for t, s_val in s_grid(t_max):
         ratio = abs(s_val) / hmty_bound(t)
         max_abs_s = max(max_abs_s, abs(s_val))
         if ratio > worst_ratio:

@@ -211,28 +211,16 @@ def mb_integral_hp(kernel: str, energy: float, a: float,
         total = mp.mpc(0)
         for ti, wi in zip(t, w):
             s = mp.mpc(contour.abscissa, ti)
-            if kernel in ("zeta2s", "beta2s"):
-                val = mp.gamma(s) * mp.gamma(s - nu) * mp.exp(2 * s * log2a)
-                val *= mbf._hp_arithmetic(kernel, 2 * s)
-            else:
-                val = (mp.gamma(s - nu)
-                       * mp.exp(s * mp.log(mp.pi) + 2 * s * log2a)
-                       * mbf._hp_arithmetic(kernel, 2 * s)
-                       / (2 * s * (2 * s - 1)))
-            total += val * wi
+            val = mp.gamma(s) * mp.gamma(s - nu) * mp.exp(2 * s * log2a)
+            total += val * mbf._hp_arithmetic(kernel, 2 * s) * wi
         return complex(total * 1j * mbf.kernel_prefactor(kernel))
 
 
 def scale_free_factors_unmirrored(kernel: str, s: np.ndarray, nu: complex):
     """mbfilter._scale_free_factors with every node evaluated on its own
     account: no conjugate pair of nodes shares an evaluation."""
-    lg_nu = sf.log_gamma_vec(s - nu)
-    if kernel == "zeta2s":
-        return sf.log_gamma_vec(s) + lg_nu, sf.zeta_vec(2.0 * s)
-    if kernel == "beta2s":
-        return sf.log_gamma_vec(s) + lg_nu, sf.dirichlet_beta_vec(2.0 * s)
-    xi = np.array([sf.completed_xi(2.0 * z) for z in s])
-    return lg_nu + s * math.log(math.pi), xi
+    l_vec = sf.zeta_vec if kernel == "zeta2s" else sf.dirichlet_beta_vec
+    return sf.log_gamma_vec(s) + sf.log_gamma_vec(s - nu), l_vec(2.0 * s)
 
 
 def spectral_filter_circle(kernel: str, energy: float, a: float,

@@ -77,6 +77,16 @@ class TestFilterRootsCommand:
         for row in rows:
             assert float(row.split(",")[2]) < 1e-8
 
+    def test_negative_exponent_abscissa(self, tmp_path, capsys):
+        # argparse's default pattern reads "-1e-3" as an option name
+        run(["census", "--t-max", "32"], tmp_path)
+        written = []
+        for argv in (["--abscissa", "-1e-3"], ["--abscissa=-1e-3"]):
+            assert run(["filter-roots"] + argv, tmp_path) == 0
+            written.append((tmp_path / "filter_roots.csv").read_bytes())
+        assert written[0] == written[1]
+        assert b" g=-0.001 " in written[0]
+
     def test_missing_catalog_exit_4(self, tmp_path, capsys):
         code = run(["filter-roots"], tmp_path)
         assert code == 4

@@ -56,10 +56,6 @@ class TestMbIntegral:
         fine = mbf._line_sum("zeta2s", complex(0.5, 0.5 * e), 0.2, c, refine=2)
         assert abs(fine - ev.value) < 10.0 * ev.truncation_error
 
-    def test_xi_kernel_contour_shift(self):
-        d = mbf.contour_shift_delta("xi2s", 8.0, A02, 0.6, 0.9, t_max=45.0)
-        assert d < 1e-10
-
     def test_contour_on_pole_guard(self):
         with pytest.raises(ContourOnPole):
             mbf.mb_integral("zeta2s", 5.0, A02,
@@ -71,6 +67,19 @@ class TestMbIntegral:
         d = mbf.mb_integral("beta2s", 10.0, A02, c).value
         dd = oc.mb_integral_hp("beta2s", 10.0, 0.2, c)
         assert abs(d - dd) <= 1e-12 * abs(d)
+
+
+class TestKernelSet:
+    def test_zeta_and_beta_only(self):
+        assert mbf.KERNELS == ("zeta2s", "beta2s")
+
+    def test_xi_kernel_is_unknown(self):
+        with pytest.raises(ArgumentDomain):
+            mbf.mb_integral("xi2s", 8.0, A02)
+        with pytest.raises(ArgumentDomain):
+            mbf.spectral_filter("xi2s", 8.0, A02)
+        with pytest.raises(ArgumentDomain):
+            mbf.contour_shift_delta("xi2s", 8.0, A02, 0.6, 0.9)
 
 
 class TestSpectralFilter:
@@ -145,15 +154,11 @@ class TestNodeSetCache:
             lg[0] = 0.0
 
     def test_contour_shift_delta_is_the_difference_of_mb_integrals(self):
-        for energy, g1, g2, t_max in ((10.0, 0.55, 0.70, None),
-                                      (17.5, 0.62, 0.91, 45.0)):
-            got = mbf.contour_shift_delta("zeta2s", energy, A02, g1, g2,
-                                          t_max=t_max)
-            specs = [mbf.ContourSpec.default(g, energy) if t_max is None else
-                     mbf.ContourSpec(abscissa=g, t_max=t_max, panel_count=160)
-                     for g in (g1, g2)]
-            v1, v2 = (mbf.mb_integral("zeta2s", energy, A02, c).value
-                      for c in specs)
+        for energy, g1, g2 in ((10.0, 0.55, 0.70), (17.5, 0.62, 0.91)):
+            got = mbf.contour_shift_delta("zeta2s", energy, A02, g1, g2)
+            v1, v2 = (mbf.mb_integral("zeta2s", energy, A02,
+                                      mbf.ContourSpec.default(g, energy)).value
+                      for g in (g1, g2))
             assert got == abs(v1 - v2)
 
 
@@ -183,16 +188,12 @@ class TestMirroredFactors:
         for got, ref in zip(factors, want):
             assert np.array_equal(_bits(got), _bits(ref))
 
-    # zeta2s on the ledger claim's own node sets; beta2s on their coarse
-    # sets, and xi2s (a scalar completed_xi per node) on shorter contours
-    @pytest.mark.parametrize("kernel, refine", [("zeta2s", 1), ("beta2s", 0),
-                                                ("xi2s", 0)])
+    # zeta2s on the ledger claim's own node sets; beta2s on their coarse sets
+    @pytest.mark.parametrize("kernel, refine", [("zeta2s", 1), ("beta2s", 0)])
     def test_contour_shift_pairs(self, kernel, refine):
         for energy, g1, g2 in _contour_shift_pairs():
             for g in (g1, g2):
-                contour = (mbf.ContourSpec.default(g, energy) if kernel != "xi2s"
-                           else mbf.ContourSpec(abscissa=g, t_max=12.0,
-                                                panel_count=24))
+                contour = mbf.ContourSpec.default(g, energy)
                 self._assert_matches_oracle(kernel, energy, contour, refine)
 
     @settings(max_examples=40, deadline=None)
@@ -276,10 +277,6 @@ class TestDoublePoleCircle:
         c_fit = max(g / e for g, e in zip(gaps, rep.extra["ladder"]))
         for g, e in zip(gaps, rep.extra["ladder"]):
             assert g <= c_fit * e + 1e-12
-
-    def test_epsilon_domain(self):
-        with pytest.raises(ArgumentDomain):
-            mbf.double_pole_circle(0j, epsilon=0.2)
 
 
 class TestHadamardFinitePart:
