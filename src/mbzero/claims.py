@@ -19,6 +19,7 @@ from . import specfun as sf
 from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import AuditReport
+from .errors import MbzeroError
 
 
 def _report(claim_id, lhs, rhs, disc, tol, notes="", extra=None):
@@ -337,23 +338,16 @@ REGISTRY = {
 }
 
 
-def run_claims(config, catalog, only=None):
-    """Evaluate registered claims; a claim whose preconditions cannot be
+def run_claim(config, catalog, claim_id):
+    """Evaluate one registered claim; a claim whose preconditions cannot be
     met by the supplied catalog reports itself inconclusive rather than
     aborting the ledger (audits inform, they do not gate)."""
-    from .errors import MbzeroError
-
-    reports = []
-    for name, fn in REGISTRY.items():
-        if only and name not in only:
-            continue
-        try:
-            reports.append(fn(config, catalog))
-        except MbzeroError as exc:
-            reports.append(AuditReport(
-                claim_id=name, lhs=0j, rhs=0j,
-                abs_discrepancy=float("nan"), rel_discrepancy=float("nan"),
-                verdict="inconclusive",
-                notes=f"not evaluable with this catalog/config: {exc}",
-            ))
-    return reports
+    try:
+        return REGISTRY[claim_id](config, catalog)
+    except MbzeroError as exc:
+        return AuditReport(
+            claim_id=claim_id, lhs=0j, rhs=0j,
+            abs_discrepancy=float("nan"), rel_discrepancy=float("nan"),
+            verdict="inconclusive",
+            notes=f"not evaluable with this catalog/config: {exc}",
+        )

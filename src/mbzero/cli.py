@@ -3,7 +3,10 @@
 Subcommands: census, filter-roots, bijection, stats, audit, cache.
 Numbers are serialized at 17 significant digits (32 in double-double
 mode, tagged per row); identical configuration and cache produce
-byte-identical outputs at any --threads value from 1 to 64.
+byte-identical outputs at any --threads value from 1 to 64.  --threads is
+the number of worker processes that `audit` runs its claims in and
+double-double `filter-roots` its Newton roots in; it defaults to the
+usable CPU count, and 1 runs everything in this process.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
@@ -21,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +40,7 @@ EXIT_IO = 4
 EXIT_CONFIG = 5
 EXIT_CACHE = 6
 
-# the census scan starts one worker thread per --threads slice
+# audit and double-double filter-roots fork at most this many workers
 _MAX_THREADS = 64
 
 # commands that write files into --out
@@ -88,6 +92,33 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _usable_cpus() -> int:
+    """The default --threads: the CPUs this process may run on, in
+    [1, _MAX_THREADS], or 1 where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    n = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(n, _MAX_THREADS)
+
+
+def _fan_out(fn, items, workers: int) -> list:
+    """[fn(x) for x in items] over up to `workers` forked processes.
+
+    Results come back in input order and the first failure in input order
+    is raised, so outputs, stderr and exit code are the serial loop's.  One
+    worker runs the loop in this process, with no pool.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(fn, items))
+
+
 def _load_catalog(config) -> list:
     if not os.path.isfile(config.cache_path):
         raise FileNotFoundError(f"catalog {config.cache_path} not found or "
@@ -96,8 +127,7 @@ def _load_catalog(config) -> list:
 
 
 def cmd_census(config: RunConfig) -> int:
-    records = zc.scan_zeros(config.function, config.t_max,
-                            threads=config.threads)
+    records = zc.scan_zeros(config.function, config.t_max)
     if records:
         zc.catalog_store(config.cache_path, records)
     print(f"# {config.function} zeros with ordinate <= {_fmt(config.t_max)}")
@@ -109,6 +139,13 @@ def cmd_census(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _dd_root(kernel: str, scale: mbf.KernelScale, guess: float) -> tuple:
+    """One double-double Newton root as (32-digit string, float)."""
+    import mpmath as mp
+    root = mbf.newton_root_dd(kernel, guess, scale)
+    return mp.nstr(root, 32), float(root)
+
+
 def cmd_filter_roots(config: RunConfig) -> int:
     catalog = _load_catalog(config)
     if catalog[0].function != config.function:
@@ -116,21 +153,22 @@ def cmd_filter_roots(config: RunConfig) -> int:
                           f"{catalog[0].function} catalog {config.cache_path}")
     kernel = "beta2s" if config.function == "beta" else "zeta2s"
     scale = mbf.KernelScale(config.a)
-    rows = []
+    ordinates = []
     for r in catalog:
         if 2.0 * r.ordinate > config.e_max:
             break
-        guess = 2.0 * r.ordinate + 0.05
-        if config.precision == "double_double":
-            import mpmath as mp
-            root = mbf.newton_root_dd(kernel, guess, scale)
-            e_str = mp.nstr(root, 32)
-            e_val = float(root)
-        else:
-            rec = mbf.newton_filter_root(kernel, guess, scale)
-            e_val = 2.0 * rec.ordinate
-            e_str = _fmt(e_val)
-        rows.append((e_str, r.ordinate, abs(e_val - 2.0 * r.ordinate)))
+        ordinates.append(r.ordinate)
+    guesses = [2.0 * t + 0.05 for t in ordinates]
+    if config.precision == "double_double":
+        roots = _fan_out(partial(_dd_root, kernel, scale), guesses,
+                         config.threads)
+    else:
+        roots = []
+        for guess in guesses:
+            e_val = 2.0 * mbf.newton_filter_root(kernel, guess, scale).ordinate
+            roots.append((_fmt(e_val), e_val))
+    rows = [(e_str, t, abs(e_val - 2.0 * t))
+            for (e_str, e_val), t in zip(roots, ordinates)]
     out_path = os.path.join(config.out_dir, "filter_roots.csv")
     lines = ["# kernel=%s g=%s a=%s precision=%s" % (
         kernel, _fmt(config.abscissa), _fmt(config.a), config.precision),
@@ -217,7 +255,9 @@ def cmd_audit(config: RunConfig) -> int:
             raise ConfigError(f"{exc}; the full audit writes spacing "
                               "statistics, so choose claims with --claims"
                               ) from None
-    reports = cl.run_claims(config, catalog, only=only)
+    reports = _fan_out(partial(cl.run_claim, config, catalog),
+                       [c for c in cl.REGISTRY if not only or c in only],
+                       config.threads)
     ledger = ledger_json(reports)
     path = os.path.join(config.out_dir, "audit_ledger.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -283,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abscissa", type=float, default=0.75)
         p.add_argument("--precision", default="double",
                        choices=("double", "double_double"))
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=_usable_cpus())
         p.add_argument("--out", default=".")
         p.add_argument("--cache", default="zerocatalog.txt")
         p.add_argument("--claims", default="",

@@ -96,7 +96,7 @@ class ContourSpec:
             raise ArgumentDomain("t_max and panel_count must be positive")
 
     @staticmethod
-    def default(abscissa: float, energy: float = 0.0) -> "ContourSpec":
+    def default(abscissa: float, energy: float) -> "ContourSpec":
         t_max = max(60.0, 0.5 * abs(energy) + 35.0)
         return ContourSpec(abscissa=abscissa, t_max=t_max,
                            panel_count=max(160, int(2.0 * t_max)))
@@ -135,7 +135,7 @@ def kernel_prefactor(kernel: str) -> complex:
     return 1.0 / (2j * math.pi)
 
 
-def pole_abscissas(kernel: str, span: float = 12.0) -> np.ndarray:
+def pole_abscissas(kernel: str, span: float) -> np.ndarray:
     """Real parts of the kernel's pole ladders within [-span, span]."""
     _check_kernel(kernel)
     ladders = set()

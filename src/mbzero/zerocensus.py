@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,22 +131,15 @@ def _refine_brackets(function: str, brackets: list) -> list:
     return (0.5 * (lo + hi)).tolist()
 
 
-def _scan_slice(function: str, ts: np.ndarray):
-    vals = sf.hardy_Z_vec(function, ts)
-    hits = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    return [(float(ts[i]), float(ts[i + 1])) for i in hits]
-
-
-def scan_zeros(function: str, t_max: float, threads: int = 1,
-               step: float = _SCAN_STEP, _depth: int = 0) -> list:
+def scan_zeros(function: str, t_max: float, step: float = _SCAN_STEP,
+               _depth: int = 0) -> list:
     """All critical-line zeros with ordinate <= t_max, residual < 1e-9.
 
-    The bracketing grid is global and fixed before partitioning.  Every
-    rotated value, on the grid and in the lockstep bisection of the
-    brackets (_refine_brackets), comes from sf.hardy_Z_vec with the
-    per-point Euler-Maclaurin N of the scalar call, so any thread count
-    gives bit-identical records, and every ordinate and residual equals
-    that of bisecting its bracket alone with scalar calls.
+    Every rotated value, on the bracketing grid and in the lockstep
+    bisection of the brackets (_refine_brackets), comes from sf.hardy_Z_vec
+    with the per-point Euler-Maclaurin N of the scalar call, so every
+    ordinate and residual equals that of bisecting its bracket alone with
+    scalar calls.
     """
     if function not in ("zeta", "beta"):
         raise ArgumentDomain(f"unknown function {function!r}")
@@ -158,15 +150,9 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
         return []
     n_pts = max(int(math.ceil((t_max - t_lo) / step)), 2) + 1
     grid = np.linspace(t_lo, t_max, n_pts)
-    bounds = np.linspace(0, n_pts - 1, max(threads, 1) + 1).astype(int)
-    slices = [grid[lo: hi + 1] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = pool.map(lambda ts: _scan_slice(function, ts), slices)
-            brackets = [b for sub in found for b in sub]
-    else:
-        brackets = [b for ts in slices for b in _scan_slice(function, ts)]
-    brackets.sort()
+    vals = sf.hardy_Z_vec(function, grid)
+    brackets = [(float(grid[i]), float(grid[i + 1]))
+                for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
     ordinates = []
     seen = set()
     for t in _refine_brackets(function, brackets):
@@ -183,8 +169,8 @@ def scan_zeros(function: str, t_max: float, threads: int = 1,
     predicted = counting_prediction(function, t_max)
     if abs(len(records) - predicted) > 0.5:
         if _depth < 2:
-            return scan_zeros(function, t_max, threads=threads,
-                              step=0.5 * step, _depth=_depth + 1)
+            return scan_zeros(function, t_max, step=0.5 * step,
+                              _depth=_depth + 1)
         gap_at = max(
             range(len(records) + 1),
             key=lambda i: (records[i].ordinate if i < len(records) else t_max)

@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
+from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -49,7 +52,7 @@ class TestCensusCommand:
         assert (tmp_path / "cat.txt").read_bytes() == blob1
 
     def test_threads2_full_census_bytes(self, tmp_path, capsys):
-        # the catalog bytes pinned in test_zerocensus, through two threads
+        # the catalog bytes pinned in test_zerocensus, at --threads 2
         assert run(["census", "--t-max", "200", "--threads", "2"],
                    tmp_path) == 0
         blob = (tmp_path / "cat.txt").read_bytes()
@@ -276,6 +279,84 @@ class TestRootAcceptance:
         assert code == 3
         assert "not a zero" in capsys.readouterr().err
 
+    def test_same_failure_at_one_and_two_workers(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # three roots, each rejected: the first one's error is reported
+        run(["census", "--function", "beta", "--t-max", "13"], tmp_path)
+        records = zc.catalog_load(str(tmp_path / "cat.txt"))
+        monkeypatch.setattr(zc, "catalog_load", lambda path: records)
+        monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        capsys.readouterr()
+        outcomes = []
+        for threads in ("1", "2"):
+            code = run(["filter-roots", "--function", "beta", "--e-max", "26",
+                        "--precision", "double_double",
+                        "--threads", threads], tmp_path)
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3 and "E = 12.04" in outcomes[0][1]
+
+
+def _pause_or_fail(task):
+    """A fan-out task: sleep, then raise the named error, if any."""
+    seconds, error = task
+    time.sleep(seconds)
+    if error:
+        raise getattr(errors, error)(f"{error} from a worker")
+    return seconds
+
+
+def _never_constructed(*args, **kwargs):
+    raise AssertionError("ProcessPoolExecutor constructed")
+
+
+class TestWorkerProcesses:
+    CHEAP_CLAIMS = ("gamma_reflection,mb_double_pole_circle,trace_class_p2,"
+                    "fredholm_z0.4")
+
+    def test_results_in_input_order(self):
+        tasks = [(0.2, None), (0.0, None), (0.1, None)]
+        assert cli._fan_out(_pause_or_fail, tasks, 3) == [0.2, 0.0, 0.1]
+
+    def test_first_failure_in_input_order_is_raised(self):
+        # the later task fails first in time
+        tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "BasinEscape")]
+        with pytest.raises(errors.NoConvergence, match="from a worker"):
+            cli._fan_out(_pause_or_fail, tasks, 3)
+
+    def test_audit_ledger_bytes_at_any_worker_count(self, tmp_path,
+                                                    zeta_catalog_60, capsys):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
+        ledgers = set()
+        for threads in ("1", "2", "3"):
+            assert run(["audit", "--claims", self.CHEAP_CLAIMS,
+                        "--threads", threads], tmp_path) == 0
+            ledgers.add((tmp_path / "audit_ledger.json").read_bytes())
+        assert len(ledgers) == 1
+
+    def test_double_double_roots_bytes_at_one_and_two_workers(
+            self, tmp_path, capsys):
+        run(["census", "--t-max", "40"], tmp_path)
+        tables = set()
+        for threads in ("1", "2"):
+            assert run(["filter-roots", "--e-max", "80", "--precision",
+                        "double_double", "--threads", threads], tmp_path) == 0
+            tables.add((tmp_path / "filter_roots.csv").read_bytes())
+        assert len(tables) == 1
+        assert b"over 6 roots" in tables.pop()
+
+    def test_one_worker_builds_no_pool(self, tmp_path, zeta_catalog_60,
+                                       capsys, monkeypatch):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", _never_constructed)
+        assert run(["audit", "--claims", self.CHEAP_CLAIMS,
+                    "--threads", "1"], tmp_path) == 0
+        assert run(["filter-roots", "--e-max", "45", "--precision",
+                    "double_double", "--threads", "1"], tmp_path) == 0
+        with pytest.raises(AssertionError, match="constructed"):
+            run(["audit", "--claims", self.CHEAP_CLAIMS, "--threads", "2"],
+                tmp_path)
+
 
 def _env_importing_this_mbzero():
     src = str(Path(mbzero.__file__).resolve().parents[1])
@@ -294,6 +375,16 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mbzero.cli; print(sorted({'concurrent.futures', "
+         "'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_env_importing_this_mbzero(),
+        timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the output check")
 
@@ -308,7 +399,7 @@ class TestUnwritableOutput:
         assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, work", [
-        (["audit"], (cli.cl, "run_claims")),
+        (["audit"], (cli.cl, "run_claim")),
         (["filter-roots", "--precision", "double_double"],
          (cli.mbf, "newton_root_dd")),
         (["stats"], (cli.st, "unfold")),
@@ -376,7 +467,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("threads", ["65", "1000000000"])
     def test_threads_above_bound(self, threads, tmp_path, capsys,
                                  monkeypatch):
-        # scan_zeros would build a threads-sized array and pool
+        # the bound is checked before any work starts
         monkeypatch.setattr(zc, "scan_zeros", _fail_if_called)
         assert run(["census", "--threads", threads], tmp_path) == 5
         assert "[1, 64]" in capsys.readouterr().err
@@ -411,6 +502,18 @@ class TestExitCodeMapping:
                    and issubclass(cls, errors.MbzeroError)}
         assert {name: cls.exit_code for name, cls in classes.items()} == \
             _CLASS_CODES
+
+    @pytest.mark.parametrize("name", sorted(_CLASS_CODES))
+    def test_error_survives_the_process_boundary(self, name):
+        # worker processes send their errors back pickled
+        cls = getattr(errors, name)
+        exc = cls(f"{name} message", pole=-0.5) if cls is errors.PoleInStrip \
+            else cls(f"{name} message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == f"{name} message"
+        assert back.exit_code == _CLASS_CODES[name]
+        assert getattr(back, "pole", None) == getattr(exc, "pole", None)
 
     def test_missed_zero_exit_2(self, tmp_path, capsys, monkeypatch):
         # three zeros below 30: the widest gap runs from the grid start

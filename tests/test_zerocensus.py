@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles as oc
+from mbzero import cli
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
@@ -52,10 +53,14 @@ class TestScanZeros:
             assert a.ordinate < b.ordinate
             assert b.index == a.index + 1
 
-    def test_threads_produce_identical_output(self, zeta_catalog_60):
-        threaded = zc.scan_zeros("zeta", 60.0, threads=4)
-        assert [r.ordinate for r in threaded] == \
-            [r.ordinate for r in zeta_catalog_60]
+    def test_threads_produce_identical_output(self, zeta_catalog_60,
+                                              tmp_path, capsys):
+        # --threads sizes the audit and double-double filter-roots pools;
+        # the census scan is one vector evaluation at any value
+        cache = tmp_path / "cat.txt"
+        assert cli.main(["census", "--t-max", "60", "--threads", "4",
+                         "--cache", str(cache)]) == 0
+        assert cache.read_bytes() == zc.catalog_serialize(zeta_catalog_60)
 
     def test_ceiling_guard(self):
         with pytest.raises(ArgumentDomain):
@@ -125,11 +130,9 @@ class TestLockstepRefinement:
 class TestScanGridValues:
     @settings(max_examples=20, deadline=None)
     @given(function=hst.sampled_from(["zeta", "beta"]),
-           t_max=hst.floats(1.0, 200.0), threads=hst.integers(1, 4),
-           data=hst.data())
-    def test_grid_values_equal_scalar_rotation(self, function, t_max,
-                                               threads, data):
-        # the first `threads` hardy_Z_vec calls are the scan's grid slices
+           t_max=hst.floats(1.0, 200.0), data=hst.data())
+    def test_grid_values_equal_scalar_rotation(self, function, t_max, data):
+        # the first hardy_Z_vec call is the scan's whole grid
         calls = []
         vector = sf.hardy_Z_vec
 
@@ -139,9 +142,8 @@ class TestScanGridValues:
             return values
 
         with mock.patch.object(sf, "hardy_Z_vec", recording):
-            zc.scan_zeros(function, t_max, threads=threads)
-        grid = np.concatenate([t for t, _ in calls[:threads]])
-        values = np.concatenate([v for _, v in calls[:threads]])
+            zc.scan_zeros(function, t_max)
+        grid, values = calls[0]
         assert grid.min() == 0.5 and grid.max() == t_max
         scalar = oc.hardy_Z_for(function)
         for i in data.draw(hst.lists(hst.integers(0, len(grid) - 1),
