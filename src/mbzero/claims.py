@@ -185,9 +185,9 @@ def claim_filter_pairing_beta(config, catalog):
     worst = 0.0
     rows = []
     for r in beta_zeros:
-        rec = mbf.newton_filter_root("beta2s", 2.0 * r.ordinate + 0.05, scale)
-        gap = abs(2.0 * rec.ordinate - 2.0 * r.ordinate)
-        rows.append((2.0 * rec.ordinate, r.ordinate, gap))
+        e = mbf.newton_filter_root("beta2s", 2.0 * r.ordinate + 0.05, scale)
+        gap = abs(e - 2.0 * r.ordinate)
+        rows.append((e, r.ordinate, gap))
         worst = max(worst, gap)
     return _report("filter_zero_pairing_beta", worst, 0.0, worst, 1e-8,
                    "Newton roots of the beta filter pair with 2 t_n",

@@ -23,6 +23,7 @@ import argparse
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -102,12 +103,21 @@ def _usable_cpus() -> int:
     return min(n, _MAX_THREADS)
 
 
+def _os_threads() -> set:
+    """This process's OS thread ids; empty where /proc is missing."""
+    tasks = "/proc/self/task"
+    return set(os.listdir(tasks)) if os.path.isdir(tasks) else set()
+
+
 def _fan_out(fn, items, workers: int) -> list:
     """[fn(x) for x in items] over up to `workers` forked processes.
 
     Results come back in input order and the first failure in input order
     is raised, so outputs, stderr and exit code are the serial loop's.  One
-    worker runs the loop in this process, with no pool.
+    worker runs the loop in this process, with no pool.  A joined pool
+    thread can outlive its join at the OS level, and a later fork beside it
+    warns on Python 3.12+, so this returns once every thread the pool
+    started has exited (waiting at most a second).
     """
     workers = min(workers, len(items))
     if workers <= 1:
@@ -115,8 +125,14 @@ def _fan_out(fn, items, workers: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, items))
+    before = _os_threads()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        deadline = time.monotonic() + 1.0
+        while _os_threads() - before and time.monotonic() < deadline:
+            time.sleep(1e-4)
 
 
 def _load_catalog(config) -> list:
@@ -163,10 +179,8 @@ def cmd_filter_roots(config: RunConfig) -> int:
         roots = _fan_out(partial(_dd_root, kernel, scale), guesses,
                          config.threads)
     else:
-        roots = []
-        for guess in guesses:
-            e_val = 2.0 * mbf.newton_filter_root(kernel, guess, scale).ordinate
-            roots.append((_fmt(e_val), e_val))
+        e_vals = [mbf.newton_filter_root(kernel, g, scale) for g in guesses]
+        roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
             for (e_str, e_val), t in zip(roots, ordinates)]
     out_path = os.path.join(config.out_dir, "filter_roots.csv")

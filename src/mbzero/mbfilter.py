@@ -208,7 +208,7 @@ def arithmetic_factor(kernel: str, z: complex) -> complex:
     return sf.zeta(z) if kernel == "zeta2s" else sf.dirichlet_beta(z)
 
 
-def _dressing_log(kernel: str, point: SpectralPoint, a: float) -> complex:
+def _dressing_log(point: SpectralPoint, a: float) -> complex:
     """log of the never-vanishing factor multiplying L(2 s0) in the filter."""
     s0, nu = point.s0, point.nu
     return (sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
@@ -366,7 +366,7 @@ def spectral_filter(kernel: str, energy: float, scale: KernelScale) -> complex:
     _check_kernel(kernel)
     point = SpectralPoint(energy)
     norm = kernel_prefactor(kernel) * 2j * math.pi
-    dress = cmath.exp(_dressing_log(kernel, point, scale.a))
+    dress = cmath.exp(_dressing_log(point, scale.a))
     return norm * dress * arithmetic_factor(kernel, 2.0 * point.s0)
 
 
@@ -380,7 +380,7 @@ def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
     h = 1e-6
     point = SpectralPoint(energy)
     s0, nu = point.s0, point.nu
-    dress = cmath.exp(_dressing_log(kernel, point, scale.a))
+    dress = cmath.exp(_dressing_log(point, scale.a))
     lval = arithmetic_factor(kernel, 2.0 * s0)
     lp = (arithmetic_factor(kernel, 2.0 * s0 + 1j * h)
           - arithmetic_factor(kernel, 2.0 * s0 - 1j * h)) / (2j * h)
@@ -465,23 +465,15 @@ def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale):
     return root
 
 
-def newton_filter_root(kernel: str, e_guess: float, scale: KernelScale,
-                       precision: str = "double") -> zc.ZeroRecord:
-    """Newton iteration in E on the spectral filter from e_guess.
-
-    The root is accepted when |L(1/2 + iE/2)| < 1e-8; with
-    precision="double_double" it is found by newton_root_dd and rounded.
-    """
+def newton_filter_root(kernel: str, e_guess: float,
+                       scale: KernelScale) -> float:
+    """The root energy E of Newton in E on the spectral filter from
+    e_guess, accepted when |L(1/2 + iE/2)| < 1e-8."""
     _check_kernel(kernel)
-    if precision == "double_double":
-        e = float(newton_root_dd(kernel, e_guess, scale))
-    else:
-        e = _newton(lambda x: _filter_with_derivative(kernel, x, scale),
-                    float(e_guess), 1e-12)
-    return zc.ZeroRecord(index=0, ordinate=0.5 * e,
-                         residual=_root_residual(kernel, e),
-                         function="zeta" if kernel == "zeta2s" else "beta",
-                         method="filter_root")
+    e = _newton(lambda x: _filter_with_derivative(kernel, x, scale),
+                float(e_guess), 1e-12)
+    _root_residual(kernel, e)
+    return e
 
 
 def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
@@ -492,9 +484,12 @@ def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
         raise ArgumentDomain("the bijection audit needs a zeta catalog, "
                              f"not a {catalog[0].function} one")
     e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
-    roots = [2.0 * newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05, scale,
-                                      precision=precision).ordinate
-             for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
+    guesses = [2.0 * r.ordinate + 0.05
+               for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
+    if precision == "double_double":
+        roots = [float(newton_root_dd("zeta2s", g, scale)) for g in guesses]
+    else:
+        roots = [newton_filter_root("zeta2s", g, scale) for g in guesses]
     return zc.bijection_audit(catalog, roots, e_max)
 
 

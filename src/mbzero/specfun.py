@@ -5,10 +5,11 @@ Re s = 1/2.  log_gamma_vec evaluates it over an array of nodes and is
 bit-identical to the scalar log_gamma: it replays CPython 3.10-3.13
 complex arithmetic in real numpy operations with cmath log/exp per
 element.  Python 3.14 changes the mixed float/complex rules; the
-bit-equality property test guards that.  Zeta and beta use
-Euler-Maclaurin continuation with truncation scaled to |Im s| (the
-largest of a vector call, or each point's own in critical_line_values)
-and Bernoulli corrections through order 12.
+bit-equality property test guards that.
+Zeta and beta = 4^{-s}[zeta(s, 1/4) - zeta(s, 3/4)] are one Euler-Maclaurin
+sum (_em_core) with Bernoulli corrections through order 12 and N scaled to
+the largest |Im s| of a call, or to each point's own in critical_line_values,
+where points sharing N share one head sum and one log(N + a).
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
 (0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped with
@@ -19,6 +20,7 @@ call.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,15 +55,12 @@ _LANCZOS_C = (
 )
 _SQRT_2PI = 2.5066282746310005
 
-# B_2 .. B_12: the Euler-Maclaurin corrections through order 12
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-)
+# B_2 .. B_12: the Euler-Maclaurin corrections through order 12, and
+# B_2j / (2j)! as the tail uses them
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+              -691.0 / 2730.0)
+_EM_COEFFS = tuple(b / math.factorial(2 * j)
+                   for j, b in enumerate(_BERNOULLI, 1))
 
 _POLE_MARGIN = 1e-12
 
@@ -265,66 +264,72 @@ class ArgTracker:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin zeta / Hurwitz zeta
+# Euler-Maclaurin zeta, Hurwitz zeta and beta
 # ---------------------------------------------------------------------------
 
 def _em_truncation(im_max: float) -> int:
     return max(24, int(1.4 * abs(im_max)) + 16)
 
 
-def _em_truncations(s: np.ndarray):
-    """Each point's N as the scalar zeta/dirichlet_beta picks it for that
-    point alone, or the one N when every point gets the same."""
-    ns = [_em_truncation(y) for y in s.imag.tolist()]
-    return ns[0] if min(ns) == max(ns) else ns
+def _em_power(e: np.ndarray, log_x: list) -> np.ndarray:
+    """exp(e log x) for one shift, or its difference over two shifts."""
+    if len(log_x) == 1:
+        return np.exp(e * log_x[0])
+    return np.exp(e * log_x[0]) - np.exp(e * log_x[1])
 
 
-def _em_head(s: np.ndarray, n_trunc, terms) -> np.ndarray:
-    """Euler-Maclaurin head sums; terms(z, n) gives the terms k < n at z.
+def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False) -> np.ndarray:
+    """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
+    zeta(s, b) for shifts = (a, b), over a 1-d complex array of s:
 
-    A shared N (an int) sums every row in one np.sum(axis=1).  A list
-    gives each point its own N: the point's first N terms are summed on
-    their own, so numpy's pairwise summation groups them as it does for a
-    one-point call, and the value equals the scalar one bit for bit.
-    """
-    if isinstance(n_trunc, int):
-        return np.sum(terms(s[:, None], n_trunc), axis=1)
-    return np.array([terms(z, n).sum() for z, n in zip(s, n_trunc)])
-
-
-def _em_log(n_trunc, a: float):
-    """log(N + a) at the truncation point: a float, or one per point."""
-    if isinstance(n_trunc, int):
-        return math.log(n_trunc + a)
-    return np.array([math.log(n + a) for n in n_trunc])
-
-
-def _hurwitz_core(s_arr: np.ndarray, a: float, n_trunc=None) -> np.ndarray:
-    """Euler-Maclaurin Hurwitz zeta(s, a) over a 1-d array of s.
-
-    head(n=0..N-1) + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
+    head(n=0..N-1) + pole + (N+a)^{-s}/2
                    + sum_j B_{2j}/(2j)! (s)_{2j-1} (N+a)^{-s-2j+1}
-    Valid for Re s > -1, s != 1; pairwise summation via np.sum.
-    By default every point shares the N of the largest |Im s|.  n_trunc
-    from _em_truncations gives each point its own N instead (see
-    _em_head); the tail is elementwise either way, with log(N + a) per
-    point, so each value equals the scalar call at that point.
+
+    with each power of n + a differenced over two shifts.  Only the pole
+    term branches: (N+a)^{1-s}/(s-1) for one shift, an entire expm1 form
+    for two.  Valid for Re s > -1, and s != 1 with one shift.
+
+    N is that of the largest |Im s|, or with pointwise each point's own.
+    A run of consecutive points with one N (one run per N when |Im s| is
+    sorted, as the census passes it) sums its head in one .sum(axis=1),
+    pairwise per row as for one point, and takes log(N + a) once, so each
+    value equals the scalar call bit for bit.
     """
-    s = np.atleast_1d(np.asarray(s_arr, dtype=complex))
-    if n_trunc is None:
-        n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
-    width = n_trunc if isinstance(n_trunc, int) else max(n_trunc)
-    log_pts = np.log(np.arange(width, dtype=float) + a)
-    head = _em_head(s, n_trunc, lambda z, n: np.exp(-z * log_pts[:n]))
-    logx0 = _em_log(n_trunc, a)
-    tail = np.exp((1.0 - s) * logx0) / (s - 1.0)
-    tail += 0.5 * np.exp(-s * logx0)
-    poch = s.copy()
-    m_terms = len(_BERNOULLI)
-    for j in range(1, m_terms + 1):
-        coeff = _BERNOULLI[j - 1] / math.factorial(2 * j)
-        tail += coeff * poch * np.exp((-s - (2 * j - 1)) * logx0)
-        if j < m_terms:
+    if pointwise:
+        runs = [(n, len(list(group))) for n, group in itertools.groupby(
+            _em_truncation(y) for y in s.imag.tolist())]
+    else:
+        runs = [(_em_truncation(float(np.max(np.abs(s.imag)))), len(s))]
+    ns, counts = zip(*runs)
+    logs = [np.log(np.arange(max(ns), dtype=float) + a) for a in shifts]
+    e, heads, lo = -s[:, None], [], 0
+    for n, k in runs:
+        heads.append(_em_power(e[lo:lo + k], [x[:n] for x in logs])
+                     .sum(axis=1))
+        lo += k
+    if len(runs) == 1:
+        head, log_x = heads[0], [math.log(ns[0] + a) for a in shifts]
+    else:
+        head = np.concatenate(heads)
+        log_x = [np.repeat([math.log(n + a) for n in ns], counts)
+                 for a in shifts]
+    if len(shifts) == 1:
+        tail = np.exp((1.0 - s) * log_x[0]) / (s - 1.0)
+    else:
+        # (xa^{1-s} - xb^{1-s})/(s-1) = xa^{1-s} (lb-la) (e^w - 1)/w,
+        # w = (1-s)(lb-la); (e^w - 1)/w is entire, series below |w| = 1e-4
+        la, lb = log_x
+        w = (1.0 - s) * (lb - la)
+        small = np.abs(w) < 1e-4
+        w_safe = np.where(small, 1.0, w)
+        phi = np.where(small, 1.0 + w / 2.0 + w * w / 6.0,
+                       (np.exp(w_safe) - 1.0) / w_safe)
+        tail = np.exp((1.0 - s) * la) * (lb - la) * phi
+    tail += 0.5 * _em_power(-s, log_x)
+    poch = s
+    for j, coeff in enumerate(_EM_COEFFS, 1):
+        tail += coeff * poch * _em_power(-s - (2 * j - 1), log_x)
+        if j < len(_EM_COEFFS):
             poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
     return head + tail
 
@@ -338,7 +343,7 @@ def zeta(s) -> complex:
     s = _require_finite(s)
     if abs(s - 1.0) <= 1e-10:
         raise PoleProximity("zeta pole at s = 1")
-    return complex(_hurwitz_core(np.array([s]), 1.0)[0])
+    return complex(_em_core(np.array([s]), (1.0,))[0])
 
 
 def zeta_vec(s: np.ndarray) -> np.ndarray:
@@ -346,7 +351,7 @@ def zeta_vec(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if np.any(np.abs(s - 1.0) <= 1e-10):
         raise PoleProximity("zeta pole at s = 1 inside vector argument")
-    return _hurwitz_core(s.ravel(), 1.0).reshape(s.shape)
+    return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
 
 
 def zeta_shifted(s) -> complex:
@@ -354,45 +359,12 @@ def zeta_shifted(s) -> complex:
     s = _require_finite(s)
     if abs(s - 1.0) <= 1e-13:
         return 1.0 + 0.0j
-    return (s - 1.0) * complex(_hurwitz_core(np.array([s]), 1.0)[0])
+    return (s - 1.0) * complex(_em_core(np.array([s]), (1.0,))[0])
 
 
-def _beta_core(s_arr: np.ndarray, n_trunc=None) -> np.ndarray:
-    """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] with the s = 1 poles cancelled.
-
-    The two Euler-Maclaurin tails share a truncation point, so the
-    (x^{1-s} - y^{1-s})/(s-1) difference can be taken in expm1 form and
-    beta stays entire numerically as well.  n_trunc is as in
-    _hurwitz_core.
-    """
-    s = np.atleast_1d(np.asarray(s_arr, dtype=complex))
-    if n_trunc is None:
-        n_trunc = _em_truncation(float(np.max(np.abs(s.imag))))
-    width = n_trunc if isinstance(n_trunc, int) else max(n_trunc)
-    base = np.arange(width, dtype=float)
-    log_a = np.log(base + 0.25)
-    log_b = np.log(base + 0.75)
-    head = _em_head(s, n_trunc, lambda z, n: np.exp(-z * log_a[:n])
-                    - np.exp(-z * log_b[:n]))
-    la, lb = _em_log(n_trunc, 0.25), _em_log(n_trunc, 0.75)
-    # (xa^{1-s} - xb^{1-s})/(s-1) = xa^{1-s} (lb-la) (e^w - 1)/w,
-    # w = (1-s)(lb-la); (e^w - 1)/w is entire, series below |w| = 1e-4
-    w = (1.0 - s) * (lb - la)
-    small = np.abs(w) < 1e-4
-    w_safe = np.where(small, 1.0, w)
-    phi = np.where(small, 1.0 + w / 2.0 + w * w / 6.0,
-                   (np.exp(w_safe) - 1.0) / w_safe)
-    tail = np.exp((1.0 - s) * la) * (lb - la) * phi
-    tail += 0.5 * (np.exp(-s * la) - np.exp(-s * lb))
-    poch = s.copy()
-    m_terms = len(_BERNOULLI)
-    for j in range(1, m_terms + 1):
-        coeff = _BERNOULLI[j - 1] / math.factorial(2 * j)
-        tail += coeff * poch * (np.exp((-s - (2 * j - 1)) * la)
-                                - np.exp((-s - (2 * j - 1)) * lb))
-        if j < m_terms:
-            poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
-    return np.exp(-s * math.log(4.0)) * (head + tail)
+def _beta_core(s: np.ndarray, pointwise: bool = False) -> np.ndarray:
+    """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] on the _em_core engine."""
+    return np.exp(-s * math.log(4.0)) * _em_core(s, (0.25, 0.75), pointwise)
 
 
 def dirichlet_beta(s) -> complex:
@@ -462,9 +434,9 @@ def critical_line_values(function: str, t) -> np.ndarray:
     s = np.empty(t.shape, dtype=complex)
     s.real, s.imag = 0.5, t
     if function == "zeta":
-        return _hurwitz_core(s, 1.0, n_trunc=_em_truncations(s))
+        return _em_core(s, (1.0,), pointwise=True)
     if function == "beta":
-        return _beta_core(s, n_trunc=_em_truncations(s))
+        return _beta_core(s, pointwise=True)
     raise ArgumentDomain(f"unknown function tag {function!r}")
 
 

@@ -387,7 +387,7 @@ def hurwitz_zeta(s, a: float) -> complex:
     s = sf._require_finite(s)
     if abs(s - 1.0) <= 1e-10:
         raise PoleProximity("Hurwitz zeta pole at s = 1")
-    return complex(sf._hurwitz_core(np.array([s]), a)[0])
+    return complex(sf._em_core(np.array([s]), (a,))[0])
 
 
 def residue_at_pole(kernel: str, energy: float, scale: mbf.KernelScale,

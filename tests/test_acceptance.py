@@ -49,11 +49,10 @@ def test_criterion_2_appendix_filter_roots():
     worst_dd = 0.0
     for frozen in oc.BETA_ORDINATES:
         t_ref = float(frozen)
-        rec = mbf.newton_filter_root("beta2s", 2.0 * t_ref + 0.04, A02)
-        worst_double = max(worst_double, abs(2.0 * rec.ordinate - 2.0 * t_ref))
-        rec_dd = mbf.newton_filter_root("beta2s", 2.0 * t_ref + 0.04, A02,
-                                        precision="double_double")
-        worst_dd = max(worst_dd, abs(2.0 * rec_dd.ordinate - 2.0 * t_ref))
+        e = mbf.newton_filter_root("beta2s", 2.0 * t_ref + 0.04, A02)
+        worst_double = max(worst_double, abs(e - 2.0 * t_ref))
+        e_dd = float(mbf.newton_root_dd("beta2s", 2.0 * t_ref + 0.04, A02))
+        worst_dd = max(worst_dd, abs(e_dd - 2.0 * t_ref))
     elapsed = time.monotonic() - t0
     ok = worst_double < 1e-8 and worst_dd < 1e-10 and elapsed < 120.0
     _line(2, "Appendix-D filter reproduction", ok,
@@ -65,9 +64,8 @@ def test_criterion_2_appendix_filter_roots():
 
 def test_criterion_3_bijection(zeta_catalog_60):
     t0 = time.monotonic()
-    roots = [2.0 * mbf.newton_filter_root(
-        "zeta2s", 2.0 * r.ordinate + 0.05, A02).ordinate
-        for r in zeta_catalog_60 if 2.0 * r.ordinate <= 60.5]
+    roots = [mbf.newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05, A02)
+             for r in zeta_catalog_60 if 2.0 * r.ordinate <= 60.5]
     audit = zc.bijection_audit(zeta_catalog_60, roots, 60.0)
     elapsed = time.monotonic() - t0
     ok = audit.verdict == "pass" and all(d == 0 for d in audit.delta_values) \

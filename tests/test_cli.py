@@ -324,6 +324,25 @@ class TestWorkerProcesses:
         with pytest.raises(errors.NoConvergence, match="from a worker"):
             cli._fan_out(_pause_or_fail, tasks, 3)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="counts threads through /proc/self/stat")
+    def test_back_to_back_pools_fork_single_threaded(self):
+        # /proc/self/stat field 20 is the OS thread count that Python 3.12+
+        # checks at fork; the warm-up fan-out also lets OpenBLAS shut its
+        # thread pool down, as it does at a process's first fork
+        def os_threads():
+            with open("/proc/self/stat", "rb") as fh:
+                return int(fh.read().rsplit(b")", 1)[1].split()[17])
+
+        tasks = [(0.0, None)] * 2
+        cli._fan_out(_pause_or_fail, tasks, 2)
+        counts = []
+        os.register_at_fork(before=lambda: counts.append(os_threads()))
+        for _ in range(20):
+            assert cli._fan_out(_pause_or_fail, tasks, 2) == [0.0, 0.0]
+        assert len(counts) >= 40
+        assert set(counts) == {1}
+
     def test_audit_ledger_bytes_at_any_worker_count(self, tmp_path,
                                                     zeta_catalog_60, capsys):
         zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)

@@ -304,25 +304,23 @@ class TestHadamardFinitePart:
 
 class TestNewtonFilterRoot:
     def test_beta_first_root(self):
-        rec = mbf.newton_filter_root("beta2s", 12.0, A02)
+        e = mbf.newton_filter_root("beta2s", 12.0, A02)
         want = 2.0 * float(oc.BETA_ORDINATES[0][:20])
-        assert abs(2.0 * rec.ordinate - want) < 1e-8
-        assert rec.method == "filter_root"
+        assert abs(e - want) < 1e-8
 
     def test_beta_second_root(self):
-        rec = mbf.newton_filter_root("beta2s", 20.5, A02)
-        assert abs(2.0 * rec.ordinate - 20.487540608) < 1e-8
+        e = mbf.newton_filter_root("beta2s", 20.5, A02)
+        assert abs(e - 20.487540608) < 1e-8
 
     def test_zeta_first_root(self, zeta_catalog_60):
         t1 = zeta_catalog_60[0].ordinate
-        rec = mbf.newton_filter_root("zeta2s", 28.3, A02)
-        assert abs(2.0 * rec.ordinate - 2.0 * t1) < 1e-7
+        e = mbf.newton_filter_root("zeta2s", 28.3, A02)
+        assert abs(e - 2.0 * t1) < 1e-7
 
     def test_double_double_tightens(self):
-        rec = mbf.newton_filter_root("beta2s", 12.0, A02,
-                                     precision="double_double")
+        e = float(mbf.newton_root_dd("beta2s", 12.0, A02))
         want = 2.0 * float(oc.BETA_ORDINATES[0][:22])
-        assert abs(2.0 * rec.ordinate - want) < 1e-10
+        assert abs(e - want) < 1e-10
 
     def test_dressed_filter_value_is_no_root_test(self):
         # at E = 60, far from any root, the dressing alone pushes |F| below
@@ -335,8 +333,10 @@ class TestNewtonFilterRoot:
     def test_residual_above_limit_is_no_convergence(self, precision,
                                                      monkeypatch):
         monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        root = {"double": mbf.newton_filter_root,
+                "double_double": mbf.newton_root_dd}[precision]
         with pytest.raises(NoConvergence, match="not a zero"):
-            mbf.newton_filter_root("beta2s", 12.0, A02, precision=precision)
+            root("beta2s", 12.0, A02)
 
     def test_dd_root_keeps_full_precision(self):
         root = mbf.newton_root_dd("beta2s", 12.0, A02)
@@ -351,8 +351,8 @@ class TestNewtonFilterRoot:
         # every Newton root pairs with an ordinate, and conversely
         roots = [mbf.newton_filter_root("beta2s", 2 * r.ordinate + 0.05, A02)
                  for r in beta_catalog]
-        for rec, cat in zip(roots, beta_catalog):
-            assert abs(2.0 * rec.ordinate - 2.0 * cat.ordinate) < 1e-8
+        for e, cat in zip(roots, beta_catalog):
+            assert abs(e - 2.0 * cat.ordinate) < 1e-8
 
 
 class TestScaleLimits:

@@ -498,10 +498,9 @@ class TestPointwise:
         # off the line, through the cores with the per-point N
         s = np.array([complex(re, t) for t in heights])
         assume(np.all(np.abs(s - 1.0) > 1e-10))
-        n_trunc = sf._em_truncations(s)
-        assert np.array_equal(_bits(sf._hurwitz_core(s, 1.0, n_trunc=n_trunc)),
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), pointwise=True)),
                               _bits([sf.zeta(z) for z in s]))
-        assert np.array_equal(_bits(sf._beta_core(s, n_trunc=n_trunc)),
+        assert np.array_equal(_bits(sf._beta_core(s, pointwise=True)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
     @settings(max_examples=150, deadline=None)
@@ -530,23 +529,60 @@ class TestPointwise:
     @given(hst.lists(hst.builds(complex, _STRIP_RE, hst.floats(-120.0, 120.0)),
                      min_size=1, max_size=16))
     def test_shared_n_vector_calls_unchanged(self, points):
-        # a list of equal N takes the per-point head: it must equal the
-        # one np.sum(axis=1) of the shared-N call, and a shared-N array
-        # equals the scalar loop
+        # a shared-N call sums its rows in one np.sum(axis=1): each row
+        # equals that row summed beside the point that sets N alone, and
+        # the points whose own N is the shared one equal the scalar loop
         s = np.array(points)
         assume(np.all(np.abs(s - 1.0) > 1e-10))
-        n = sf._em_truncation(float(np.max(np.abs(s.imag))))
-        assert np.array_equal(
-            _bits(sf.zeta_vec(s)),
-            _bits(sf._hurwitz_core(s, 1.0, n_trunc=[n] * len(s))))
-        assert np.array_equal(
-            _bits(sf.dirichlet_beta_vec(s)),
-            _bits(sf._beta_core(s, n_trunc=[n] * len(s))))
+        top = s[np.argmax(np.abs(s.imag))]
+        n = sf._em_truncation(top.imag)
         shared = s[[sf._em_truncation(y) == n for y in s.imag]]
         for vec, scalar in ((sf.zeta_vec, sf.zeta),
                             (sf.dirichlet_beta_vec, sf.dirichlet_beta)):
+            assert np.array_equal(
+                _bits(vec(s)), _bits([vec(np.array([z, top]))[0] for z in s]))
             assert np.array_equal(_bits(vec(shared)),
                                   _bits([scalar(z) for z in shared]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(hst.one_of(hst.floats(-5.7, 5.7),
+                                hst.floats(-200.0, 200.0)),
+                     min_size=1, max_size=12),
+           hst.floats(-0.9, 3.5, exclude_min=True, exclude_max=True))
+    def test_colliding_n_groups_equal_scalar(self, heights, re):
+        # near-duplicate pairs (t, t + 0.01) share N, and every |t| below
+        # 5.7 takes the N = 24 floor, so the pointwise head sums runs of
+        # several rows, each equal to the scalar call
+        t = [y for x in heights for y in (x, x + 0.01)]
+        ns = [sf._em_truncation(y) for y in t]
+        assume(len(set(ns)) < len(ns))
+        s = np.array([complex(re, y) for y in t])
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        line = [complex(0.5, y) for y in t]
+        assert np.array_equal(_bits(sf.critical_line_values("zeta", t)),
+                              _bits([sf.zeta(z) for z in line]))
+        assert np.array_equal(_bits(sf.critical_line_values("beta", t)),
+                              _bits([sf.dirichlet_beta(z) for z in line]))
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), pointwise=True)),
+                              _bits([sf.zeta(z) for z in s]))
+        assert np.array_equal(_bits(sf._beta_core(s, pointwise=True)),
+                              _bits([sf.dirichlet_beta(z) for z in s]))
+
+    @pytest.mark.parametrize("s, want_re, want_im", [
+        (1.0 + 0j, "0x1.921fb54442d19p-1", "0x0.0p+0"),
+        (complex(1 + 1e-7, 0), "0x1.921fb5e9f643ep-1", "0x0.0p+0"),
+        (complex(1 - 3e-7, 2e-7), "0x1.921fb35328774p-1",
+         "0x1.4b66eaaae7433p-25"),
+        (complex(1, -8e-7), "0x1.921fb54442ed5p-1", "-0x1.4b66e5760d9c3p-23"),
+    ])
+    def test_beta_series_branch_near_one_frozen(self, s, want_re, want_im):
+        # within 1e-6 of s = 1 the pole difference takes its series branch
+        # (|w| < 1e-4); values frozen from the separate-core implementation
+        want = complex(float.fromhex(want_re), float.fromhex(want_im))
+        for got in (sf.dirichlet_beta(s),
+                    sf.dirichlet_beta_vec(np.array([s]))[0],
+                    sf._beta_core(np.array([s, s + 10j]), pointwise=True)[0]):
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_hardy_rotation_residue_names_first_point(self, monkeypatch):
         monkeypatch.setattr(sf, "riemann_siegel_theta_vec", np.zeros_like)
