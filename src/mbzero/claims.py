@@ -1,8 +1,9 @@
 """Registry of audited identities for the ledger.
 
-Each claim is a callable (config, catalog) -> AuditReport.  The registry
-is ordered and deterministic: identical configuration and catalog produce
-a byte-identical ledger.
+Each claim is a callable (config, catalog) -> AuditReport, where config is
+the parsed `audit` command line (claims read its a, e_max and t_max) and
+catalog is a zeta catalog.  The registry is ordered and deterministic:
+identical configuration and catalog produce a byte-identical ledger.
 """
 
 from __future__ import annotations

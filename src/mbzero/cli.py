@@ -1,12 +1,14 @@
 """Command-line driver.
 
-Subcommands: census, filter-roots, bijection, stats, audit, cache.
-Numbers are serialized at 17 significant digits (32 in double-double
-mode, tagged per row); identical configuration and cache produce
-byte-identical outputs at any --threads value from 1 to 64.  --threads is
-the number of worker processes that `audit` runs its claims in and
-double-double `filter-roots` its Newton roots in; it defaults to the
-usable CPU count, and 1 runs everything in this process.
+Subcommands: census, filter-roots, bijection, stats, audit, cache.  Each
+accepts only the flags it reads, declared once in `_FLAGS` (census also
+keeps --threads, unread); any other flag is a usage error.  Numbers are
+serialized at 17 significant digits (32 in double-double mode, tagged per
+row); identical configuration and cache produce byte-identical outputs at
+any --threads value from 1 to 64.  --threads is the number of worker
+processes that `audit` runs its claims in and double-double `filter-roots`
+its Newton roots in; it defaults to the usable CPU count, and 1 runs
+everything in this process.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
@@ -24,7 +26,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,51 +44,6 @@ EXIT_CACHE = 6
 
 # audit and double-double filter-roots fork at most this many workers
 _MAX_THREADS = 64
-
-# commands that write files into --out
-_WRITES_OUT = ("filter-roots", "stats", "audit")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    function: str = "zeta"
-    t_max: float = 60.0
-    e_max: float = 60.0
-    a: float = 0.2
-    abscissa: float = 0.75
-    precision: str = "double"
-    out_dir: str = "."
-    cache_path: str = "zerocatalog.txt"
-    threads: int = 1
-    claims: tuple = ()
-
-    def validate(self):
-        if self.function not in ("zeta", "beta"):
-            raise ConfigError(f"--function must be zeta or beta, got {self.function}")
-        if self.command == "bijection" and self.function != "zeta":
-            raise ConfigError(f"--function {self.function}: bijection is a "
-                              "zeta-only audit (the Guinand-Weil count is zeta's)")
-        if not (0.0 < self.t_max <= 200.0):
-            raise ConfigError("--t-max must be in (0, 200]")
-        if not (0.0 < self.e_max <= 400.0):
-            raise ConfigError("--e-max must be in (0, 400]")
-        if self.command == "bijection" and not self.e_max >= 4.0:
-            raise ConfigError("--e-max must be >= 4 for bijection (the "
-                              "Guinand-Weil count starts at E = 4)")
-        if not (0.0 < self.a < 1.0):
-            raise ConfigError("--a must be in (0, 1)")
-        if not (-8.0 < self.abscissa < 8.0):
-            raise ConfigError("--abscissa out of range (-8, 8)")
-        if self.precision not in ("double", "double_double"):
-            raise ConfigError("--precision must be double or double_double")
-        if not (1 <= self.threads <= _MAX_THREADS):
-            raise ConfigError(f"--threads must be in [1, {_MAX_THREADS}]")
-        unknown = [c for c in self.claims if c not in cl.REGISTRY]
-        if unknown:
-            raise ConfigError(f"unknown claims: {', '.join(unknown)}; "
-                              f"known: {', '.join(sorted(cl.REGISTRY))}")
-
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -135,23 +91,27 @@ def _fan_out(fn, items, workers: int) -> list:
             time.sleep(1e-4)
 
 
-def _load_catalog(config) -> list:
-    if not os.path.isfile(config.cache_path):
-        raise FileNotFoundError(f"catalog {config.cache_path} not found or "
+def _load_catalog(config, function: str = None) -> list:
+    if not os.path.isfile(config.cache):
+        raise FileNotFoundError(f"catalog {config.cache} not found or "
                                 "not a file; run `mbzero census` first")
-    return zc.catalog_load(config.cache_path)
+    records = zc.catalog_load(config.cache)
+    if function and records[0].function != function:
+        raise ConfigError(f"{config.command} needs a {function} catalog, not "
+                          f"the {records[0].function} catalog {config.cache}")
+    return records
 
 
-def cmd_census(config: RunConfig) -> int:
+def cmd_census(config) -> int:
     records = zc.scan_zeros(config.function, config.t_max)
     if records:
-        zc.catalog_store(config.cache_path, records)
+        zc.catalog_store(config.cache, records)
     print(f"# {config.function} zeros with ordinate <= {_fmt(config.t_max)}")
     print(f"{'index':>5}  {'ordinate':>24}  {'residual':>12}")
     for r in records:
         print(f"{r.index:>5}  {_fmt(r.ordinate):>24}  {r.residual:>12.3e}")
     print(f"# {len(records)} records"
-          + (f" -> {config.cache_path}" if records else " (no file written)"))
+          + (f" -> {config.cache}" if records else " (no file written)"))
     return EXIT_OK
 
 
@@ -162,11 +122,8 @@ def _dd_root(kernel: str, scale: mbf.KernelScale, guess: float) -> tuple:
     return mp.nstr(root, 32), float(root)
 
 
-def cmd_filter_roots(config: RunConfig) -> int:
-    catalog = _load_catalog(config)
-    if catalog[0].function != config.function:
-        raise ConfigError(f"--function {config.function} does not match the "
-                          f"{catalog[0].function} catalog {config.cache_path}")
+def cmd_filter_roots(config) -> int:
+    catalog = _load_catalog(config, config.function)
     kernel = "beta2s" if config.function == "beta" else "zeta2s"
     scale = mbf.KernelScale(config.a)
     ordinates = []
@@ -183,7 +140,7 @@ def cmd_filter_roots(config: RunConfig) -> int:
         roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
             for (e_str, e_val), t in zip(roots, ordinates)]
-    out_path = os.path.join(config.out_dir, "filter_roots.csv")
+    out_path = os.path.join(config.out, "filter_roots.csv")
     lines = ["# kernel=%s g=%s a=%s precision=%s" % (
         kernel, _fmt(config.abscissa), _fmt(config.a), config.precision),
         "E_root,paired_ordinate,abs_gap,precision"]
@@ -198,10 +155,13 @@ def cmd_filter_roots(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bijection(config: RunConfig) -> int:
+def cmd_bijection(config) -> int:
+    if not config.e_max >= 4.0:
+        raise ConfigError("--e-max must be >= 4 for bijection (the "
+                          "Guinand-Weil count starts at E = 4)")
     catalog = _load_catalog(config)
     audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
-                                 config.e_max, config.precision)
+                                 config.e_max)
     print(f"{'E':>12}  {'N_H':>4}  {'N_zeta':>6}  {'Delta':>5}")
     for e, nh, nz, d in zip(audit.E_grid, audit.N_H_values,
                             audit.N_zeta_values, audit.delta_values):
@@ -210,7 +170,7 @@ def cmd_bijection(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _emit_stats(config: RunConfig, spectrum) -> None:
+def _emit_stats(config, spectrum) -> None:
     spacings = spectrum.spacings
     edges = np.arange(0.0, 3.2001, 0.2)
     counts, _ = np.histogram(spacings, bins=edges)
@@ -218,7 +178,7 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
     centers = 0.5 * (edges[1:] + edges[:-1])
     wd = st.wigner_dyson_pdf(centers)
     n_zeros = len(spectrum.raw)
-    hist_path = os.path.join(config.out_dir, "spacing_histogram.csv")
+    hist_path = os.path.join(config.out, "spacing_histogram.csv")
     with open(hist_path, "w", encoding="utf-8") as fh:
         fh.write(f"# unfolded nearest-neighbor spacings, {n_zeros} zeros\n")
         fh.write("s_center,empirical_density,wigner_dyson\n")
@@ -227,13 +187,13 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
     omega = np.arange(0.25, 3.0001, 0.125)
     est = st.pair_correlation_estimate(spectrum.unfolded, omega)
     ref = st.sine_kernel_r2(omega)
-    pc_path = os.path.join(config.out_dir, "pair_correlation.csv")
+    pc_path = os.path.join(config.out, "pair_correlation.csv")
     with open(pc_path, "w", encoding="utf-8") as fh:
         fh.write(f"# two-point estimator, Gaussian window 0.1, {n_zeros} zeros\n")
         fh.write("omega,estimate,sine_kernel\n")
         for o, e, r in zip(omega, est, ref):
             fh.write(f"{_fmt(float(o))},{_fmt(float(e))},{_fmt(float(r))}\n")
-    gp = os.path.join(config.out_dir, "plots.gp")
+    gp = os.path.join(config.out, "plots.gp")
     with open(gp, "w", encoding="utf-8") as fh:
         fh.write(
             "set terminal dumb\n"
@@ -249,16 +209,17 @@ def _emit_stats(config: RunConfig, spectrum) -> None:
         )
 
 
-def cmd_stats(config: RunConfig) -> int:
+def cmd_stats(config) -> int:
     catalog = _load_catalog(config)
     _emit_stats(config, st.unfold_catalog(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
-          f"-> {config.out_dir}")
+          f"-> {config.out}")
     return EXIT_OK
 
 
-def cmd_audit(config: RunConfig) -> int:
-    catalog = _load_catalog(config)
+def cmd_audit(config) -> int:
+    # every ledger claim tests a zeta identity
+    catalog = _load_catalog(config, "zeta")
     only = set(config.claims) or None
     if only is None:
         # the full audit also writes the spacing statistics: check that the
@@ -273,7 +234,7 @@ def cmd_audit(config: RunConfig) -> int:
                        [c for c in cl.REGISTRY if not only or c in only],
                        config.threads)
     ledger = ledger_json(reports)
-    path = os.path.join(config.out_dir, "audit_ledger.json")
+    path = os.path.join(config.out, "audit_ledger.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ledger + "\n")
     if only is None:
@@ -284,9 +245,9 @@ def cmd_audit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cache(config: RunConfig) -> int:
+def cmd_cache(config) -> int:
     records = _load_catalog(config)
-    print(f"# {config.cache_path}: {records[0].function} catalog, "
+    print(f"# {config.cache}: {records[0].function} catalog, "
           f"{len(records)} records, checksum ok")
     print(f"# ordinate range [{_fmt(records[0].ordinate)}, "
           f"{_fmt(records[-1].ordinate)}]")
@@ -318,6 +279,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _claim_ids(text: str) -> tuple:
+    ids = tuple(c for c in text.split(",") if c)
+    unknown = ", ".join(c for c in ids if c not in cl.REGISTRY)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown claims: {unknown}; known: "
+                                         + ", ".join(sorted(cl.REGISTRY)))
+    return ids
+
+
+# flag: (the subcommands that read it, argparse keywords, valid interval)
+_FLAGS = {
+    "--function": (("census", "filter-roots"),
+                   dict(default="zeta", choices=("zeta", "beta")), None),
+    "--t-max": (("census", "audit"), dict(type=float, default=60.0),
+                (lambda v: 0.0 < v <= 200.0, "(0, 200]")),
+    "--e-max": (("filter-roots", "bijection", "audit"),
+                dict(type=float, default=60.0),
+                (lambda v: 0.0 < v <= 400.0, "(0, 400]")),
+    "--a": (("filter-roots", "bijection", "audit"),
+            dict(type=float, default=0.2),
+            (lambda v: 0.0 < v < 1.0, "(0, 1)")),
+    "--abscissa": (("filter-roots",), dict(type=float, default=0.75),
+                   (lambda v: -8.0 < v < 8.0, "(-8, 8)")),
+    "--precision": (("filter-roots",), dict(
+        default="double", choices=("double", "double_double")), None),
+    # census reads no --threads; it keeps the flag while perfbench times
+    # `census --threads 2`, until cli.census.threads2.s times audit instead
+    "--threads": (("census", "filter-roots", "audit"),
+                  dict(type=int, default=_usable_cpus()),
+                  (lambda v: 1 <= v <= _MAX_THREADS, f"[1, {_MAX_THREADS}]")),
+    "--out": (("filter-roots", "stats", "audit"), dict(default="."), None),
+    "--cache": (tuple(_COMMANDS), dict(default="zerocatalog.txt"), None),
+    "--claims": (("audit",), dict(type=_claim_ids, default=(),
+                                  help="comma-separated claim ids"), None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mbzero",
@@ -330,45 +328,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--function", default="zeta", choices=("zeta", "beta"))
-        p.add_argument("--t-max", type=float, default=60.0)
-        p.add_argument("--e-max", type=float, default=60.0)
-        p.add_argument("--a", type=float, default=0.2)
-        p.add_argument("--abscissa", type=float, default=0.75)
-        p.add_argument("--precision", default="double",
-                       choices=("double", "double_double"))
-        p.add_argument("--threads", type=int, default=_usable_cpus())
-        p.add_argument("--out", default=".")
-        p.add_argument("--cache", default="zerocatalog.txt")
-        p.add_argument("--claims", default="",
-                       help="comma-separated claim ids (audit only)")
+        for flag, (commands, keywords, _) in _FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        config = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help 0, usage error 5
         return int(exc.code)
     try:
-        config = RunConfig(
-            command=args.command, function=args.function, t_max=args.t_max,
-            e_max=args.e_max, a=args.a, abscissa=args.abscissa,
-            precision=args.precision, out_dir=args.out,
-            cache_path=args.cache, threads=args.threads,
-            claims=tuple(c for c in args.claims.split(",") if c),
-        )
-        config.validate()
-        if config.command in _WRITES_OUT and not os.path.isdir(config.out_dir):
+        for flag, (commands, _, bounds) in _FLAGS.items():
+            if config.command in commands and bounds and \
+                    not bounds[0](getattr(config, flag[2:].replace("-", "_"))):
+                raise ConfigError(f"{flag} must be in {bounds[1]}")
+        if "out" in config and not os.path.isdir(config.out):
             raise NotADirectoryError(f"cannot write outputs: --out "
-                                     f"{config.out_dir} is not a directory")
+                                     f"{config.out} is not a directory")
         return _COMMANDS[config.command](config)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except MbzeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.exit_code == EXIT_IO and args.command == "cache":
+        if exc.exit_code == EXIT_IO and config.command == "cache":
             return EXIT_CACHE
         return exc.exit_code
 

@@ -476,8 +476,8 @@ def newton_filter_root(kernel: str, e_guess: float,
     return e
 
 
-def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
-                     precision: str = "double") -> zc.BijectionAudit:
+def filter_bijection(catalog: list, scale: KernelScale,
+                     e_max: float) -> zc.BijectionAudit:
     """Newton roots of the zeta filter from every catalog ordinate, audited
     against the catalog up to min(e_max, 2 t_last - 0.2)."""
     if catalog[0].function != "zeta":
@@ -486,10 +486,7 @@ def filter_bijection(catalog: list, scale: KernelScale, e_max: float,
     e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
     guesses = [2.0 * r.ordinate + 0.05
                for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
-    if precision == "double_double":
-        roots = [float(newton_root_dd("zeta2s", g, scale)) for g in guesses]
-    else:
-        roots = [newton_filter_root("zeta2s", g, scale) for g in guesses]
+    roots = [newton_filter_root("zeta2s", g, scale) for g in guesses]
     return zc.bijection_audit(catalog, roots, e_max)
 
 

@@ -276,8 +276,8 @@ def bessel_K_two_pass(nu: complex, x: float, tol: float = 1e-12):
     raise QuadratureNonConvergence(f"last delta {err:.3e}")
 
 
-# 25-digit reference ordinates (independent bisection on the completed
-# functions at mpmath dps = 40)
+# 25-digit beta ordinates (independent bisection on the completed function
+# at mpmath dps = 40)
 BETA_ORDINATES = (
     "6.020948904697596654902511",
     "10.24377030416655455213776",
@@ -285,17 +285,90 @@ BETA_ORDINATES = (
     "16.34260710458722219497686",
 )
 
+# The 79 zeta ordinates below 200 at 35 digits: mpmath.zetazero(n).imag,
+# found with Riemann-Siegel and Gram points, so they share no code with
+# the Euler-Maclaurin census or the filter Newton.  Frozen because the
+# 79 calls take about 10 s.
 ZETA_ORDINATES = (
-    "14.13472514173469379045725",
-    "21.02203963877155499262848",
-    "25.01085758014568876321379",
-    "30.42487612585951321031189",
-    "32.93506158773918969066237",
-    "37.58617815882567125721776",
-    "40.91871901214749518739812",
-    "43.32707328091499951949612",
-    "48.00515088116715972794247",
-    "49.77383247767230218191678",
+    "14.13472514173469379045725198356247",
+    "21.022039638771554992628479593896903",
+    "25.010857580145688763213790992562822",
+    "30.424876125859513210311897530584091",
+    "32.935061587739189690662368964074903",
+    "37.586178158825671257217763480705333",
+    "40.918719012147495187398126914633254",
+    "43.327073280914999519496122165406806",
+    "48.005150881167159727942472749427516",
+    "49.773832477672302181916784678563724",
+    "52.97032147771446064414729660888099",
+    "56.446247697063394804367759476706128",
+    "59.347044002602353079653648674992219",
+    "60.831778524609809844259901824524004",
+    "65.112544048081606660875054253183705",
+    "67.079810529494173714478828896522217",
+    "69.546401711173979252926857526554738",
+    "72.067157674481907582522107969826168",
+    "75.704690699083933168326916762030346",
+    "77.144840068874805372682664856304637",
+    "79.337375020249367922763592877116228",
+    "82.910380854086030183164837494770609",
+    "84.735492980517050105735311206827741",
+    "87.425274613125229406531667850919213",
+    "88.809111207634465423682348079509378",
+    "92.491899270558484296259725241810685",
+    "94.651344040519886966597925815208154",
+    "95.870634228245309758741029219246782",
+    "98.831194218193692233324420138622328",
+    "101.31785100573139122878544794029231",
+    "103.72553804047833941639840810869528",
+    "105.44662305232609449367083241411181",
+    "107.16861118427640751512335196308619",
+    "111.02953554316967452465645030994435",
+    "111.87465917699263708561207871677059",
+    "114.32022091545271276589093727619108",
+    "116.22668032085755438216080431206476",
+    "118.79078286597621732297913970269982",
+    "121.37012500242064591894553297049992",
+    "122.94682929355258820081746033077002",
+    "124.25681855434576718473200796612992",
+    "127.51668387959649512427932376690608",
+    "129.57870419995605098576803390617997",
+    "131.08768853093265672356637246150135",
+    "133.49773720299758645013049204264061",
+    "134.75650975337387133132606415716974",
+    "138.11604205453344320019155519028245",
+    "139.73620895212138895045004652338246",
+    "141.12370740402112376194035381847536",
+    "143.11184580762063273940512386891393",
+    "146.00098248676551854740250759642468",
+    "147.42276534255960204952118501043151",
+    "150.05352042078488035143246723695937",
+    "150.92525761224146676185252467830563",
+    "153.02469381119889619825654425518545",
+    "156.11290929423786756975018931016919",
+    "157.59759181759405988753050315849877",
+    "158.84998817142049872417499477554027",
+    "161.18896413759602751943734412936955",
+    "163.03070968718198724331103900068799",
+    "165.5370691879004188300389193548748",
+    "167.18443997817451344095775624621038",
+    "169.09451541556882148950587118143183",
+    "169.91197647941169896669984359582179",
+    "173.4115365195915529598461186493456",
+    "174.75419152336572581337876245586692",
+    "176.44143429771041888889264105786093",
+    "178.37740777609997728583093541418443",
+    "179.91648402025699613934003661205124",
+    "182.2070784843664619154070372269878",
+    "184.87446784838750880096064661723426",
+    "185.59878367770747146652770426839265",
+    "187.22892258350185199164154058613124",
+    "189.41615865601693708485228909984532",
+    "192.02665636071378654728363142558343",
+    "193.07972660384570404740220579437605",
+    "195.26539667952923532146318781486225",
+    "196.87648184095831694862226391469621",
+    "198.01530967625191242491991870220887",
 )
 
 

@@ -4,11 +4,15 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from concurrent import futures
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -26,8 +30,9 @@ ZETA_200_SHA256 = ("3ea12789cf626f9d671f4b28bb8fc0ff"
 
 
 def run(args, tmp_path):
-    return cli.main(args + ["--out", str(tmp_path),
-                            "--cache", str(tmp_path / "cat.txt")])
+    out = ["--out", str(tmp_path)] if args[0] in cli._FLAGS["--out"][0] \
+        else []
+    return cli.main(args + out + ["--cache", str(tmp_path / "cat.txt")])
 
 
 class TestCensusCommand:
@@ -138,6 +143,18 @@ class TestAuditCommand:
         assert run(["audit", "--claims", "bijection_delta_zero"], tmp_path) == 0
         assert (tmp_path / "audit_ledger.json").exists()
 
+    def test_beta_catalog_exit_5(self, tmp_path, capsys, monkeypatch):
+        # 25 beta zeros: enough for the spacing statistics, but every
+        # ledger claim tests a zeta identity
+        run(["census", "--function", "beta", "--t-max", "60"], tmp_path)
+        monkeypatch.setattr(cli.cl, "run_claim", _fail_if_called)
+        capsys.readouterr()
+        for claims in ([], ["--claims", "counting_rvm,trace_I_even_odd"]):
+            assert run(["audit", "--threads", "1"] + claims, tmp_path) == 5
+            err = capsys.readouterr().err
+            assert "zeta catalog" in err and "beta" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
 
 class TestStatsCommand:
     def test_emits_plot_files(self, tmp_path, capsys):
@@ -185,9 +202,9 @@ class TestCorruptedCatalogProperty:
         blob[position] = byte
         directory = tmp_path_factory.mktemp("corrupt")
         (directory / "cat.txt").write_bytes(bytes(blob))
-        args = ["--out", str(directory), "--cache", str(directory / "cat.txt")]
-        assert cli.main(["cache"] + args) == 6
-        assert cli.main(["stats"] + args) == 4
+        cache = ["--cache", str(directory / "cat.txt")]
+        assert cli.main(["cache"] + cache) == 6
+        assert cli.main(["stats", "--out", str(directory)] + cache) == 4
 
 
 def _write_checksummed_catalog(path, *records):
@@ -241,12 +258,13 @@ class TestCatalogFunctionTag:
         assert "zeta" in err and "beta" in err
 
     def test_bijection_on_beta_catalog_exit_5(self, tmp_path, capsys):
+        # bijection takes no --function: the catalog tag alone decides
         run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
         capsys.readouterr()
         assert run(["bijection", "--function", "beta", "--e-max", "30"],
                    tmp_path) == 5
         err = capsys.readouterr().err
-        assert "zeta" in err and "beta" in err
+        assert "unrecognized arguments: --function beta" in err
 
     def test_bijection_default_function_on_beta_catalog_exit_5(
             self, tmp_path, capsys):
@@ -263,8 +281,7 @@ class TestCatalogFunctionTag:
         assert run(["bijection", "--function", "beta", "--e-max", "60"],
                    tmp_path) == 5
         captured = capsys.readouterr()
-        assert "--function beta" in captured.err
-        assert "zeta-only" in captured.err
+        assert "unrecognized arguments: --function beta" in captured.err
         assert "verdict" not in captured.out
 
 
@@ -342,6 +359,27 @@ class TestWorkerProcesses:
             assert cli._fan_out(_pause_or_fail, tasks, 2) == [0.0, 0.0]
         assert len(counts) >= 40
         assert set(counts) == {1}
+
+    @pytest.mark.skipif(not (hasattr(os, "fork")
+                             and os.path.isdir("/proc/self/task")),
+                        reason="counts threads through /proc/self/task")
+    def test_fork_beside_a_thread_is_recorded(self, forks_single_threaded):
+        # the conftest check that fails every other test forking like this
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+        finally:
+            release.set()
+            thread.join()
+        assert forks_single_threaded == [2]
+        forks_single_threaded.clear()
 
     def test_audit_ledger_bytes_at_any_worker_count(self, tmp_path,
                                                     zeta_catalog_60, capsys):
@@ -473,12 +511,47 @@ class TestUsageErrors:
         assert cli.main(["census", "--help"]) == 0
 
 
+# one value each flag accepts
+_VALID = {"--function": "zeta", "--t-max": "30", "--e-max": "30", "--a": "0.2",
+          "--abscissa": "0.75", "--precision": "double", "--threads": "1",
+          "--out": ".", "--cache": "cat.txt", "--claims": "trace_class_p2"}
+
+
+class TestFlagTable:
+    def test_twenty_five_pairs(self):
+        assert sum(len(commands) for commands, _, _ in cli._FLAGS.values()) \
+            == 25
+        assert set(cli._FLAGS) == set(_VALID)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_only_the_table_rows(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed - {"--help"} == {
+            flag for flag, (commands, _, _) in cli._FLAGS.items()
+            if command in commands}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(cli._COMMANDS)
+        for flag, (commands, _, _) in cli._FLAGS.items()
+        if command not in commands])
+    def test_flag_outside_the_table_exit_5(self, command, flag, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.setattr(zc, "catalog_load", _fail_if_called)
+        monkeypatch.setattr(zc, "scan_zeros", _fail_if_called)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, flag, _VALID[flag]]) == 5
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigValidation:
     def test_bad_t_max(self, tmp_path, capsys):
         assert run(["census", "--t-max", "500"], tmp_path) == 5
 
     def test_bad_scale(self, tmp_path, capsys):
-        assert run(["census", "--a", "1.5"], tmp_path) == 5
+        assert run(["bijection", "--a", "1.5"], tmp_path) == 5
+        assert "--a must be in (0, 1)" in capsys.readouterr().err
 
     def test_bad_threads(self, tmp_path, capsys):
         assert run(["census", "--threads", "0"], tmp_path) == 5
@@ -602,7 +675,7 @@ def _floats(lo, hi):
 
 
 # flag -> (values inside the documented range, edge values mostly outside)
-_FLAGS = {
+_VALUES = {
     "--function": (hst.sampled_from(["zeta", "beta"]), hst.just("gamma")),
     "--t-max": (_floats(1.0, 40.0), hst.sampled_from(_EDGE_NUMBERS)),
     "--e-max": (_floats(4.0, 60.0),
@@ -659,23 +732,40 @@ class TestArgvGrammarProperty:
         out = {"dir": directory, "missing": directory / "nodir",
                "file": cache}[data.draw(hst.sampled_from(
                    ["dir", "dir", "missing", "file"]))]
-        argv = [data.draw(hst.sampled_from(sorted(cli._COMMANDS)))]
-        flags = data.draw(hst.lists(hst.sampled_from(sorted(_FLAGS)),
-                                    unique=True))
+        command = data.draw(hst.sampled_from(sorted(cli._COMMANDS)))
+        accepted = [flag for flag, (commands, _, _) in cli._FLAGS.items()
+                    if command in commands]
+        drawable = sorted(set(accepted) & set(_VALUES))
+        flags = data.draw(hst.lists(hst.sampled_from(drawable), unique=True)
+                          if drawable else hst.just([]))
         # half the argv hold one edge value, the rest none
         edge = data.draw(hst.none() | hst.sampled_from(flags)) \
             if flags else None
+        argv = [command]
         for flag in flags:
-            inside, outside = _FLAGS[flag]
+            inside, outside = _VALUES[flag]
             argv += [flag, data.draw(outside if flag == edge else inside)]
-        argv += ["--out", str(out), "--cache", str(cache)]
+        if "--out" in accepted:
+            argv += ["--out", str(out)]
+        argv += ["--cache", str(cache)]
+        # a quarter of the argv hold one flag that the command does not take
+        foreign = data.draw(hst.sampled_from(
+            sorted(set(cli._FLAGS) - set(accepted)))) \
+            if data.draw(hst.integers(0, 3)) == 0 else None
+        if foreign:
+            argv += [foreign, str(directory) if foreign == "--out"
+                     else data.draw(_VALUES[foreign][0])]
         before = _snapshot(directory)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
+                contextlib.redirect_stderr(stderr), \
+                mock.patch.object(zc, "catalog_load",
+                                  wraps=zc.catalog_load) as load:
             code = cli.main(argv)
-        event(f"{argv[0]} exit {code}")
+        event(f"{command} exit {code}" + (" foreign flag" if foreign else ""))
         assert code in (0, 2, 3, 4, 5, 6)
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
             assert _snapshot(directory) == before
+        if foreign:
+            assert code == 5 and not load.called

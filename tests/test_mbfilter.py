@@ -343,6 +343,14 @@ class TestNewtonFilterRoot:
         with mp.workdps(31):
             assert abs(root - 2 * mp.mpf(oc.BETA_ORDINATES[0])) < 1e-20
 
+    def test_dd_zeta_roots_match_zetazero(self):
+        # the first ten 31-digit roots against mpmath's independent zeros
+        with mp.workdps(40):
+            for frozen in oc.ZETA_ORDINATES[:10]:
+                want = 2 * mp.mpf(frozen)
+                root = mbf.newton_root_dd("zeta2s", float(want) + 0.05, A02)
+                assert abs(root - want) < 1e-30 * want
+
     def test_unreachable_guess(self):
         with pytest.raises((BasinEscape, NoConvergence)):
             mbf.newton_filter_root("beta2s", 1.0, A02)

@@ -37,8 +37,10 @@ class TestScanZeros:
         assert len(records) == 1
         assert abs(records[0].ordinate - 14.1347251417) < 1e-9
 
-    def test_zeta_against_high_precision_ordinates(self, zeta_catalog_60):
-        for rec, frozen in zip(zeta_catalog_60, oc.ZETA_ORDINATES):
+    def test_zeta_against_high_precision_ordinates(self, zeta_catalog_full):
+        # every ordinate to t = 200 against mpmath.zetazero (max 5.6e-12)
+        assert len(zeta_catalog_full) == len(oc.ZETA_ORDINATES)
+        for rec, frozen in zip(zeta_catalog_full, oc.ZETA_ORDINATES):
             assert abs(rec.ordinate - float(frozen)) < 1e-11
 
     def test_empty_below_first_zero(self):
