@@ -118,8 +118,7 @@ def claim_contour_shift(config, catalog):
     for _ in range(20):
         energy = rng.uniform(5.0, 35.0)
         g1, g2 = sorted(rng.uniform(0.54, 0.96, 2))
-        worst = max(worst, mbf.contour_shift_delta("zeta2s", energy,
-                                                   scale, g1, g2))
+        worst = max(worst, mbf.contour_shift_delta(energy, scale, g1, g2))
     return _report("mb_contour_shift", worst, 0.0, worst, 1e-10,
                    "20 random pole-free abscissa pairs, zeta kernel")
 
@@ -130,11 +129,10 @@ def claim_scale_regularity(config, catalog):
     for a in (0.1, 0.2, 0.3, 0.4):
         h = 1e-5 * a
         c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
-        up = mbf.mb_integral("zeta2s", energy, mbf.KernelScale(a + h), c).value
-        dn = mbf.mb_integral("zeta2s", energy, mbf.KernelScale(a - h), c).value
+        up = mbf.mb_integral(energy, mbf.KernelScale(a + h), c)
+        dn = mbf.mb_integral(energy, mbf.KernelScale(a - h), c)
         fd = (up - dn) / (2.0 * h)
-        analytic = mbf.mb_scale_derivative("zeta2s", energy,
-                                           mbf.KernelScale(a), c)
+        analytic = mbf.mb_scale_derivative(energy, mbf.KernelScale(a), c)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
     return _report("mb_scale_regularity", worst, 0.0, worst, 1e-6,
                    "d(value)/da against differentiation under the integral "
@@ -146,14 +144,12 @@ def claim_a_to_zero(config, catalog):
     mags_out = []
     for a in (0.1, 0.05, 0.025, 0.0125):
         c_in = mbf.ContourSpec(abscissa=0.25, t_max=45.0, panel_count=120)
-        mags_in.append(abs(mbf.mb_integral("zeta2s", 10.0,
-                                           mbf.KernelScale(a), c_in).value))
+        mags_in.append(abs(mbf.mb_integral(10.0, mbf.KernelScale(a), c_in)))
         c_out = mbf.ContourSpec(abscissa=-0.25, t_max=45.0, panel_count=120)
-        mags_out.append(abs(mbf.mb_integral("zeta2s", 10.0,
-                                            mbf.KernelScale(a), c_out).value))
+        mags_out.append(abs(mbf.mb_integral(10.0, mbf.KernelScale(a), c_out)))
     monotone = all(x > y for x, y in zip(mags_in, mags_in[1:]))
     nu = complex(0.5, 5.0)
-    plateau = abs(mbf.kernel_prefactor("zeta2s") * 2j * math.pi
+    plateau = abs(mbf.kernel_prefactor("zeta") * 2j * math.pi
                   * (-0.5) * cmath.exp(sf.log_gamma(-nu)))
     return AuditReport(
         claim_id="mb_a_to_zero_limit",
@@ -186,7 +182,7 @@ def claim_filter_pairing_beta(config, catalog):
     worst = 0.0
     rows = []
     for r in beta_zeros:
-        e = mbf.newton_filter_root("beta2s", 2.0 * r.ordinate + 0.05, scale)
+        e = mbf.newton_filter_root("beta", 2.0 * r.ordinate + 0.05, scale)
         gap = abs(e - 2.0 * r.ordinate)
         rows.append((e, r.ordinate, gap))
         worst = max(worst, gap)

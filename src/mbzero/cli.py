@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import time
 from functools import partial
@@ -115,16 +114,15 @@ def cmd_census(config) -> int:
     return EXIT_OK
 
 
-def _dd_root(kernel: str, scale: mbf.KernelScale, guess: float) -> tuple:
+def _dd_root(function: str, scale: mbf.KernelScale, guess: float) -> tuple:
     """One double-double Newton root as (32-digit string, float)."""
     import mpmath as mp
-    root = mbf.newton_root_dd(kernel, guess, scale)
+    root = mbf.newton_root_dd(function, guess, scale)
     return mp.nstr(root, 32), float(root)
 
 
 def cmd_filter_roots(config) -> int:
     catalog = _load_catalog(config, config.function)
-    kernel = "beta2s" if config.function == "beta" else "zeta2s"
     scale = mbf.KernelScale(config.a)
     ordinates = []
     for r in catalog:
@@ -133,16 +131,19 @@ def cmd_filter_roots(config) -> int:
         ordinates.append(r.ordinate)
     guesses = [2.0 * t + 0.05 for t in ordinates]
     if config.precision == "double_double":
-        roots = _fan_out(partial(_dd_root, kernel, scale), guesses,
+        roots = _fan_out(partial(_dd_root, config.function, scale), guesses,
                          config.threads)
     else:
-        e_vals = [mbf.newton_filter_root(kernel, g, scale) for g in guesses]
+        e_vals = [mbf.newton_filter_root(config.function, g, scale)
+                  for g in guesses]
         roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
             for (e_str, e_val), t in zip(roots, ordinates)]
     out_path = os.path.join(config.out, "filter_roots.csv")
-    lines = ["# kernel=%s g=%s a=%s precision=%s" % (
-        kernel, _fmt(config.abscissa), _fmt(config.a), config.precision),
+    # the residue filter has no contour; g=0.75 stays so that the header's
+    # bytes do not change
+    lines = ["# kernel=%s2s g=0.75 a=%s precision=%s" % (
+        config.function, _fmt(config.a), config.precision),
         "E_root,paired_ordinate,abs_gap,precision"]
     for e_str, t, gap in rows:
         lines.append(",".join((e_str, _fmt(t), format(gap, ".3e"),
@@ -266,13 +267,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 5 (invalid configuration), not argparse's 2,
-    which is the missed-zero code.  An argument that starts with '-' and
-    a digit is a number: argparse's own pattern misses exponent forms and
-    read `--abscissa -1e-3` as an option missing its value."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    which is the missed-zero code."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -300,8 +295,6 @@ _FLAGS = {
     "--a": (("filter-roots", "bijection", "audit"),
             dict(type=float, default=0.2),
             (lambda v: 0.0 < v < 1.0, "(0, 1)")),
-    "--abscissa": (("filter-roots",), dict(type=float, default=0.75),
-                   (lambda v: -8.0 < v < 8.0, "(-8, 8)")),
     "--precision": (("filter-roots",), dict(
         default="double", choices=("double", "double_double")), None),
     # census reads no --threads; it keeps the flag while perfbench times
@@ -327,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        # each flag has one spelling: no unique prefix stands for it
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag, (commands, keywords, _) in _FLAGS.items():
             if name in commands:
                 p.add_argument(flag, **keywords)

@@ -4,12 +4,13 @@ finding on the spectral filter.
 
 Two distinct objects live here and must not be conflated:
 
-* ``mb_integral`` is the literal vertical-line quadrature of a kernel.
-  It obeys contour-shift invariance and the a -> 0 limit lemmas, and it
-  is what the tail-bound and panel-doubling contracts are written about.
+* ``mb_integral`` is the literal vertical-line quadrature of the zeta(2s)
+  kernel.  It obeys contour-shift invariance and the a -> 0 limit lemmas,
+  and it is what the tail-bound contract is written about.
 
-* ``spectral_filter`` is the residue-localized value of the same kernel
-  at the spectral point s0(E) = 1/4 + iE/4, where the kernel's
+* ``spectral_filter`` is the residue-localized value of the zeta(2s) or
+  beta(2s) kernel, chosen by the catalog's function tag ("zeta" or
+  "beta"), at the spectral point s0(E) = 1/4 + iE/4, where the kernel's
   arithmetic factor crosses the critical line: a closed-circle
   extraction of kernel(s)/(s - s0).  Its roots in E are exactly twice
   the critical-line ordinates, which is what Newton iterates on.  The
@@ -18,12 +19,12 @@ Two distinct objects live here and must not be conflated:
   Gamma dressing never vanishes), not for the unlocalized integral.
 
 Line sums take the scale-free part of the integrand (Gamma factors by
-specfun.log_gamma_vec, and the L-function) from a small cache keyed by
-(kernel, nu, contour, refine); only (2a)^{2s} is recomputed per scale, so
-sweeps over a on one contour do the expensive work once.
+specfun.log_gamma_vec, and zeta(2s)) from a small cache keyed by
+(nu, contour); only (2a)^{2s} is recomputed per scale, so sweeps over a
+on one contour do the expensive work once.
 
-Mirror rule: Gamma(s), zeta(2s) and beta(2s) are conjugation-equivariant
-bit for bit, so each is evaluated once per conjugate pair of nodes.  A
+Mirror rule: Gamma(s) and zeta(2s) are conjugation-equivariant bit for
+bit, so each is evaluated once per conjugate pair of nodes.  A
 node whose exact conjugate is also a node (about 85 % of a line node set,
 where -t is a node bit for bit) takes the conjugate of its partner's
 value; Gamma(s - nu) has no mirror and is evaluated everywhere.
@@ -34,7 +35,7 @@ Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +52,6 @@ from .errors import (
 )
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
-KERNELS = ("zeta2s", "beta2s")
 _DD_DPS = 31  # working digits of the double-double mode
 _NEWTON_MAX_ITER = 50
 _POLE_MARGIN = 1e-6
@@ -102,48 +102,32 @@ class ContourSpec:
                            panel_count=max(160, int(2.0 * t_max)))
 
 
-@dataclass(frozen=True)
-class FilterEvaluation:
-    energy: float
-    kernel: str
-    value: complex
-    truncation_error: float
-    contour: ContourSpec
-
-    def __post_init__(self):
-        if not (self.truncation_error >= 0.0):
-            raise ArgumentDomain("truncation_error must be >= 0")
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ArgumentDomain("filter value not finite")
-
-
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
 
-def _check_kernel(kernel: str) -> str:
-    if kernel not in KERNELS:
-        raise ArgumentDomain(f"unknown kernel {kernel!r}")
-    return kernel
+def _check_function(function: str) -> None:
+    """The filter exists for the zeta and the beta catalog only: any other
+    tag is an error, never a fall-through to the other kernel."""
+    if function not in ("zeta", "beta"):
+        raise ArgumentDomain(f"unknown function {function!r}: the filter "
+                             "takes 'zeta' or 'beta'")
 
 
-def kernel_prefactor(kernel: str) -> complex:
+def kernel_prefactor(function: str) -> complex:
     """1/(4 pi i) for the zeta kernel, 1/(2 pi i) for beta."""
-    if kernel == "zeta2s":
+    if function == "zeta":
         return 1.0 / (4j * math.pi)
     return 1.0 / (2j * math.pi)
 
 
-def pole_abscissas(kernel: str, span: float) -> np.ndarray:
-    """Real parts of the kernel's pole ladders within [-span, span]."""
-    _check_kernel(kernel)
-    ladders = set()
+def pole_abscissas(span: float) -> np.ndarray:
+    """Real parts of the zeta kernel's pole ladders within [-span, span]:
+    Gamma(s) at -n, and Gamma(s - nu) at 1/2 - n, whose n = 0 rung is
+    also the zeta(2s) pole at s = 1/2."""
     n_max = int(span) + 2
-    ladders.update(float(-n) for n in range(n_max))              # Gamma(s)
-    ladders.update(0.5 - n for n in range(n_max))                # Gamma(s - nu)
-    if kernel == "zeta2s":
-        ladders.add(0.5)                                         # zeta(2s) pole
+    ladders = {float(-n) for n in range(n_max)}
+    ladders.update(0.5 - n for n in range(n_max))
     arr = np.array(sorted(ladders))
     return arr[np.abs(arr) <= span]
 
@@ -188,24 +172,23 @@ def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
     return out
 
 
-def _scale_free_factors(kernel: str, s: np.ndarray, nu: complex):
-    """(log-Gamma part, L factor) of the integrand: all but (2a)^{2s}."""
+def _scale_free_factors(s: np.ndarray, nu: complex):
+    """(log-Gamma part, zeta(2s)) of the integrand: all but (2a)^{2s}."""
     split = _conjugate_split(s)
-    l_vec = sf.zeta_vec if kernel == "zeta2s" else sf.dirichlet_beta_vec
     return (_mirrored(sf.log_gamma_vec, s, split) + sf.log_gamma_vec(s - nu),
-            _mirrored(lambda z: l_vec(2.0 * z), s, split))
+            _mirrored(lambda z: sf.zeta_vec(2.0 * z), s, split))
 
 
-def _kernel_integrand(kernel: str, s: np.ndarray, nu: complex, a: float,
+def _kernel_integrand(nu: complex, s: np.ndarray, a: float,
                       factors=None) -> np.ndarray:
-    """Kernel integrand (no prefactor) on an array of contour nodes."""
-    lg, arith = _scale_free_factors(kernel, s, nu) if factors is None else factors
+    """Zeta kernel integrand (no prefactor) on an array of contour nodes."""
+    lg, arith = _scale_free_factors(s, nu) if factors is None else factors
     return np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith
 
 
-def arithmetic_factor(kernel: str, z: complex) -> complex:
+def arithmetic_factor(function: str, z: complex) -> complex:
     """The kernel's L-type factor evaluated at argument z (= 2s)."""
-    return sf.zeta(z) if kernel == "zeta2s" else sf.dirichlet_beta(z)
+    return sf.zeta(z) if function == "zeta" else sf.dirichlet_beta(z)
 
 
 def _dressing_log(point: SpectralPoint, a: float) -> complex:
@@ -219,10 +202,10 @@ def _dressing_log(point: SpectralPoint, a: float) -> complex:
 # 31-digit (double-double scale) arithmetic factor
 # ---------------------------------------------------------------------------
 
-def _hp_arithmetic(kernel: str, z):
+def _hp_arithmetic(function: str, z):
     """L-type factor at z in the current mpmath working precision."""
     import mpmath as mp
-    if kernel == "zeta2s":
+    if function == "zeta":
         return mp.zeta(z)
     return mp.mpf(4) ** (-z) * (mp.zeta(z, mp.mpf(1) / 4)
                                 - mp.zeta(z, mp.mpf(3) / 4))
@@ -232,7 +215,7 @@ def _hp_arithmetic(kernel: str, z):
 # Line integral
 # ---------------------------------------------------------------------------
 
-def _graded_edges(kernel: str, nu: complex, contour: ContourSpec) -> np.ndarray:
+def _graded_edges(nu: complex, contour: ContourSpec) -> np.ndarray:
     """Panel edges: uniform base grid plus geometric refinement opposite
     any pole ladder that sits close to the contour.
 
@@ -243,7 +226,7 @@ def _graded_edges(kernel: str, nu: complex, contour: ContourSpec) -> np.ndarray:
     lo, hi = -contour.t_max, contour.t_max
     g = contour.abscissa
     edges = set(np.linspace(lo, hi, contour.panel_count + 1))
-    ladders = pole_abscissas(kernel, span=max(12.0, abs(g) + 2))
+    ladders = pole_abscissas(span=max(12.0, abs(g) + 2))
     hotspots = (
         (0.0, float(np.min(np.abs(ladders - g)))),
         (nu.imag, min(abs(g - (0.5 - n)) for n in range(14))),
@@ -263,46 +246,46 @@ def _graded_edges(kernel: str, nu: complex, contour: ContourSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _node_set(kernel: str, nu: complex, contour: ContourSpec, refine: int):
-    """Weights, nodes and scale-free factors of one node set; shared
-    between calls (a +- h, the a -> 0 ladder), hence read-only."""
-    t, w = panel_nodes_from_edges(_graded_edges(kernel, nu, contour), refine)
+def _node_set(nu: complex, contour: ContourSpec):
+    """Weights, nodes and scale-free factors of the line's node set, each
+    graded panel split once; shared between calls (a +- h, the a -> 0
+    ladder), hence read-only."""
+    t, w = panel_nodes_from_edges(_graded_edges(nu, contour), 1)
     s = contour.abscissa + 1j * t
-    factors = _scale_free_factors(kernel, s, nu)
+    factors = _scale_free_factors(s, nu)
     for arr in (w, s, *factors):
         arr.flags.writeable = False
     return w, s, factors
 
 
-def _line_sum(kernel: str, nu: complex, a: float, contour: ContourSpec,
-              refine: int = 0, d_da: bool = False) -> complex:
+def _line_sum(nu: complex, a: float, contour: ContourSpec,
+              d_da: bool = False) -> complex:
     """Line quadrature; d_da differentiates (2a)^{2s} under the integral."""
-    w, s, factors = _node_set(kernel, nu, contour, refine)
-    vals = _kernel_integrand(kernel, s, nu, a, factors)
+    w, s, factors = _node_set(nu, contour)
+    vals = _kernel_integrand(nu, s, a, factors)
     if d_da:
         vals = vals * (2.0 * s / a)
-    return complex(np.sum(vals * w)) * 1j * kernel_prefactor(kernel)
+    return complex(np.sum(vals * w)) * 1j * kernel_prefactor("zeta")
 
 
-def _tail_estimate(kernel: str, nu: complex, a: float, contour: ContourSpec) -> float:
+def _tail_estimate(nu: complex, a: float, contour: ContourSpec) -> float:
     """Exponential-tail bound from the measured decay at the truncation edge."""
     out = 0.0
     for sign in (+1.0, -1.0):
         t_edge = sign * contour.t_max
         probe = np.array([t_edge - sign * 1.0, t_edge])
         s = contour.abscissa + 1j * probe
-        m = np.abs(_kernel_integrand(kernel, s, nu, a))
+        m = np.abs(_kernel_integrand(nu, s, a))
         if m[1] <= 0.0:
             continue
         rate = math.log(max(m[0], 1e-300) / m[1])  # e-folds per unit t
         rate = max(rate, 0.5)
         out += m[1] / rate * 2.0
-    return out * abs(kernel_prefactor(kernel))
+    return out * abs(kernel_prefactor("zeta"))
 
 
-def validate_contour(kernel: str, contour: ContourSpec) -> None:
-    _check_kernel(kernel)
-    ladders = pole_abscissas(kernel, span=max(12.0, abs(contour.abscissa) + 2))
+def validate_contour(contour: ContourSpec) -> None:
+    ladders = pole_abscissas(span=max(12.0, abs(contour.abscissa) + 2))
     dist = float(np.min(np.abs(ladders - contour.abscissa)))
     if dist < _POLE_MARGIN:
         raise ContourOnPole(
@@ -310,67 +293,54 @@ def validate_contour(kernel: str, contour: ContourSpec) -> None:
         )
 
 
-def _tail_checked_sum(kernel: str, energy: float, scale: KernelScale,
-                      contour: ContourSpec) -> FilterEvaluation:
-    """Validated fine line sum whose truncation_error is the tail bound."""
-    validate_contour(kernel, contour)
+def mb_integral(energy: float, scale: KernelScale,
+                contour: ContourSpec) -> complex:
+    """Literal vertical-line quadrature of the zeta kernel at Re s =
+    abscissa.  TailBoundViolated when the bound on the discarded tails
+    exceeds 1e-14 of |integral|; ArgumentDomain for a non-finite value."""
+    validate_contour(contour)
     nu = SpectralPoint(energy).nu
-    value = _line_sum(kernel, nu, scale.a, contour, 1)
-    tail = _tail_estimate(kernel, nu, scale.a, contour)
+    value = _line_sum(nu, scale.a, contour)
+    tail = _tail_estimate(nu, scale.a, contour)
     accumulated = abs(value)
     if accumulated > 0.0 and tail > 1e-14 * accumulated and tail > 1e-280:
         raise TailBoundViolated(
             f"tail {tail:.3e} above 1e-14 of |integral| {accumulated:.3e}; "
             "raise t_max"
         )
-    return FilterEvaluation(energy=energy, kernel=kernel, value=value,
-                            truncation_error=tail, contour=contour)
+    if not (cmath.isfinite(value) and tail >= 0.0):
+        raise ArgumentDomain("line integral or its tail bound not finite")
+    return value
 
 
-def mb_integral(kernel: str, energy: float, scale: KernelScale,
-                contour: ContourSpec = None) -> FilterEvaluation:
-    """Literal vertical-line quadrature of the kernel at Re s = abscissa.
-
-    truncation_error combines the discarded-tail bound with a half-panel
-    consistency delta; doubling panel_count moves the value by less than
-    ten times this figure.
-    """
-    _check_kernel(kernel)
-    if contour is None:
-        contour = ContourSpec.default(0.75 if kernel != "zeta2s" else 0.6, energy)
-    fine = _tail_checked_sum(kernel, energy, scale, contour)
-    coarse = _line_sum(kernel, SpectralPoint(energy).nu, scale.a, contour, 0)
-    return replace(fine, truncation_error=fine.truncation_error
-                   + abs(fine.value - coarse))
-
-
-def mb_scale_derivative(kernel: str, energy: float, scale: KernelScale,
+def mb_scale_derivative(energy: float, scale: KernelScale,
                         contour: ContourSpec) -> complex:
-    """d/da of mb_integral's value, differentiated under the integral:
-    (2a)^{2s} contributes the weight 2 s / a on the fine node set."""
-    validate_contour(kernel, contour)
-    return _line_sum(kernel, SpectralPoint(energy).nu, scale.a, contour, 1,
-                     True)
+    """d/da of mb_integral, differentiated under the integral: (2a)^{2s}
+    contributes the weight 2 s / a on the same node set."""
+    validate_contour(contour)
+    return _line_sum(SpectralPoint(energy).nu, scale.a, contour, True)
 
 
 # ---------------------------------------------------------------------------
 # Spectral filter (residue-localized) and Newton root finding
 # ---------------------------------------------------------------------------
 
-def spectral_filter(kernel: str, energy: float, scale: KernelScale) -> complex:
-    """Residue extraction of kernel(s)/(s - s0) at s0(E) = 1/4 + iE/4.
+def spectral_filter(function: str, energy: float,
+                    scale: KernelScale) -> complex:
+    """Residue extraction of kernel(s)/(s - s0) at s0(E) = 1/4 + iE/4, for
+    the zeta(2s) or beta(2s) kernel as function is "zeta" or "beta".
 
     Equals prefactor * 2 pi i * Gamma-dressing * L(1/2 + iE/2); vanishes
     exactly at E = 2 t_n.  Reported with the kernel's paper prefactor.
     """
-    _check_kernel(kernel)
+    _check_function(function)
     point = SpectralPoint(energy)
-    norm = kernel_prefactor(kernel) * 2j * math.pi
+    norm = kernel_prefactor(function) * 2j * math.pi
     dress = cmath.exp(_dressing_log(point, scale.a))
-    return norm * dress * arithmetic_factor(kernel, 2.0 * point.s0)
+    return norm * dress * arithmetic_factor(function, 2.0 * point.s0)
 
 
-def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
+def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
     """(F, dF/dE) with the derivative taken under the extraction.
 
     dF/dE carries (i/4)(psi(s0) - psi(s0 - nu) + 2 log 2a) from the
@@ -381,18 +351,18 @@ def _filter_with_derivative(kernel: str, energy: float, scale: KernelScale):
     point = SpectralPoint(energy)
     s0, nu = point.s0, point.nu
     dress = cmath.exp(_dressing_log(point, scale.a))
-    lval = arithmetic_factor(kernel, 2.0 * s0)
-    lp = (arithmetic_factor(kernel, 2.0 * s0 + 1j * h)
-          - arithmetic_factor(kernel, 2.0 * s0 - 1j * h)) / (2j * h)
+    lval = arithmetic_factor(function, 2.0 * s0)
+    lp = (arithmetic_factor(function, 2.0 * s0 + 1j * h)
+          - arithmetic_factor(function, 2.0 * s0 - 1j * h)) / (2j * h)
     dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
                     + 2.0 * math.log(2.0 * scale.a))
-    norm = kernel_prefactor(kernel) * 2j * math.pi
+    norm = kernel_prefactor(function) * 2j * math.pi
     f = norm * dress * lval
     df = norm * dress * (dlog * lval + 0.5j * lp)
     return f, df
 
 
-def _hp_filter_with_derivative(kernel: str, energy, a):
+def _hp_filter_with_derivative(function: str, energy, a):
     """The same (F, dF/dE) in the current mpmath precision, without the
     constant prefactor; energy and a are mpmath numbers."""
     import mpmath as mp
@@ -402,9 +372,9 @@ def _hp_filter_with_derivative(kernel: str, energy, a):
     log2a = mp.log(2 * a)
     dress = mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
     dlog = (mp.digamma(s0) - mp.digamma(s0 - nu) + 2 * log2a) * mp.mpc(0, 0.25)
-    lval = _hp_arithmetic(kernel, 2 * s0)
-    lp = (_hp_arithmetic(kernel, 2 * s0 + 1j * hh)
-          - _hp_arithmetic(kernel, 2 * s0 - 1j * hh)) / (2j * hh)
+    lval = _hp_arithmetic(function, 2 * s0)
+    lp = (_hp_arithmetic(function, 2 * s0 + 1j * hh)
+          - _hp_arithmetic(function, 2 * s0 - 1j * hh)) / (2j * hh)
     return dress * lval, dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
 
 
@@ -438,41 +408,41 @@ def _newton(filter_and_derivative, e_guess, tol_step):
                         f"in {_NEWTON_MAX_ITER}")
 
 
-def _root_residual(kernel: str, energy: float) -> float:
+def _root_residual(function: str, energy: float) -> float:
     """|L(1/2 + iE/2)| at a converged Newton root; NoConvergence unless it
     is below the catalog's residual limit.  The dressed filter value is no
     test: the dressing alone makes |F| < 1e-11 for every E above ~30."""
-    residual = abs(arithmetic_factor(kernel, complex(0.5, 0.5 * energy)))
+    residual = abs(arithmetic_factor(function, complex(0.5, 0.5 * energy)))
     if not residual < zc.RESIDUAL_LIMIT:
         raise NoConvergence(f"|L| = {residual:.3e} at the converged "
                             f"E = {energy:.6f}: not a zero")
     return residual
 
 
-def newton_root_dd(kernel: str, e_guess: float, scale: KernelScale):
+def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     """Newton on the spectral filter carried entirely in 31-digit scalars.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
     """
     import mpmath as mp
-    _check_kernel(kernel)
+    _check_function(function)
     with mp.workdps(_DD_DPS):
         a = mp.mpf(scale.a)
-        root = +_newton(lambda e: _hp_filter_with_derivative(kernel, e, a),
+        root = +_newton(lambda e: _hp_filter_with_derivative(function, e, a),
                         mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4))
-    _root_residual(kernel, float(root))
+    _root_residual(function, float(root))
     return root
 
 
-def newton_filter_root(kernel: str, e_guess: float,
+def newton_filter_root(function: str, e_guess: float,
                        scale: KernelScale) -> float:
     """The root energy E of Newton in E on the spectral filter from
     e_guess, accepted when |L(1/2 + iE/2)| < 1e-8."""
-    _check_kernel(kernel)
-    e = _newton(lambda x: _filter_with_derivative(kernel, x, scale),
+    _check_function(function)
+    e = _newton(lambda x: _filter_with_derivative(function, x, scale),
                 float(e_guess), 1e-12)
-    _root_residual(kernel, e)
+    _root_residual(function, e)
     return e
 
 
@@ -486,7 +456,7 @@ def filter_bijection(catalog: list, scale: KernelScale,
     e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
     guesses = [2.0 * r.ordinate + 0.05
                for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
-    roots = [newton_filter_root("zeta2s", g, scale) for g in guesses]
+    roots = [newton_filter_root("zeta", g, scale) for g in guesses]
     return zc.bijection_audit(catalog, roots, e_max)
 
 
@@ -494,12 +464,11 @@ def filter_bijection(catalog: list, scale: KernelScale,
 # Contour shift
 # ---------------------------------------------------------------------------
 
-def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
+def contour_shift_delta(energy: float, scale: KernelScale,
                         g1: float, g2: float) -> float:
     """|mb_integral(g1) - mb_integral(g2)| over a pole-free strip."""
-    _check_kernel(kernel)
     lo, hi = min(g1, g2), max(g1, g2)
-    ladders = pole_abscissas(kernel, span=max(12.0, abs(lo) + 2, abs(hi) + 2))
+    ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
     inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
     if inside.size:
         raise PoleInStrip(
@@ -508,11 +477,9 @@ def contour_shift_delta(kernel: str, energy: float, scale: KernelScale,
         )
     if g1 == g2:
         return 0.0
-    # only the values are compared: no coarse consistency pass
-    evals = [_tail_checked_sum(kernel, energy, scale,
-                               ContourSpec.default(g, energy))
-             for g in (g1, g2)]
-    return abs(evals[0].value - evals[1].value)
+    v1, v2 = (mb_integral(energy, scale, ContourSpec.default(g, energy))
+              for g in (g1, g2))
+    return abs(v1 - v2)
 
 
 # ---------------------------------------------------------------------------

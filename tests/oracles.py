@@ -199,39 +199,48 @@ def arg_rectangle_march(evaluate, t: float) -> float:
     return tracker.accumulated_arg
 
 
-def mb_integral_hp(kernel: str, energy: float, a: float,
-                   contour, dps: int = 31) -> complex:
-    """The vertical-line sum of mbfilter.mb_integral on its coarse node set
-    (refine 0), every node in mpmath Gamma and L-functions at dps digits."""
+def line_node_set(energy: float, contour, refine: int):
+    """Weights and nodes of mbfilter's line node set for the energy, each
+    graded panel split `refine` times (mb_integral splits once)."""
+    edges = mbf._graded_edges(mbf.SpectralPoint(energy).nu, contour)
+    t, w = panel_nodes_from_edges(edges, refine)
+    return w, contour.abscissa + 1j * t
+
+
+def mb_integral_hp(energy: float, a: float, contour,
+                   dps: int = 31) -> complex:
+    """The vertical-line sum of mbfilter.mb_integral on its own node set,
+    every node in mpmath Gamma and zeta at dps digits."""
+    w, nodes = line_node_set(energy, contour, 1)
     with mp.workdps(dps):
         nu = mp.mpc(0.5, 0.5 * energy)
         log2a = mp.log(2 * mp.mpf(a))
-        edges = mbf._graded_edges(kernel, complex(0.5, 0.5 * energy), contour)
-        t, w = panel_nodes_from_edges(edges)
         total = mp.mpc(0)
-        for ti, wi in zip(t, w):
-            s = mp.mpc(contour.abscissa, ti)
+        for z, wi in zip(nodes, w):
+            s = mp.mpc(z.real, z.imag)
             val = mp.gamma(s) * mp.gamma(s - nu) * mp.exp(2 * s * log2a)
-            total += val * mbf._hp_arithmetic(kernel, 2 * s) * wi
-        return complex(total * 1j * mbf.kernel_prefactor(kernel))
+            total += val * mp.zeta(2 * s) * wi
+        return complex(total * 1j * mbf.kernel_prefactor("zeta"))
 
 
-def scale_free_factors_unmirrored(kernel: str, s: np.ndarray, nu: complex):
+def scale_free_factors_unmirrored(function: str, s: np.ndarray, nu: complex):
     """mbfilter._scale_free_factors with every node evaluated on its own
-    account: no conjugate pair of nodes shares an evaluation."""
-    l_vec = sf.zeta_vec if kernel == "zeta2s" else sf.dirichlet_beta_vec
+    account: no conjugate pair of nodes shares an evaluation.  function
+    "beta" gives the beta(2s) kernel's factors, which only the filter has."""
+    l_vec = sf.zeta_vec if function == "zeta" else sf.dirichlet_beta_vec
     return sf.log_gamma_vec(s) + sf.log_gamma_vec(s - nu), l_vec(2.0 * s)
 
 
-def spectral_filter_circle(kernel: str, energy: float, a: float,
+def spectral_filter_circle(function: str, energy: float, a: float,
                            radius: float = 0.05, n_points: int = 64) -> complex:
     """mbfilter.spectral_filter by closed-circle quadrature of
     kernel(s)/(s - s0) around s0 = 1/4 + iE/4; spectrally accurate since
     the integrand is meromorphic with one enclosed pole."""
     point = mbf.SpectralPoint(energy)
     s, w = circle_nodes(point.s0, radius, n_points)
-    vals = mbf._kernel_integrand(kernel, s, point.nu, a) / (s - point.s0)
-    return complex(np.sum(vals * w)) * mbf.kernel_prefactor(kernel)
+    lg, arith = scale_free_factors_unmirrored(function, s, point.nu)
+    vals = np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith / (s - point.s0)
+    return complex(np.sum(vals * w)) * mbf.kernel_prefactor(function)
 
 
 def _k_path_two_pass(nu: complex, x: float) -> float:
@@ -463,14 +472,14 @@ def hurwitz_zeta(s, a: float) -> complex:
     return complex(sf._em_core(np.array([s]), (a,))[0])
 
 
-def residue_at_pole(kernel: str, energy: float, scale: mbf.KernelScale,
+def residue_at_pole(energy: float, scale: mbf.KernelScale,
                     pole: complex, radius: float = 0.05,
                     n_points: int = 64) -> complex:
-    """Residue of the raw kernel integrand at a pole, by circle quadrature."""
-    mbf._check_kernel(kernel)
+    """Residue of the raw zeta kernel integrand at a pole, by circle
+    quadrature."""
     point = mbf.SpectralPoint(energy)
     s, w = circle_nodes(complex(pole), radius, n_points)
-    vals = mbf._kernel_integrand(kernel, s, point.nu, scale.a)
+    vals = mbf._kernel_integrand(point.nu, s, scale.a)
     return complex(np.sum(vals * w)) / (2j * math.pi)
 
 

@@ -49,9 +49,9 @@ def test_criterion_2_appendix_filter_roots():
     worst_dd = 0.0
     for frozen in oc.BETA_ORDINATES:
         t_ref = float(frozen)
-        e = mbf.newton_filter_root("beta2s", 2.0 * t_ref + 0.04, A02)
+        e = mbf.newton_filter_root("beta", 2.0 * t_ref + 0.04, A02)
         worst_double = max(worst_double, abs(e - 2.0 * t_ref))
-        e_dd = float(mbf.newton_root_dd("beta2s", 2.0 * t_ref + 0.04, A02))
+        e_dd = float(mbf.newton_root_dd("beta", 2.0 * t_ref + 0.04, A02))
         worst_dd = max(worst_dd, abs(e_dd - 2.0 * t_ref))
     elapsed = time.monotonic() - t0
     ok = worst_double < 1e-8 and worst_dd < 1e-10 and elapsed < 120.0
@@ -64,7 +64,7 @@ def test_criterion_2_appendix_filter_roots():
 
 def test_criterion_3_bijection(zeta_catalog_60):
     t0 = time.monotonic()
-    roots = [mbf.newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05, A02)
+    roots = [mbf.newton_filter_root("zeta", 2.0 * r.ordinate + 0.05, A02)
              for r in zeta_catalog_60 if 2.0 * r.ordinate <= 60.5]
     audit = zc.bijection_audit(zeta_catalog_60, roots, 60.0)
     elapsed = time.monotonic() - t0
@@ -85,8 +85,7 @@ def test_criterion_4_contour_shift_invariance():
         energy = rng.uniform(5.0, 35.0)
         scale = mbf.KernelScale(rng.uniform(0.08, 0.45))
         g1, g2 = sorted(rng.uniform(0.54, 0.96, 2))
-        worst = max(worst,
-                    mbf.contour_shift_delta("zeta2s", energy, scale, g1, g2))
+        worst = max(worst, mbf.contour_shift_delta(energy, scale, g1, g2))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 60.0
     _line(4, "contour-shift invariance", ok,

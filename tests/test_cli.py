@@ -78,22 +78,14 @@ class TestFilterRootsCommand:
         code = run(["filter-roots", "--function", "beta", "--e-max", "34"],
                    tmp_path)
         assert code == 0
-        rows = [ln for ln in (tmp_path / "filter_roots.csv").read_text()
-                .splitlines() if ln and not ln.startswith("#")
+        lines = (tmp_path / "filter_roots.csv").read_text().splitlines()
+        assert lines[0] == ("# kernel=beta2s g=0.75 a=0.20000000000000001 "
+                            "precision=double")
+        rows = [ln for ln in lines if ln and not ln.startswith("#")
                 and not ln.startswith("E_root")]
         assert len(rows) == 4
         for row in rows:
             assert float(row.split(",")[2]) < 1e-8
-
-    def test_negative_exponent_abscissa(self, tmp_path, capsys):
-        # argparse's default pattern reads "-1e-3" as an option name
-        run(["census", "--t-max", "32"], tmp_path)
-        written = []
-        for argv in (["--abscissa", "-1e-3"], ["--abscissa=-1e-3"]):
-            assert run(["filter-roots"] + argv, tmp_path) == 0
-            written.append((tmp_path / "filter_roots.csv").read_bytes())
-        assert written[0] == written[1]
-        assert b" g=-0.001 " in written[0]
 
     def test_missing_catalog_exit_4(self, tmp_path, capsys):
         code = run(["filter-roots"], tmp_path)
@@ -341,24 +333,17 @@ class TestWorkerProcesses:
         with pytest.raises(errors.NoConvergence, match="from a worker"):
             cli._fan_out(_pause_or_fail, tasks, 3)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
-                        reason="counts threads through /proc/self/stat")
-    def test_back_to_back_pools_fork_single_threaded(self):
-        # /proc/self/stat field 20 is the OS thread count that Python 3.12+
-        # checks at fork; the warm-up fan-out also lets OpenBLAS shut its
-        # thread pool down, as it does at a process's first fork
-        def os_threads():
-            with open("/proc/self/stat", "rb") as fh:
-                return int(fh.read().rsplit(b")", 1)[1].split()[17])
-
+    @pytest.mark.skipif(not (hasattr(os, "fork")
+                             and os.path.isdir("/proc/self/task")),
+                        reason="counts threads through /proc/self/task")
+    def test_back_to_back_pools_fork_single_threaded(self,
+                                                     forks_single_threaded):
+        # the conftest records the OS thread count at every fork
         tasks = [(0.0, None)] * 2
-        cli._fan_out(_pause_or_fail, tasks, 2)
-        counts = []
-        os.register_at_fork(before=lambda: counts.append(os_threads()))
         for _ in range(20):
             assert cli._fan_out(_pause_or_fail, tasks, 2) == [0.0, 0.0]
-        assert len(counts) >= 40
-        assert set(counts) == {1}
+        assert len(forks_single_threaded) >= 40
+        assert set(forks_single_threaded) == {1}
 
     @pytest.mark.skipif(not (hasattr(os, "fork")
                              and os.path.isdir("/proc/self/task")),
@@ -513,14 +498,25 @@ class TestUsageErrors:
 
 # one value each flag accepts
 _VALID = {"--function": "zeta", "--t-max": "30", "--e-max": "30", "--a": "0.2",
-          "--abscissa": "0.75", "--precision": "double", "--threads": "1",
-          "--out": ".", "--cache": "cat.txt", "--claims": "trace_class_p2"}
+          "--precision": "double", "--threads": "1", "--out": ".",
+          "--cache": "cat.txt", "--claims": "trace_class_p2"}
+# a dropped flag, with a value it took: every command rejects it
+_DROPPED = {"--abscissa": "0.75"}
+
+
+def _unique_prefixes(command, flag):
+    """The prefixes of flag, past "--", that no other flag of the command
+    starts with: argparse's allow_abbrev would read each as the flag."""
+    others = [f for f, (commands, _, _) in cli._FLAGS.items()
+              if command in commands and f != flag]
+    return [flag[:end] for end in range(3, len(flag))
+            if not any(f.startswith(flag[:end]) for f in others)]
 
 
 class TestFlagTable:
-    def test_twenty_five_pairs(self):
+    def test_twenty_four_pairs(self):
         assert sum(len(commands) for commands, _, _ in cli._FLAGS.values()) \
-            == 25
+            == 24
         assert set(cli._FLAGS) == set(_VALID)
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -533,15 +529,30 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in sorted(cli._COMMANDS)
-        for flag, (commands, _, _) in cli._FLAGS.items()
-        if command not in commands])
+        for flag in [*cli._FLAGS, *_DROPPED]
+        if command not in cli._FLAGS.get(flag, ((),))[0]])
     def test_flag_outside_the_table_exit_5(self, command, flag, tmp_path,
                                            capsys, monkeypatch):
         monkeypatch.setattr(zc, "catalog_load", _fail_if_called)
         monkeypatch.setattr(zc, "scan_zeros", _fail_if_called)
         monkeypatch.chdir(tmp_path)
-        assert cli.main([command, flag, _VALID[flag]]) == 5
+        assert cli.main([command, flag, {**_VALID, **_DROPPED}[flag]]) == 5
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(cli._COMMANDS)
+        for flag in cli._FLAGS if _unique_prefixes(command, flag)])
+    def test_unique_prefix_exit_5(self, command, flag, tmp_path, capsys,
+                                  monkeypatch):
+        # each flag has one spelling
+        monkeypatch.setattr(zc, "catalog_load", _fail_if_called)
+        monkeypatch.setattr(zc, "scan_zeros", _fail_if_called)
+        monkeypatch.chdir(tmp_path)
+        for prefix in _unique_prefixes(command, flag):
+            assert cli.main([command, prefix, _VALID[flag]]) == 5
+            assert f"unrecognized arguments: {prefix} " \
+                in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -682,7 +693,6 @@ _VALUES = {
                 hst.sampled_from(_EDGE_NUMBERS + ("3.9",))),
     "--a": (_floats(0.01, 0.99),
             hst.sampled_from(_EDGE_NUMBERS + ("1", "0.9999999999999999"))),
-    "--abscissa": (_floats(-7.9, 7.9), hst.sampled_from(_EDGE_NUMBERS)),
     "--precision": (hst.sampled_from(["double", "double_double"]),
                     hst.just("quad")),
     "--threads": (hst.sampled_from(["1", "2"]),

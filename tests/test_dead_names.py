@@ -1,0 +1,52 @@
+"""Every module-level function and class in the package has a caller in
+the package: library code whose only user is a test belongs in
+tests/oracles.py.  The names that perfbench's tracer wraps are exempt
+while it wraps them."""
+
+import ast
+import re
+from pathlib import Path
+
+import mbzero
+
+SRC = Path(mbzero.__file__).resolve().parent
+TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_names() -> set:
+    """(module, name) of each TRACED entry, read as text: perfbench is no
+    package of the suite."""
+    return set(re.findall(r'\("(\w+)", "(\w+)", (?:None|"\w+")\)',
+                          TRACING.read_text(encoding="utf-8")))
+
+
+def _names_used(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _dead_names() -> set:
+    """(module, name) of each module-level def or class whose name no
+    statement of the package other than its own definition uses."""
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _names_used(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((path.stem, stmt.name, len(used)))
+            used.append(names)
+    return {(module, name) for module, name, own in defined
+            if not any(name in names for i, names in enumerate(used)
+                       if i != own)}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    assert _dead_names() - _traced_names() == set()
+
+
+def test_only_two_definitions_live_by_the_tracer_alone():
+    # both are test-only and move to tests/oracles.py once untraced
+    assert _dead_names() == {("mbfilter", "spectral_filter"),
+                             ("operatorlab", "prufer_integrate")}

@@ -23,80 +23,76 @@ A02 = mbf.KernelScale(0.2)
 BETA_E1 = 2.0 * float(oc.BETA_ORDINATES[0][:18])
 
 
+def _refined_line_sum(energy, a, contour, refine):
+    """mb_integral's line sum with each graded panel split `refine` times,
+    every node evaluated on its own account."""
+    w, s = oc.line_node_set(energy, contour, refine)
+    vals = mbf._kernel_integrand(mbf.SpectralPoint(energy).nu, s, a)
+    return complex(np.sum(vals * w)) * 1j * mbf.kernel_prefactor("zeta")
+
+
 class TestMbIntegral:
-    def test_beta_line_value_is_stable_under_panel_doubling(self):
-        c = mbf.ContourSpec(abscissa=0.75, t_max=45.0, panel_count=120)
-        ev = mbf.mb_integral("beta2s", BETA_E1, A02, c)
-        fine = mbf._line_sum("beta2s", complex(0.5, 0.5 * BETA_E1), 0.2, c,
-                             refine=2)
-        assert abs(fine - ev.value) < 10.0 * ev.truncation_error
-
-    def test_beta_line_value_frozen(self):
-        # brute-force fine-quadrature oracle (mpmath tanh-sinh, 25 digits)
-        want = complex(1.225750636385142e-05, 1.20832659994115e-04)
-        c = mbf.ContourSpec(abscissa=0.75, t_max=45.0, panel_count=120)
-        ev = mbf.mb_integral("beta2s", BETA_E1, A02, c)
-        assert abs(ev.value - want) <= 1e-9 * abs(want)
-
     def test_spectral_filter_vanishes_at_paper_root(self):
         # the vanish-at-the-ordinate contract lives on the localized filter
-        assert abs(mbf.spectral_filter("beta2s", BETA_E1, A02)) < 1e-8
+        assert abs(mbf.spectral_filter("beta", BETA_E1, A02)) < 1e-8
 
     def test_conjugation_symmetry(self):
         c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
-        up = mbf.mb_integral("zeta2s", 9.0, A02, c).value
-        down = mbf.mb_integral("zeta2s", -9.0, A02, c).value
+        up = mbf.mb_integral(9.0, A02, c)
+        down = mbf.mb_integral(-9.0, A02, c)
         assert abs(down - up.conjugate()) <= 1e-12 * abs(up)
 
     def test_zeta_kernel_small_at_first_zero_energy(self, zeta_catalog_60):
+        # halving every panel again moves the value by less than ten times
+        # the last halving plus the tail bound
         e = 2.0 * zeta_catalog_60[0].ordinate
         c = mbf.ContourSpec(abscissa=0.6, t_max=60.0, panel_count=160)
-        ev = mbf.mb_integral("zeta2s", e, A02, c)
-        assert abs(ev.value) < 1e-7
-        fine = mbf._line_sum("zeta2s", complex(0.5, 0.5 * e), 0.2, c, refine=2)
-        assert abs(fine - ev.value) < 10.0 * ev.truncation_error
+        value = mbf.mb_integral(e, A02, c)
+        assert abs(value) < 1e-7
+        coarse, fine = (_refined_line_sum(e, 0.2, c, r) for r in (0, 2))
+        tail = mbf._tail_estimate(complex(0.5, 0.5 * e), 0.2, c)
+        assert abs(fine - value) < 10.0 * (abs(value - coarse) + tail)
 
     def test_contour_on_pole_guard(self):
         with pytest.raises(ContourOnPole):
-            mbf.mb_integral("zeta2s", 5.0, A02,
+            mbf.mb_integral(5.0, A02,
                             mbf.ContourSpec(abscissa=0.5 + 1e-8, t_max=40,
                                             panel_count=100))
 
     def test_dd_precision_agrees_with_double(self):
         c = mbf.ContourSpec(abscissa=0.75, t_max=40.0, panel_count=100)
-        d = mbf.mb_integral("beta2s", 10.0, A02, c).value
-        dd = oc.mb_integral_hp("beta2s", 10.0, 0.2, c)
+        d = mbf.mb_integral(10.0, A02, c)
+        dd = oc.mb_integral_hp(10.0, 0.2, c)
         assert abs(d - dd) <= 1e-12 * abs(d)
 
 
-class TestKernelSet:
-    def test_zeta_and_beta_only(self):
-        assert mbf.KERNELS == ("zeta2s", "beta2s")
-
-    def test_xi_kernel_is_unknown(self):
-        with pytest.raises(ArgumentDomain):
-            mbf.mb_integral("xi2s", 8.0, A02)
-        with pytest.raises(ArgumentDomain):
-            mbf.spectral_filter("xi2s", 8.0, A02)
-        with pytest.raises(ArgumentDomain):
-            mbf.contour_shift_delta("xi2s", 8.0, A02, 0.6, 0.9)
+class TestFunctionTag:
+    def test_unknown_tag_raises(self):
+        # a kernel name or an unknown function never reaches another kernel
+        for root in (mbf.spectral_filter, mbf.newton_filter_root,
+                     mbf.newton_root_dd):
+            for tag in ("zeta2s", "xi"):
+                with pytest.raises(ArgumentDomain, match="unknown function"):
+                    root(tag, 28.3, A02)
 
 
 class TestSpectralFilter:
-    @pytest.mark.parametrize("kernel", mbf.KERNELS)
-    def test_agrees_with_circle_quadrature(self, kernel):
+    # ids are the kernels' names, as the filter_roots.csv header prints them
+    @pytest.mark.parametrize("function", ["zeta", "beta"],
+                             ids=["zeta2s", "beta2s"])
+    def test_agrees_with_circle_quadrature(self, function):
         for energy in (5.0, 17.3, 41.7, 60.0):
-            direct = mbf.spectral_filter(kernel, energy, A02)
-            circle = oc.spectral_filter_circle(kernel, energy, 0.2)
+            direct = mbf.spectral_filter(function, energy, A02)
+            circle = oc.spectral_filter_circle(function, energy, 0.2)
             assert abs(direct - circle) <= 1e-11 * abs(direct)
 
 
 class TestContourShift:
     def test_example_pair(self):
-        assert mbf.contour_shift_delta("zeta2s", 10.0, A02, 0.55, 0.70) < 1e-10
+        assert mbf.contour_shift_delta(10.0, A02, 0.55, 0.70) < 1e-10
 
     def test_identical_abscissae(self):
-        assert mbf.contour_shift_delta("zeta2s", 10.0, A02, 0.6, 0.6) == 0.0
+        assert mbf.contour_shift_delta(10.0, A02, 0.6, 0.6) == 0.0
 
     def test_twenty_random_pairs(self):
         rng = np.random.RandomState(11)
@@ -104,60 +100,52 @@ class TestContourShift:
             energy = rng.uniform(5.0, 35.0)
             scale = mbf.KernelScale(rng.uniform(0.08, 0.45))
             g1, g2 = sorted(rng.uniform(0.54, 0.96, 2))
-            assert mbf.contour_shift_delta("zeta2s", energy, scale,
-                                           g1, g2) < 1e-10
+            assert mbf.contour_shift_delta(energy, scale, g1, g2) < 1e-10
 
     def test_pole_in_strip_raises_and_residue_corrects(self):
         energy = 10.0
         with pytest.raises(PoleInStrip) as err:
-            mbf.contour_shift_delta("beta2s", energy, A02, 0.45, 0.70)
+            mbf.contour_shift_delta(energy, A02, 0.45, 0.70)
         assert err.value.pole == pytest.approx(0.5)
-        # the residue-corrected difference closes the gap: the crossed pole
-        # at s = nu contributes prefactor * 2 pi i * residue
+        # the residue-corrected difference closes the gap: the strip crosses
+        # the Gamma(s - nu) pole at s = nu and the zeta(2s) pole at s = 1/2,
+        # each contributing prefactor * 2 pi i * residue
         c_lo = mbf.ContourSpec(abscissa=0.45, t_max=50.0, panel_count=140)
         c_hi = mbf.ContourSpec(abscissa=0.70, t_max=50.0, panel_count=140)
-        lo = mbf.mb_integral("beta2s", energy, A02, c_lo).value
-        hi = mbf.mb_integral("beta2s", energy, A02, c_hi).value
-        res = oc.residue_at_pole("beta2s", energy, A02,
-                                  complex(0.5, 0.5 * energy))
-        pred = mbf.kernel_prefactor("beta2s") * 2j * math.pi * res
+        lo = mbf.mb_integral(energy, A02, c_lo)
+        hi = mbf.mb_integral(energy, A02, c_hi)
+        res = sum(oc.residue_at_pole(energy, A02, pole)
+                  for pole in (complex(0.5, 0.5 * energy), 0.5))
+        pred = mbf.kernel_prefactor("zeta") * 2j * math.pi * res
         assert abs((hi - lo) - pred) < 1e-9
 
 
 class TestNodeSetCache:
-    def _bits(self, ev):
-        return np.array([ev.value, complex(ev.truncation_error)]).view(np.uint64)
-
     def test_cold_and_warm_cache_give_identical_bits(self):
         c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
         h = 1e-5 * 0.2
         for a in (0.2 - h, 0.2, 0.2 + h):
             mbf._node_set.cache_clear()
-            cold = mbf.mb_integral("zeta2s", 12.0, mbf.KernelScale(a), c)
-            warm = mbf.mb_integral("zeta2s", 12.0, mbf.KernelScale(a), c)
-            assert np.array_equal(self._bits(cold), self._bits(warm))
+            cold = mbf.mb_integral(12.0, mbf.KernelScale(a), c)
+            warm = mbf.mb_integral(12.0, mbf.KernelScale(a), c)
+            assert np.array_equal(_bits([cold]), _bits([warm]))
 
     def test_cached_sum_matches_direct_integrand(self):
         c = mbf.ContourSpec(abscissa=0.75, t_max=45.0, panel_count=120)
-        nu = complex(0.5, 0.5 * BETA_E1)
-        edges = mbf._graded_edges("beta2s", nu, c)
-        t, w = mbf.panel_nodes_from_edges(edges, 1)
-        s = c.abscissa + 1j * t
-        direct = complex(np.sum(mbf._kernel_integrand("beta2s", s, nu, 0.2) * w)) \
-            * 1j * mbf.kernel_prefactor("beta2s")
-        assert mbf.mb_integral("beta2s", BETA_E1, A02, c).value == direct
+        assert mbf.mb_integral(12.0, A02, c) == \
+            _refined_line_sum(12.0, 0.2, c, 1)
 
     def test_cached_arrays_are_read_only(self):
         c = mbf.ContourSpec(abscissa=0.6, t_max=45.0, panel_count=120)
-        w, s, (lg, arith) = mbf._node_set("zeta2s", complex(0.5, 6.0), c, 0)
+        w, s, (lg, arith) = mbf._node_set(complex(0.5, 6.0), c)
         with pytest.raises(ValueError):
             lg[0] = 0.0
 
     def test_contour_shift_delta_is_the_difference_of_mb_integrals(self):
         for energy, g1, g2 in ((10.0, 0.55, 0.70), (17.5, 0.62, 0.91)):
-            got = mbf.contour_shift_delta("zeta2s", energy, A02, g1, g2)
-            v1, v2 = (mbf.mb_integral("zeta2s", energy, A02,
-                                      mbf.ContourSpec.default(g, energy)).value
+            got = mbf.contour_shift_delta(energy, A02, g1, g2)
+            v1, v2 = (mbf.mb_integral(energy, A02,
+                                      mbf.ContourSpec.default(g, energy))
                       for g in (g1, g2))
             assert got == abs(v1 - v2)
 
@@ -177,44 +165,43 @@ def _contour_shift_pairs():
 
 
 class TestMirroredFactors:
-    """_node_set evaluates Gamma(s) and L(2s) once per conjugate pair of
+    """_node_set evaluates Gamma(s) and zeta(2s) once per conjugate pair of
     nodes; oc.scale_free_factors_unmirrored evaluates every node."""
 
     @staticmethod
-    def _assert_matches_oracle(kernel, energy, contour, refine):
-        nu = mbf.SpectralPoint(energy).nu
-        _, s, factors = mbf._node_set(kernel, nu, contour, refine)
-        want = oc.scale_free_factors_unmirrored(kernel, s, nu)
+    def _assert_matches_oracle(s, nu, factors):
+        want = oc.scale_free_factors_unmirrored("zeta", s, nu)
         for got, ref in zip(factors, want):
             assert np.array_equal(_bits(got), _bits(ref))
 
-    # zeta2s on the ledger claim's own node sets; beta2s on their coarse sets
-    @pytest.mark.parametrize("kernel, refine", [("zeta2s", 1), ("beta2s", 0)])
-    def test_contour_shift_pairs(self, kernel, refine):
+    def test_contour_shift_pairs(self):
+        # the ledger claim's own node sets
         for energy, g1, g2 in _contour_shift_pairs():
+            nu = mbf.SpectralPoint(energy).nu
             for g in (g1, g2):
-                contour = mbf.ContourSpec.default(g, energy)
-                self._assert_matches_oracle(kernel, energy, contour, refine)
+                _, s, factors = mbf._node_set(
+                    nu, mbf.ContourSpec.default(g, energy))
+                self._assert_matches_oracle(s, nu, factors)
 
     @settings(max_examples=40, deadline=None)
-    @given(hst.sampled_from(mbf.KERNELS), hst.floats(-2.9, 2.9),
-           hst.floats(-40.0, 40.0), hst.floats(2.0, 40.0),
-           hst.integers(1, 40), hst.integers(0, 1))
+    @given(hst.floats(-2.9, 2.9), hst.floats(-40.0, 40.0),
+           hst.floats(2.0, 40.0), hst.integers(1, 40), hst.integers(0, 1))
     # zeta(2s) at Re 2s = -5.75 cancels to Im +0 at a node and its mirror
-    @example("zeta2s", -2.875, 0.0, 27.0, 1, 0)
-    def test_random_contours(self, kernel, g, energy, t_max, panels, refine):
+    @example(-2.875, 0.0, 27.0, 1, 0)
+    def test_random_contours(self, g, energy, t_max, panels, refine):
         contour = mbf.ContourSpec(abscissa=g, t_max=t_max, panel_count=panels)
         try:
-            mbf.validate_contour(kernel, contour)
+            mbf.validate_contour(contour)
         except ContourOnPole:
             assume(False)
-        self._assert_matches_oracle(kernel, energy, contour, refine)
+        nu = mbf.SpectralPoint(energy).nu
+        _, s = oc.line_node_set(energy, contour, refine)
+        self._assert_matches_oracle(s, nu, mbf._scale_free_factors(s, nu))
 
     def test_most_nodes_are_mirrors_and_max_im_is_canonical(self):
         for energy, g1, g2 in _contour_shift_pairs()[:3]:
             contour = mbf.ContourSpec.default(g1, energy)
-            _, s, _ = mbf._node_set("zeta2s", mbf.SpectralPoint(energy).nu,
-                                    contour, 1)
+            _, s, _ = mbf._node_set(mbf.SpectralPoint(energy).nu, contour)
             canon, mirror, partner = mbf._conjugate_split(s)
             assert mirror.size > 0.4 * s.size
             assert np.array_equal(_bits(s[mirror]), _bits(np.conj(s[partner])))
@@ -229,10 +216,10 @@ class TestMirroredFactors:
                             lambda z: seen.append(z.size) or zeta_vec(z))
         s = 0.6 + 1j * np.array([-3.0, -1.0, 1e-300, 1.0, 2.0, 3.0,
                                  -1e-300, 4.0])
-        lg, arith = mbf._scale_free_factors("zeta2s", s, complex(0.5, 6.0))
+        lg, arith = mbf._scale_free_factors(s, complex(0.5, 6.0))
         # -3 and -1 mirror 3 and 1; the 1e-300 pair is below the cut-off
         assert seen == [6]
-        want = oc.scale_free_factors_unmirrored("zeta2s", s, complex(0.5, 6.0))
+        want = oc.scale_free_factors_unmirrored("zeta", s, complex(0.5, 6.0))
         assert np.array_equal(_bits(lg), _bits(want[0]))
         assert np.array_equal(_bits(arith), _bits(want[1]))
 
@@ -304,30 +291,30 @@ class TestHadamardFinitePart:
 
 class TestNewtonFilterRoot:
     def test_beta_first_root(self):
-        e = mbf.newton_filter_root("beta2s", 12.0, A02)
+        e = mbf.newton_filter_root("beta", 12.0, A02)
         want = 2.0 * float(oc.BETA_ORDINATES[0][:20])
         assert abs(e - want) < 1e-8
 
     def test_beta_second_root(self):
-        e = mbf.newton_filter_root("beta2s", 20.5, A02)
+        e = mbf.newton_filter_root("beta", 20.5, A02)
         assert abs(e - 20.487540608) < 1e-8
 
     def test_zeta_first_root(self, zeta_catalog_60):
         t1 = zeta_catalog_60[0].ordinate
-        e = mbf.newton_filter_root("zeta2s", 28.3, A02)
+        e = mbf.newton_filter_root("zeta", 28.3, A02)
         assert abs(e - 2.0 * t1) < 1e-7
 
     def test_double_double_tightens(self):
-        e = float(mbf.newton_root_dd("beta2s", 12.0, A02))
+        e = float(mbf.newton_root_dd("beta", 12.0, A02))
         want = 2.0 * float(oc.BETA_ORDINATES[0][:22])
         assert abs(e - want) < 1e-10
 
     def test_dressed_filter_value_is_no_root_test(self):
         # at E = 60, far from any root, the dressing alone pushes |F| below
         # 1e-11 while |L(1/2 + 30i)| is about 0.6
-        assert abs(mbf.spectral_filter("zeta2s", 60.0, A02)) < 1e-11
+        assert abs(mbf.spectral_filter("zeta", 60.0, A02)) < 1e-11
         with pytest.raises(NoConvergence, match="not a zero"):
-            mbf._root_residual("zeta2s", 60.0)
+            mbf._root_residual("zeta", 60.0)
 
     @pytest.mark.parametrize("precision", ["double", "double_double"])
     def test_residual_above_limit_is_no_convergence(self, precision,
@@ -336,10 +323,10 @@ class TestNewtonFilterRoot:
         root = {"double": mbf.newton_filter_root,
                 "double_double": mbf.newton_root_dd}[precision]
         with pytest.raises(NoConvergence, match="not a zero"):
-            root("beta2s", 12.0, A02)
+            root("beta", 12.0, A02)
 
     def test_dd_root_keeps_full_precision(self):
-        root = mbf.newton_root_dd("beta2s", 12.0, A02)
+        root = mbf.newton_root_dd("beta", 12.0, A02)
         with mp.workdps(31):
             assert abs(root - 2 * mp.mpf(oc.BETA_ORDINATES[0])) < 1e-20
 
@@ -348,16 +335,16 @@ class TestNewtonFilterRoot:
         with mp.workdps(40):
             for frozen in oc.ZETA_ORDINATES[:10]:
                 want = 2 * mp.mpf(frozen)
-                root = mbf.newton_root_dd("zeta2s", float(want) + 0.05, A02)
+                root = mbf.newton_root_dd("zeta", float(want) + 0.05, A02)
                 assert abs(root - want) < 1e-30 * want
 
     def test_unreachable_guess(self):
         with pytest.raises((BasinEscape, NoConvergence)):
-            mbf.newton_filter_root("beta2s", 1.0, A02)
+            mbf.newton_filter_root("beta", 1.0, A02)
 
     def test_filter_zero_equivalence_both_ways(self, beta_catalog):
         # every Newton root pairs with an ordinate, and conversely
-        roots = [mbf.newton_filter_root("beta2s", 2 * r.ordinate + 0.05, A02)
+        roots = [mbf.newton_filter_root("beta", 2 * r.ordinate + 0.05, A02)
                  for r in beta_catalog]
         for e, cat in zip(roots, beta_catalog):
             assert abs(e - 2.0 * cat.ordinate) < 1e-8
@@ -368,19 +355,17 @@ class TestScaleLimits:
         mags = []
         for a in (0.1, 0.05, 0.025, 0.0125):
             c = mbf.ContourSpec(abscissa=0.25, t_max=45.0, panel_count=120)
-            mags.append(abs(mbf.mb_integral("zeta2s", 10.0,
-                                            mbf.KernelScale(a), c).value))
+            mags.append(abs(mbf.mb_integral(10.0, mbf.KernelScale(a), c)))
         assert all(x > y for x, y in zip(mags, mags[1:]))
 
     def test_negative_abscissa_plateau_matches_crossed_residue(self):
         # at g = -1/4 the Gamma(s) pole at s = 0 has been crossed; its
         # a-independent residue is the floor of the a -> 0 limit
         nu = complex(0.5, 5.0)
-        floor = abs(mbf.kernel_prefactor("zeta2s") * 2j * math.pi
+        floor = abs(mbf.kernel_prefactor("zeta") * 2j * math.pi
                     * (-0.5) * cmath.exp(sf.log_gamma(-nu)))
         c = mbf.ContourSpec(abscissa=-0.25, t_max=45.0, panel_count=120)
-        val = abs(mbf.mb_integral("zeta2s", 10.0, mbf.KernelScale(0.001),
-                                  c).value)
+        val = abs(mbf.mb_integral(10.0, mbf.KernelScale(0.001), c))
         assert abs(val - floor) < 0.05 * floor
 
     def test_scale_regularity(self):

@@ -222,7 +222,7 @@ class TestGuinandWeil:
 class TestBijection:
     def test_delta_zero_to_60(self, zeta_catalog_60):
         scale = mbf.KernelScale(0.2)
-        roots = [mbf.newton_filter_root("zeta2s", 2.0 * r.ordinate + 0.05,
+        roots = [mbf.newton_filter_root("zeta", 2.0 * r.ordinate + 0.05,
                                         scale)
                  for r in zeta_catalog_60 if 2.0 * r.ordinate <= 60.5]
         audit = zc.bijection_audit(zeta_catalog_60, roots, 60.0)
