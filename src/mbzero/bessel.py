@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audit import AuditReport
-from .errors import ArgumentDomain, QuadratureNonConvergence, SeriesOverflow
+from .errors import ArgumentDomain, NoConvergence
 from .specfun import log_gamma
 
 _RE_NU_MAX = 5.0
@@ -30,8 +30,6 @@ _I_SERIES_X_MAX = 30.0
 
 @dataclass(frozen=True)
 class BesselEval:
-    order: complex
-    argument: float
     value: complex
     abs_error_estimate: float
 
@@ -142,10 +140,9 @@ def bessel_K(nu: complex, x: float, tol: float = 1e-12) -> BesselEval:
                 _k_integrand(nu, x, beta, fixed, h, n)))
         err = abs(cur - prev)
         if err <= tol * max(abs(cur), 1e-300):
-            return BesselEval(order=nu, argument=x, value=cur,
-                              abs_error_estimate=err)
+            return BesselEval(value=cur, abs_error_estimate=err)
         prev = cur
-    raise QuadratureNonConvergence(
+    raise NoConvergence(
         f"K quadrature stalled at nu={nu!r}, x={x}: last delta {err:.3e}"
     )
 
@@ -156,7 +153,7 @@ def bessel_I(nu: complex, x: float, tol: float = 1e-13) -> BesselEval:
     if not (x > 0.0):
         raise ArgumentDomain("bessel_I needs x > 0")
     if x > _I_SERIES_X_MAX:
-        raise SeriesOverflow(f"series mode limited to x <= {_I_SERIES_X_MAX}")
+        raise ArgumentDomain(f"series mode limited to x <= {_I_SERIES_X_MAX}")
     # (x/2)^nu / Gamma(nu+1) in log form to dodge overflow at large |Im nu|
     lead = cmath.exp(nu * math.log(0.5 * x) - log_gamma(nu + 1.0))
     q = 0.25 * x * x
@@ -166,9 +163,9 @@ def bessel_I(nu: complex, x: float, tol: float = 1e-13) -> BesselEval:
         term *= q / (k * (nu + k))
         total += term
         if abs(term) <= tol * abs(total):
-            return BesselEval(order=nu, argument=x, value=lead * total,
+            return BesselEval(value=lead * total,
                               abs_error_estimate=abs(lead * term))
-    raise SeriesOverflow(f"I series failed to converge at nu={nu!r}, x={x}")
+    raise ArgumentDomain(f"I series failed to converge at nu={nu!r}, x={x}")
 
 
 def _richardson_derivative(f, x: float, h: float) -> complex:

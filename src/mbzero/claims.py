@@ -282,8 +282,7 @@ def claim_frobenius(config, catalog):
 def claim_prufer_monotonicity(config, catalog):
     pairs = [(1.0, 2.0), (2.0, 3.5), (3.5, 5.0), (5.0, 7.0), (7.0, 9.0),
              (1.5, 6.0), (2.5, 8.0), (4.0, 4.5), (6.0, 10.0), (9.0, 12.0)]
-    advance = {e: ol.phase_advance(ol.RadialProblem(nu=0.5, x_min=0.1,
-                                                    x_max=10.0, energy=e))
+    advance = {e: ol.phase_advance(ol.RadialProblem(0.1, 10.0, e))
                for e in {e for pair in pairs for e in pair}}
     worst = 0.0
     for e1, e2 in pairs:

@@ -14,9 +14,9 @@ Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
 4 I/O failure (missing, unusable or empty catalog, unwritable output);
 5 invalid configuration or command line; 6 cache verification failure.
-Each library error class carries its code (errors.py); main maps it
-once.  Commands that write into --out check that it is a directory
-before any work starts.
+errors.py has one class per code; main maps it once.  `stats` and
+`audit` read only a zeta catalog.  Commands that write into --out check
+that it is a directory before any work starts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import mbfilter as mbf
 from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import ledger_json
-from .errors import ConfigError, MbzeroError, WindowTooSparse
+from .errors import ArgumentDomain, MbzeroError
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -96,8 +96,9 @@ def _load_catalog(config, function: str = None) -> list:
                                 "not a file; run `mbzero census` first")
     records = zc.catalog_load(config.cache)
     if function and records[0].function != function:
-        raise ConfigError(f"{config.command} needs a {function} catalog, not "
-                          f"the {records[0].function} catalog {config.cache}")
+        raise ArgumentDomain(f"{config.command} needs a {function} catalog, "
+                             f"not the {records[0].function} catalog "
+                             f"{config.cache}")
     return records
 
 
@@ -158,8 +159,8 @@ def cmd_filter_roots(config) -> int:
 
 def cmd_bijection(config) -> int:
     if not config.e_max >= 4.0:
-        raise ConfigError("--e-max must be >= 4 for bijection (the "
-                          "Guinand-Weil count starts at E = 4)")
+        raise ArgumentDomain("--e-max must be >= 4 for bijection (the "
+                             "Guinand-Weil count starts at E = 4)")
     catalog = _load_catalog(config)
     audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
                                  config.e_max)
@@ -211,7 +212,8 @@ def _emit_stats(config, spectrum) -> None:
 
 
 def cmd_stats(config) -> int:
-    catalog = _load_catalog(config)
+    # the unfolding counts with the Riemann-von Mangoldt term of zeta
+    catalog = _load_catalog(config, "zeta")
     _emit_stats(config, st.unfold_catalog(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
           f"-> {config.out}")
@@ -227,10 +229,10 @@ def cmd_audit(config) -> int:
         # catalog unfolds before any claim runs or any file is written
         try:
             spectrum = st.unfold_catalog(catalog)
-        except WindowTooSparse as exc:
-            raise ConfigError(f"{exc}; the full audit writes spacing "
-                              "statistics, so choose claims with --claims"
-                              ) from None
+        except ArgumentDomain as exc:
+            raise ArgumentDomain(f"{exc}; the full audit writes spacing "
+                                 "statistics, so choose claims with "
+                                 "--claims") from None
     reports = _fan_out(partial(cl.run_claim, config, catalog),
                        [c for c in cl.REGISTRY if not only or c in only],
                        config.threads)
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         for flag, (commands, _, bounds) in _FLAGS.items():
             if config.command in commands and bounds and \
                     not bounds[0](getattr(config, flag[2:].replace("-", "_"))):
-                raise ConfigError(f"{flag} must be in {bounds[1]}")
+                raise ArgumentDomain(f"{flag} must be in {bounds[1]}")
         if "out" in config and not os.path.isdir(config.out):
             raise NotADirectoryError(f"cannot write outputs: --out "
                                      f"{config.out} is not a directory")

@@ -42,14 +42,7 @@ import numpy as np
 
 from . import specfun as sf
 from . import zerocensus as zc
-from .errors import (
-    ArgumentDomain,
-    BasinEscape,
-    ContourOnPole,
-    NoConvergence,
-    PoleInStrip,
-    TailBoundViolated,
-)
+from .errors import ArgumentDomain, NoConvergence
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
 _DD_DPS = 31  # working digits of the double-double mode
@@ -288,7 +281,7 @@ def validate_contour(contour: ContourSpec) -> None:
     ladders = pole_abscissas(span=max(12.0, abs(contour.abscissa) + 2))
     dist = float(np.min(np.abs(ladders - contour.abscissa)))
     if dist < _POLE_MARGIN:
-        raise ContourOnPole(
+        raise ArgumentDomain(
             f"abscissa {contour.abscissa} within {_POLE_MARGIN} of a pole ladder"
         )
 
@@ -296,7 +289,7 @@ def validate_contour(contour: ContourSpec) -> None:
 def mb_integral(energy: float, scale: KernelScale,
                 contour: ContourSpec) -> complex:
     """Literal vertical-line quadrature of the zeta kernel at Re s =
-    abscissa.  TailBoundViolated when the bound on the discarded tails
+    abscissa.  NoConvergence when the bound on the discarded tails
     exceeds 1e-14 of |integral|; ArgumentDomain for a non-finite value."""
     validate_contour(contour)
     nu = SpectralPoint(energy).nu
@@ -304,7 +297,7 @@ def mb_integral(energy: float, scale: KernelScale,
     tail = _tail_estimate(nu, scale.a, contour)
     accumulated = abs(value)
     if accumulated > 0.0 and tail > 1e-14 * accumulated and tail > 1e-280:
-        raise TailBoundViolated(
+        raise NoConvergence(
             f"tail {tail:.3e} above 1e-14 of |integral| {accumulated:.3e}; "
             "raise t_max"
         )
@@ -334,10 +327,7 @@ def spectral_filter(function: str, energy: float,
     exactly at E = 2 t_n.  Reported with the kernel's paper prefactor.
     """
     _check_function(function)
-    point = SpectralPoint(energy)
-    norm = kernel_prefactor(function) * 2j * math.pi
-    dress = cmath.exp(_dressing_log(point, scale.a))
-    return norm * dress * arithmetic_factor(function, 2.0 * point.s0)
+    return _filter_with_derivative(function, energy, scale)[0]
 
 
 def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
@@ -392,15 +382,15 @@ def _newton(filter_and_derivative, e_guess, tol_step):
         f, df = filter_and_derivative(e)
         f_hist.append(abs(f))
         if it == 2 and not (f_hist[2] < f_hist[0]):
-            raise BasinEscape(f"|filter| not decreasing from guess "
-                              f"{float(e_guess)}")
+            raise NoConvergence(f"|filter| not decreasing from guess "
+                                f"{float(e_guess)}")
         if df == 0:
             raise NoConvergence("filter derivative vanished")
         step = (f / df).real
         e_new = e - step
         if abs(e_new - e_guess) > 1:
-            raise BasinEscape(f"iterate {float(e_new):.6f} left "
-                              f"[{e_guess - 1}, {e_guess + 1}]")
+            raise NoConvergence(f"iterate {float(e_new):.6f} left "
+                                f"[{e_guess - 1}, {e_guess + 1}]")
         e = e_new
         if abs(step) < tol_step * max(1, abs(e)):
             return e
@@ -471,10 +461,8 @@ def contour_shift_delta(energy: float, scale: KernelScale,
     ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
     inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
     if inside.size:
-        raise PoleInStrip(
-            f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]",
-            pole=float(inside[0]),
-        )
+        raise ArgumentDomain(
+            f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
     if g1 == g2:
         return 0.0
     v1, v2 = (mb_integral(energy, scale, ContourSpec.default(g, energy))

@@ -22,19 +22,12 @@ _X_MIN_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Radial phase problem on [x_min, x_max] at a given energy.
+    """Radial phase problem on [x_min, x_max] at a given energy, with
+    the squared-operator barrier potential V = ((x + 1)^2 - E^2)/x."""
 
-    The default potential is the squared-operator barrier form
-    q(x) = (x + barrier)^2 - E^2 with V = q/x; a callable `potential`
-    overrides it (e.g. the constant-V surrogate used in tests).
-    """
-
-    nu: complex
     x_min: float
     x_max: float
     energy: float
-    barrier: float = 1.0
-    potential: object = None
 
     def __post_init__(self):
         if not (self.x_min < self.x_max):
@@ -43,10 +36,7 @@ class RadialProblem:
             raise ArgumentDomain(f"x_min below origin cutoff {_X_MIN_FLOOR}")
 
     def v_of_x(self, x: float) -> float:
-        if self.potential is not None:
-            return float(self.potential(x))
-        q = (x + self.barrier) ** 2 - self.energy ** 2
-        return q / x
+        return ((x + 1.0) ** 2 - self.energy ** 2) / x
 
 
 @dataclass(frozen=True)

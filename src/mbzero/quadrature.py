@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import NoConvergence
 
 
 @lru_cache(maxsize=1)
@@ -64,7 +64,7 @@ def rk_adaptive(f, x0: float, y0: float, x1: float, tol: float = 1e-10,
     """Integrate y' = f(x, y) from x0 to x1 with a Cash-Karp 4(5) pair.
 
     `record(x, y)` is invoked after each accepted step.  Raises
-    StepUnderflow if the step collapses below 1e-14 * span.
+    NoConvergence if the step collapses below 1e-14 * span.
     """
     span = abs(x1 - x0)
     if span == 0.0:
@@ -94,6 +94,6 @@ def rk_adaptive(f, x0: float, y0: float, x1: float, tol: float = 1e-10,
         else:
             h *= max(0.1, 0.9 * (scale / err) ** 0.25)
             if abs(h) < floor:
-                raise StepUnderflow(f"step underflow at x = {x}")
+                raise NoConvergence(f"step underflow at x = {x}")
     return y
 

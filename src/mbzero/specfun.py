@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ArgumentDomain,
-    BranchJump,
-    LimitTooLarge,
-    NonFiniteInput,
-    PoleProximity,
-)
+from .errors import ArgumentDomain, BranchJump
 
 # Lanczos coefficients, g = 4.7421875 (607/128), 14-term rational sum.
 _LANCZOS_G = 4.7421875
@@ -68,7 +62,7 @@ _POLE_MARGIN = 1e-12
 def _require_finite(s) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise NonFiniteInput(f"non-finite argument {s!r}")
+        raise ArgumentDomain(f"non-finite argument {s!r}")
     return s
 
 
@@ -101,7 +95,7 @@ def _check_gamma_pole(s: complex) -> None:
     if abs(s.imag) < _POLE_MARGIN and s.real < 0.5:
         near = round(s.real)
         if near <= 0 and abs(s.real - near) < _POLE_MARGIN:
-            raise PoleProximity(f"Gamma pole within 1e-12 of s = {s!r}")
+            raise ArgumentDomain(f"Gamma pole within 1e-12 of s = {s!r}")
 
 
 def log_gamma(s) -> complex:
@@ -181,8 +175,8 @@ def _log_sin_pi_vec(sr, si):
 def log_gamma_vec(s) -> np.ndarray:
     """log_gamma over an array, bit-identical to [log_gamma(z) for z in s].
 
-    Raises what the scalar loop would raise first: NonFiniteInput or
-    PoleProximity.
+    Raises what the scalar loop would raise first, message included: a
+    non-finite argument or a Gamma pole.
     """
     s = np.asarray(s, dtype=complex)
     sr, si = s.real.ravel(), s.imag.ravel()
@@ -196,8 +190,8 @@ def log_gamma_vec(s) -> np.ndarray:
         k = int(np.argmax(bad))
         z = complex(s.flat[k])
         if nonfinite[k]:
-            raise NonFiniteInput(f"non-finite argument {z!r}")
-        raise PoleProximity(f"Gamma pole within 1e-12 of s = {z!r}")
+            raise ArgumentDomain(f"non-finite argument {z!r}")
+        raise ArgumentDomain(f"Gamma pole within 1e-12 of s = {z!r}")
     out = np.empty(sr.shape, dtype=complex)
     right = sr >= 0.5
     r_r, r_i = _lanczos_right_vec(sr[right], si[right])
@@ -342,7 +336,7 @@ def zeta(s) -> complex:
     """
     s = _require_finite(s)
     if abs(s - 1.0) <= 1e-10:
-        raise PoleProximity("zeta pole at s = 1")
+        raise ArgumentDomain("zeta pole at s = 1")
     return complex(_em_core(np.array([s]), (1.0,))[0])
 
 
@@ -350,7 +344,7 @@ def zeta_vec(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for contour quadrature; same contract as zeta()."""
     s = np.asarray(s, dtype=complex)
     if np.any(np.abs(s - 1.0) <= 1e-10):
-        raise PoleProximity("zeta pole at s = 1 inside vector argument")
+        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
     return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
 
 
@@ -392,7 +386,7 @@ def completed_xi(s) -> complex:
     val = cmath.exp(-0.5 * s * math.log(math.pi) + log_gamma(0.5 * s + 1.0))
     out = val * zeta_shifted(s)
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise PoleProximity(f"completed xi not finite at s = {s!r}")
+        raise ArgumentDomain(f"completed xi not finite at s = {s!r}")
     return out
 
 
@@ -532,20 +526,12 @@ def s_of_t(t: float) -> float:
 _MANGOLDT_CEILING = 50_000_000
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Immutable Lambda(n) table: log p at prime powers n = p^k, 0 elsewhere."""
-
-    limit: int
-    mangoldt: dict
-
-
-def von_mangoldt_table(limit: int) -> PrimeTable:
-    """Sieve Lambda(n) exactly for 2 <= n <= limit."""
+def von_mangoldt_table(limit: int) -> dict:
+    """Sieve Lambda(n) exactly for 2 <= n <= limit: {p^k: log p}."""
     if limit < 2:
         raise ArgumentDomain("limit must be >= 2")
     if limit > _MANGOLDT_CEILING:
-        raise LimitTooLarge(f"limit {limit} above ceiling {_MANGOLDT_CEILING}")
+        raise ArgumentDomain(f"limit {limit} above ceiling {_MANGOLDT_CEILING}")
     table = {}
     for p in primes_upto(limit):
         p = int(p)
@@ -554,7 +540,7 @@ def von_mangoldt_table(limit: int) -> PrimeTable:
         while q <= limit:
             table[q] = logp
             q *= p
-    return PrimeTable(limit=limit, mangoldt=table)
+    return table
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import AuditReport
-from .errors import ArgumentDomain, LimitTooLarge, SeriesDivergent, WindowTooSparse
+from .errors import ArgumentDomain, NoConvergence
 from .specfun import primes_upto, von_mangoldt_table, zeta
 
 _PRIME_LIMIT_CEILING = 1_000_000
@@ -28,7 +28,6 @@ _ZERO_CAP = 100  # zeros summed by the trace audits
 class UnfoldedSpectrum:
     raw: list
     unfolded: list
-    window: tuple
 
     @property
     def spacings(self) -> np.ndarray:
@@ -47,13 +46,13 @@ def unfold(catalog: list, window: tuple) -> UnfoldedSpectrum:
     lo, hi = window
     raw = [r.ordinate for r in catalog if lo <= r.ordinate <= hi]
     if len(raw) < 20:
-        raise WindowTooSparse(f"window {window} holds {len(raw)} zeros, need 20")
+        raise ArgumentDomain(f"window {window} holds {len(raw)} zeros, need 20")
     unfolded = [smooth_count(t) for t in raw]
-    return UnfoldedSpectrum(raw=raw, unfolded=unfolded, window=(lo, hi))
+    return UnfoldedSpectrum(raw=raw, unfolded=unfolded)
 
 
 def unfold_catalog(catalog: list) -> UnfoldedSpectrum:
-    """The whole catalog unfolded; WindowTooSparse below 20 zeros."""
+    """The whole catalog unfolded; ArgumentDomain below 20 zeros."""
     return unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
 
 
@@ -93,7 +92,7 @@ def spacing_vs_gue(spectrum_or_spacings) -> AuditReport:
     else:
         spacings = np.asarray(spectrum_or_spacings, dtype=float)
     if spacings.size < 20:
-        raise WindowTooSparse(f"{spacings.size} spacings, need >= 20")
+        raise ArgumentDomain(f"{spacings.size} spacings, need >= 20")
     ks = ks_distance(spacings, wigner_dyson_cdf)
     sample_limited = spacings.size < 100
     if ks < 0.05:
@@ -150,7 +149,7 @@ def pair_correlation(spectrum: UnfoldedSpectrum, omega_grid=None,
                      sigma: float = 0.1) -> AuditReport:
     """Binned two-point estimator against 1 - (sin pi w / pi w)^2."""
     if len(spectrum.unfolded) < 20:
-        raise WindowTooSparse("need >= 20 zeros for pair correlation")
+        raise ArgumentDomain("need >= 20 zeros for pair correlation")
     if omega_grid is None:
         omega_grid = np.arange(0.25, 3.0001, 0.125)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -190,7 +189,7 @@ def oscillatory_density(e_grid, prime_limit: int,
     sigma^2 / 2}.
     """
     if prime_limit > _PRIME_LIMIT_CEILING:
-        raise LimitTooLarge(f"prime_limit above {_PRIME_LIMIT_CEILING}")
+        raise ArgumentDomain(f"prime_limit above {_PRIME_LIMIT_CEILING}")
     e = np.asarray(e_grid, dtype=float)
     out = np.zeros_like(e)
     for p in primes_upto(prime_limit):
@@ -284,14 +283,14 @@ def weil_prime_side(prime_limit: int, catalog: list):
     asserting the printed closed form -(pi/2) zeta'(1).
     """
     if prime_limit > _PRIME_LIMIT_CEILING:
-        raise LimitTooLarge(f"prime_limit above {_PRIME_LIMIT_CEILING}")
+        raise ArgumentDomain(f"prime_limit above {_PRIME_LIMIT_CEILING}")
     table = von_mangoldt_table(prime_limit)
     marks = [10 ** k for k in range(2, 20) if 10 ** k <= prime_limit]
     if marks[-1] != prime_limit:
         marks.append(prime_limit)
     trajectory = []
     running = 0.0
-    items = sorted(table.mangoldt.items())
+    items = sorted(table.items())
     j = 0
     for mark in marks:
         while j < len(items) and items[j][0] <= mark:
@@ -359,7 +358,7 @@ def fredholm_audit(z: float, a: float, k_max: int = 40) -> AuditReport:
     """-sum (2az)^{2k} zeta(4k)/k against log(2^{-z} zeta(2z))."""
     x = 2.0 * a * z
     if abs(x) >= 1.0:
-        raise SeriesDivergent(f"|2az| = {abs(x)} >= 1")
+        raise NoConvergence(f"|2az| = {abs(x)} >= 1")
     lhs = 0.0
     for k in range(1, k_max + 1):
         lhs -= x ** (2 * k) / k * zeta(4.0 * k).real

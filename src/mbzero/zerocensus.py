@@ -18,13 +18,7 @@ import numpy as np
 
 from . import specfun as sf
 from .audit import AuditReport
-from .errors import (
-    ArgumentDomain,
-    ChecksumMismatch,
-    IncompleteCatalog,
-    MissedZeroSuspected,
-    VersionUnsupported,
-)
+from .errors import ArgumentDomain, CatalogError, MissedZeroSuspected
 from .spectrostats import smooth_count
 
 _T_CEILING = 200.0
@@ -55,12 +49,8 @@ class ZeroRecord:
 
 @dataclass(frozen=True)
 class CountingReport:
-    T: float
-    main_term: float
-    S_term: float
     total: float
     jump_count: int
-    remainder_bound: float
 
 
 @dataclass(frozen=True)
@@ -192,12 +182,9 @@ def riemann_von_mangoldt(t: float, catalog: list) -> CountingReport:
     """Main term + arg-tracked S(T) against the catalog jump count."""
     if t < 2.0:
         raise ArgumentDomain("riemann_von_mangoldt needs T >= 2")
-    main = smooth_count(t)
-    s_term = sf.s_of_t(t)
     jumps = sum(1 for r in catalog if r.ordinate <= t)
-    return CountingReport(T=t, main_term=main, S_term=s_term,
-                          total=main + s_term, jump_count=jumps,
-                          remainder_bound=1.0 / t)
+    return CountingReport(total=smooth_count(t) + sf.s_of_t(t),
+                          jump_count=jumps)
 
 
 def hmty_bound(t: float) -> float:
@@ -265,7 +252,7 @@ def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> Bijectio
     a missing seeded root) is flagged at its ordinate.
     """
     if not catalog or catalog[-1].ordinate < 0.5 * e_max - 1e-9:
-        raise IncompleteCatalog(
+        raise CatalogError(
             f"catalog reaches {catalog[-1].ordinate if catalog else 0:.3f}, "
             f"need {0.5 * e_max:.3f}"
         )
@@ -342,17 +329,17 @@ def catalog_load(path: str) -> list:
         blob = fh.read()
     head, _, last = blob.rstrip(b"\n").rpartition(b"\n")
     if not last.startswith(b"#sha256 "):
-        raise ChecksumMismatch("missing checksum line")
+        raise CatalogError("missing checksum line")
     body = head + b"\n"
     digest = hashlib.sha256(body).hexdigest()
     if last[len(b"#sha256 "):] != digest.encode("ascii"):
-        raise ChecksumMismatch("catalog checksum does not match contents")
+        raise CatalogError("catalog checksum does not match contents")
     lines = body.decode("utf-8").splitlines()
     header = lines[0].split()
     if len(header) != 3 or header[0] != "#zerocatalog":
-        raise VersionUnsupported(f"malformed header {lines[0]!r}")
+        raise CatalogError(f"malformed header {lines[0]!r}")
     if header[1] != _CATALOG_VERSION:
-        raise VersionUnsupported(f"unsupported catalog version {header[1]!r}")
+        raise CatalogError(f"unsupported catalog version {header[1]!r}")
     function = header[2]
     records = []
     for number, line in enumerate(lines[1:], start=2):
@@ -362,8 +349,8 @@ def catalog_load(path: str) -> list:
                 index=int(idx), ordinate=float(ordinate),
                 residual=float(residual), function=function, method=method))
         except (ValueError, ArgumentDomain) as exc:
-            raise VersionUnsupported(
+            raise CatalogError(
                 f"malformed record on line {number}: {exc}") from None
     if not records:
-        raise IncompleteCatalog("catalog holds no records")
+        raise CatalogError("catalog holds no records")
     return records

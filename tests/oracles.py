@@ -26,13 +26,7 @@ from mbzero import bessel as bs
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import spectrostats as st
-from mbzero.errors import (
-    ArgumentDomain,
-    BranchJump,
-    MbzeroError,
-    PoleProximity,
-    QuadratureNonConvergence,
-)
+from mbzero.errors import ArgumentDomain, BranchJump, MbzeroError, NoConvergence
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
 _STIRLING_SHIFT = 24
@@ -279,19 +273,42 @@ def bessel_K_two_pass(nu: complex, x: float, tol: float = 1e-12):
         cur = _k_quad(nu, x, beta, h)
         err = abs(cur - prev)
         if err <= tol * max(abs(cur), 1e-300):
-            return bs.BesselEval(order=nu, argument=x, value=cur,
-                                 abs_error_estimate=err), halvings
+            return bs.BesselEval(value=cur, abs_error_estimate=err), halvings
         prev = cur
-    raise QuadratureNonConvergence(f"last delta {err:.3e}")
+    raise NoConvergence(f"last delta {err:.3e}")
 
 
-# 25-digit beta ordinates (independent bisection on the completed function
-# at mpmath dps = 40)
+# The 25 beta ordinates below 60 at 35 digits: mpmath.findroot (dps 40)
+# on the real completed function (4/pi)^((s+1)/2) Gamma((s+1)/2) L(s, chi_4)
+# at s = 1/2 + it, L from mpmath.dirichlet, each root bracketed by a sign
+# change on a grid of step 0.05 (25 changes below 60).  Frozen because
+# the computation takes about 10 s.
 BETA_ORDINATES = (
-    "6.020948904697596654902511",
-    "10.24377030416655455213776",
-    "12.98809801231242250745311",
-    "16.34260710458722219497686",
+    "6.0209489046975966549025115216120859",
+    "10.243770304166554552137757479109959",
+    "12.988098012312422507453109789562994",
+    "16.342607104587222194976861483456150",
+    "18.291993196123534838526004277590699",
+    "21.450611343983460497200948386292240",
+    "23.278376520459531531819558886345423",
+    "25.728756425088727567265088674277295",
+    "28.359634343025327785651607941786418",
+    "29.656384014593152721809906968218799",
+    "32.592186527117155130815194048958815",
+    "34.199957509213146913044795470002884",
+    "36.142880458303137830565814470103148",
+    "38.511923141718691293776504688065765",
+    "40.322674066690544180344394362312024",
+    "41.807084620004562337157521897245043",
+    "44.617891058662303393482045725060457",
+    "45.599584396791566745937702293355413",
+    "47.741562280939141250781347343038077",
+    "49.723129323782586066569570880970428",
+    "51.686093452870528439533811110319277",
+    "52.768820767804729265035076578776603",
+    "55.267543584699224846718259656915453",
+    "56.934374055202296886801711961125497",
+    "58.116707110673917977262367546990132",
 )
 
 # The 79 zeta ordinates below 200 at 35 digits: mpmath.zetazero(n).imag,
@@ -468,7 +485,7 @@ def hurwitz_zeta(s, a: float) -> complex:
     Euler-Maclaurin core of specfun.zeta."""
     s = sf._require_finite(s)
     if abs(s - 1.0) <= 1e-10:
-        raise PoleProximity("Hurwitz zeta pole at s = 1")
+        raise ArgumentDomain("Hurwitz zeta pole at s = 1")
     return complex(sf._em_core(np.array([s]), (a,))[0])
 
 

@@ -7,11 +7,7 @@ from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import bessel as bs
-from mbzero.errors import (
-    ArgumentDomain,
-    QuadratureNonConvergence,
-    SeriesOverflow,
-)
+from mbzero.errors import ArgumentDomain, NoConvergence
 
 
 class TestSpectralParameter:
@@ -76,8 +72,8 @@ def _assert_same_as_two_pass(nu, x, tol=1e-12):
     with the same last delta; returns the oracle's halving count."""
     try:
         want, halvings = oc.bessel_K_two_pass(nu, x, tol)
-    except QuadratureNonConvergence as exc:
-        with pytest.raises(QuadratureNonConvergence) as got:
+    except NoConvergence as exc:
+        with pytest.raises(NoConvergence) as got:
             bs.bessel_K(nu, x, tol)
         assert str(got.value).endswith(str(exc))
         return None
@@ -172,7 +168,7 @@ class TestBesselI:
         assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_series_guards(self):
-        with pytest.raises(SeriesOverflow):
+        with pytest.raises(ArgumentDomain, match="series mode limited"):
             bs.bessel_I(0.5, 31.0)
         with pytest.raises(ArgumentDomain):
             bs.bessel_I(0.5, 0.0)

@@ -1,12 +1,14 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
-import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -19,8 +21,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import mbzero
-from mbzero import cli, errors
+from mbzero import bessel as bs
+from mbzero import cli, errors, quadrature
 from mbzero import mbfilter as mbf
+from mbzero import specfun as sf
+from mbzero import spectrostats as st
 from mbzero import zerocensus as zc
 
 
@@ -159,6 +164,18 @@ class TestStatsCommand:
         lines = (tmp_path / "spacing_histogram.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "s_center,empirical_density,wigner_dyson"
+
+    def test_beta_catalog_exit_5(self, tmp_path, capsys):
+        # 25 beta zeros: enough to unfold, but the unfolding counts with
+        # zeta's Riemann-von Mangoldt term
+        run(["census", "--function", "beta", "--t-max", "60"], tmp_path)
+        (tmp_path / "plots.gp").write_text("from an earlier run\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(["stats"], tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "stats needs a zeta catalog, not the beta catalog" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestCacheCommand:
@@ -329,9 +346,11 @@ class TestWorkerProcesses:
 
     def test_first_failure_in_input_order_is_raised(self):
         # the later task fails first in time
-        tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "BasinEscape")]
-        with pytest.raises(errors.NoConvergence, match="from a worker"):
+        tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "BranchJump")]
+        with pytest.raises(errors.NoConvergence,
+                           match="^NoConvergence from a worker$") as err:
             cli._fan_out(_pause_or_fail, tasks, 3)
+        assert type(err.value) is errors.NoConvergence
 
     @pytest.mark.skipif(not (hasattr(os, "fork")
                              and os.path.isdir("/proc/self/task")),
@@ -579,23 +598,81 @@ class TestConfigValidation:
 
 # every library error class and the exit code it carries to main
 _CLASS_CODES = {
-    "MbzeroError": 5, "NonFiniteInput": 5, "PoleProximity": 5,
-    "LimitTooLarge": 5, "ArgumentDomain": 5, "SeriesOverflow": 5,
-    "ContourOnPole": 5, "PoleInStrip": 5, "WindowTooSparse": 5,
-    "ConfigError": 5,
-    "MissedZeroSuspected": 2,
-    "BranchJump": 3, "QuadratureNonConvergence": 3, "TailBoundViolated": 3,
-    "NoConvergence": 3, "BasinEscape": 3, "SeriesDivergent": 3,
-    "StepUnderflow": 3,
-    "IncompleteCatalog": 4, "ChecksumMismatch": 4, "VersionUnsupported": 4,
+    "MbzeroError": 5, "ArgumentDomain": 5, "MissedZeroSuspected": 2,
+    "NoConvergence": 3, "BranchJump": 3, "CatalogError": 4,
 }
-_COMPUTATION_FAILURES = sorted(n for n, c in _CLASS_CODES.items() if c == 3)
 
 
 def _raiser(name):
     def fail(*args, **kwargs):
         raise getattr(errors, name)(f"{name} raised for the test")
     return fail
+
+
+def _load_blob(blob):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "cat.txt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        zc.catalog_load(path)
+
+
+def _miss_a_zero():
+    with mock.patch.object(zc, "counting_prediction", lambda f, t: 99.0):
+        zc.scan_zeros("zeta", 30.0)
+
+
+def _branch_jump():
+    tracker = sf.ArgTracker()
+    tracker.step(0j, 0.0)
+    tracker.step(1j, 3.0)
+
+
+_V2_BODY = b"#zerocatalog v2 zeta\n"
+_A02 = mbf.KernelScale(0.2)
+
+# each failure mode that had an error class of its own before errors.py
+# kept one class per exit code, raised at a real site of the library:
+# name -> (the exit code it carries, the call that raises it)
+_FAILURES = {
+    "MbzeroError": (5, _raiser("MbzeroError")),
+    "ArgumentDomain": (5, lambda: bs.bessel_I(0.5, 0.0)),
+    "NonFiniteInput": (5, lambda: sf.log_gamma(complex(math.nan, 0.0))),
+    "PoleProximity": (5, lambda: sf.gamma(-3.0)),
+    "LimitTooLarge": (5, lambda: sf.von_mangoldt_table(60_000_000)),
+    "SeriesOverflow": (5, lambda: bs.bessel_I(0.5, 31.0)),
+    "ContourOnPole": (5, lambda: mbf.mb_integral(5.0, _A02, mbf.ContourSpec(
+        abscissa=0.5 + 1e-8, t_max=40, panel_count=100))),
+    "PoleInStrip": (5, lambda: mbf.contour_shift_delta(10.0, _A02, 0.45,
+                                                       0.70)),
+    "WindowTooSparse": (5, lambda: st.unfold([], (0.0, 1.0))),
+    "ConfigError": (5, lambda: cli.cmd_bijection(
+        argparse.Namespace(e_max=3.9))),
+    "MissedZeroSuspected": (2, _miss_a_zero),
+    "NoConvergence": (3, lambda: mbf._root_residual("zeta", 60.0)),
+    "BranchJump": (3, _branch_jump),
+    "BasinEscape": (3, lambda: mbf.newton_filter_root("beta", 1.0, _A02)),
+    "TailBoundViolated": (3, lambda: mbf.mb_integral(
+        30.0, _A02, mbf.ContourSpec(abscissa=0.75, t_max=2.0,
+                                    panel_count=10))),
+    "QuadratureNonConvergence": (3, lambda: bs.bessel_K(complex(1.5, 2.0),
+                                                        0.1, 1e-16)),
+    "StepUnderflow": (3, lambda: quadrature.rk_adaptive(
+        lambda x, y: 1.0 / (1.0 - x), 0.0, 0.0, 2.0)),
+    "SeriesDivergent": (3, lambda: st.fredholm_audit(3.0, 0.9)),
+    "IncompleteCatalog": (4, lambda: zc.bijection_audit([], [], 120.0)),
+    "ChecksumMismatch": (4, lambda: _load_blob(
+        b"#zerocatalog v1 zeta\n#sha256 " + b"0" * 64 + b"\n")),
+    "VersionUnsupported": (4, lambda: _load_blob(
+        _V2_BODY + b"#sha256 "
+        + hashlib.sha256(_V2_BODY).hexdigest().encode() + b"\n")),
+}
+_COMPUTATION_FAILURES = sorted(n for n, (c, _) in _FAILURES.items()
+                               if c == 3)
+
+
+def _fail(failure):
+    _FAILURES[failure][1]()
 
 
 class TestExitCodeMapping:
@@ -606,17 +683,16 @@ class TestExitCodeMapping:
         assert {name: cls.exit_code for name, cls in classes.items()} == \
             _CLASS_CODES
 
-    @pytest.mark.parametrize("name", sorted(_CLASS_CODES))
-    def test_error_survives_the_process_boundary(self, name):
+    @pytest.mark.parametrize("failure", sorted(_FAILURES))
+    def test_error_survives_the_process_boundary(self, failure):
         # worker processes send their errors back pickled
-        cls = getattr(errors, name)
-        exc = cls(f"{name} message", pole=-0.5) if cls is errors.PoleInStrip \
-            else cls(f"{name} message")
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is cls
-        assert str(back) == f"{name} message"
-        assert back.exit_code == _CLASS_CODES[name]
-        assert getattr(back, "pole", None) == getattr(exc, "pole", None)
+        with pytest.raises(errors.MbzeroError) as here:
+            _fail(failure)
+        with pytest.raises(errors.MbzeroError) as there:
+            cli._fan_out(_fail, [failure, failure], 2)
+        assert type(there.value) is type(here.value)
+        assert str(there.value) == str(here.value)
+        assert there.value.exit_code == _FAILURES[failure][0]
 
     def test_missed_zero_exit_2(self, tmp_path, capsys, monkeypatch):
         # three zeros below 30: the widest gap runs from the grid start
@@ -627,18 +703,20 @@ class TestExitCodeMapping:
             capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", _COMPUTATION_FAILURES)
-    def test_computation_failure_exit_3(self, name, tmp_path, capsys,
+    @pytest.mark.parametrize("failure", _COMPUTATION_FAILURES)
+    def test_computation_failure_exit_3(self, failure, tmp_path, capsys,
                                         monkeypatch):
-        monkeypatch.setattr(zc, "scan_zeros", _raiser(name))
+        with pytest.raises(errors.NoConvergence) as here:
+            _fail(failure)
+        monkeypatch.setattr(zc, "scan_zeros", lambda *args: _fail(failure))
         assert run(["census", "--t-max", "30"], tmp_path) == 3
-        assert f"{name} raised" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {here.value}\n"
 
     def test_quadrature_failure_inside_filter_roots_exit_3(
             self, tmp_path, zeta_catalog_60, capsys, monkeypatch):
         zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
         monkeypatch.setattr(mbf, "_filter_with_derivative",
-                            _raiser("QuadratureNonConvergence"))
+                            _raiser("NoConvergence"))
         assert run(["filter-roots", "--e-max", "40"], tmp_path) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
 
@@ -730,15 +808,18 @@ class TestArgvGrammarProperty:
     @settings(max_examples=200, deadline=None)
     @given(hst.data())
     def test_exit_code_documented_and_failures_write_nothing(
-            self, tmp_path_factory, zeta_catalog_60, beta_catalog, data):
+            self, tmp_path_factory, zeta_catalog_60, zeta_catalog_110,
+            beta_catalog, data):
         directory = tmp_path_factory.mktemp("argv")
         cache = directory / "cat.txt"
         catalogs = {"zeta": zc.catalog_serialize(zeta_catalog_60),
+                    "zeta_110": zc.catalog_serialize(zeta_catalog_110),
                     "beta": zc.catalog_serialize(beta_catalog)}
-        _make_cache(data.draw(hst.sampled_from(
-            ["zeta", "zeta", "zeta", "beta", "missing", "directory",
-             "one_byte_changed", "header_only", "malformed"])), cache,
-            catalogs, data)
+        kind = data.draw(hst.sampled_from(
+            ["zeta", "zeta", "zeta", "zeta_110", "zeta_110", "beta",
+             "missing", "directory", "one_byte_changed", "header_only",
+             "malformed"]))
+        _make_cache(kind, cache, catalogs, data)
         out = {"dir": directory, "missing": directory / "nodir",
                "file": cache}[data.draw(hst.sampled_from(
                    ["dir", "dir", "missing", "file"]))]
@@ -748,9 +829,16 @@ class TestArgvGrammarProperty:
         drawable = sorted(set(accepted) & set(_VALUES))
         flags = data.draw(hst.lists(hst.sampled_from(drawable), unique=True)
                           if drawable else hst.just([]))
+        # the 110 catalog holds 33 zeros, so a full audit (no --claims, or
+        # the empty edge value) would take seconds an example
+        audit_on_110 = command == "audit" and kind == "zeta_110"
+        if audit_on_110 and "--claims" not in flags:
+            flags.append("--claims")
         # half the argv hold one edge value, the rest none
         edge = data.draw(hst.none() | hst.sampled_from(flags)) \
             if flags else None
+        if audit_on_110 and edge == "--claims":
+            edge = None
         argv = [command]
         for flag in flags:
             inside, outside = _VALUES[flag]
@@ -779,3 +867,20 @@ class TestArgvGrammarProperty:
             assert _snapshot(directory) == before
         if foreign:
             assert code == 5 and not load.called
+
+    @pytest.mark.parametrize("argv, written", [
+        (["filter-roots", "--precision", "double"], ["filter_roots.csv"]),
+        (["filter-roots", "--precision", "double_double", "--threads", "2"],
+         ["filter_roots.csv"]),
+        (["stats"], ["pair_correlation.csv", "plots.gp",
+                     "spacing_histogram.csv"]),
+        (["audit", "--claims", "mb_double_pole_circle,trace_class_p2",
+          "--threads", "2"], ["audit_ledger.json"]),
+    ])
+    def test_success_writes_the_documented_files(
+            self, argv, written, tmp_path, zeta_catalog_110, capsys):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_110)
+        assert run(argv, tmp_path) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["cat.txt"] + written)

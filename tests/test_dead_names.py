@@ -1,13 +1,16 @@
 """Every module-level function and class in the package has a caller in
 the package: library code whose only user is a test belongs in
 tests/oracles.py.  The names that perfbench's tracer wraps are exempt
-while it wraps them."""
+while it wraps them.  Two error classes share an exit code only when the
+package tells them apart in an except clause."""
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import mbzero
+from mbzero import errors
 
 SRC = Path(mbzero.__file__).resolve().parent
 TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +53,23 @@ def test_only_two_definitions_live_by_the_tracer_alone():
     # both are test-only and move to tests/oracles.py once untraced
     assert _dead_names() == {("mbfilter", "spectral_filter"),
                              ("operatorlab", "prufer_integrate")}
+
+
+def _caught_names() -> set:
+    """Names in the except clauses of the package."""
+    caught = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names_used(node.type)
+    return caught
+
+
+def test_one_uncaught_error_class_per_exit_code():
+    caught, uncaught = _caught_names(), defaultdict(set)
+    for name, cls in vars(errors).items():
+        if (isinstance(cls, type) and issubclass(cls, errors.MbzeroError)
+                and name not in caught):
+            uncaught[cls.exit_code].add(name)
+    assert {code: names for code, names in uncaught.items()
+            if len(names) > 1} == {}

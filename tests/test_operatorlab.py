@@ -14,50 +14,49 @@ class TestPruferIntegrate:
         # oracle: theta' = 1 - sin^2 theta has closed form tan(theta) = x - x0;
         # the -(1/x) sin cos term shifts the advance by at most
         # (1/2) log(1 + pi) ~ 0.72 on [1, 1 + pi]
-        prob = ol.RadialProblem(nu=0.5, x_min=1.0, x_max=1.0 + math.pi,
-                                energy=0.0, potential=lambda x: 1.0)
-        advance = ol.phase_advance(prob)
+        def rhs(x, th):
+            s, c = math.sin(th), math.cos(th)
+            return 1.0 - s * s - s * c / x
+        advance = rk_adaptive(rhs, 1.0, 0.0, 1.0 + math.pi)
         oracle = math.atan(math.pi)
         assert abs(advance - oracle) < 0.5 * math.log(1.0 + math.pi)
         assert 0.5 < advance < math.pi
 
     def test_low_energy_no_nodes(self):
         states = ol.prufer_integrate(
-            ol.RadialProblem(nu=0.5, x_min=0.1, x_max=6.0, energy=0.5))
+            ol.RadialProblem(x_min=0.1, x_max=6.0, energy=0.5))
         assert oc.node_count(states) == 0
 
     def test_monotonicity_pair(self):
-        lo = ol.phase_advance(ol.RadialProblem(nu=0.5, x_min=0.1, x_max=12.0,
-                                               energy=3.0))
-        hi = ol.phase_advance(ol.RadialProblem(nu=0.5, x_min=0.1, x_max=12.0,
-                                               energy=5.0))
+        lo = ol.phase_advance(ol.RadialProblem(0.1, 12.0, 3.0))
+        hi = ol.phase_advance(ol.RadialProblem(0.1, 12.0, 5.0))
         assert hi >= lo
 
     @pytest.mark.parametrize("energy", [1.0, 2.5, 4.5, 9.0, 12.0])
     def test_phase_advance_is_trajectory_end(self, energy):
-        prob = ol.RadialProblem(nu=0.5, x_min=0.1, x_max=10.0, energy=energy)
+        prob = ol.RadialProblem(x_min=0.1, x_max=10.0, energy=energy)
         states = ol.prufer_integrate(prob)
         assert ol.phase_advance(prob) == states[-1].phase - states[0].phase
 
     def test_node_count_grows_with_energy(self):
         counts = [oc.node_count(ol.prufer_integrate(
-            ol.RadialProblem(nu=0.5, x_min=0.1, x_max=6.0, energy=e)))
+            ol.RadialProblem(x_min=0.1, x_max=6.0, energy=e)))
             for e in (0.5, 4.0, 9.0)]
         assert counts[0] <= counts[1] <= counts[2]
         assert counts[2] > 0
 
     def test_trajectory_shape(self):
         states = ol.prufer_integrate(
-            ol.RadialProblem(nu=0.5, x_min=0.5, x_max=4.0, energy=2.0))
+            ol.RadialProblem(x_min=0.5, x_max=4.0, energy=2.0))
         assert states[0].x == 0.5
         assert abs(states[-1].x - 4.0) < 1e-9
         assert all(s.amplitude > 0 for s in states)
 
     def test_domain_guards(self):
         with pytest.raises(ArgumentDomain):
-            ol.RadialProblem(nu=0.5, x_min=1e-5, x_max=1.0, energy=1.0)
+            ol.RadialProblem(x_min=1e-5, x_max=1.0, energy=1.0)
         with pytest.raises(ArgumentDomain):
-            ol.RadialProblem(nu=0.5, x_min=2.0, x_max=1.0, energy=1.0)
+            ol.RadialProblem(x_min=2.0, x_max=1.0, energy=1.0)
 
     def test_rk_against_closed_form(self):
         # y' = -2xy: y = exp(-x^2)

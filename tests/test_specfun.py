@@ -10,14 +10,7 @@ from hypothesis import strategies as hst
 import oracles as oc
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import (
-    ArgumentDomain,
-    BranchJump,
-    LimitTooLarge,
-    MbzeroError,
-    NonFiniteInput,
-    PoleProximity,
-)
+from mbzero.errors import ArgumentDomain, BranchJump, MbzeroError
 
 
 class TestGamma:
@@ -43,9 +36,9 @@ class TestGamma:
             assert abs(sf.gamma(z) - want) <= 1e-13 * abs(want)
 
     def test_pole_proximity(self):
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ArgumentDomain, match="Gamma pole"):
             sf.gamma(complex(-3.0, 0.0))
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ArgumentDomain, match="Gamma pole"):
             sf.gamma(-1 - 5e-13)
 
     def test_reflection_identity(self):
@@ -80,7 +73,7 @@ def _first_error(points):
         try:
             sf.log_gamma(z)
         except MbzeroError as exc:
-            return type(exc)
+            return type(exc), str(exc)
     return None
 
 
@@ -103,7 +96,7 @@ class TestLogGammaVec:
             return
         with pytest.raises(MbzeroError) as err:
             sf.log_gamma_vec(np.array(points))
-        assert type(err.value) is expected
+        assert (type(err.value), str(err.value)) == expected
 
     def test_real_input_and_shape(self):
         x = np.array([[0.25, 3.5], [-2.5, 11.0]])
@@ -173,7 +166,7 @@ class TestZeta:
             assert abs(sf.zeta(s.conjugate()) - z.conjugate()) <= 1e-12 * abs(z)
 
     def test_pole_guard(self):
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ArgumentDomain, match="zeta pole"):
             sf.zeta(1.0 + 1e-11)
 
     def test_vectorized_matches_scalar(self):
@@ -195,7 +188,7 @@ class TestHurwitzZeta:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_pole_guard(self):
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ArgumentDomain, match="zeta pole"):
             oc.hurwitz_zeta(1.0, 0.25)
 
 
@@ -370,12 +363,12 @@ class TestArgRectangle:
                                      lambda t: oc.arg_rectangle_march(sf.zeta, t)])
     def test_pole_on_real_axis(self, arg):
         # at t = 0 the horizontal leg runs through s = 1
-        with pytest.raises(PoleProximity):
+        with pytest.raises(ArgumentDomain, match="zeta pole"):
             arg(0.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_height(self, t):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(ArgumentDomain, match="non-finite argument"):
             sf.arg_zeta_rectangle(t)
 
     @staticmethod
@@ -601,23 +594,23 @@ class TestPointwise:
 class TestVonMangoldt:
     def test_small_table(self):
         table = sf.von_mangoldt_table(10)
-        assert abs(table.mangoldt[8] - math.log(2)) < 1e-15
-        assert 6 not in table.mangoldt
-        assert abs(table.mangoldt[7] - math.log(7)) < 1e-15
-        assert 1 not in table.mangoldt
+        assert abs(table[8] - math.log(2)) < 1e-15
+        assert 6 not in table
+        assert abs(table[7] - math.log(7)) < 1e-15
+        assert 1 not in table
 
     def test_psi_100(self):
         # direct prime-power enumeration: psi(100) = 94.04531122935739
-        psi = math.fsum(sf.von_mangoldt_table(100).mangoldt.values())
+        psi = math.fsum(sf.von_mangoldt_table(100).values())
         assert abs(psi - 94.04531122935739) < 1e-10
 
     def test_smallest(self):
         table = sf.von_mangoldt_table(2)
-        assert set(table.mangoldt) == {2}
-        assert abs(table.mangoldt[2] - math.log(2)) < 1e-15
+        assert set(table) == {2}
+        assert abs(table[2] - math.log(2)) < 1e-15
 
     def test_limit_guards(self):
         with pytest.raises(ArgumentDomain):
             sf.von_mangoldt_table(1)
-        with pytest.raises(LimitTooLarge):
+        with pytest.raises(ArgumentDomain, match="above ceiling"):
             sf.von_mangoldt_table(60_000_000)
