@@ -17,7 +17,6 @@ VERDICTS = ("pass", "fail", "divergent", "inconclusive")
 
 @dataclass(frozen=True)
 class AuditReport:
-    claim_id: str
     lhs: complex
     rhs: complex
     abs_discrepancy: float
@@ -25,20 +24,17 @@ class AuditReport:
     verdict: str
     notes: str = ""
     extra: dict = field(default_factory=dict)
+    claim_id: str = ""  # its claims.REGISTRY key, set by claims.run_claim
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict {self.verdict!r} not in {VERDICTS}")
 
     def to_json_dict(self) -> dict:
-        def enc(z):
-            z = complex(z)
-            return {"re": _jsonable(z.real), "im": _jsonable(z.imag)}
-
         out = {
             "claim_id": self.claim_id,
-            "lhs": enc(self.lhs),
-            "rhs": enc(self.rhs),
+            "lhs": _jsonable(complex(self.lhs)),
+            "rhs": _jsonable(complex(self.rhs)),
             "abs_discrepancy": _jsonable(self.abs_discrepancy),
             "rel_discrepancy": _jsonable(self.rel_discrepancy),
             "verdict": self.verdict,

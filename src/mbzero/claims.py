@@ -2,13 +2,16 @@
 
 Each claim is a callable (config, catalog) -> AuditReport, where config is
 the parsed `audit` command line (claims read its a, e_max and t_max) and
-catalog is a zeta catalog.  The registry is ordered and deterministic:
-identical configuration and catalog produce a byte-identical ledger.
+catalog is a zeta catalog.  A claim's id is its REGISTRY key and is written
+nowhere else: run_claim stamps it on the report.  The registry is ordered
+and deterministic: identical configuration and catalog produce a
+byte-identical ledger.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -23,10 +26,10 @@ from .audit import AuditReport
 from .errors import MbzeroError
 
 
-def _report(claim_id, lhs, rhs, disc, tol, notes="", extra=None):
+def _report(lhs, rhs, disc, tol, notes="", extra=None):
     rel = disc / max(abs(complex(rhs)), 1.0)
     return AuditReport(
-        claim_id=claim_id, lhs=complex(lhs), rhs=complex(rhs),
+        lhs=complex(lhs), rhs=complex(rhs),
         abs_discrepancy=disc, rel_discrepancy=rel,
         verdict="pass" if disc < tol else "fail",
         notes=notes, extra=extra or {},
@@ -42,7 +45,7 @@ def claim_specfun_conjugation(config, catalog):
         g1 = sf.gamma(s.conjugate()) - sf.gamma(s).conjugate()
         worst = max(worst, abs(z1) / abs(sf.zeta(s)),
                     abs(g1) / abs(sf.gamma(s)))
-    return _report("specfun_conjugation", worst, 0.0, worst, 1e-12,
+    return _report(worst, 0.0, worst, 1e-12,
                    "zeta/Gamma conjugation equivariance, 200 random strip points")
 
 
@@ -55,7 +58,7 @@ def claim_gamma_reflection(config, catalog):
             continue
         val = sf.gamma(s) * sf.gamma(1.0 - s) * cmath.sin(math.pi * s) / math.pi
         worst = max(worst, abs(val - 1.0))
-    return _report("gamma_reflection", worst, 0.0, worst, 1e-11,
+    return _report(worst, 0.0, worst, 1e-11,
                    "Gamma(s) Gamma(1-s) sin(pi s)/pi = 1 away from integers")
 
 
@@ -66,7 +69,7 @@ def claim_xi_symmetry(config, catalog):
             s = complex(re, im)
             x1 = sf.completed_xi(s)
             worst = max(worst, abs(x1 - sf.completed_xi(1.0 - s)) / abs(x1))
-    return _report("xi_functional_symmetry", worst, 0.0, worst, 1e-11,
+    return _report(worst, 0.0, worst, 1e-11,
                    "|xi(s) - xi(1-s)|/|xi(s)| on a 20x20 strip grid")
 
 
@@ -79,7 +82,7 @@ def claim_beta_functional_equation(config, catalog):
                * sf.gamma(s) * sf.dirichlet_beta(s))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return _report(
-        "beta_functional_equation", worst, 0.0, worst, 1e-11,
+        worst, 0.0, worst, 1e-11,
         "odd-character reflection beta(1-s) = (pi/2)^{-s} sin(pi s/2) "
         "Gamma(s) beta(s); the printed even-character form fails at s = 2 "
         "(it predicts beta(2) = 0)",
@@ -96,7 +99,7 @@ def claim_bessel_symmetry(config, catalog):
         worst = max(worst, abs(k1 - bs.bessel_K(-nu, x).value) / abs(k1),
                     abs(bs.bessel_K(nu.conjugate(), x).value
                         - k1.conjugate()) / abs(k1))
-    return _report("bessel_k_order_symmetry", worst, 0.0, worst, 1e-10,
+    return _report(worst, 0.0, worst, 1e-10,
                    "K_{-nu} = K_nu and K_{conj nu} = conj K_nu, 100 random")
 
 
@@ -107,7 +110,7 @@ def claim_bessel_wronskian(config, catalog):
         nu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-20.0, 20.0))
         x = rng.uniform(0.3, 15.0)
         worst = max(worst, bs.wronskian_check(nu, x))
-    return _report("bessel_wronskian", worst, 0.0, worst, 1e-7,
+    return _report(worst, 0.0, worst, 1e-7,
                    "|x W(K, I) - 1| with finite-difference derivatives")
 
 
@@ -119,7 +122,7 @@ def claim_contour_shift(config, catalog):
         energy = rng.uniform(5.0, 35.0)
         g1, g2 = sorted(rng.uniform(0.54, 0.96, 2))
         worst = max(worst, mbf.contour_shift_delta(energy, scale, g1, g2))
-    return _report("mb_contour_shift", worst, 0.0, worst, 1e-10,
+    return _report(worst, 0.0, worst, 1e-10,
                    "20 random pole-free abscissa pairs, zeta kernel")
 
 
@@ -134,7 +137,7 @@ def claim_scale_regularity(config, catalog):
         fd = (up - dn) / (2.0 * h)
         analytic = mbf.mb_scale_derivative(energy, mbf.KernelScale(a), c)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
-    return _report("mb_scale_regularity", worst, 0.0, worst, 1e-6,
+    return _report(worst, 0.0, worst, 1e-6,
                    "d(value)/da against differentiation under the integral "
                    "(weight 2 s / a)")
 
@@ -152,7 +155,6 @@ def claim_a_to_zero(config, catalog):
     plateau = abs(mbf.kernel_prefactor("zeta") * 2j * math.pi
                   * (-0.5) * cmath.exp(sf.log_gamma(-nu)))
     return AuditReport(
-        claim_id="mb_a_to_zero_limit",
         lhs=complex(mags_in[-1]), rhs=0j,
         abs_discrepancy=mags_in[-1],
         rel_discrepancy=0.0 if monotone else 1.0,
@@ -172,7 +174,7 @@ def claim_hadamard_ladders(config, catalog):
     v1 = mbf.hadamard_finite_part(f, 0.2 + 0j, [0.2, 0.1, 0.05, 0.025])
     v2 = mbf.hadamard_finite_part(f, 0.2 + 0j, [0.27, 0.09, 0.03])
     gap = abs(v1 - v2)
-    return _report("mb_hadamard_ladder_independence", v1, v2, gap, 1e-8,
+    return _report(v1, v2, gap, 1e-8,
                    "geometric-ratio-2 vs ratio-3 ladders agree")
 
 
@@ -186,7 +188,7 @@ def claim_filter_pairing_beta(config, catalog):
         gap = abs(e - 2.0 * r.ordinate)
         rows.append((e, r.ordinate, gap))
         worst = max(worst, gap)
-    return _report("filter_zero_pairing_beta", worst, 0.0, worst, 1e-8,
+    return _report(worst, 0.0, worst, 1e-8,
                    "Newton roots of the beta filter pair with 2 t_n",
                    extra={"pairs": rows})
 
@@ -208,7 +210,6 @@ def claim_guinand_weil_forms(config, catalog):
         worst_corrected = max(worst_corrected, abs(corrected - count))
         worst_printed = max(worst_printed, abs(printed - count))
     return AuditReport(
-        claim_id="guinand_weil_formula",
         lhs=complex(worst_corrected), rhs=complex(worst_printed),
         abs_discrepancy=worst_corrected, rel_discrepancy=worst_corrected,
         verdict="pass" if worst_corrected < 0.5 else "fail",
@@ -226,7 +227,7 @@ def claim_counting_rvm(config, catalog):
         t = rng.uniform(15.0, t_hi)
         rep = zc.riemann_von_mangoldt(t, catalog)
         worst = max(worst, abs(rep.total - rep.jump_count))
-    return _report("counting_rvm", worst, 0.0, worst, 0.5,
+    return _report(worst, 0.0, worst, 0.5,
                    "main + S(T) within 1/2 of the catalog jump count")
 
 
@@ -235,7 +236,6 @@ def claim_bijection(config, catalog):
                                  config.e_max)
     bad = max((abs(d) for d in audit.delta_values), default=0)
     return AuditReport(
-        claim_id="bijection_delta_zero",
         lhs=complex(bad), rhs=0j,
         abs_discrepancy=float(bad), rel_discrepancy=float(bad),
         verdict="pass" if audit.verdict == "pass" else "fail",
@@ -245,14 +245,6 @@ def claim_bijection(config, catalog):
     )
 
 
-def claim_spacing(config, catalog):
-    return st.spacing_vs_gue(st.unfold_catalog(catalog))
-
-
-def claim_pair_correlation(config, catalog):
-    return st.pair_correlation(st.unfold_catalog(catalog))
-
-
 def claim_density_peaks(config, catalog):
     lo, hi = 12.0, min(catalog[-1].ordinate + 2.0, 60.0)
     peaks = st.density_peaks(np.linspace(lo, hi, 4000), 100000)
@@ -260,7 +252,7 @@ def claim_density_peaks(config, catalog):
     for r in catalog:
         if lo + 1.0 < r.ordinate < hi - 1.0 and r.index <= 10:
             worst = max(worst, float(np.min(np.abs(peaks - r.ordinate))))
-    return _report("density_peak_alignment", worst, 0.0, worst, 0.2,
+    return _report(worst, 0.0, worst, 0.2,
                    "peaks of mean + oscillatory density sit on catalog "
                    "ordinates; alignment needs the negative oscillation sign "
                    "(the printed positive sign anti-aligns)")
@@ -275,7 +267,7 @@ def claim_frobenius(config, catalog):
         want = "limit_circle" if nu.real < 0.5 else "limit_point"
         if ol.frobenius_classify(nu) != want:
             bad += 1
-    return _report("frobenius_criterion_grid", float(bad), 0.0, float(bad), 0.5,
+    return _report(float(bad), 0.0, float(bad), 0.5,
                    "Re nu < 1/2 criterion on a 50-point order grid")
 
 
@@ -287,7 +279,7 @@ def claim_prufer_monotonicity(config, catalog):
     worst = 0.0
     for e1, e2 in pairs:
         worst = min(worst, advance[e2] - advance[e1])
-    return _report("prufer_monotonicity", worst, 0.0, max(0.0, -worst), 1e-9,
+    return _report(worst, 0.0, max(0.0, -worst), 1e-9,
                    "phase advance non-decreasing in E across 10 energy pairs")
 
 
@@ -317,8 +309,10 @@ REGISTRY = {
     "s_t_bound_hmty": lambda config, catalog:
         zc.s_of_t_bound_check(min(config.t_max, 60.0)),
     "bijection_delta_zero": claim_bijection,
-    "spacing_wigner_dyson": claim_spacing,
-    "pair_correlation_sine_kernel": claim_pair_correlation,
+    "spacing_wigner_dyson": lambda config, catalog:
+        st.spacing_vs_gue(st.unfold(catalog).spacings),
+    "pair_correlation_sine_kernel": lambda config, catalog:
+        st.pair_correlation(st.unfold(catalog)),
     "density_peak_alignment": claim_density_peaks,
     "trace_I_even_odd": lambda config, catalog:
         st.trace_I_of_a(config.a, catalog),
@@ -339,11 +333,12 @@ def run_claim(config, catalog, claim_id):
     met by the supplied catalog reports itself inconclusive rather than
     aborting the ledger (audits inform, they do not gate)."""
     try:
-        return REGISTRY[claim_id](config, catalog)
+        report = REGISTRY[claim_id](config, catalog)
     except MbzeroError as exc:
-        return AuditReport(
-            claim_id=claim_id, lhs=0j, rhs=0j,
+        report = AuditReport(
+            lhs=0j, rhs=0j,
             abs_discrepancy=float("nan"), rel_discrepancy=float("nan"),
             verdict="inconclusive",
             notes=f"not evaluable with this catalog/config: {exc}",
         )
+    return dataclasses.replace(report, claim_id=claim_id)

@@ -186,14 +186,13 @@ def _emit_stats(config, spectrum) -> None:
         fh.write("s_center,empirical_density,wigner_dyson\n")
         for c, d, w in zip(centers, density, wd):
             fh.write(f"{_fmt(c)},{_fmt(float(d))},{_fmt(float(w))}\n")
-    omega = np.arange(0.25, 3.0001, 0.125)
-    est = st.pair_correlation_estimate(spectrum.unfolded, omega)
-    ref = st.sine_kernel_r2(omega)
+    est = st.pair_correlation_estimate(spectrum.unfolded, st.OMEGA_GRID)
+    ref = st.sine_kernel_r2(st.OMEGA_GRID)
     pc_path = os.path.join(config.out, "pair_correlation.csv")
     with open(pc_path, "w", encoding="utf-8") as fh:
         fh.write(f"# two-point estimator, Gaussian window 0.1, {n_zeros} zeros\n")
         fh.write("omega,estimate,sine_kernel\n")
-        for o, e, r in zip(omega, est, ref):
+        for o, e, r in zip(st.OMEGA_GRID, est, ref):
             fh.write(f"{_fmt(float(o))},{_fmt(float(e))},{_fmt(float(r))}\n")
     gp = os.path.join(config.out, "plots.gp")
     with open(gp, "w", encoding="utf-8") as fh:
@@ -214,7 +213,7 @@ def _emit_stats(config, spectrum) -> None:
 def cmd_stats(config) -> int:
     # the unfolding counts with the Riemann-von Mangoldt term of zeta
     catalog = _load_catalog(config, "zeta")
-    _emit_stats(config, st.unfold_catalog(catalog))
+    _emit_stats(config, st.unfold(catalog))
     print(f"# spacing_histogram.csv, pair_correlation.csv, plots.gp "
           f"-> {config.out}")
     return EXIT_OK
@@ -228,7 +227,7 @@ def cmd_audit(config) -> int:
         # the full audit also writes the spacing statistics: check that the
         # catalog unfolds before any claim runs or any file is written
         try:
-            spectrum = st.unfold_catalog(catalog)
+            spectrum = st.unfold(catalog)
         except ArgumentDomain as exc:
             raise ArgumentDomain(f"{exc}; the full audit writes spacing "
                                  "statistics, so choose claims with "
@@ -278,6 +277,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _claim_ids(text: str) -> tuple:
     ids = tuple(c for c in text.split(",") if c)
+    if not ids:
+        raise argparse.ArgumentTypeError("no claim ids given")
     unknown = ", ".join(c for c in ids if c not in cl.REGISTRY)
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown claims: {unknown}; known: "

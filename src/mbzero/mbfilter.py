@@ -62,21 +62,6 @@ class KernelScale:
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    """Energy E with order nu = 1/2 + iE/2 and locus s0 = 1/4 + iE/4."""
-
-    energy: float
-
-    @property
-    def nu(self) -> complex:
-        return complex(0.5, 0.5 * self.energy)
-
-    @property
-    def s0(self) -> complex:
-        return complex(0.25, 0.25 * self.energy)
-
-
-@dataclass(frozen=True)
 class ContourSpec:
     """Vertical line Re s = abscissa, truncated at |Im s| = t_max."""
 
@@ -184,13 +169,6 @@ def arithmetic_factor(function: str, z: complex) -> complex:
     return sf.zeta(z) if function == "zeta" else sf.dirichlet_beta(z)
 
 
-def _dressing_log(point: SpectralPoint, a: float) -> complex:
-    """log of the never-vanishing factor multiplying L(2 s0) in the filter."""
-    s0, nu = point.s0, point.nu
-    return (sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
-            + 2.0 * s0 * math.log(2.0 * a))
-
-
 # ---------------------------------------------------------------------------
 # 31-digit (double-double scale) arithmetic factor
 # ---------------------------------------------------------------------------
@@ -214,14 +192,19 @@ def _graded_edges(nu: complex, contour: ContourSpec) -> np.ndarray:
 
     A pole at horizontal distance d from the line makes the integrand
     spike with width ~d at that height; panels are shrunk to ~d/2 there
-    so 16-point Gauss-Legendre keeps spectral accuracy.
+    so 16-point Gauss-Legendre keeps spectral accuracy.  A line within
+    _POLE_MARGIN of a pole ladder is an ArgumentDomain.
     """
     lo, hi = -contour.t_max, contour.t_max
     g = contour.abscissa
     edges = set(np.linspace(lo, hi, contour.panel_count + 1))
     ladders = pole_abscissas(span=max(12.0, abs(g) + 2))
+    pole_gap = float(np.min(np.abs(ladders - g)))
+    if pole_gap < _POLE_MARGIN:
+        raise ArgumentDomain(f"abscissa {g} within {_POLE_MARGIN} of a pole "
+                             "ladder")
     hotspots = (
-        (0.0, float(np.min(np.abs(ladders - g)))),
+        (0.0, pole_gap),
         (nu.imag, min(abs(g - (0.5 - n)) for n in range(14))),
     )
     for t_star, dist in hotspots:
@@ -277,22 +260,13 @@ def _tail_estimate(nu: complex, a: float, contour: ContourSpec) -> float:
     return out * abs(kernel_prefactor("zeta"))
 
 
-def validate_contour(contour: ContourSpec) -> None:
-    ladders = pole_abscissas(span=max(12.0, abs(contour.abscissa) + 2))
-    dist = float(np.min(np.abs(ladders - contour.abscissa)))
-    if dist < _POLE_MARGIN:
-        raise ArgumentDomain(
-            f"abscissa {contour.abscissa} within {_POLE_MARGIN} of a pole ladder"
-        )
-
-
 def mb_integral(energy: float, scale: KernelScale,
                 contour: ContourSpec) -> complex:
     """Literal vertical-line quadrature of the zeta kernel at Re s =
     abscissa.  NoConvergence when the bound on the discarded tails
-    exceeds 1e-14 of |integral|; ArgumentDomain for a non-finite value."""
-    validate_contour(contour)
-    nu = SpectralPoint(energy).nu
+    exceeds 1e-14 of |integral|; ArgumentDomain for an abscissa on a pole
+    ladder or a non-finite value."""
+    nu = complex(0.5, 0.5 * energy)
     value = _line_sum(nu, scale.a, contour)
     tail = _tail_estimate(nu, scale.a, contour)
     accumulated = abs(value)
@@ -310,8 +284,7 @@ def mb_scale_derivative(energy: float, scale: KernelScale,
                         contour: ContourSpec) -> complex:
     """d/da of mb_integral, differentiated under the integral: (2a)^{2s}
     contributes the weight 2 s / a on the same node set."""
-    validate_contour(contour)
-    return _line_sum(SpectralPoint(energy).nu, scale.a, contour, True)
+    return _line_sum(complex(0.5, 0.5 * energy), scale.a, contour, True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +311,9 @@ def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
     plus the (i/2) L'(2 s0) arithmetic term, L' by central differences.
     """
     h = 1e-6
-    point = SpectralPoint(energy)
-    s0, nu = point.s0, point.nu
-    dress = cmath.exp(_dressing_log(point, scale.a))
+    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
+    dress = cmath.exp(sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
+                      + 2.0 * s0 * math.log(2.0 * scale.a))
     lval = arithmetic_factor(function, 2.0 * s0)
     lp = (arithmetic_factor(function, 2.0 * s0 + 1j * h)
           - arithmetic_factor(function, 2.0 * s0 - 1j * h)) / (2j * h)
@@ -503,7 +476,6 @@ def double_pole_circle(anchor: complex):
     fitted_c = max(r[2] / r[0] for r in rows)
     ratios = [rows[i][2] / rows[i + 1][2] for i in range(len(rows) - 1)]
     return AuditReport(
-        claim_id="mb_double_pole_circle",
         lhs=complex(rows[0][1]),
         rhs=complex(printed_gap),
         abs_discrepancy=worst_full,

@@ -182,7 +182,6 @@ def deficiency_divergence_check() -> AuditReport:
     growth = np.polyfit(probe_x,
                         [math.log(abs(bessel_j0(complex(z)))) for z in ray], 1)[0]
     return AuditReport(
-        claim_id="deficiency_log_divergence",
         lhs=complex(mean_slope),
         rhs=complex(math.sqrt(2.0) / math.pi),
         abs_discrepancy=spread,
@@ -228,7 +227,6 @@ def eigenfunction_L2_classifier(nu: complex) -> AuditReport:
     tail_ok = tail < 1e-12
     convergent = tail_ok and not origin_divergent
     return AuditReport(
-        claim_id="eigenfunction_l2",
         lhs=complex(base),
         rhs=complex(quarter),
         abs_discrepancy=abs(inc1) + abs(inc2),

@@ -41,19 +41,16 @@ def smooth_count(t: float) -> float:
     return x * math.log(x) - x + 0.875
 
 
-def unfold(catalog: list, window: tuple) -> UnfoldedSpectrum:
-    """Map ordinates through the smooth counting term; mean spacing -> 1."""
-    lo, hi = window
-    raw = [r.ordinate for r in catalog if lo <= r.ordinate <= hi]
+def unfold(catalog: list) -> UnfoldedSpectrum:
+    """Map the catalog's ordinates through the smooth counting term; mean
+    spacing -> 1.  ArgumentDomain below 20 zeros."""
+    raw = [r.ordinate for r in catalog]
     if len(raw) < 20:
-        raise ArgumentDomain(f"window {window} holds {len(raw)} zeros, need 20")
+        raise ArgumentDomain(f"catalog holds {len(raw)} zeros, need 20")
+    if not all(t > 0.0 for t in raw):
+        raise ArgumentDomain("catalog holds an ordinate <= 0")
     unfolded = [smooth_count(t) for t in raw]
     return UnfoldedSpectrum(raw=raw, unfolded=unfolded)
-
-
-def unfold_catalog(catalog: list) -> UnfoldedSpectrum:
-    """The whole catalog unfolded; ArgumentDomain below 20 zeros."""
-    return unfold(catalog, (0.0, catalog[-1].ordinate + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +77,14 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
-def spacing_vs_gue(spectrum_or_spacings) -> AuditReport:
+def spacing_vs_gue(spacings) -> AuditReport:
     """Kolmogorov-Smirnov distance of spacings against the Wigner-Dyson law.
 
     pass below 0.05; the 0.05..0.25 band is inconclusive by design at desk
     scale; above 0.25 is a clear rejection.  Fewer than 100 spacings makes
     the verdict sample-limited (inconclusive) regardless of the distance.
     """
-    if isinstance(spectrum_or_spacings, UnfoldedSpectrum):
-        spacings = spectrum_or_spacings.spacings
-    else:
-        spacings = np.asarray(spectrum_or_spacings, dtype=float)
+    spacings = np.asarray(spacings, dtype=float)
     if spacings.size < 20:
         raise ArgumentDomain(f"{spacings.size} spacings, need >= 20")
     ks = ks_distance(spacings, wigner_dyson_cdf)
@@ -104,7 +98,6 @@ def spacing_vs_gue(spectrum_or_spacings) -> AuditReport:
     if sample_limited and verdict == "pass":
         verdict = "inconclusive"
     return AuditReport(
-        claim_id="spacing_wigner_dyson",
         lhs=complex(ks), rhs=0j,
         abs_discrepancy=ks, rel_discrepancy=ks,
         verdict=verdict,
@@ -128,6 +121,10 @@ def sine_kernel_r2(omega):
     return out
 
 
+# separations at which the ledger and `stats` compare R2 with the sine kernel
+OMEGA_GRID = np.arange(0.25, 3.0001, 0.125)
+
+
 def pair_correlation_estimate(unfolded, omega_grid, sigma: float = 0.1):
     """Gaussian-window two-point estimator on unit-density points."""
     e = np.sort(np.asarray(unfolded, dtype=float))
@@ -145,27 +142,20 @@ def pair_correlation_estimate(unfolded, omega_grid, sigma: float = 0.1):
     return out
 
 
-def pair_correlation(spectrum: UnfoldedSpectrum, omega_grid=None,
-                     sigma: float = 0.1) -> AuditReport:
+def pair_correlation(spectrum: UnfoldedSpectrum) -> AuditReport:
     """Binned two-point estimator against 1 - (sin pi w / pi w)^2."""
-    if len(spectrum.unfolded) < 20:
-        raise ArgumentDomain("need >= 20 zeros for pair correlation")
-    if omega_grid is None:
-        omega_grid = np.arange(0.25, 3.0001, 0.125)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    est = pair_correlation_estimate(spectrum.unfolded, omega_grid, sigma)
-    ref = sine_kernel_r2(omega_grid)
+    est = pair_correlation_estimate(spectrum.unfolded, OMEGA_GRID)
+    ref = sine_kernel_r2(OMEGA_GRID)
     mad = float(np.mean(np.abs(est - ref)))
     sample_limited = len(spectrum.unfolded) < 100
     return AuditReport(
-        claim_id="pair_correlation_sine_kernel",
         lhs=complex(mad), rhs=0j,
         abs_discrepancy=mad, rel_discrepancy=mad,
         verdict="pass" if mad < 0.2 else "fail",
         notes=f"mean |R2_hat - sine kernel| over omega in "
-              f"[{omega_grid[0]}, {omega_grid[-1]}], sigma = {sigma}"
+              f"[{OMEGA_GRID[0]}, {OMEGA_GRID[-1]}], sigma = 0.1"
               + ("; sample-limited at desk scale" if sample_limited else ""),
-        extra={"omega": list(omega_grid), "estimate": list(est),
+        extra={"omega": list(OMEGA_GRID), "estimate": list(est),
                "reference": list(ref)},
     )
 
@@ -255,7 +245,6 @@ def trace_I_of_a(a: float, catalog: list) -> AuditReport:
                                            * math.pi ** 0.25)
     verdict = "pass" if (increments_dec and last_inc < 1e-4) else "inconclusive"
     return AuditReport(
-        claim_id="trace_I_even_odd",
         lhs=complex(even), rhs=complex(even + tail),
         abs_discrepancy=last_inc, rel_discrepancy=last_inc / even,
         verdict=verdict,
@@ -306,7 +295,6 @@ def weil_prime_side(prime_limit: int, catalog: list):
     for t in _ordinates(catalog):
         zero_side += complex(-0.5, t) / (1.0 + 4.0 * t * t)
     return AuditReport(
-        claim_id="weil_prime_side",
         lhs=complex(trajectory[-1][1]),
         rhs=complex(zero_side),
         abs_discrepancy=abs(trajectory[-1][1] - zero_side.real),
@@ -341,7 +329,6 @@ def trace_class_audit(p: float, a: float, catalog: list) -> AuditReport:
     else:
         verdict = "pass" if gap <= 10.0 * (tail + abs(terms[-1])) else "fail"
     return AuditReport(
-        claim_id=f"trace_class_p{p:g}",
         lhs=lhs, rhs=rhs,
         abs_discrepancy=gap, rel_discrepancy=gap / max(abs(rhs), 1e-300),
         verdict=verdict,
@@ -374,7 +361,6 @@ def fredholm_audit(z: float, a: float, k_max: int = 40) -> AuditReport:
     gap = abs(lhs - rhs)
     doubling = abs(x ** (2 * (k_max + 1)) / (k_max + 1))
     return AuditReport(
-        claim_id=f"fredholm_z{z:g}",
         lhs=lhs, rhs=rhs,
         abs_discrepancy=gap,
         rel_discrepancy=gap / max(abs(rhs), 1e-300),

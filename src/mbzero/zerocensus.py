@@ -77,17 +77,13 @@ def _critical_abs(function: str, ts: list) -> list:
 # Counting predictions
 # ---------------------------------------------------------------------------
 
-def _arg_beta_rect(t: float) -> float:
-    """arg beta(1/2 + it) continued along the census rectangle."""
-    return sf.arg_rectangle(sf.dirichlet_beta_vec, t)
-
-
 def counting_prediction(function: str, t: float) -> float:
     """Smooth + argument counting estimate of zeros with ordinate <= t."""
     if function == "zeta":
         return (sf.riemann_siegel_theta(t) / math.pi + 1.0
                 + sf.arg_zeta_rectangle(t) / math.pi)
-    return sf.beta_theta(t) / math.pi + _arg_beta_rect(t) / math.pi
+    return (sf.beta_theta(t) / math.pi
+            + sf.arg_rectangle(sf.dirichlet_beta_vec, t) / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +216,6 @@ def s_of_t_bound_check(t_max: float) -> AuditReport:
         if ratio > worst_ratio:
             worst_ratio, worst_t = ratio, t
     return AuditReport(
-        claim_id="s_t_bound_hmty",
         lhs=complex(max_abs_s), rhs=complex(hmty_bound(worst_t)),
         abs_discrepancy=worst_ratio, rel_discrepancy=worst_ratio,
         verdict="pass" if worst_ratio < 1.0 else "fail",

@@ -196,7 +196,7 @@ def arg_rectangle_march(evaluate, t: float) -> float:
 def line_node_set(energy: float, contour, refine: int):
     """Weights and nodes of mbfilter's line node set for the energy, each
     graded panel split `refine` times (mb_integral splits once)."""
-    edges = mbf._graded_edges(mbf.SpectralPoint(energy).nu, contour)
+    edges = mbf._graded_edges(complex(0.5, 0.5 * energy), contour)
     t, w = panel_nodes_from_edges(edges, refine)
     return w, contour.abscissa + 1j * t
 
@@ -230,10 +230,10 @@ def spectral_filter_circle(function: str, energy: float, a: float,
     """mbfilter.spectral_filter by closed-circle quadrature of
     kernel(s)/(s - s0) around s0 = 1/4 + iE/4; spectrally accurate since
     the integrand is meromorphic with one enclosed pole."""
-    point = mbf.SpectralPoint(energy)
-    s, w = circle_nodes(point.s0, radius, n_points)
-    lg, arith = scale_free_factors_unmirrored(function, s, point.nu)
-    vals = np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith / (s - point.s0)
+    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
+    s, w = circle_nodes(s0, radius, n_points)
+    lg, arith = scale_free_factors_unmirrored(function, s, nu)
+    vals = np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith / (s - s0)
     return complex(np.sum(vals * w)) * mbf.kernel_prefactor(function)
 
 
@@ -494,9 +494,8 @@ def residue_at_pole(energy: float, scale: mbf.KernelScale,
                     n_points: int = 64) -> complex:
     """Residue of the raw zeta kernel integrand at a pole, by circle
     quadrature."""
-    point = mbf.SpectralPoint(energy)
     s, w = circle_nodes(complex(pole), radius, n_points)
-    vals = mbf._kernel_integrand(point.nu, s, scale.a)
+    vals = mbf._kernel_integrand(complex(0.5, 0.5 * energy), s, scale.a)
     return complex(np.sum(vals * w)) / (2j * math.pi)
 
 

@@ -129,6 +129,18 @@ class TestAuditCommand:
         code = run(["audit", "--claims", "nonsense"], tmp_path)
         assert code == 5
 
+    @pytest.mark.parametrize("claims", ["", ","])
+    def test_empty_claim_list_exit_5(self, tmp_path, capsys, monkeypatch,
+                                     claims):
+        # an empty list is a usage error, not the full audit
+        run(["census", "--function", "zeta", "--t-max", "20"], tmp_path)
+        monkeypatch.setattr(cli.cl, "run_claim", _fail_if_called)
+        monkeypatch.setattr(cli.st, "unfold", _fail_if_called)
+        capsys.readouterr()
+        assert run(["audit", "--claims", claims], tmp_path) == 5
+        assert "--claims: no claim ids given" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
     def test_full_audit_on_sparse_catalog_exit_5(self, tmp_path, capsys):
         # 3 zeros: the spacing statistics of a full audit need 20, which is
         # checked before any claim runs or any file is written
@@ -176,6 +188,22 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert "stats needs a zeta catalog, not the beta catalog" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["stats", "audit"])
+    def test_non_positive_ordinate_exit_5(self, command, tmp_path, capsys,
+                                          zeta_catalog_110):
+        # a checksummed catalog may hold any ordinate; the unfolding takes
+        # the log of each one
+        first = zeta_catalog_110[0]
+        zc.catalog_store(str(tmp_path / "cat.txt"), [zc.ZeroRecord(
+            index=1, ordinate=-first.ordinate, residual=first.residual,
+            function="zeta", method=first.method)] + zeta_catalog_110[1:])
+        capsys.readouterr()
+        assert run([command], tmp_path) == 5
+        err = capsys.readouterr().err
+        assert "catalog holds an ordinate <= 0" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
 
 
 class TestCacheCommand:
@@ -645,7 +673,7 @@ _FAILURES = {
         abscissa=0.5 + 1e-8, t_max=40, panel_count=100))),
     "PoleInStrip": (5, lambda: mbf.contour_shift_delta(10.0, _A02, 0.45,
                                                        0.70)),
-    "WindowTooSparse": (5, lambda: st.unfold([], (0.0, 1.0))),
+    "WindowTooSparse": (5, lambda: st.unfold([])),
     "ConfigError": (5, lambda: cli.cmd_bijection(
         argparse.Namespace(e_max=3.9))),
     "MissedZeroSuspected": (2, _miss_a_zero),
@@ -777,7 +805,7 @@ _VALUES = {
                   hst.sampled_from(["0", "-1", "65", "nan"])),
     "--claims": (hst.sampled_from(["mb_double_pole_circle",
                                    "trace_class_p2,fredholm_z0.4"]),
-                 hst.sampled_from(["", "nonsense"])),
+                 hst.sampled_from(["", ",", "nonsense"])),
 }
 
 
@@ -829,16 +857,15 @@ class TestArgvGrammarProperty:
         drawable = sorted(set(accepted) & set(_VALUES))
         flags = data.draw(hst.lists(hst.sampled_from(drawable), unique=True)
                           if drawable else hst.just([]))
-        # the 110 catalog holds 33 zeros, so a full audit (no --claims, or
-        # the empty edge value) would take seconds an example
-        audit_on_110 = command == "audit" and kind == "zeta_110"
-        if audit_on_110 and "--claims" not in flags:
+        # the 110 catalog holds 33 zeros, so a full audit (no --claims)
+        # would take seconds an example; every edge --claims value, the
+        # empty list included, exits 5 before any claim runs
+        if command == "audit" and kind == "zeta_110" \
+                and "--claims" not in flags:
             flags.append("--claims")
         # half the argv hold one edge value, the rest none
         edge = data.draw(hst.none() | hst.sampled_from(flags)) \
             if flags else None
-        if audit_on_110 and edge == "--claims":
-            edge = None
         argv = [command]
         for flag in flags:
             inside, outside = _VALUES[flag]

@@ -1,0 +1,80 @@
+"""The whole claim registry in one `audit` run: its ledger bytes against
+the benchmark's frozen digest, and every claim's entry against the same
+entry from audits of claim subsets at 1 to 3 worker processes."""
+
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from mbzero import claims as cl
+from mbzero import cli
+from mbzero import zerocensus as zc
+
+# sha256 of the files that `audit --a 0.2 --e-max 60` writes from the zeta
+# t <= 200 catalog; the ledger's is perfbench's variant-0 ledger digest
+FULL_AUDIT_SHA256 = {
+    "audit_ledger.json":
+        "5aec04939028b74a84372dbb97ce5b834f5c85cf59efd65e261ad5e16d7ab7f8",
+    "spacing_histogram.csv":
+        "92b94b8098f2ad9fefc48cd1e276eaab5a46bb581da03a6d02593129feeb32e4",
+    "pair_correlation.csv":
+        "b49c10470f285c470af00d7b01662ca9331a4754874adcc72af864e359d4e2c9",
+}
+# every claim but the two that take over a second each
+CHEAP_CLAIMS = [c for c in cl.REGISTRY
+                if c not in ("mb_contour_shift", "density_peak_alignment")]
+
+_FULL = {}  # file name -> bytes of the full audit, once it has run
+
+
+def _audit(directory, catalog, flags) -> None:
+    cache = str(directory / "zeta.txt")
+    zc.catalog_store(cache, catalog)
+    assert cli.main(["audit", "--a", "0.2", "--e-max", "60", *flags,
+                     "--cache", cache, "--out", str(directory)]) == 0
+
+
+def _full_audit(tmp_path_factory, catalog) -> dict:
+    """The full audit's files, written in the first test that asks, so that
+    its forks run under the conftest thread check."""
+    if not _FULL:
+        directory = tmp_path_factory.mktemp("full_audit")
+        _audit(directory, catalog, ["--threads", "2"])
+        _FULL.update((name, (directory / name).read_bytes())
+                     for name in FULL_AUDIT_SHA256)
+    return _FULL
+
+
+def _entries(ledger: bytes) -> dict:
+    return {e["claim_id"]: e for e in json.loads(ledger)["claims"]}
+
+
+def test_full_audit_bytes_and_ids(tmp_path_factory, zeta_catalog_full):
+    files = _full_audit(tmp_path_factory, zeta_catalog_full)
+    for name, digest in FULL_AUDIT_SHA256.items():
+        assert hashlib.sha256(files[name]).hexdigest() == digest, name
+    ledger = json.loads(files["audit_ledger.json"])["claims"]
+    ids = [e["claim_id"] for e in ledger]
+    assert len(ids) == len(cl.REGISTRY)
+    assert set(ids) == set(cl.REGISTRY)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.lists(hst.sampled_from(CHEAP_CLAIMS), min_size=1, max_size=8,
+                 unique=True),
+       hst.integers(1, 3))
+def test_entry_does_not_depend_on_companions_or_threads(
+        tmp_path_factory, zeta_catalog_full, claims, threads):
+    # node-set and Bessel-grid caches carry state from claim to claim
+    # inside a worker; no entry may depend on it
+    full = _entries(_full_audit(tmp_path_factory,
+                                zeta_catalog_full)["audit_ledger.json"])
+    directory = tmp_path_factory.mktemp("subset")
+    _audit(directory, zeta_catalog_full,
+           ["--claims", ",".join(claims), "--threads", str(threads)])
+    subset = _entries((directory / "audit_ledger.json").read_bytes())
+    assert set(subset) == set(claims)
+    for claim_id, entry in subset.items():
+        assert entry == full[claim_id], claim_id

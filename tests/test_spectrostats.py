@@ -10,14 +10,14 @@ from mbzero.errors import ArgumentDomain, NoConvergence
 
 class TestUnfold:
     def test_mean_spacing_near_one(self, zeta_catalog_full):
-        spec = st.unfold(zeta_catalog_full, (0.0, 201.0))
+        spec = st.unfold(zeta_catalog_full)
         mean = float(np.mean(spec.spacings))
         assert 0.9 <= mean <= 1.1
         assert len(spec.raw) >= 50
 
     def test_translation_acts_through_smooth_term(self, zeta_catalog_110):
         delta = 1e-6
-        spec = st.unfold(zeta_catalog_110, (0.0, 111.0))
+        spec = st.unfold(zeta_catalog_110)
         shifted = [t + delta for t in spec.raw]
         diffs_orig = np.diff(spec.unfolded)
         diffs_shift = np.diff([st.smooth_count(t) for t in shifted])
@@ -26,7 +26,7 @@ class TestUnfold:
 
     def test_sparse_window(self, zeta_catalog_110):
         with pytest.raises(ArgumentDomain, match="need 20"):
-            st.unfold(zeta_catalog_110, (0.0, 30.0))
+            st.unfold([r for r in zeta_catalog_110 if r.ordinate <= 30.0])
 
 
 class TestSpacingVsGue:
@@ -42,8 +42,8 @@ class TestSpacingVsGue:
         assert rep.verdict == "fail"
 
     def test_real_zeros_sample_limited(self, zeta_catalog_full):
-        spec = st.unfold(zeta_catalog_full, (0.0, 201.0))
-        rep = st.spacing_vs_gue(spec)
+        spec = st.unfold(zeta_catalog_full)
+        rep = st.spacing_vs_gue(spec.spacings)
         assert rep.verdict in ("pass", "inconclusive")
         assert "sample-limited" in rep.notes
 
@@ -63,17 +63,17 @@ class TestSpacingVsGue:
 
 class TestPairCorrelation:
     def test_level_repulsion_near_zero(self, zeta_catalog_full):
-        spec = st.unfold(zeta_catalog_full, (0.0, 201.0))
+        spec = st.unfold(zeta_catalog_full)
         est = st.pair_correlation_estimate(spec.unfolded, [0.05])
         assert est[0] < 0.35
 
     def test_large_separation_tends_to_one(self, zeta_catalog_full):
-        spec = st.unfold(zeta_catalog_full, (0.0, 201.0))
+        spec = st.unfold(zeta_catalog_full)
         est = st.pair_correlation_estimate(spec.unfolded, [2.5, 3.0])
         assert np.all(np.abs(est - 1.0) < 0.45)
 
     def test_report_against_sine_kernel(self, zeta_catalog_full):
-        spec = st.unfold(zeta_catalog_full, (0.0, 201.0))
+        spec = st.unfold(zeta_catalog_full)
         rep = st.pair_correlation(spec)
         assert rep.verdict == "pass"
         assert rep.lhs.real < 0.2
