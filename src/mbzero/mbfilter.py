@@ -30,7 +30,9 @@ where -t is a node bit for bit) takes the conjugate of its partner's
 value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 
 Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
-31-digit mpmath scalars (mpmath is imported on first use).
+31-digit mpmath scalars (mpmath is imported on first use).  The 31-digit
+Newton starts from the double Newton root, or from the catalog guess when
+the double Newton does not converge.
 """
 
 import cmath
@@ -341,15 +343,15 @@ def _hp_filter_with_derivative(function: str, energy, a):
     return dress * lval, dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
 
 
-def _newton(filter_and_derivative, e_guess, tol_step):
-    """Newton in E from e_guess on a backend's (F, dF/dE), in the backend's
-    number type (float, or mpf for the 31-digit backend).
+def _newton(filter_and_derivative, e_guess, tol_step, start=None):
+    """Newton in E from start (default e_guess) on a backend's (F, dF/dE),
+    in the backend's number type (float, or mpf for the 31-digit backend).
 
     The iterate must stay within +-1 of the guess and |F| must decrease
-    over the first two steps.  Converges when the step falls below
-    tol_step * max(1, |E|).
+    over the first two steps; failure messages name the guess.  Converges
+    when the step falls below tol_step * max(1, |E|).
     """
-    e = e_guess
+    e = e_guess if start is None else start
     f_hist = []
     for it in range(_NEWTON_MAX_ITER):
         f, df = filter_and_derivative(e)
@@ -383,17 +385,27 @@ def _root_residual(function: str, energy: float) -> float:
 
 
 def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
-    """Newton on the spectral filter carried entirely in 31-digit scalars.
+    """Newton on the spectral filter in 31-digit scalars, started from the
+    double Newton root, or from e_guess when the double Newton does not
+    converge.  Newton converges quadratically, so a start good to ~1e-13
+    reaches the 31-digit fixed point in one step; the basin window and the
+    failure messages stay on e_guess.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
     """
     import mpmath as mp
     _check_function(function)
+    try:
+        start = _newton(lambda x: _filter_with_derivative(function, x, scale),
+                        float(e_guess), 1e-12)
+    except NoConvergence:
+        start = e_guess
     with mp.workdps(_DD_DPS):
         a = mp.mpf(scale.a)
         root = +_newton(lambda e: _hp_filter_with_derivative(function, e, a),
-                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4))
+                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
+                        mp.mpf(start))
     _root_residual(function, float(root))
     return root
 

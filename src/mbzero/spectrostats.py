@@ -47,8 +47,6 @@ def unfold(catalog: list) -> UnfoldedSpectrum:
     raw = [r.ordinate for r in catalog]
     if len(raw) < 20:
         raise ArgumentDomain(f"catalog holds {len(raw)} zeros, need 20")
-    if not all(t > 0.0 for t in raw):
-        raise ArgumentDomain("catalog holds an ordinate <= 0")
     unfolded = [smooth_count(t) for t in raw]
     return UnfoldedSpectrum(raw=raw, unfolded=unfolded)
 

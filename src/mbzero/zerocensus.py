@@ -337,15 +337,21 @@ def catalog_load(path: str) -> list:
         raise CatalogError(f"unsupported catalog version {header[1]!r}")
     function = header[2]
     records = []
+    previous = 0.0
     for number, line in enumerate(lines[1:], start=2):
         try:
             idx, ordinate, residual, method = line.split("\t")
             records.append(ZeroRecord(
                 index=int(idx), ordinate=float(ordinate),
                 residual=float(residual), function=function, method=method))
+            if not previous < records[-1].ordinate < math.inf:
+                raise ValueError(f"ordinate {ordinate} not in ({previous!r}"
+                                 ", inf): ordinates must be positive and "
+                                 "increasing")
         except (ValueError, ArgumentDomain) as exc:
             raise CatalogError(
                 f"malformed record on line {number}: {exc}") from None
+        previous = records[-1].ordinate
     if not records:
         raise CatalogError("catalog holds no records")
     return records

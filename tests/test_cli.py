@@ -16,11 +16,13 @@ from concurrent import futures
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 import mbzero
+import oracles as oc
 from mbzero import bessel as bs
 from mbzero import cli, errors, quadrature
 from mbzero import mbfilter as mbf
@@ -189,22 +191,6 @@ class TestStatsCommand:
         assert "stats needs a zeta catalog, not the beta catalog" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("command", ["stats", "audit"])
-    def test_non_positive_ordinate_exit_5(self, command, tmp_path, capsys,
-                                          zeta_catalog_110):
-        # a checksummed catalog may hold any ordinate; the unfolding takes
-        # the log of each one
-        first = zeta_catalog_110[0]
-        zc.catalog_store(str(tmp_path / "cat.txt"), [zc.ZeroRecord(
-            index=1, ordinate=-first.ordinate, residual=first.residual,
-            function="zeta", method=first.method)] + zeta_catalog_110[1:])
-        capsys.readouterr()
-        assert run([command], tmp_path) == 5
-        err = capsys.readouterr().err
-        assert "catalog holds an ordinate <= 0" in err
-        assert "Traceback" not in err
-        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
-
 
 class TestCacheCommand:
     def test_verify_ok(self, tmp_path, capsys):
@@ -286,6 +272,42 @@ class TestMalformedCatalogRecord:
         assert "line 2" in capsys.readouterr().err
 
 
+def _with_first_ordinates(records, first, second):
+    """records with the first two ordinates replaced."""
+    return [zc.ZeroRecord(index=r.index, ordinate=t, residual=r.residual,
+                          function=r.function, method=r.method)
+            for r, t in zip(records, (first, second))] + records[2:]
+
+
+BAD_ORDINATES = {
+    "negative": lambda t1, t2: (-t1, t2),
+    "zero": lambda t1, t2: (0.0, t2),
+    "out_of_order": lambda t1, t2: (t2, t1),
+    "repeated": lambda t1, t2: (t1, t1),
+}
+
+
+class TestCatalogOrdinates:
+    @pytest.mark.parametrize("kind", sorted(BAD_ORDINATES))
+    @pytest.mark.parametrize("command", ["filter-roots", "bijection", "stats",
+                                         "audit", "cache"])
+    def test_refused_on_load(self, command, kind, tmp_path, capsys,
+                             zeta_catalog_110):
+        # every catalog command reads the catalog through catalog_load, so
+        # none of them sees an ordinate <= 0 or out of order
+        t1, t2 = (r.ordinate for r in zeta_catalog_110[:2])
+        zc.catalog_store(str(tmp_path / "cat.txt"), _with_first_ordinates(
+            zeta_catalog_110, *BAD_ORDINATES[kind](t1, t2)))
+        capsys.readouterr()
+        assert run([command], tmp_path) == (6 if command == "cache" else 4)
+        err = capsys.readouterr().err
+        line = 2 if kind in ("negative", "zero") else 3
+        assert f"malformed record on line {line}: ordinate" in err
+        assert "positive and increasing" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cat.txt"]
+
+
 class TestCatalogFunctionTag:
     def test_filter_roots_function_mismatch_exit_5(self, tmp_path, capsys):
         run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
@@ -349,6 +371,124 @@ class TestRootAcceptance:
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 3 and "E = 12.04" in outcomes[0][1]
+
+
+# sha256 of filter_roots.csv of double-double `filter-roots --a 0.2` on two
+# workers: zeta at E <= 400 on the t <= 200 catalog, beta at E <= 120 on the
+# t <= 60 one
+DD_TABLE_SHA256 = {
+    "zeta": ("e17e181a7359e041e28b744dbde9d84b"
+             "e4ceb5cccc09def0fade9991e78ae783"),
+    "beta": ("ac0c968772f48b0c1cbafa18c518b16f"
+             "e063afa215934b74c276dc499c02e25b"),
+}
+# the same at --a 1e-150 --e-max 64 on the zeta t <= 32 catalog
+ZETA_64_A1E150_DD_SHA256 = ("5777e83ac4e4b23705c7627d038f6707"
+                            "b704980a1a632286a9c0b6285b0c4ae4")
+FROZEN_ORDINATES = {"zeta": oc.ZETA_ORDINATES, "beta": oc.BETA_ORDINATES}
+
+
+def _filter_roots(directory, *flags):
+    """(exit code, filter_roots.csv bytes or None) of one filter-roots run
+    on directory/cat.txt."""
+    code = cli.main(["filter-roots", *flags, "--out", str(directory),
+                     "--cache", str(directory / "cat.txt")])
+    table = directory / "filter_roots.csv"
+    return code, table.read_bytes() if table.exists() else None
+
+
+def _root_strings(table: bytes) -> list:
+    return [row.split(",")[0] for row in table.decode().splitlines()
+            if row[:1].isdigit()]
+
+
+@pytest.fixture(scope="module")
+def root_tables(tmp_path_factory, zeta_catalog_full):
+    """filter_roots.csv in each precision: zeta at E <= 400 on the t <= 200
+    catalog, beta at E <= 120 on the t <= 60 catalog, two workers."""
+    tables = {}
+    for function, e_max, records in (
+            ("zeta", "400", zeta_catalog_full),
+            ("beta", "120", zc.scan_zeros("beta", 60.0))):
+        directory = tmp_path_factory.mktemp(function)
+        zc.catalog_store(str(directory / "cat.txt"), records)
+        for precision in ("double", "double_double"):
+            code, tables[function, precision] = _filter_roots(
+                directory, "--function", function, "--e-max", e_max,
+                "--a", "0.2", "--precision", precision, "--threads", "2")
+            assert code == 0
+    return tables
+
+
+class TestDoubleDoubleFilterRoots:
+    """The 31-digit Newton starts from the double Newton root, or from the
+    catalog guess when the double Newton does not converge."""
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_bytes(self, root_tables, function):
+        table = root_tables[function, "double_double"]
+        assert hashlib.sha256(table).hexdigest() == DD_TABLE_SHA256[function]
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_every_printed_root_against_frozen_ordinates(self, root_tables,
+                                                         function):
+        dd = _root_strings(root_tables[function, "double_double"])
+        double = _root_strings(root_tables[function, "double"])
+        frozen = FROZEN_ORDINATES[function]
+        assert len(dd) == len(double) == len(frozen)
+        with mp.workdps(40):
+            for e_dd, e_double, ordinate in zip(dd, double, frozen):
+                want = 2 * mp.mpf(ordinate)
+                assert abs(mp.mpf(e_dd) - want) < 1e-30 * want
+                assert abs(float(e_double) - float(want)) < 1e-11
+
+    def test_at_most_six_hp_evaluations_per_root(self, root_tables,
+                                                 zeta_catalog_full, tmp_path,
+                                                 monkeypatch, capsys):
+        # two 31-digit Newton steps of three L evaluations each
+        calls, per_root = [0], []
+        hp_arithmetic, root_dd = mbf._hp_arithmetic, mbf.newton_root_dd
+
+        def counted_arithmetic(*args):
+            calls[0] += 1
+            return hp_arithmetic(*args)
+
+        def counted_root(*args):
+            before = calls[0]
+            root = root_dd(*args)
+            per_root.append(calls[0] - before)
+            return root
+
+        monkeypatch.setattr(mbf, "_hp_arithmetic", counted_arithmetic)
+        monkeypatch.setattr(mbf, "newton_root_dd", counted_root)
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_full)
+        code, table = _filter_roots(tmp_path, "--e-max", "250", "--precision",
+                                    "double_double", "--threads", "1")
+        assert code == 0
+        assert len(per_root) == 41 and max(per_root) <= 6
+        roots = _root_strings(table)
+        assert roots == _root_strings(root_tables["zeta", "double_double"])[:41]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_small_scale(self, threads, tmp_path, capsys):
+        run(["census", "--t-max", "32"], tmp_path)
+        flags = ("--e-max", "64", "--precision", "double_double",
+                 "--threads", threads)
+        code, table = _filter_roots(tmp_path, "--a", "1e-150", *flags)
+        assert code == 0
+        assert hashlib.sha256(table).hexdigest() == ZETA_64_A1E150_DD_SHA256
+        # at 1e-157 the 31-digit Newton from the guess needs more than 50
+        # steps, but the double Newton converges and seeds it
+        (tmp_path / "filter_roots.csv").unlink()
+        code, small = _filter_roots(tmp_path, "--a", "1e-157", *flags)
+        assert code == 0 and _root_strings(small) == _root_strings(table)
+        # at 1e-200 the double Newton fails too, and the 31-digit Newton
+        # from the guess fails as it always did
+        (tmp_path / "filter_roots.csv").unlink()
+        capsys.readouterr()
+        assert _filter_roots(tmp_path, "--a", "1e-200", *flags) == (3, None)
+        assert capsys.readouterr().err == (
+            "error: Newton did not converge from 28.3194502834689 in 50\n")
 
 
 def _pause_or_fail(task):

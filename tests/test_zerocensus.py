@@ -245,6 +245,9 @@ class TestBijection:
             zc.bijection_audit(zeta_catalog_60[:3], [], 120.0)
 
 
+_POSITIVE = hst.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
 class TestCatalogPersistence:
     def test_round_trip(self, tmp_path, zeta_catalog_60):
         path = str(tmp_path / "cat.txt")
@@ -278,20 +281,37 @@ class TestCatalogPersistence:
 
     @settings(max_examples=150, deadline=None)
     @given(hst.sampled_from(["zeta", "beta"]), hst.lists(hst.tuples(
-        hst.integers(-10 ** 6, 10 ** 9),
-        hst.floats(allow_nan=False, allow_infinity=False),
+        hst.integers(-10 ** 6, 10 ** 9), _POSITIVE,
         hst.floats(0.0, zc.RESIDUAL_LIMIT, exclude_max=True),
         hst.sampled_from(["sign_scan", "newton_refine", "filter_root"])),
-        min_size=1, max_size=30))
+        min_size=1, max_size=30, unique_by=lambda row: row[1]))
     def test_store_load_round_trip(self, tmp_path_factory, function, rows):
         records = [zc.ZeroRecord(index=i, ordinate=t, residual=r,
                                  function=function, method=m)
-                   for i, t, r, m in rows]
+                   for i, t, r, m in sorted(rows, key=lambda row: row[1])]
         path = str(tmp_path_factory.mktemp("catalog") / "cat.txt")
         zc.catalog_store(path, records)
         loaded = zc.catalog_load(path)
         assert loaded == records
         assert zc.catalog_serialize(loaded) == zc.catalog_serialize(records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.data())
+    def test_ordinate_not_positive_and_increasing_refused(
+            self, tmp_path_factory, data):
+        ordinates = sorted(data.draw(hst.sets(_POSITIVE, min_size=1,
+                                              max_size=30)))
+        bad = data.draw(hst.integers(0, len(ordinates) - 1))
+        floor = ordinates[bad - 1] if bad else 0.0
+        ordinates[bad] = data.draw(hst.floats(max_value=floor)
+                                   | hst.sampled_from([math.inf, math.nan]))
+        records = [zc.ZeroRecord(index=i + 1, ordinate=t, residual=0.0,
+                                 function="zeta", method="sign_scan")
+                   for i, t in enumerate(ordinates)]
+        path = str(tmp_path_factory.mktemp("catalog") / "cat.txt")
+        zc.catalog_store(path, records)
+        with pytest.raises(CatalogError, match=f"line {bad + 2}: ordinate"):
+            zc.catalog_load(path)
 
     def test_empty_refused(self):
         with pytest.raises(ArgumentDomain):
