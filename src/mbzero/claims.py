@@ -23,7 +23,7 @@ from . import specfun as sf
 from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import AuditReport
-from .errors import MbzeroError
+from .errors import ArgumentDomain, MbzeroError
 
 
 def _report(lhs, rhs, disc, tol, notes="", extra=None):
@@ -247,11 +247,12 @@ def claim_bijection(config, catalog):
 
 def claim_density_peaks(config, catalog):
     lo, hi = 12.0, min(catalog[-1].ordinate + 2.0, 60.0)
-    peaks = st.density_peaks(np.linspace(lo, hi, 4000), 100000)
-    worst = 0.0
-    for r in catalog:
-        if lo + 1.0 < r.ordinate < hi - 1.0 and r.index <= 10:
-            worst = max(worst, float(np.min(np.abs(peaks - r.ordinate))))
+    ts = [r.ordinate for r in catalog[:10] if lo + 1.0 < r.ordinate < hi - 1.0]
+    if not ts:
+        raise ArgumentDomain("no catalog ordinate among the first ten in "
+                             f"({lo + 1.0}, {hi - 1.0})")
+    worst = float(np.max(st.peak_distances(np.linspace(lo, hi, 4000), ts,
+                                           100000)))
     return _report(worst, 0.0, worst, 0.2,
                    "peaks of mean + oscillatory density sit on catalog "
                    "ordinates; alignment needs the negative oscillation sign "

@@ -193,12 +193,37 @@ def oscillatory_density(e_grid, prime_limit: int,
     return out
 
 
-def density_peaks(e_grid, prime_limit: int, sigma: float = 0.3) -> np.ndarray:
-    """Local maxima of the smoothed total density mean + oscillatory."""
-    e = np.asarray(e_grid, dtype=float)
-    total = mean_density(e) + oscillatory_density(e, prime_limit, sigma)
-    idx = np.flatnonzero((total[1:-1] > total[:-2]) & (total[1:-1] > total[2:])) + 1
-    return e[idx]
+def peak_distances(e_grid, targets, prime_limit: int,
+                   sigma: float = 0.3) -> np.ndarray:
+    """Distance from each finite target to the nearest local maximum of
+    mean + oscillatory density on the sorted grid, bit for bit, evaluated
+    only within r of open targets plus a neighbour a side.  A peak at d
+    stands once all points within d are tested or the window is the grid;
+    else r doubles.  ArgumentDomain when the grid holds no peak."""
+    e, ts = np.asarray(e_grid, dtype=float), np.asarray(targets, dtype=float)
+    total, out = np.empty_like(e), np.empty(ts.size)
+    pending, r = set(range(ts.size)), 0.25
+    while pending:
+        lo = np.maximum(np.searchsorted(e, ts - r) - 1, 0)
+        hi = np.minimum(np.searchsorted(e, ts + r, "right"), e.size - 1)
+        idx = np.unique(np.concatenate([np.arange(lo[j], hi[j] + 1)
+                                        for j in pending]))
+        total[idx] = (mean_density(e[idx])
+                      + oscillatory_density(e[idx], prime_limit, sigma))
+        for j in list(pending):
+            i = np.arange(lo[j] + 1, hi[j])
+            d = np.abs(e[i[(total[i] > total[i - 1])
+                          & (total[i] > total[i + 1])]] - ts[j])
+            whole = lo[j] == 0 and hi[j] == e.size - 1
+            if d.size == 0 and whole:
+                raise ArgumentDomain("no density peak on the grid")
+            # e is sorted: the untested points lie beyond the window's ends
+            if d.size and (whole or min(abs(e[lo[j]] - ts[j]),
+                                        abs(e[hi[j]] - ts[j])) > d.min()):
+                out[j] = d.min()
+                pending.discard(j)
+        r *= 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------

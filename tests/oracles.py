@@ -10,8 +10,10 @@ and one-bracket bisection vs the lockstep census refinement, the scalar march
 up Re s = 2 and along the leg vs the arg rectangle started at 2 + it with
 one vector call, every node evaluated vs one evaluation per conjugate pair
 of nodes, a trapezoid pass built from scratch at each spacing vs nested
-passes sharing one evaluation).  The last section holds helpers whose
-only callers are tests.
+passes sharing one evaluation, vector Gamma on each side's two tail probes
+vs scalar Gamma on all four, the density on the full grid vs windows
+around the targets).  The last section holds helpers whose only callers
+are tests.
 """
 
 from __future__ import annotations
@@ -223,6 +225,32 @@ def scale_free_factors_unmirrored(function: str, s: np.ndarray, nu: complex):
     "beta" gives the beta(2s) kernel's factors, which only the filter has."""
     l_vec = sf.zeta_vec if function == "zeta" else sf.dirichlet_beta_vec
     return sf.log_gamma_vec(s) + sf.log_gamma_vec(s - nu), l_vec(2.0 * s)
+
+
+def tail_estimate_two_calls(nu: complex, a: float, contour) -> float:
+    """mbfilter._tail_estimate with one vector integrand call per side on
+    its two probes, t_max - 1 and t_max."""
+    out = 0.0
+    for sign in (+1.0, -1.0):
+        t_edge = sign * contour.t_max
+        probe = np.array([t_edge - sign * 1.0, t_edge])
+        s = contour.abscissa + 1j * probe
+        m = np.abs(mbf._kernel_integrand(nu, s, a))
+        if m[1] <= 0.0:
+            continue
+        rate = math.log(max(m[0], 1e-300) / m[1])  # e-folds per unit t
+        rate = max(rate, 0.5)
+        out += m[1] / rate * 2.0
+    return out * abs(mbf.kernel_prefactor("zeta"))
+
+
+def density_peaks(e_grid, prime_limit: int, sigma: float = 0.3) -> np.ndarray:
+    """Local maxima of mean + oscillatory density over the whole grid: the
+    reference for spectrostats.peak_distances."""
+    e = np.asarray(e_grid, dtype=float)
+    total = st.mean_density(e) + st.oscillatory_density(e, prime_limit, sigma)
+    idx = np.flatnonzero((total[1:-1] > total[:-2]) & (total[1:-1] > total[2:])) + 1
+    return e[idx]
 
 
 def spectral_filter_circle(function: str, energy: float, a: float,

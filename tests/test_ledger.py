@@ -1,7 +1,10 @@
 """The whole claim registry in one `audit` run: its ledger bytes against
 the benchmark's frozen digest, and every claim's entry against the same
-entry from audits of claim subsets at 1 to 3 worker processes."""
+entry from audits of claim subsets at 1 to 3 worker processes.  The
+density claim checks the catalog's first ten records, whatever their
+indices."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -78,3 +81,27 @@ def test_entry_does_not_depend_on_companions_or_threads(
     assert set(subset) == set(claims)
     for claim_id, entry in subset.items():
         assert entry == full[claim_id], claim_id
+
+
+def _density_entry(catalog) -> dict:
+    config = cli.build_parser().parse_args(["audit"])
+    return cl.run_claim(config, catalog,
+                        "density_peak_alignment").to_json_dict()
+
+
+def test_density_claim_checks_the_first_ten_records_whatever_their_index(
+        zeta_catalog_60):
+    shifted = [dataclasses.replace(r, index=r.index + 100)
+               for r in zeta_catalog_60]
+    entry = _density_entry(zeta_catalog_60)
+    assert entry["verdict"] == "pass" and entry["abs_discrepancy"] > 0.0
+    assert _density_entry(shifted) == entry
+
+
+def test_density_claim_without_an_ordinate_in_the_window_is_inconclusive(
+        zeta_catalog_full):
+    # the first ten records all lie above the grid's end at 60
+    above = [r for r in zeta_catalog_full if r.ordinate > 60.0]
+    entry = _density_entry(above)
+    assert entry["verdict"] == "inconclusive"
+    assert "no catalog ordinate" in entry["notes"]

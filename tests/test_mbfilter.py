@@ -216,6 +216,24 @@ class TestMirroredFactors:
         assert np.array_equal(_bits(arith), _bits(want[1]))
 
 
+class TestTailEstimate:
+    """_tail_estimate's four probes, scalar Gamma and one zeta_vec call,
+    against oc.tail_estimate_two_calls, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hst.floats(-80.0, 80.0), hst.floats(0.01, 0.99),
+           hst.floats(-2.9, 2.9), hst.floats(1.0, 120.0))
+    # a contour-shift line of the ledger, and a line left of 1/2, where
+    # log_gamma(s) takes its reflection branch
+    @example(12.0, 0.2, 0.6, 60.0)
+    @example(10.0, 0.2, -0.25, 45.0)
+    def test_matches_two_call_form(self, energy, a, g, t_max):
+        assume(np.min(np.abs(mbf.pole_abscissas(4.0) - g)) > 1e-3)
+        nu, contour = complex(0.5, 0.5 * energy), mbf.ContourSpec(g, t_max)
+        assert (mbf._tail_estimate(nu, a, contour).hex()
+                == oc.tail_estimate_two_calls(nu, a, contour).hex())
+
+
 class TestResidueSimpleZero:
     def test_first_zero(self, zeta_catalog_60):
         s0 = complex(0.25, 0.5 * zeta_catalog_60[0].ordinate)

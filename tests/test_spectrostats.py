@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -85,10 +86,16 @@ class TestPairCorrelation:
         assert est[1] > 2.0 and est[3] > 2.0
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_and_peaks(lo, hi, sigma, prime_limit=100_000):
+    """The 4000-point grid on [lo, hi] and its full-grid density peaks."""
+    grid = np.linspace(lo, hi, 4000)
+    return grid, oc.density_peaks(grid, prime_limit, sigma)
+
+
 class TestOscillatoryDensity:
     def test_peak_alignment_first_ordinates(self, zeta_catalog_60):
-        grid = np.linspace(12.0, 34.0, 4000)
-        peaks = st.density_peaks(grid, 100_000)
+        _, peaks = _grid_and_peaks(12.0, 34.0, 0.3)
         for r in zeta_catalog_60:
             if 13.0 < r.ordinate < 33.0:
                 assert float(np.min(np.abs(peaks - r.ordinate))) < 0.2
@@ -102,9 +109,8 @@ class TestOscillatoryDensity:
         assert np.allclose(gaps, 2.0 * math.pi / math.log(2.0), atol=0.05)
 
     def test_sigma_stability(self, zeta_catalog_60):
-        grid = np.linspace(12.0, 27.0, 4000)
-        p1 = st.density_peaks(grid, 100_000, sigma=0.3)
-        p2 = st.density_peaks(grid, 100_000, sigma=0.6)
+        _, p1 = _grid_and_peaks(12.0, 27.0, 0.3)
+        _, p2 = _grid_and_peaks(12.0, 27.0, 0.6)
         t1 = zeta_catalog_60[0].ordinate
         near1 = p1[np.argmin(np.abs(p1 - t1))]
         near2 = p2[np.argmin(np.abs(p2 - t1))]
@@ -113,6 +119,71 @@ class TestOscillatoryDensity:
     def test_prime_limit_guard(self):
         with pytest.raises(ArgumentDomain, match="prime_limit above"):
             st.oscillatory_density([10.0], 2_000_000)
+
+
+def _hex_distances(targets, peaks):
+    return [float(np.min(np.abs(peaks - t))).hex() for t in targets]
+
+
+def _count_rounds(monkeypatch) -> list:
+    """A list that gains an item at each oscillatory_density call."""
+    rounds, density = [], st.oscillatory_density
+    monkeypatch.setattr(st, "oscillatory_density",
+                        lambda *args: rounds.append(1) or density(*args))
+    return rounds
+
+
+class TestPeakDistances:
+    """The window search against the full-grid reference, bit for bit."""
+
+    def test_claim_grid(self, zeta_catalog_full):
+        grid, peaks = _grid_and_peaks(12.0, 60.0, 0.3)
+        ts = [r.ordinate for r in zeta_catalog_full if 13.0 < r.ordinate < 59.0]
+        got = st.peak_distances(grid, ts, 100_000)
+        assert [float(d).hex() for d in got] == _hex_distances(ts, peaks)
+        assert len(ts) == 12
+
+    @pytest.mark.parametrize("hi", [34.0, 27.0])
+    @pytest.mark.parametrize("sigma", [0.3, 0.6])
+    def test_sigma_grids(self, zeta_catalog_60, hi, sigma):
+        # every ordinate to 60, those above the grid included: their
+        # windows end at the grid's last point and grow to the whole grid
+        grid, peaks = _grid_and_peaks(12.0, hi, sigma)
+        ts = [r.ordinate for r in zeta_catalog_60]
+        got = st.peak_distances(grid, ts, 100_000, sigma)
+        assert [float(d).hex() for d in got] == _hex_distances(ts, peaks)
+
+    def test_window_grows(self, monkeypatch):
+        # p = 2 alone puts peaks about 8.4 apart near 6.8 and 15.2; a
+        # target halfway between them is about 4.2 from both, so r doubles
+        # from 0.25 to 8 before a peak stands: six evaluation rounds
+        grid = np.linspace(5.0, 30.0, 5000)
+        peaks = oc.density_peaks(grid, 2, sigma=0.05)
+        target = 0.5 * (peaks[0] + peaks[1])
+        rounds = _count_rounds(monkeypatch)
+        got = st.peak_distances(grid, [target], 2, sigma=0.05)
+        assert len(rounds) == 6
+        assert [float(got[0]).hex()] == _hex_distances([target], peaks)
+        assert 4.0 < got[0] < 4.4
+
+    def test_grid_end_in_reach_grows_to_whole_grid(self, monkeypatch):
+        # the peak near 6.8 is about 1.3 from the target 5.5, but the
+        # grid's first point, 5.0, is 0.5 away and never tested, so the
+        # window grows to the whole grid (r = 32) before the peak stands
+        grid = np.linspace(5.0, 30.0, 5000)
+        rounds = _count_rounds(monkeypatch)
+        got = st.peak_distances(grid, [5.5], 2, sigma=0.05)
+        assert len(rounds) == 8
+        peaks = oc.density_peaks(grid, 2, sigma=0.05)
+        assert [float(got[0]).hex()] == _hex_distances([5.5], peaks)
+
+    def test_no_peak_on_grid(self):
+        # after the p = 2 peak near 15.2 the total falls to a trough near
+        # 18.1 and rises again: no interior maximum on [15.5, 18.5]
+        grid = np.linspace(15.5, 18.5, 400)
+        assert oc.density_peaks(grid, 2, sigma=0.05).size == 0
+        with pytest.raises(ArgumentDomain, match="no density peak"):
+            st.peak_distances(grid, [17.0], 2, sigma=0.05)
 
 
 class TestTraceAudits:
