@@ -31,9 +31,11 @@ where -t is a node bit for bit) takes the conjugate of its partner's
 value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 
 Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
-31-digit mpmath scalars (mpmath is imported on first use).  The 31-digit
-Newton starts from the double Newton root, or from the catalog guess when
-the double Newton does not converge.
+31-digit mpmath scalars (mpmath is imported on first use).  A double step
+takes L(2 s0) and L(2 s0 +- ih) from one critical_line_values call, each
+point at its own Euler-Maclaurin N: the bits of three scalar calls.  The
+31-digit Newton starts from the double Newton root, or from the catalog
+guess when the double Newton does not converge.
 """
 
 import cmath
@@ -165,11 +167,6 @@ def _kernel_integrand(nu: complex, s: np.ndarray, a: float,
     """Zeta kernel integrand (no prefactor) on an array of contour nodes."""
     lg, arith = _scale_free_factors(s, nu) if factors is None else factors
     return np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith
-
-
-def arithmetic_factor(function: str, z: complex) -> complex:
-    """The kernel's L-type factor evaluated at argument z (= 2s)."""
-    return sf.zeta(z) if function == "zeta" else sf.dirichlet_beta(z)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +310,16 @@ def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
     dF/dE carries (i/4)(psi(s0) - psi(s0 - nu) + 2 log 2a) from the
     moving dressing (d nu/dE = i/2 appearing as -(i/4) net on s0 - nu)
     plus the (i/2) L'(2 s0) arithmetic term, L' by central differences.
+    L(2 s0) and L(2 s0 +- ih) come from one critical_line_values call,
+    each point at its own N (the bits of three scalar calls), after the
+    dressing, whose log_gamma raises ArgumentDomain for a non-finite E.
     """
-    h = 1e-6
-    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
+    h, t = 1e-6, 0.5 * energy
+    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, t)
     dress = cmath.exp(sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
                       + 2.0 * s0 * math.log(2.0 * scale.a))
-    lval = arithmetic_factor(function, 2.0 * s0)
-    lp = (arithmetic_factor(function, 2.0 * s0 + 1j * h)
-          - arithmetic_factor(function, 2.0 * s0 - 1j * h)) / (2j * h)
+    lval, up, dn = sf.critical_line_values(function, [t, t + h, t - h]).tolist()
+    lp = (up - dn) / (2j * h)
     dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
                     + 2.0 * math.log(2.0 * scale.a))
     norm = kernel_prefactor(function) * 2j * math.pi
@@ -379,7 +378,7 @@ def _root_residual(function: str, energy: float) -> float:
     """|L(1/2 + iE/2)| at a converged Newton root; NoConvergence unless it
     is below the catalog's residual limit.  The dressed filter value is no
     test: the dressing alone makes |F| < 1e-11 for every E above ~30."""
-    residual = abs(arithmetic_factor(function, complex(0.5, 0.5 * energy)))
+    residual = zc._critical_abs(function, [0.5 * energy])[0]
     if not residual < zc.RESIDUAL_LIMIT:
         raise NoConvergence(f"|L| = {residual:.3e} at the converged "
                             f"E = {energy:.6f}: not a zero")

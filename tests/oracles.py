@@ -12,8 +12,8 @@ one vector call, every node evaluated vs one evaluation per conjugate pair
 of nodes, a trapezoid pass built from scratch at each spacing vs nested
 passes sharing one evaluation, vector Gamma on each side's two tail probes
 vs scalar Gamma on all four, the density on the full grid vs windows
-around the targets).  The last section holds helpers whose only callers
-are tests.
+around the targets, three scalar L calls a Newton step vs one vector
+call).  The last section holds helpers whose only callers are tests.
 """
 
 from __future__ import annotations
@@ -486,6 +486,22 @@ def critical_abs_scalar(function: str, ts: list) -> list:
     """zerocensus._critical_abs, one scalar call a point."""
     value = sf.zeta if function == "zeta" else sf.dirichlet_beta
     return [abs(value(complex(0.5, t))) for t in ts]
+
+
+def filter_with_derivative_scalar(function: str, energy: float, scale):
+    """mbfilter._filter_with_derivative with L(2 s0) and L(2 s0 +- ih) from
+    three scalar zeta or dirichlet_beta calls."""
+    value = sf.zeta if function == "zeta" else sf.dirichlet_beta
+    h = 1e-6
+    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
+    dress = cmath.exp(sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
+                      + 2.0 * s0 * math.log(2.0 * scale.a))
+    lval = value(2.0 * s0)
+    lp = (value(2.0 * s0 + 1j * h) - value(2.0 * s0 - 1j * h)) / (2j * h)
+    dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
+                    + 2.0 * math.log(2.0 * scale.a))
+    norm = mbf.kernel_prefactor(function) * 2j * math.pi
+    return norm * dress * lval, norm * dress * (dlog * lval + 0.5j * lp)
 
 
 # ---------------------------------------------------------------------------

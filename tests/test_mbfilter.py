@@ -234,6 +234,53 @@ class TestTailEstimate:
                 == oc.tail_estimate_two_calls(nu, a, contour).hex())
 
 
+class TestBatchedNewtonStep:
+    """_filter_with_derivative's one critical_line_values call against
+    oc.filter_with_derivative_scalar's three scalar L calls, bit for bit."""
+
+    @staticmethod
+    def _assert_same_step(function, energy, scale):
+        got = mbf._filter_with_derivative(function, energy, scale)
+        want = oc.filter_with_derivative_scalar(function, energy, scale)
+        for g, w in zip(got, want):
+            assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.sampled_from(["zeta", "beta"]),
+           hst.floats(0.5, 420.0, exclude_min=True),
+           hst.floats(1e-3, 0.9, exclude_min=True, exclude_max=True))
+    def test_random_steps(self, function, energy, a):
+        self._assert_same_step(function, energy, mbf.KernelScale(a))
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_truncation_boundaries(self, function):
+        # N steps where 1.4 t crosses an integer; at t = k/1.4 +- 0.5e-6 the
+        # points t and t +- h fall on different sides of the step
+        for k in range(1, 600):
+            for d in (0.0, 0.5e-6, -0.5e-6, 1.5e-6, -1.5e-6):
+                self._assert_same_step(function, 2.0 * (k / 1.4 + d), A02)
+
+    @pytest.mark.parametrize("function, catalog", [
+        ("zeta", "zeta_catalog_60"), ("beta", "beta_catalog")])
+    def test_newton_roots_match_scalar_steps(self, function, catalog,
+                                             request, monkeypatch):
+        guesses = [2.0 * r.ordinate + 0.05
+                   for r in request.getfixturevalue(catalog)]
+        roots = [mbf.newton_filter_root(function, g, A02) for g in guesses]
+        monkeypatch.setattr(mbf, "_filter_with_derivative",
+                            oc.filter_with_derivative_scalar)
+        want = [mbf.newton_filter_root(function, g, A02) for g in guesses]
+        assert [e.hex() for e in roots] == [e.hex() for e in want]
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_non_finite_energy_is_argument_domain(self, function):
+        # the dressing's log_gamma checks E before the unchecked vector call
+        with pytest.raises(ArgumentDomain, match="non-finite"):
+            mbf._filter_with_derivative(function, math.nan, A02)
+        with pytest.raises(ArgumentDomain, match="non-finite"):
+            mbf.newton_filter_root(function, math.inf, A02)
+
+
 class TestResidueSimpleZero:
     def test_first_zero(self, zeta_catalog_60):
         s0 = complex(0.25, 0.5 * zeta_catalog_60[0].ordinate)
