@@ -195,9 +195,13 @@ def claim_filter_pairing_beta(config, catalog):
 
 def claim_guinand_weil_forms(config, catalog):
     """Printed counting formula against the corrected three-term form."""
+    energies = (20.0, 2 * 14.1347251417 + 0.1, 2 * 21.0220396388 + 0.1)
+    if catalog[-1].ordinate < 0.5 * energies[-1]:
+        raise ArgumentDomain(f"catalog reaches {catalog[-1].ordinate:.3f}, "
+                             f"need {0.5 * energies[-1]:.3f}")
     worst_corrected = 0.0
     worst_printed = 0.0
-    for energy in (20.0, 2 * 14.1347251417 + 0.1, 2 * 21.0220396388 + 0.1):
+    for energy in energies:
         count = sum(1 for r in catalog if 2.0 * r.ordinate <= energy)
         corrected = zc.n_H_guinand_weil(energy)
         t = 0.5 * energy
@@ -222,6 +226,8 @@ def claim_guinand_weil_forms(config, catalog):
 def claim_counting_rvm(config, catalog):
     rng = np.random.RandomState(12)
     t_hi = min(config.t_max, catalog[-1].ordinate + 2.0)
+    if t_hi <= 15.0:
+        raise ArgumentDomain(f"T is drawn from [15, {t_hi:.3f}), which is empty")
     worst = 0.0
     for _ in range(12):
         t = rng.uniform(15.0, t_hi)
@@ -311,7 +317,7 @@ REGISTRY = {
         zc.s_of_t_bound_check(min(config.t_max, 60.0)),
     "bijection_delta_zero": claim_bijection,
     "spacing_wigner_dyson": lambda config, catalog:
-        st.spacing_vs_gue(st.unfold(catalog).spacings),
+        st.spacing_vs_gue(np.diff(st.unfold(catalog))),
     "pair_correlation_sine_kernel": lambda config, catalog:
         st.pair_correlation(st.unfold(catalog)),
     "density_peak_alignment": claim_density_peaks,

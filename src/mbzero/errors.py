@@ -3,7 +3,7 @@
 One class per CLI exit code, each carrying the code `main` maps it to:
 2 suspected missed zero, 3 numerical failure, 4 unusable catalog (6
 under `cache`), and 5, invalid argument or configuration, for the rest.
-The message names the failure; `BranchJump` alone is caught by type.
+The message, not a subclass, names the failure.
 """
 
 
@@ -24,10 +24,6 @@ class MissedZeroSuspected(MbzeroError):
 class NoConvergence(MbzeroError):
     """A numerical method failed: Newton, quadrature, series or ODE step."""
     exit_code = 3
-
-
-class BranchJump(NoConvergence):
-    """A tracked-argument path step would move arg by >= pi."""
 
 
 class CatalogError(MbzeroError):

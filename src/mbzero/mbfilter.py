@@ -33,9 +33,9 @@ value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
 31-digit mpmath scalars (mpmath is imported on first use).  A double step
 takes L(2 s0) and L(2 s0 +- ih) from one critical_line_values call, each
-point at its own Euler-Maclaurin N: the bits of three scalar calls.  The
-31-digit Newton starts from the double Newton root, or from the catalog
-guess when the double Newton does not converge.
+point at its own Euler-Maclaurin N (the bits of three scalar calls), which
+rejects a tag other than "zeta" or "beta".  The 31-digit Newton starts from
+the double Newton root, and fails where the double Newton fails.
 """
 
 import cmath
@@ -88,14 +88,6 @@ class ContourSpec:
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
-
-def _check_function(function: str) -> None:
-    """The filter exists for the zeta and the beta catalog only: any other
-    tag is an error, never a fall-through to the other kernel."""
-    if function not in ("zeta", "beta"):
-        raise ArgumentDomain(f"unknown function {function!r}: the filter "
-                             "takes 'zeta' or 'beta'")
-
 
 def kernel_prefactor(function: str) -> complex:
     """1/(4 pi i) for the zeta kernel, 1/(2 pi i) for beta."""
@@ -300,7 +292,6 @@ def spectral_filter(function: str, energy: float,
     Equals prefactor * 2 pi i * Gamma-dressing * L(1/2 + iE/2); vanishes
     exactly at E = 2 t_n.  Reported with the kernel's paper prefactor.
     """
-    _check_function(function)
     return _filter_with_derivative(function, energy, scale)[0]
 
 
@@ -387,21 +378,17 @@ def _root_residual(function: str, energy: float) -> float:
 
 def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     """Newton on the spectral filter in 31-digit scalars, started from the
-    double Newton root, or from e_guess when the double Newton does not
-    converge.  Newton converges quadratically, so a start good to ~1e-13
-    reaches the 31-digit fixed point in one step; the basin window and the
-    failure messages stay on e_guess.
+    double Newton root; the double Newton's NoConvergence propagates.
+    Newton converges quadratically, so a start good to ~1e-13 reaches the
+    31-digit fixed point in one step; the basin window and the failure
+    messages stay on e_guess.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
     """
     import mpmath as mp
-    _check_function(function)
-    try:
-        start = _newton(lambda x: _filter_with_derivative(function, x, scale),
-                        float(e_guess), 1e-12)
-    except NoConvergence:
-        start = e_guess
+    start = _newton(lambda x: _filter_with_derivative(function, x, scale),
+                    float(e_guess), 1e-12)
     with mp.workdps(_DD_DPS):
         a = mp.mpf(scale.a)
         root = +_newton(lambda e: _hp_filter_with_derivative(function, e, a),
@@ -415,7 +402,6 @@ def newton_filter_root(function: str, e_guess: float,
                        scale: KernelScale) -> float:
     """The root energy E of Newton in E on the spectral filter from
     e_guess, accepted when |L(1/2 + iE/2)| < 1e-8."""
-    _check_function(function)
     e = _newton(lambda x: _filter_with_derivative(function, x, scale),
                 float(e_guess), 1e-12)
     _root_residual(function, e)

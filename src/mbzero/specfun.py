@@ -12,9 +12,8 @@ the largest |Im s| of a call, or to each point's own in critical_line_values,
 where points sharing N share one head sum and one log(N + a).
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
-(0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped with
-ArgTracker along the horizontal leg to 1/2 + it, evaluated in one vector
-call.
+(0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped step by
+step along the horizontal leg to 1/2 + it, evaluated in one vector call.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentDomain, BranchJump
+from .errors import ArgumentDomain, NoConvergence
 
 # Lanczos coefficients, g = 4.7421875 (607/128), 14-term rational sum.
 _LANCZOS_G = 4.7421875
@@ -103,7 +101,7 @@ def log_gamma(s) -> complex:
 
     On Re s >= 0.5 this is the principal branch and is continuous along
     vertical lines; below, the reflection formula is used and only the
-    exponential is contractual (branch-continuous paths use ArgTracker).
+    exponential is contractual.
     """
     s = _require_finite(s)
     if s.real >= 0.5:
@@ -206,8 +204,6 @@ def log_gamma_vec(s) -> np.ndarray:
 
 def gamma(s) -> complex:
     """Gamma(s) for complex s; relative error <= 1e-13 for |s| <= 50."""
-    s = _require_finite(s)
-    _check_gamma_pole(s)
     return cmath.exp(log_gamma(s))
 
 
@@ -224,37 +220,6 @@ def digamma(s) -> complex:
         dser -= c / (s + 1.0 + j) ** 2
     tmp = s + _LANCZOS_G + 0.5
     return cmath.log(tmp) + (s + 0.5) / tmp - 1.0 + dser / ser - 1.0 / s
-
-
-# ---------------------------------------------------------------------------
-# ArgTracker: continuous-argument bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ArgTracker:
-    """Continuous argument along a sample path, unwrapped step by step.
-
-    Paths start where the principal branch is unambiguous: arg_rectangle
-    starts at 2 + it, where Re L(2 + it) > 0 for zeta and beta.  A step
-    whose unwrapped argument still moves by >= pi raises BranchJump: the
-    caller refines the path instead of guessing a sheet.
-    """
-
-    path: list = field(default_factory=list)
-    accumulated_arg: float = 0.0
-
-    def step(self, s: complex, principal_arg: float,
-             limit: float = 0.9 * math.pi) -> float:
-        k = round((self.accumulated_arg - principal_arg) / (2.0 * math.pi))
-        candidate = principal_arg + 2.0 * math.pi * k
-        if self.path and abs(candidate - self.accumulated_arg) >= limit:
-            raise BranchJump(
-                f"arg step {candidate - self.accumulated_arg:+.3f} rad at s={s!r}; "
-                "refine the path"
-            )
-        self.path.append(s)
-        self.accumulated_arg = candidate
-        return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +313,6 @@ def zeta_vec(s: np.ndarray) -> np.ndarray:
     return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
 
 
-def zeta_shifted(s) -> complex:
-    """(s - 1) * zeta(s): entire, safe arbitrarily close to s = 1."""
-    s = _require_finite(s)
-    if abs(s - 1.0) <= 1e-13:
-        return 1.0 + 0.0j
-    return (s - 1.0) * complex(_em_core(np.array([s]), (1.0,))[0])
-
-
 def _beta_core(s: np.ndarray, pointwise: bool = False) -> np.ndarray:
     """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] on the _em_core engine."""
     return np.exp(-s * math.log(4.0)) * _em_core(s, (0.25, 0.75), pointwise)
@@ -384,7 +341,10 @@ def completed_xi(s) -> complex:
     """
     s = _require_finite(s)
     val = cmath.exp(-0.5 * s * math.log(math.pi) + log_gamma(0.5 * s + 1.0))
-    out = val * zeta_shifted(s)
+    # (s - 1) zeta(s) is entire: 1 within 1e-13 of s = 1
+    shifted = (1.0 + 0.0j if abs(s - 1.0) <= 1e-13
+               else (s - 1.0) * complex(_em_core(np.array([s]), (1.0,))[0]))
+    out = val * shifted
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ArgumentDomain(f"completed xi not finite at s = {s!r}")
     return out
@@ -463,23 +423,23 @@ def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
 # Continued arg zeta along the census rectangle
 # ---------------------------------------------------------------------------
 
-def _leg_step(tracker: ArgTracker, evaluate, t: float, x0: float, x1: float,
-              value: complex) -> None:
-    """Unwrap value = L(x1 + it) after x0 + it.  A move of >= pi/2 is
-    split in halves, each midpoint evaluated on its own; BranchJump once the
-    split stalls (a zero of L sits on the path)."""
-    s = complex(x1, t)
-    try:
-        tracker.step(s, cmath.phase(value), limit=0.5 * math.pi)
-    except BranchJump:
+def _leg_step(evaluate, t: float, x0: float, x1: float, value: complex,
+              arg: float) -> float:
+    """The argument continued from arg at x0 + it to value = L(x1 + it),
+    on the sheet nearest arg.  A move of >= pi/2 is split in halves, each
+    midpoint evaluated on its own; NoConvergence once the split stalls (a
+    zero of L sits on the path)."""
+    phase = cmath.phase(value)
+    candidate = phase + 2.0 * math.pi * round((arg - phase) / (2.0 * math.pi))
+    if abs(candidate - arg) >= 0.5 * math.pi:
         if x0 - x1 < 1e-11:
-            raise BranchJump(
-                f"arg path stalled at {s!r}; a zero sits on the path"
-            ) from None
+            raise NoConvergence(f"arg path stalled at {complex(x1, t)!r}; "
+                                "a zero sits on the path")
         mid = 0.5 * (x0 + x1)
-        _leg_step(tracker, evaluate, t, x0, mid,
-                  evaluate(np.array([complex(mid, t)]))[0])
-        _leg_step(tracker, evaluate, t, mid, x1, value)
+        arg = _leg_step(evaluate, t, x0, mid,
+                        evaluate(np.array([complex(mid, t)]))[0], arg)
+        return _leg_step(evaluate, t, mid, x1, value, arg)
+    return candidate
 
 
 _LEG = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5)
@@ -495,18 +455,17 @@ def arg_rectangle(evaluate, t: float) -> float:
     the argument continued from s = 2 is the principal one at 2 + it.  The
     horizontal leg is one vector call: its seven points 2, 1.75, ..., 1/2
     (+ it) share one Euler-Maclaurin N, so each value equals the scalar
-    one bit for bit.  The tracker then takes them in order, and only a step
+    one bit for bit.  The unwrap then takes them in order, and only a step
     it rejects is split and evaluated point by point.
     """
     _require_finite(t)
     if t < 0:
         raise ArgumentDomain("arg_rectangle defined for t >= 0")
     values = evaluate(np.array([complex(x, t) for x in _LEG]))
-    tracker = ArgTracker()
-    tracker.step(complex(2.0, t), cmath.phase(values[0]))
+    arg = cmath.phase(values[0])
     for k in range(1, len(_LEG)):
-        _leg_step(tracker, evaluate, t, _LEG[k - 1], _LEG[k], values[k])
-    return tracker.accumulated_arg
+        arg = _leg_step(evaluate, t, _LEG[k - 1], _LEG[k], values[k], arg)
+    return arg
 
 
 def arg_zeta_rectangle(t: float) -> float:

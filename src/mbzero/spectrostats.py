@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,31 +23,18 @@ _GAMMA_QUARTER_NEG = -4.901666809860711  # Gamma(-1/4)
 _ZERO_CAP = 100  # zeros summed by the trace audits
 
 
-@dataclass(frozen=True)
-class UnfoldedSpectrum:
-    raw: list
-    unfolded: list
-
-    @property
-    def spacings(self) -> np.ndarray:
-        u = np.asarray(self.unfolded)
-        return np.diff(u)
-
-
 def smooth_count(t: float) -> float:
     """Riemann-von Mangoldt main term (T/2pi) log(T/2pi) - T/2pi + 7/8."""
     x = t / (2.0 * math.pi)
     return x * math.log(x) - x + 0.875
 
 
-def unfold(catalog: list) -> UnfoldedSpectrum:
-    """Map the catalog's ordinates through the smooth counting term; mean
-    spacing -> 1.  ArgumentDomain below 20 zeros."""
-    raw = [r.ordinate for r in catalog]
-    if len(raw) < 20:
-        raise ArgumentDomain(f"catalog holds {len(raw)} zeros, need 20")
-    unfolded = [smooth_count(t) for t in raw]
-    return UnfoldedSpectrum(raw=raw, unfolded=unfolded)
+def unfold(catalog: list) -> list:
+    """The catalog's ordinates mapped through the smooth counting term;
+    mean spacing -> 1.  ArgumentDomain below 20 zeros."""
+    if len(catalog) < 20:
+        raise ArgumentDomain(f"catalog holds {len(catalog)} zeros, need 20")
+    return [smooth_count(r.ordinate) for r in catalog]
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +126,12 @@ def pair_correlation_estimate(unfolded, omega_grid, sigma: float = 0.1):
     return out
 
 
-def pair_correlation(spectrum: UnfoldedSpectrum) -> AuditReport:
+def pair_correlation(unfolded: list) -> AuditReport:
     """Binned two-point estimator against 1 - (sin pi w / pi w)^2."""
-    est = pair_correlation_estimate(spectrum.unfolded, OMEGA_GRID)
+    est = pair_correlation_estimate(unfolded, OMEGA_GRID)
     ref = sine_kernel_r2(OMEGA_GRID)
     mad = float(np.mean(np.abs(est - ref)))
-    sample_limited = len(spectrum.unfolded) < 100
+    sample_limited = len(unfolded) < 100
     return AuditReport(
         lhs=complex(mad), rhs=0j,
         abs_discrepancy=mad, rel_discrepancy=mad,

@@ -13,13 +13,16 @@ of nodes, a trapezoid pass built from scratch at each spacing vs nested
 passes sharing one evaluation, vector Gamma on each side's two tail probes
 vs scalar Gamma on all four, the density on the full grid vs windows
 around the targets, three scalar L calls a Newton step vs one vector
-call).  The last section holds helpers whose only callers are tests.
+call, an ArgTracker object that raises and catches BranchJump vs a float
+unwrap that tests the step).  The last section holds helpers whose only
+callers are tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +31,7 @@ from mbzero import bessel as bs
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import spectrostats as st
-from mbzero.errors import ArgumentDomain, BranchJump, MbzeroError, NoConvergence
+from mbzero.errors import ArgumentDomain, MbzeroError, NoConvergence
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
 _STIRLING_SHIFT = 24
@@ -152,7 +155,72 @@ def arg_gamma_fine(t_target: float, sigma: float = 2.0, steps: int = 1000,
         return prev
 
 
-def walk_arg_generic(tracker: sf.ArgTracker, evaluate, point_at,
+class BranchJump(NoConvergence):
+    """A tracked-argument path step would move arg by >= pi."""
+
+
+@dataclass
+class ArgTracker:
+    """Continuous argument along a sample path, unwrapped step by step.
+
+    Paths start where the principal branch is unambiguous: arg_rectangle
+    starts at 2 + it, where Re L(2 + it) > 0 for zeta and beta.  A step
+    whose unwrapped argument still moves by >= pi raises BranchJump: the
+    caller refines the path instead of guessing a sheet.
+    """
+
+    path: list = field(default_factory=list)
+    accumulated_arg: float = 0.0
+
+    def step(self, s: complex, principal_arg: float,
+             limit: float = 0.9 * math.pi) -> float:
+        k = round((self.accumulated_arg - principal_arg) / (2.0 * math.pi))
+        candidate = principal_arg + 2.0 * math.pi * k
+        if self.path and abs(candidate - self.accumulated_arg) >= limit:
+            raise BranchJump(
+                f"arg step {candidate - self.accumulated_arg:+.3f} rad at s={s!r}; "
+                "refine the path"
+            )
+        self.path.append(s)
+        self.accumulated_arg = candidate
+        return candidate
+
+
+def _leg_step_tracker(tracker: ArgTracker, evaluate, t: float, x0: float,
+                      x1: float, value: complex) -> None:
+    """Unwrap value = L(x1 + it) after x0 + it.  A move of >= pi/2 is
+    split in halves, each midpoint evaluated on its own; BranchJump once the
+    split stalls (a zero of L sits on the path)."""
+    s = complex(x1, t)
+    try:
+        tracker.step(s, cmath.phase(value), limit=0.5 * math.pi)
+    except BranchJump:
+        if x0 - x1 < 1e-11:
+            raise BranchJump(
+                f"arg path stalled at {s!r}; a zero sits on the path"
+            ) from None
+        mid = 0.5 * (x0 + x1)
+        _leg_step_tracker(tracker, evaluate, t, x0, mid,
+                          evaluate(np.array([complex(mid, t)]))[0])
+        _leg_step_tracker(tracker, evaluate, t, mid, x1, value)
+
+
+def arg_rectangle_tracker(evaluate, t: float) -> float:
+    """specfun.arg_rectangle with the unwrap kept in an ArgTracker, whose
+    rejected step raises BranchJump and is caught to split it."""
+    sf._require_finite(t)
+    if t < 0:
+        raise ArgumentDomain("arg_rectangle defined for t >= 0")
+    values = evaluate(np.array([complex(x, t) for x in sf._LEG]))
+    tracker = ArgTracker()
+    tracker.step(complex(2.0, t), cmath.phase(values[0]))
+    for k in range(1, len(sf._LEG)):
+        _leg_step_tracker(tracker, evaluate, t, sf._LEG[k - 1], sf._LEG[k],
+                          values[k])
+    return tracker.accumulated_arg
+
+
+def walk_arg_generic(tracker: ArgTracker, evaluate, point_at,
                      u0: float, u1: float, step: float) -> None:
     """March u from u0 to u1 unwrapping arg evaluate(point_at(u)), one
     scalar evaluation a point.
@@ -188,7 +256,7 @@ def arg_rectangle_march(evaluate, t: float) -> float:
     """specfun.arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it with
     the scalar evaluate, the leg up Re s = 2 marched in unit steps and the
     horizontal leg by walk_arg_generic, with the argument unwrapped."""
-    tracker = sf.ArgTracker()
+    tracker = ArgTracker()
     tracker.step(complex(2.0, 0.0), cmath.phase(evaluate(complex(2.0, 0.0))))
     walk_arg_generic(tracker, evaluate, lambda y: complex(2.0, y), 0.0, t, 1.0)
     walk_arg_generic(tracker, evaluate, lambda x: complex(x, t), 2.0, 0.5, 0.25)
@@ -516,7 +584,7 @@ class DerivativeVanishes(MbzeroError):
     """Derivative at a claimed simple zero is numerically zero."""
 
 
-def log_gamma_continuous(s, tracker: sf.ArgTracker) -> complex:
+def log_gamma_continuous(s, tracker: ArgTracker) -> complex:
     """log Gamma with imaginary part continued along the tracker path."""
     s = sf._require_finite(s)
     val = sf.log_gamma(s)

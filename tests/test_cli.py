@@ -17,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
@@ -514,7 +515,7 @@ class TestWorkerProcesses:
 
     def test_first_failure_in_input_order_is_raised(self):
         # the later task fails first in time
-        tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "BranchJump")]
+        tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "CatalogError")]
         with pytest.raises(errors.NoConvergence,
                            match="^NoConvergence from a worker$") as err:
             cli._fan_out(_pause_or_fail, tasks, 3)
@@ -767,7 +768,7 @@ class TestConfigValidation:
 # every library error class and the exit code it carries to main
 _CLASS_CODES = {
     "MbzeroError": 5, "ArgumentDomain": 5, "MissedZeroSuspected": 2,
-    "NoConvergence": 3, "BranchJump": 3, "CatalogError": 4,
+    "NoConvergence": 3, "CatalogError": 4,
 }
 
 
@@ -790,10 +791,11 @@ def _miss_a_zero():
         zc.scan_zeros("zeta", 30.0)
 
 
-def _branch_jump():
-    tracker = sf.ArgTracker()
-    tracker.step(0j, 0.0)
-    tracker.step(1j, 3.0)
+def _stalled_arg_walk():
+    # zeta with its sign flipped right of Re s = 1.3: no split of the leg
+    # step across it unwraps
+    sf.arg_rectangle(lambda s: sf.zeta_vec(s) * np.where(s.real > 1.3, -1, 1),
+                     3.7)
 
 
 _V2_BODY = b"#zerocatalog v2 zeta\n"
@@ -818,7 +820,7 @@ _FAILURES = {
         argparse.Namespace(e_max=3.9))),
     "MissedZeroSuspected": (2, _miss_a_zero),
     "NoConvergence": (3, lambda: mbf._root_residual("zeta", 60.0)),
-    "BranchJump": (3, _branch_jump),
+    "BranchJump": (3, _stalled_arg_walk),
     "BasinEscape": (3, lambda: mbf.newton_filter_root("beta", 1.0, _A02)),
     "TailBoundViolated": (3, lambda: mbf.mb_integral(
         30.0, _A02, mbf.ContourSpec(abscissa=0.75, t_max=2.0,

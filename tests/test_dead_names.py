@@ -1,8 +1,9 @@
 """Every module-level function and class in the package has a caller in
 the package: library code whose only user is a test belongs in
 tests/oracles.py.  The names that perfbench's tracer wraps are exempt
-while it wraps them.  Two error classes share an exit code only when the
-package tells them apart in an except clause."""
+while it wraps them.  Every module-level import is used in its module.
+Two error classes share an exit code only when the package tells them
+apart in an except clause."""
 
 import ast
 import re
@@ -53,6 +54,29 @@ def test_only_two_definitions_live_by_the_tracer_alone():
     # both are test-only and move to tests/oracles.py once untraced
     assert _dead_names() == {("mbfilter", "spectral_filter"),
                              ("operatorlab", "prufer_integrate")}
+
+
+def _unused_imports() -> set:
+    """(module, name) of each name a module-level import binds that no
+    other statement of its module uses."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        imports = [stmt for stmt in body
+                   if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                   and getattr(stmt, "module", None) != "__future__"]
+        used = set().union(*(_names_used(stmt) for stmt in body
+                             if stmt not in imports))
+        for stmt in imports:
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.add((path.stem, name))
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports() == set()
 
 
 def _caught_names() -> set:

@@ -2,12 +2,14 @@
 the benchmark's frozen digest, and every claim's entry against the same
 entry from audits of claim subsets at 1 to 3 worker processes.  The
 density claim checks the catalog's first ten records, whatever their
-indices."""
+indices; the Guinand-Weil and counting claims are inconclusive where the
+catalog or --t-max cannot supply the heights they count up to."""
 
 import dataclasses
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -83,25 +85,47 @@ def test_entry_does_not_depend_on_companions_or_threads(
         assert entry == full[claim_id], claim_id
 
 
-def _density_entry(catalog) -> dict:
-    config = cli.build_parser().parse_args(["audit"])
-    return cl.run_claim(config, catalog,
-                        "density_peak_alignment").to_json_dict()
+def _entry(claim_id, catalog, flags=()) -> dict:
+    config = cli.build_parser().parse_args(["audit", *flags])
+    return cl.run_claim(config, catalog, claim_id).to_json_dict()
 
 
 def test_density_claim_checks_the_first_ten_records_whatever_their_index(
         zeta_catalog_60):
     shifted = [dataclasses.replace(r, index=r.index + 100)
                for r in zeta_catalog_60]
-    entry = _density_entry(zeta_catalog_60)
+    entry = _entry("density_peak_alignment", zeta_catalog_60)
     assert entry["verdict"] == "pass" and entry["abs_discrepancy"] > 0.0
-    assert _density_entry(shifted) == entry
+    assert _entry("density_peak_alignment", shifted) == entry
 
 
 def test_density_claim_without_an_ordinate_in_the_window_is_inconclusive(
         zeta_catalog_full):
     # the first ten records all lie above the grid's end at 60
     above = [r for r in zeta_catalog_full if r.ordinate > 60.0]
-    entry = _density_entry(above)
+    entry = _entry("density_peak_alignment", above)
     assert entry["verdict"] == "inconclusive"
     assert "no catalog ordinate" in entry["notes"]
+
+
+def test_guinand_weil_claim_needs_the_zero_below_its_top_energy(
+        zeta_catalog_60):
+    # its top energy 2 * 21.022 + 0.1 counts the zero at 21.022, which a
+    # catalog to t = 20 (or ending at that zero) cannot show is complete
+    for t_max in (20.0, 21.05):
+        short = [r for r in zeta_catalog_60 if r.ordinate <= t_max]
+        entry = _entry("guinand_weil_formula", short)
+        assert entry["verdict"] == "inconclusive"
+        assert "need 21.072" in entry["notes"]
+    entry = _entry("guinand_weil_formula",
+                   [r for r in zeta_catalog_60 if r.ordinate <= 26.0])
+    assert entry["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("t_max", ["1", "5", "14"])
+def test_counting_claim_below_its_window_is_inconclusive(zeta_catalog_60,
+                                                         t_max):
+    # T is drawn from [15, min(t_max, last ordinate + 2))
+    entry = _entry("counting_rvm", zeta_catalog_60, ["--t-max", t_max])
+    assert entry["verdict"] == "inconclusive"
+    assert "which is empty" in entry["notes"]

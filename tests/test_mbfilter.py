@@ -403,21 +403,6 @@ class TestNewtonFilterRoot:
                 root = mbf.newton_root_dd("beta", float(want) + 0.05, A02)
                 assert abs(root - want) < 1e-30 * want
 
-    def test_dd_root_falls_back_to_the_guess(self, monkeypatch):
-        # a double Newton that fails leaves the 31-digit Newton to start
-        # from the guess, which reaches the same 32 printed digits
-        seeded = mbf.newton_root_dd("beta", 12.0, A02)
-        calls = []
-        hp_arithmetic = mbf._hp_arithmetic
-        monkeypatch.setattr(mbf, "_hp_arithmetic",
-                            lambda *args: calls.append(args)
-                            or hp_arithmetic(*args))
-        monkeypatch.setattr(mbf, "_filter_with_derivative",
-                            lambda *args: (1.0, 0.0))
-        fallback = mbf.newton_root_dd("beta", 12.0, A02)
-        assert mp.nstr(fallback, 32) == mp.nstr(seeded, 32)
-        assert len(calls) > 6
-
     def test_unreachable_guess(self):
         with pytest.raises(NoConvergence):
             mbf.newton_filter_root("beta", 1.0, A02)

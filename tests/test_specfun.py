@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 import oracles as oc
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import ArgumentDomain, BranchJump, MbzeroError
+from mbzero.errors import ArgumentDomain, MbzeroError, NoConvergence
 
 
 class TestGamma:
@@ -108,14 +108,14 @@ class TestLogGammaVec:
 
 class TestLogGammaContinuous:
     def test_fresh_tracker_at_two(self):
-        tracker = sf.ArgTracker()
+        tracker = oc.ArgTracker()
         val = oc.log_gamma_continuous(complex(2.0, 0.0), tracker)
         assert abs(val) < 1e-14
 
     def test_path_to_2_plus_10i_matches_fine_unwrap(self):
         # frozen from arg_gamma_fine(10.0, sigma=2) at 10x resolution
         want = 15.274040648533635
-        tracker = sf.ArgTracker()
+        tracker = oc.ArgTracker()
         for k in range(101):
             val = oc.log_gamma_continuous(complex(2.0, 0.1 * k), tracker)
         assert abs(val.imag - want) < 1e-10
@@ -132,9 +132,9 @@ class TestLogGammaContinuous:
 
     def test_branch_jump_on_coarse_step(self):
         # half-circle around the pole at s = -1 in one hop: arg moves ~0.96 pi
-        tracker = sf.ArgTracker()
+        tracker = oc.ArgTracker()
         oc.log_gamma_continuous(complex(-1.0 + 0.1, 0.0), tracker)
-        with pytest.raises(BranchJump):
+        with pytest.raises(oc.BranchJump):
             oc.log_gamma_continuous(-1.0 + 0.1 * cmath.exp(0.96j * math.pi),
                                     tracker)
 
@@ -372,14 +372,14 @@ class TestArgRectangle:
             sf.arg_zeta_rectangle(t)
 
     @staticmethod
-    def _planted(lo, hi, jump):
-        """zeta times a phase ramp of jump radians across lo <= Re s <= hi
-        (a step function when lo == hi); the vector form maps the scalar
-        one, so both walks see the same bits."""
+    def _planted(lo, hi, jump, function=sf.zeta):
+        """function (zeta by default) times a phase ramp of jump radians
+        across lo <= Re s <= hi (a step function when lo == hi); the vector
+        form maps the scalar one, so both walks see the same bits."""
         def scalar(s):
-            x = 1.0 if s.real < lo else 0.0 if s.real > hi else \
+            x = 1.0 if s.real < lo else 0.0 if s.real >= hi else \
                 (hi - s.real) / (hi - lo)
-            return sf.zeta(s) * cmath.exp(1j * jump * x)
+            return function(s) * cmath.exp(1j * jump * x)
         calls = []
 
         def vector(s):
@@ -404,10 +404,46 @@ class TestArgRectangle:
     def test_planted_sign_flip_stalls_like_march(self, t):
         # a jump of pi at Re s = 1.3 cannot be unwrapped by refinement
         scalar, vector, _ = self._planted(1.3, 1.3, math.pi)
-        with pytest.raises(BranchJump, match="stalled"):
+        with pytest.raises(NoConvergence, match="stalled") as err:
             sf.arg_rectangle(vector, t)
-        with pytest.raises(BranchJump, match="stalled"):
+        assert type(err.value) is NoConvergence
+        with pytest.raises(NoConvergence, match="stalled") as tracked:
+            oc.arg_rectangle_tracker(vector, t)
+        assert str(tracked.value) == str(err.value)
+        with pytest.raises(oc.BranchJump, match="stalled"):
             oc.arg_rectangle_march(scalar, t)
+
+    @staticmethod
+    def _outcome(arg_rectangle, function, lo, width, jump, t):
+        """(result or error, points evaluated) of arg_rectangle on L times
+        a phase ramp of jump radians across lo <= Re s <= lo + width."""
+        scalar = TestArgRectangle._planted(lo, lo + width, jump,
+                                           function)[0]
+        points = []
+
+        def vector(s):
+            points.extend(complex(z) for z in s)
+            return np.array([scalar(complex(z)) for z in s])
+        try:
+            result = float.hex(arg_rectangle(vector, t))
+        except MbzeroError as exc:
+            result = (exc.exit_code, str(exc))
+        return result, points
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.sampled_from([sf.zeta, sf.dirichlet_beta]),
+           hst.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+           hst.one_of(hst.just(0.0), hst.floats(0.0, 0.3)),
+           hst.floats(-3.0 * math.pi, 3.0 * math.pi, exclude_min=True,
+                      exclude_max=True),
+           hst.floats(0.0, 200.0))
+    def test_float_unwrap_replays_the_tracker(self, function, lo, width, jump,
+                                              t):
+        # the same bits, the same points in the same order, and the same
+        # error message where the walk stalls or meets a pole
+        assert self._outcome(sf.arg_rectangle, function, lo, width, jump, t) \
+            == self._outcome(oc.arg_rectangle_tracker, function, lo, width,
+                             jump, t)
 
 
 _STRIP_RE = hst.floats(-0.9, 3.5, exclude_min=True, exclude_max=True)
