@@ -35,7 +35,8 @@ Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
 takes L(2 s0) and L(2 s0 +- ih) from one critical_line_values call, each
 point at its own Euler-Maclaurin N (the bits of three scalar calls), which
 rejects a tag other than "zeta" or "beta".  The 31-digit Newton starts from
-the double Newton root, and fails where the double Newton fails.
+the double Newton root, fails where it fails, and takes one 31-digit L a
+step (zeta by Borwein's sum at every height) with the double dF/dE.
 """
 
 import cmath
@@ -166,10 +167,12 @@ def _kernel_integrand(nu: complex, s: np.ndarray, a: float,
 # ---------------------------------------------------------------------------
 
 def _hp_arithmetic(function: str, z):
-    """L-type factor at z in the current mpmath working precision."""
+    """L-type factor at z (an mpc) in the working precision; zeta by the
+    Borwein sum mp.zeta takes below |z| = prec, forced at every height."""
     import mpmath as mp
     if function == "zeta":
-        return mp.zeta(z)
+        return mp.make_mpc(mp.libmp.mpc_zeta(z._mpc_, mp.mp.prec, "n",
+                                             force=True))
     return mp.mpf(4) ** (-z) * (mp.zeta(z, mp.mpf(1) / 4)
                                 - mp.zeta(z, mp.mpf(3) / 4))
 
@@ -319,20 +322,17 @@ def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
     return f, df
 
 
-def _hp_filter_with_derivative(function: str, energy, a):
-    """The same (F, dF/dE) in the current mpmath precision, without the
-    constant prefactor; energy and a are mpmath numbers."""
+def _hp_filter_with_derivative(function: str, energy, scale: KernelScale):
+    """F in the current mpmath precision from one L, less the constant
+    prefactor, with the double dF/dE: F alone sets Newton's fixed point."""
     import mpmath as mp
-    hh = mp.mpf("1e-12")
     s0 = mp.mpf(1) / 4 + 1j * energy / 4
     nu = mp.mpf(1) / 2 + 1j * energy / 2
-    log2a = mp.log(2 * a)
-    dress = mp.gamma(s0) * mp.gamma(s0 - nu) * mp.exp(2 * s0 * log2a)
-    dlog = (mp.digamma(s0) - mp.digamma(s0 - nu) + 2 * log2a) * mp.mpc(0, 0.25)
-    lval = _hp_arithmetic(function, 2 * s0)
-    lp = (_hp_arithmetic(function, 2 * s0 + 1j * hh)
-          - _hp_arithmetic(function, 2 * s0 - 1j * hh)) / (2j * hh)
-    return dress * lval, dress * (dlog * lval + mp.mpc(0, 0.5) * lp)
+    dress = (mp.gamma(s0) * mp.gamma(s0 - nu)
+             * mp.exp(2 * s0 * mp.log(2 * mp.mpf(scale.a))))
+    df = _filter_with_derivative(function, float(energy), scale)[1]
+    return (dress * _hp_arithmetic(function, 2 * s0),
+            df / (kernel_prefactor(function) * 2j * math.pi))
 
 
 def _newton(filter_and_derivative, e_guess, tol_step, start=None):
@@ -378,10 +378,10 @@ def _root_residual(function: str, energy: float) -> float:
 
 def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     """Newton on the spectral filter in 31-digit scalars, started from the
-    double Newton root; the double Newton's NoConvergence propagates.
-    Newton converges quadratically, so a start good to ~1e-13 reaches the
-    31-digit fixed point in one step; the basin window and the failure
-    messages stay on e_guess.
+    double Newton root; the double Newton's NoConvergence propagates.  A
+    step takes one 31-digit L and the double dF/dE (good to ~1e-10), so a
+    start good to ~1e-14 takes three steps, the last one certifying
+    convergence; the basin window and failure messages stay on e_guess.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
@@ -390,8 +390,8 @@ def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     start = _newton(lambda x: _filter_with_derivative(function, x, scale),
                     float(e_guess), 1e-12)
     with mp.workdps(_DD_DPS):
-        a = mp.mpf(scale.a)
-        root = +_newton(lambda e: _hp_filter_with_derivative(function, e, a),
+        root = +_newton(lambda e: _hp_filter_with_derivative(function, e,
+                                                             scale),
                         mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
                         mp.mpf(start))
     _root_residual(function, float(root))

@@ -386,6 +386,17 @@ DD_TABLE_SHA256 = {
 # the same at --a 1e-150 --e-max 64 on the zeta t <= 32 catalog
 ZETA_64_A1E150_DD_SHA256 = ("5777e83ac4e4b23705c7627d038f6707"
                             "b704980a1a632286a9c0b6285b0c4ae4")
+# the zeta E <= 400 table at three more scales, recorded before the 31-digit
+# Newton took its F' from the double backend and zeta its Borwein sum at
+# every height
+ZETA_400_DD_SHA256_BY_A = {
+    "0.17": ("fd48fd88a4de88622a54c9e4b13de8e0"
+             "9687465603be997fd3e791e2c8e66d34"),
+    "0.999999": ("6e6ab7c66a586818868c44b0dbcd4560"
+                 "4504a3b71ff1de1924db3588ee5a3da3"),
+    "1e-50": ("aedd6a57e10b08e3f29be233f6d33efb"
+              "d924002b72ad90058f4bc434892d405a"),
+}
 FROZEN_ORDINATES = {"zeta": oc.ZETA_ORDINATES, "beta": oc.BETA_ORDINATES}
 
 
@@ -404,13 +415,18 @@ def _root_strings(table: bytes) -> list:
 
 
 @pytest.fixture(scope="module")
-def root_tables(tmp_path_factory, zeta_catalog_full):
+def beta_catalog_60():
+    return zc.scan_zeros("beta", 60.0)
+
+
+@pytest.fixture(scope="module")
+def root_tables(tmp_path_factory, zeta_catalog_full, beta_catalog_60):
     """filter_roots.csv in each precision: zeta at E <= 400 on the t <= 200
     catalog, beta at E <= 120 on the t <= 60 catalog, two workers."""
     tables = {}
     for function, e_max, records in (
             ("zeta", "400", zeta_catalog_full),
-            ("beta", "120", zc.scan_zeros("beta", 60.0))):
+            ("beta", "120", beta_catalog_60)):
         directory = tmp_path_factory.mktemp(function)
         zc.catalog_store(str(directory / "cat.txt"), records)
         for precision in ("double", "double_double"):
@@ -422,13 +438,23 @@ def root_tables(tmp_path_factory, zeta_catalog_full):
 
 
 class TestDoubleDoubleFilterRoots:
-    """The 31-digit Newton starts from the double Newton root, or from the
-    catalog guess when the double Newton does not converge."""
+    """The 31-digit Newton starts from the double Newton root and fails
+    where the double Newton fails; each step evaluates one 31-digit L and
+    takes dF/dE from the double backend."""
 
     @pytest.mark.parametrize("function", ["zeta", "beta"])
     def test_bytes(self, root_tables, function):
         table = root_tables[function, "double_double"]
         assert hashlib.sha256(table).hexdigest() == DD_TABLE_SHA256[function]
+
+    @pytest.mark.parametrize("a", sorted(ZETA_400_DD_SHA256_BY_A))
+    def test_bytes_at_other_scales(self, a, zeta_catalog_full, tmp_path):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_full)
+        code, table = _filter_roots(tmp_path, "--e-max", "400", "--a", a,
+                                    "--precision", "double_double",
+                                    "--threads", "2")
+        assert code == 0
+        assert hashlib.sha256(table).hexdigest() == ZETA_400_DD_SHA256_BY_A[a]
 
     @pytest.mark.parametrize("function", ["zeta", "beta"])
     def test_every_printed_root_against_frozen_ordinates(self, root_tables,
@@ -443,10 +469,17 @@ class TestDoubleDoubleFilterRoots:
                 assert abs(mp.mpf(e_dd) - want) < 1e-30 * want
                 assert abs(float(e_double) - float(want)) < 1e-11
 
-    def test_at_most_six_hp_evaluations_per_root(self, root_tables,
-                                                 zeta_catalog_full, tmp_path,
-                                                 monkeypatch, capsys):
-        # two 31-digit Newton steps of three L evaluations each
+    @pytest.mark.parametrize("function, e_max, counts",
+                             [("zeta", "250", [3] * 41),
+                              ("beta", "120", [3] * 4 + [2] + [3] * 20)],
+                             ids=["zeta", "beta"])
+    def test_three_hp_evaluations_per_root(self, function, e_max, counts,
+                                           root_tables, zeta_catalog_full,
+                                           beta_catalog_60, tmp_path,
+                                           monkeypatch):
+        # from the double root, three 31-digit Newton steps of one L each,
+        # the last one's size certifying convergence (123 calls on zeta);
+        # the beta root at E = 36.6 starts close enough to need two (74)
         calls, per_root = [0], []
         hp_arithmetic, root_dd = mbf._hp_arithmetic, mbf.newton_root_dd
 
@@ -462,13 +495,16 @@ class TestDoubleDoubleFilterRoots:
 
         monkeypatch.setattr(mbf, "_hp_arithmetic", counted_arithmetic)
         monkeypatch.setattr(mbf, "newton_root_dd", counted_root)
-        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_full)
-        code, table = _filter_roots(tmp_path, "--e-max", "250", "--precision",
-                                    "double_double", "--threads", "1")
+        records = {"zeta": zeta_catalog_full, "beta": beta_catalog_60}
+        zc.catalog_store(str(tmp_path / "cat.txt"), records[function])
+        code, table = _filter_roots(tmp_path, "--function", function,
+                                    "--e-max", e_max, "--a", "0.2",
+                                    "--precision", "double_double",
+                                    "--threads", "1")
         assert code == 0
-        assert len(per_root) == 41 and max(per_root) <= 6
-        roots = _root_strings(table)
-        assert roots == _root_strings(root_tables["zeta", "double_double"])[:41]
+        assert per_root == counts and calls[0] == sum(counts)
+        roots = _root_strings(root_tables[function, "double_double"])
+        assert _root_strings(table) == roots[:len(counts)]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_small_scale(self, threads, tmp_path, capsys):

@@ -403,6 +403,27 @@ class TestNewtonFilterRoot:
                 root = mbf.newton_root_dd("beta", float(want) + 0.05, A02)
                 assert abs(root - want) < 1e-30 * want
 
+    @pytest.mark.parametrize("factor", [1 + 1e-8, 1 - 1e-8])
+    def test_inexact_derivative_keeps_printed_roots(self, factor,
+                                                    monkeypatch):
+        # the 31-digit Newton takes dF/dE from the double backend: an error
+        # in F' only slows it, and F alone sets the fixed point
+        guesses = [(function, float(2 * mp.mpf(o)) + 0.05)
+                   for function, frozen in (("zeta", oc.ZETA_ORDINATES),
+                                            ("beta", oc.BETA_ORDINATES))
+                   for o in frozen[:10]]
+        exact = [mp.nstr(mbf.newton_root_dd(f, g, A02), 32)
+                 for f, g in guesses]
+        filter_with_derivative = mbf._filter_with_derivative
+
+        def scaled(*args):
+            f, df = filter_with_derivative(*args)
+            return f, df * factor
+
+        monkeypatch.setattr(mbf, "_filter_with_derivative", scaled)
+        assert [mp.nstr(mbf.newton_root_dd(f, g, A02), 32)
+                for f, g in guesses] == exact
+
     def test_unreachable_guess(self):
         with pytest.raises(NoConvergence):
             mbf.newton_filter_root("beta", 1.0, A02)
@@ -413,6 +434,37 @@ class TestNewtonFilterRoot:
                  for r in beta_catalog]
         for e, cat in zip(roots, beta_catalog):
             assert abs(e - 2.0 * cat.ordinate) < 1e-8
+
+
+def _forced_zeta_error(t):
+    """|_hp_arithmetic zeta at 31 digits - mp.zeta at 45 digits| and
+    |mp.zeta| at s = 1/2 + it."""
+    with mp.workdps(31):
+        got = mbf._hp_arithmetic("zeta", mp.mpc(0.5, t))
+    with mp.workdps(45):
+        want = mp.zeta(mp.mpc(0.5, t))
+        return abs(got - want), abs(want)
+
+
+class TestForcedBorweinZeta:
+    """_hp_arithmetic forces mpmath's Borwein sum (the internal
+    libmp.mpc_zeta with force=True) past mp.zeta's cut-off |s| > prec,
+    which is near t = 106 at 31 digits.  That call was checked on mpmath
+    1.3.0; CI installs mpmath unpinned, so this is the guard.  The bound is
+    1e-31 relative; its 1e-36 absolute floor matters only where |zeta| <
+    1e-5, next to a zero, as the sum carries about 1e-37 absolute error."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 14.0, 50.0, 100.0, 105.9,
+                                   106.1, 124.5, 150.0, 199.9, 200.0])
+    def test_grid_against_45_digit_zeta(self, t):
+        err, size = _forced_zeta_error(t)
+        assert err < 1e-31 * size + 1e-36
+
+    @settings(max_examples=25, deadline=None)
+    @given(hst.floats(min_value=0.0, max_value=200.0, exclude_min=True))
+    def test_random_heights(self, t):
+        err, size = _forced_zeta_error(t)
+        assert err < 1e-31 * size + 1e-36
 
 
 class TestScaleLimits:
