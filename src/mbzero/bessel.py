@@ -147,8 +147,8 @@ def bessel_K(nu: complex, x: float, tol: float = 1e-12) -> BesselEval:
     )
 
 
-def bessel_I(nu: complex, x: float, tol: float = 1e-13) -> BesselEval:
-    """I_nu(x) by the ascending power series, x <= 30."""
+def bessel_I(nu: complex, x: float) -> BesselEval:
+    """I_nu(x) by the ascending power series to 1e-13 relative, x <= 30."""
     nu = _check_order(nu)
     if not (x > 0.0):
         raise ArgumentDomain("bessel_I needs x > 0")
@@ -162,7 +162,7 @@ def bessel_I(nu: complex, x: float, tol: float = 1e-13) -> BesselEval:
     for k in range(1, 400):
         term *= q / (k * (nu + k))
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= 1e-13 * abs(total):
             return BesselEval(value=lead * total,
                               abs_error_estimate=abs(lead * term))
     raise ArgumentDomain(f"I series failed to converge at nu={nu!r}, x={x}")
@@ -193,49 +193,45 @@ def wronskian_check(nu: complex, x: float) -> float:
     return abs(x * (kv * di - dk * iv) - 1.0)
 
 
-def asymptotic_validator(nu: complex, regime: str) -> AuditReport:
-    """Fit K_nu's leading behavior on an x-ladder against the two lemmas.
-
-    small_x: |K_nu| ~ x^{-Re nu} on 1e-3..1e-1 (power fit).  large_x: the
-    decay e^{-x}/sqrt(x) on 10..40 (log-linear fit of |K| sqrt(x)).
-    """
+def small_x_power(nu: complex) -> AuditReport:
+    """Power fit of |K_nu| ~ x^{-Re nu} on 1e-3..1e-1, for |Re nu| < 1/2."""
     nu = _check_order(nu)
-    if regime == "small_x":
-        if abs(nu.real) >= 0.5:
-            raise ArgumentDomain("small_x mode needs |Re nu| < 1/2")
-        xs = np.geomspace(1e-3, 1e-1, 9)
-        ks = np.array([abs(bessel_K(nu, float(x)).value) for x in xs])
-        # pairwise log-log slopes, extrapolated to x -> 0 against the known
-        # x^{2 Re nu} reflection-partner correction (it tilts the top decade)
-        logx = np.log(xs)
-        local = np.diff(np.log(ks)) / np.diff(logx)
-        x_mid = np.sqrt(xs[1:] * xs[:-1])
-        gap = max(min(2.0 * abs(nu.real), 2.0), 0.2)
-        design = np.column_stack([np.ones_like(x_mid), x_mid ** gap])
-        coef, *_ = np.linalg.lstsq(design, local, rcond=None)
-        slope = float(coef[0])
-        expected = -abs(nu.real)
-        dev = abs(slope - expected)
-        tolerance = 0.02 * max(abs(expected), 0.1)
-        return AuditReport(
-            lhs=complex(slope), rhs=complex(expected),
-            abs_discrepancy=dev,
-            rel_discrepancy=dev / max(abs(expected), 1e-12),
-            verdict="pass" if dev <= tolerance else "fail",
-            notes=f"extrapolated log-log slope of |K_nu| over x in [1e-3, 1e-1], "
-                  f"nu={nu!r}",
-        )
-    if regime == "large_x":
-        xs = np.linspace(10.0, 40.0, 13)
-        ks = np.array([abs(bessel_K(nu, float(x)).value) for x in xs])
-        slope = float(np.polyfit(xs, np.log(ks * np.sqrt(xs)), 1)[0])
-        dev = abs(slope - (-1.0))
-        return AuditReport(
-            lhs=complex(slope), rhs=complex(-1.0),
-            abs_discrepancy=dev, rel_discrepancy=dev,
-            verdict="pass" if dev <= 0.02 else "fail",
-            notes=f"log-linear fit of |K_nu| sqrt(x) over x in [10, 40], nu={nu!r}",
-        )
-    raise ArgumentDomain(f"unknown regime {regime!r}")
+    if abs(nu.real) >= 0.5:
+        raise ArgumentDomain("small_x mode needs |Re nu| < 1/2")
+    xs = np.geomspace(1e-3, 1e-1, 9)
+    ks = np.array([abs(bessel_K(nu, float(x)).value) for x in xs])
+    # pairwise log-log slopes, extrapolated to x -> 0 against the known
+    # x^{2 Re nu} reflection-partner correction (it tilts the top decade)
+    logx = np.log(xs)
+    local = np.diff(np.log(ks)) / np.diff(logx)
+    x_mid = np.sqrt(xs[1:] * xs[:-1])
+    gap = max(min(2.0 * abs(nu.real), 2.0), 0.2)
+    design = np.column_stack([np.ones_like(x_mid), x_mid ** gap])
+    coef, *_ = np.linalg.lstsq(design, local, rcond=None)
+    slope = float(coef[0])
+    expected = -abs(nu.real)
+    dev = abs(slope - expected)
+    tolerance = 0.02 * max(abs(expected), 0.1)
+    return AuditReport(
+        lhs=complex(slope), rhs=complex(expected),
+        abs_discrepancy=dev,
+        rel_discrepancy=dev / max(abs(expected), 1e-12),
+        verdict="pass" if dev <= tolerance else "fail",
+        notes=f"extrapolated log-log slope of |K_nu| over x in [1e-3, 1e-1], "
+              f"nu={nu!r}",
+    )
 
 
+def large_x_decay(nu: complex) -> AuditReport:
+    """Log-linear fit of the decay |K_nu| sqrt(x) ~ e^{-x} on 10..40."""
+    nu = _check_order(nu)
+    xs = np.linspace(10.0, 40.0, 13)
+    ks = np.array([abs(bessel_K(nu, float(x)).value) for x in xs])
+    slope = float(np.polyfit(xs, np.log(ks * np.sqrt(xs)), 1)[0])
+    dev = abs(slope - (-1.0))
+    return AuditReport(
+        lhs=complex(slope), rhs=complex(-1.0),
+        abs_discrepancy=dev, rel_discrepancy=dev,
+        verdict="pass" if dev <= 0.02 else "fail",
+        notes=f"log-linear fit of |K_nu| sqrt(x) over x in [10, 40], nu={nu!r}",
+    )

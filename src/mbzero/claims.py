@@ -196,9 +196,13 @@ def claim_filter_pairing_beta(config, catalog):
 def claim_guinand_weil_forms(config, catalog):
     """Printed counting formula against the corrected three-term form."""
     energies = (20.0, 2 * 14.1347251417 + 0.1, 2 * 21.0220396388 + 0.1)
-    if catalog[-1].ordinate < 0.5 * energies[-1]:
-        raise ArgumentDomain(f"catalog reaches {catalog[-1].ordinate:.3f}, "
-                             f"need {0.5 * energies[-1]:.3f}")
+    # a catalog has no census height: the argument principle tells its reach
+    t_top = 0.5 * energies[-1]
+    below = sum(1 for r in catalog if r.ordinate <= t_top)
+    predicted = zc.counting_prediction("zeta", t_top)
+    if abs(below - predicted) >= 0.5:
+        raise ArgumentDomain(f"catalog holds {below} zeros <= {t_top:.3f}, "
+                             f"the argument principle counts {predicted:.3f}")
     worst_corrected = 0.0
     worst_printed = 0.0
     for energy in energies:
@@ -299,9 +303,9 @@ REGISTRY = {
     "bessel_k_order_symmetry": claim_bessel_symmetry,
     "bessel_wronskian": claim_bessel_wronskian,
     "bessel_small_x_power": lambda config, catalog:
-        bs.asymptotic_validator(complex(0.3, 0.0), "small_x"),
+        bs.small_x_power(complex(0.3, 0.0)),
     "bessel_large_x_decay": lambda config, catalog:
-        bs.asymptotic_validator(complex(0.5, 4.0), "large_x"),
+        bs.large_x_decay(complex(0.5, 4.0)),
     "eigenfunction_l2": lambda config, catalog:
         ol.eigenfunction_L2_classifier(complex(0.5, 7.0673)),
     "mb_contour_shift": claim_contour_shift,

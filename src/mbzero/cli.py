@@ -14,9 +14,9 @@ Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
 4 I/O failure (missing, unusable or empty catalog, unwritable output);
 5 invalid configuration or command line; 6 cache verification failure.
-errors.py has one class per code; main maps it once.  `stats` and
-`audit` read only a zeta catalog.  Commands that write into --out check
-that it is a directory before any work starts.
+errors.py has one class per code; main maps it once.  `bijection`,
+`stats` and `audit` read only a zeta catalog.  Commands that write into
+--out check that it is a directory before any work starts.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cmd_bijection(config) -> int:
     if not config.e_max >= 4.0:
         raise ArgumentDomain("--e-max must be >= 4 for bijection (the "
                              "Guinand-Weil count starts at E = 4)")
-    catalog = _load_catalog(config)
+    catalog = _load_catalog(config, "zeta")
     audit = mbf.filter_bijection(catalog, mbf.KernelScale(config.a),
                                  config.e_max)
     print(f"{'E':>12}  {'N_H':>4}  {'N_zeta':>6}  {'Delta':>5}")
@@ -190,7 +190,8 @@ def _emit_stats(config, unfolded) -> None:
     ref = st.sine_kernel_r2(st.OMEGA_GRID)
     pc_path = os.path.join(config.out, "pair_correlation.csv")
     with open(pc_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# two-point estimator, Gaussian window 0.1, {n_zeros} zeros\n")
+        fh.write(f"# two-point estimator, Gaussian window {st.PAIR_WINDOW}, "
+                 f"{n_zeros} zeros\n")
         fh.write("omega,estimate,sine_kernel\n")
         for o, e, r in zip(st.OMEGA_GRID, est, ref):
             fh.write(f"{_fmt(float(o))},{_fmt(float(e))},{_fmt(float(r))}\n")

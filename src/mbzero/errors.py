@@ -27,5 +27,5 @@ class NoConvergence(MbzeroError):
 
 
 class CatalogError(MbzeroError):
-    """Catalog file unreadable: checksum, version or too few zeros."""
+    """Catalog unreadable or empty; too few zeros for statistics exits 5."""
     exit_code = 4

@@ -30,13 +30,15 @@ node whose exact conjugate is also a node (about 85 % of a line node set,
 where -t is a node bit for bit) takes the conjugate of its partner's
 value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 
-Newton runs one loop over two (F, dF/dE) backends: complex doubles, and
-31-digit mpmath scalars (mpmath is imported on first use).  A double step
-takes L(2 s0) and L(2 s0 +- ih) from one critical_line_values call, each
-point at its own Euler-Maclaurin N (the bits of three scalar calls), which
-rejects a tag other than "zeta" or "beta".  The 31-digit Newton starts from
-the double Newton root, fails where it fails, and takes one 31-digit L a
-step (zeta by Borwein's sum at every height) with the double dF/dE.
+Newton runs one loop over two (F, dF/dE) backends, complex doubles and
+31-digit mpmath scalars (mpmath is imported on first use).  Both leave
+out spectral_filter's prefactor * 2 pi i, 1/2 or 1, which moves no
+iterate.  A double step takes L(2 s0) and L(2 s0 +- ih) from one
+critical_line_values call, each point at its own Euler-Maclaurin N (the
+bits of three scalar calls), which rejects a tag other than "zeta" or
+"beta".  The 31-digit Newton starts from the double Newton root, fails
+where it fails, and takes one 31-digit L a step (zeta by Borwein's sum
+at every height) with the double dF/dE.
 """
 
 import cmath
@@ -48,6 +50,7 @@ import numpy as np
 
 from . import specfun as sf
 from . import zerocensus as zc
+from .audit import AuditReport
 from .errors import ArgumentDomain, NoConvergence
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
@@ -78,12 +81,6 @@ class ContourSpec:
     def __post_init__(self):
         if not (self.t_max > 0 and self.panel_count > 0):
             raise ArgumentDomain("t_max and panel_count must be positive")
-
-    @staticmethod
-    def default(abscissa: float, energy: float) -> "ContourSpec":
-        t_max = max(60.0, 0.5 * abs(energy) + 35.0)
-        return ContourSpec(abscissa=abscissa, t_max=t_max,
-                           panel_count=max(160, int(2.0 * t_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +292,12 @@ def spectral_filter(function: str, energy: float,
     Equals prefactor * 2 pi i * Gamma-dressing * L(1/2 + iE/2); vanishes
     exactly at E = 2 t_n.  Reported with the kernel's paper prefactor.
     """
-    return _filter_with_derivative(function, energy, scale)[0]
+    return (kernel_prefactor(function) * 2j * math.pi
+            * _filter_with_derivative(function, energy, scale)[0])
 
 
 def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
-    """(F, dF/dE) with the derivative taken under the extraction.
+    """Unnormalised (F, dF/dE), the derivative taken under the extraction.
 
     dF/dE carries (i/4)(psi(s0) - psi(s0 - nu) + 2 log 2a) from the
     moving dressing (d nu/dE = i/2 appearing as -(i/4) net on s0 - nu)
@@ -316,23 +314,19 @@ def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
     lp = (up - dn) / (2j * h)
     dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
                     + 2.0 * math.log(2.0 * scale.a))
-    norm = kernel_prefactor(function) * 2j * math.pi
-    f = norm * dress * lval
-    df = norm * dress * (dlog * lval + 0.5j * lp)
-    return f, df
+    return dress * lval, dress * (dlog * lval + 0.5j * lp)
 
 
 def _hp_filter_with_derivative(function: str, energy, scale: KernelScale):
-    """F in the current mpmath precision from one L, less the constant
-    prefactor, with the double dF/dE: F alone sets Newton's fixed point."""
+    """F in the current mpmath precision from one L, with the double dF/dE:
+    F alone sets Newton's fixed point."""
     import mpmath as mp
     s0 = mp.mpf(1) / 4 + 1j * energy / 4
     nu = mp.mpf(1) / 2 + 1j * energy / 2
     dress = (mp.gamma(s0) * mp.gamma(s0 - nu)
              * mp.exp(2 * s0 * mp.log(2 * mp.mpf(scale.a))))
-    df = _filter_with_derivative(function, float(energy), scale)[1]
     return (dress * _hp_arithmetic(function, 2 * s0),
-            df / (kernel_prefactor(function) * 2j * math.pi))
+            _filter_with_derivative(function, float(energy), scale)[1])
 
 
 def _newton(filter_and_derivative, e_guess, tol_step, start=None):
@@ -410,11 +404,8 @@ def newton_filter_root(function: str, e_guess: float,
 
 def filter_bijection(catalog: list, scale: KernelScale,
                      e_max: float) -> zc.BijectionAudit:
-    """Newton roots of the zeta filter from every catalog ordinate, audited
-    against the catalog up to min(e_max, 2 t_last - 0.2)."""
-    if catalog[0].function != "zeta":
-        raise ArgumentDomain("the bijection audit needs a zeta catalog, "
-                             f"not a {catalog[0].function} one")
+    """Newton roots of the zeta filter from every ordinate of a zeta catalog,
+    audited against it up to min(e_max, 2 t_last - 0.2)."""
     e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
     guesses = [2.0 * r.ordinate + 0.05
                for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
@@ -435,9 +426,7 @@ def contour_shift_delta(energy: float, scale: KernelScale,
     if inside.size:
         raise ArgumentDomain(
             f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
-    if g1 == g2:
-        return 0.0
-    v1, v2 = (mb_integral(energy, scale, ContourSpec.default(g, energy))
+    v1, v2 = (mb_integral(energy, scale, ContourSpec(abscissa=g))
               for g in (g1, g2))
     return abs(v1 - v2)
 
@@ -455,8 +444,6 @@ def double_pole_circle(anchor: complex):
     discrepancy is the constant 2 pi |A'(s0) B(s0)|, not O(epsilon).
     Both comparisons are measured and reported.
     """
-    from .audit import AuditReport
-
     s0 = complex(anchor)
     A = cmath.exp
     B = lambda s: cmath.cosh(s - s0 + 1.0)

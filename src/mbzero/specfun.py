@@ -8,8 +8,9 @@ element.  Python 3.14 changes the mixed float/complex rules; the
 bit-equality property test guards that.
 Zeta and beta = 4^{-s}[zeta(s, 1/4) - zeta(s, 3/4)] are one Euler-Maclaurin
 sum (_em_core) with Bernoulli corrections through order 12 and N scaled to
-the largest |Im s| of a call, or to each point's own in critical_line_values,
-where points sharing N share one head sum and one log(N + a).
+the largest |Im s| of a call, or to each point's own in critical_line_values;
+each run of points sharing N takes one head sum and one log(N + a).  The
+phases theta of Hardy's rotations are array functions of any shape.
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
 (0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped step by
@@ -134,8 +135,8 @@ def _c_div(ar, ai, br, bi):
 def _c_map(fn, re, im):
     z = np.empty(np.shape(re), dtype=complex)
     z.real, z.imag = re, im
-    out = np.fromiter(map(fn, z.tolist()), dtype=complex, count=z.size)
-    return out.real, out.imag
+    out = np.fromiter(map(fn, z.ravel().tolist()), complex, z.size)
+    return out.real.reshape(z.shape), out.imag.reshape(z.shape)
 
 
 def _lanczos_right_vec(zr, zi):
@@ -266,12 +267,8 @@ def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False) -> np.ndarra
         heads.append(_em_power(e[lo:lo + k], [x[:n] for x in logs])
                      .sum(axis=1))
         lo += k
-    if len(runs) == 1:
-        head, log_x = heads[0], [math.log(ns[0] + a) for a in shifts]
-    else:
-        head = np.concatenate(heads)
-        log_x = [np.repeat([math.log(n + a) for n in ns], counts)
-                 for a in shifts]
+    head = np.concatenate(heads)
+    log_x = [np.repeat([math.log(n + a) for n in ns], counts) for a in shifts]
     if len(shifts) == 1:
         tail = np.exp((1.0 - s) * log_x[0]) / (s - 1.0)
     else:
@@ -351,27 +348,19 @@ def completed_xi(s) -> complex:
 
 
 def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, continuous in t."""
-    return (_lanczos_log_gamma_right(complex(0.25, 0.5 * t)).imag
-            - 0.5 * t * math.log(math.pi))
-
-
-def beta_theta(t: float) -> float:
-    """Rotation phase of the completed beta function on the critical line."""
-    s = complex(0.5, t)
-    return (0.5 * (s + 1.0) * math.log(4.0 / math.pi)
-            + _lanczos_log_gamma_right(0.5 * (s + 1.0))).imag
+    """riemann_siegel_theta_vec at one point."""
+    return float(riemann_siegel_theta_vec(t))
 
 
 def riemann_siegel_theta_vec(t: np.ndarray) -> np.ndarray:
-    """riemann_siegel_theta over an array, bit for bit."""
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, any shape."""
     t = np.asarray(t, dtype=float)
     _, g_i = _lanczos_right_vec(np.full(t.shape, 0.25), 0.5 * t)
     return g_i - 0.5 * t * math.log(math.pi)
 
 
 def beta_theta_vec(t: np.ndarray) -> np.ndarray:
-    """beta_theta over an array, operation for operation."""
+    """Rotation phase of the completed beta function at 1/2 + it, any shape."""
     t = np.asarray(t, dtype=float)
     # z = 0.5 * (s + 1.0) with s = 0.5 + it
     z_r, z_i = _c_mul(0.5, 0.0, 0.5 + 1.0, t + 0.0)
@@ -396,7 +385,7 @@ def critical_line_values(function: str, t) -> np.ndarray:
 
 def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
     """Real rotation e^{i theta(t)} L(1/2 + it) at each t >= 0: Hardy Z for
-    zeta, the completed-function phase beta_theta for beta.
+    zeta, the completed-function phase beta_theta_vec for beta.
 
     L comes from critical_line_values and the rotation replays CPython
     complex arithmetic, so each value equals the one-point evaluation bit

@@ -107,19 +107,20 @@ def sine_kernel_r2(omega):
 
 # separations at which the ledger and `stats` compare R2 with the sine kernel
 OMEGA_GRID = np.arange(0.25, 3.0001, 0.125)
+PAIR_WINDOW = 0.1  # the estimator's Gaussian window width
 
 
-def pair_correlation_estimate(unfolded, omega_grid, sigma: float = 0.1):
+def pair_correlation_estimate(unfolded, omega_grid):
     """Gaussian-window two-point estimator on unit-density points."""
     e = np.sort(np.asarray(unfolded, dtype=float))
     n = e.size
     span = e[-1] - e[0]
     d = (e[None, :] - e[:, None]).ravel()
     d = d[d != 0.0]
-    norm = 1.0 / (n * sigma * math.sqrt(2.0 * math.pi))
+    norm = 1.0 / (n * PAIR_WINDOW * math.sqrt(2.0 * math.pi))
     out = np.empty(len(omega_grid))
     for i, w in enumerate(omega_grid):
-        kernel = np.exp(-0.5 * ((d - w) / sigma) ** 2)
+        kernel = np.exp(-0.5 * ((d - w) / PAIR_WINDOW) ** 2)
         # edge correction: ordered pairs at separation u are undercounted
         # by the factor (1 - u/span) in a finite window
         out[i] = norm * float(np.sum(kernel)) / max(1.0 - w / span, 1e-6)
@@ -137,7 +138,7 @@ def pair_correlation(unfolded: list) -> AuditReport:
         abs_discrepancy=mad, rel_discrepancy=mad,
         verdict="pass" if mad < 0.2 else "fail",
         notes=f"mean |R2_hat - sine kernel| over omega in "
-              f"[{OMEGA_GRID[0]}, {OMEGA_GRID[-1]}], sigma = 0.1"
+              f"[{OMEGA_GRID[0]}, {OMEGA_GRID[-1]}], sigma = {PAIR_WINDOW}"
               + ("; sample-limited at desk scale" if sample_limited else ""),
         extra={"omega": list(OMEGA_GRID), "estimate": list(est),
                "reference": list(ref)},

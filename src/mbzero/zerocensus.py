@@ -82,7 +82,7 @@ def counting_prediction(function: str, t: float) -> float:
     if function == "zeta":
         return (sf.riemann_siegel_theta(t) / math.pi + 1.0
                 + sf.arg_zeta_rectangle(t) / math.pi)
-    return (sf.beta_theta(t) / math.pi
+    return (float(sf.beta_theta_vec(t)) / math.pi
             + sf.arg_rectangle(sf.dirichlet_beta_vec, t) / math.pi)
 
 
@@ -139,13 +139,7 @@ def scan_zeros(function: str, t_max: float, step: float = _SCAN_STEP,
     vals = sf.hardy_Z_vec(function, grid)
     brackets = [(float(grid[i]), float(grid[i + 1]))
                 for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
-    ordinates = []
-    seen = set()
-    for t in _refine_brackets(function, brackets):
-        key = round(t, 9)
-        if key not in seen:
-            seen.add(key)
-            ordinates.append(t)
+    ordinates = _refine_brackets(function, brackets)  # disjoint brackets
     records = [
         ZeroRecord(index=k, ordinate=t, residual=r,
                    function=function, method="sign_scan")

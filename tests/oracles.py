@@ -14,8 +14,9 @@ passes sharing one evaluation, vector Gamma on each side's two tail probes
 vs scalar Gamma on all four, the density on the full grid vs windows
 around the targets, three scalar L calls a Newton step vs one vector
 call, an ArgTracker object that raises and catches BranchJump vs a float
-unwrap that tests the step).  The last section holds helpers whose only
-callers are tests.
+unwrap that tests the step, the Newton backends with spectral_filter's
+prefactor vs without it, scalar theta vs the array forms).  The last
+section holds helpers whose only callers are tests.
 """
 
 from __future__ import annotations
@@ -500,11 +501,26 @@ ZETA_ORDINATES = (
 # specfun.hardy_Z_vec) reproduces bit for bit
 # ---------------------------------------------------------------------------
 
+def riemann_siegel_theta(t: float) -> float:
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi in scalar complex
+    arithmetic, which specfun.riemann_siegel_theta_vec replays."""
+    return (sf._lanczos_log_gamma_right(complex(0.25, 0.5 * t)).imag
+            - 0.5 * t * math.log(math.pi))
+
+
+def beta_theta(t: float) -> float:
+    """Rotation phase of the completed beta function on the critical line in
+    scalar complex arithmetic, which specfun.beta_theta_vec replays."""
+    s = complex(0.5, t)
+    return (0.5 * (s + 1.0) * math.log(4.0 / math.pi)
+            + sf._lanczos_log_gamma_right(0.5 * (s + 1.0))).imag
+
+
 def hardy_Z(t: float) -> float:
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real for real t >= 0."""
     if t < 0:
         raise ArgumentDomain("hardy_Z defined for t >= 0")
-    val = cmath.exp(1j * sf.riemann_siegel_theta(t)) * sf.zeta(complex(0.5, t))
+    val = cmath.exp(1j * riemann_siegel_theta(t)) * sf.zeta(complex(0.5, t))
     if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
         raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
     return val.real
@@ -514,7 +530,7 @@ def hardy_Z_beta(t: float) -> float:
     """Real rotation of beta on the critical line (completed-function phase)."""
     if t < 0:
         raise ArgumentDomain("hardy_Z_beta defined for t >= 0")
-    val = (cmath.exp(1j * sf.beta_theta(t))
+    val = (cmath.exp(1j * beta_theta(t))
            * sf.dirichlet_beta(complex(0.5, t)))
     if abs(val.imag) >= 1e-10 * max(1.0, abs(val)):
         raise ArgumentDomain(f"rotation left imaginary residue {val.imag:.3e}")
@@ -556,9 +572,10 @@ def critical_abs_scalar(function: str, ts: list) -> list:
     return [abs(value(complex(0.5, t))) for t in ts]
 
 
-def filter_with_derivative_scalar(function: str, energy: float, scale):
-    """mbfilter._filter_with_derivative with L(2 s0) and L(2 s0 +- ih) from
-    three scalar zeta or dirichlet_beta calls."""
+def _filter_terms_scalar(function: str, energy: float, scale):
+    """(dressing, L(2 s0), (i/4) dlog dressing/dE, L'(2 s0)) of the spectral
+    filter, L and L(2 s0 +- ih) from three scalar zeta or dirichlet_beta
+    calls."""
     value = sf.zeta if function == "zeta" else sf.dirichlet_beta
     h = 1e-6
     s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
@@ -568,8 +585,31 @@ def filter_with_derivative_scalar(function: str, energy: float, scale):
     lp = (value(2.0 * s0 + 1j * h) - value(2.0 * s0 - 1j * h)) / (2j * h)
     dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
                     + 2.0 * math.log(2.0 * scale.a))
+    return dress, lval, dlog, lp
+
+
+def filter_with_derivative_scalar(function: str, energy: float, scale):
+    """mbfilter._filter_with_derivative with L(2 s0) and L(2 s0 +- ih) from
+    three scalar zeta or dirichlet_beta calls."""
+    dress, lval, dlog, lp = _filter_terms_scalar(function, energy, scale)
+    return dress * lval, dress * (dlog * lval + 0.5j * lp)
+
+
+def filter_with_derivative_normalised(function: str, energy: float, scale):
+    """The double Newton backend with spectral_filter's prefactor * 2 pi i
+    (1/2 for zeta, 1 for beta) on F and dF/dE, as (norm * dressing) * L."""
+    dress, lval, dlog, lp = _filter_terms_scalar(function, energy, scale)
     norm = mbf.kernel_prefactor(function) * 2j * math.pi
     return norm * dress * lval, norm * dress * (dlog * lval + 0.5j * lp)
+
+
+def hp_filter_with_derivative_normalised(function: str, energy, scale):
+    """The 31-digit Newton backend with the prefactor * 2 pi i on F and on
+    the double dF/dE of filter_with_derivative_normalised."""
+    f, _ = mbf._hp_filter_with_derivative(function, energy, scale)
+    norm = mbf.kernel_prefactor(function) * 2j * math.pi
+    return (norm * f,
+            filter_with_derivative_normalised(function, float(energy), scale)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,12 @@ class TestWronskian:
 
 class TestAsymptoticValidator:
     def test_small_x_power(self):
-        rep = bs.asymptotic_validator(complex(0.3, 0.0), "small_x")
+        rep = bs.small_x_power(complex(0.3, 0.0))
         assert rep.verdict == "pass"
         assert abs(rep.lhs.real - (-0.3)) <= 0.006
 
     def test_large_x_decay(self):
-        rep = bs.asymptotic_validator(complex(0.5, 4.0), "large_x")
+        rep = bs.large_x_decay(complex(0.5, 4.0))
         assert rep.verdict == "pass"
         assert abs(rep.lhs.real - (-1.0)) <= 0.02
 
@@ -211,4 +211,4 @@ class TestAsymptoticValidator:
 
     def test_strip_guard(self):
         with pytest.raises(ArgumentDomain):
-            bs.asymptotic_validator(complex(0.7, 0.0), "small_x")
+            bs.small_x_power(complex(0.7, 0.0))

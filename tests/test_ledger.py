@@ -110,16 +110,19 @@ def test_density_claim_without_an_ordinate_in_the_window_is_inconclusive(
 
 def test_guinand_weil_claim_needs_the_zero_below_its_top_energy(
         zeta_catalog_60):
-    # its top energy 2 * 21.022 + 0.1 counts the zero at 21.022, which a
-    # catalog to t = 20 (or ending at that zero) cannot show is complete
-    for t_max in (20.0, 21.05):
-        short = [r for r in zeta_catalog_60 if r.ordinate <= t_max]
-        entry = _entry("guinand_weil_formula", short)
+    # its top energy 2 * 21.022 + 0.1 counts the zeros up to t = 21.072,
+    # where the argument principle predicts 2: a catalog to t = 21.05
+    # holds both, one to t = 20 or one without the zero at 14.13 does not
+    for t_max in (21.05, 26.0):
+        entry = _entry("guinand_weil_formula",
+                       [r for r in zeta_catalog_60 if r.ordinate <= t_max])
+        assert entry["verdict"] == "pass"
+    for catalog in ([r for r in zeta_catalog_60 if r.ordinate <= 20.0],
+                    zeta_catalog_60[1:]):
+        entry = _entry("guinand_weil_formula", catalog)
         assert entry["verdict"] == "inconclusive"
-        assert "need 21.072" in entry["notes"]
-    entry = _entry("guinand_weil_formula",
-                   [r for r in zeta_catalog_60 if r.ordinate <= 26.0])
-    assert entry["verdict"] == "pass"
+        assert "zeros <= 21.072, the argument principle counts 2.000" \
+            in entry["notes"]
 
 
 @pytest.mark.parametrize("t_max", ["1", "5", "14"])

@@ -137,8 +137,7 @@ class TestNodeSetCache:
     def test_contour_shift_delta_is_the_difference_of_mb_integrals(self):
         for energy, g1, g2 in ((10.0, 0.55, 0.70), (17.5, 0.62, 0.91)):
             got = mbf.contour_shift_delta(energy, A02, g1, g2)
-            v1, v2 = (mbf.mb_integral(energy, A02,
-                                      mbf.ContourSpec.default(g, energy))
+            v1, v2 = (mbf.mb_integral(energy, A02, mbf.ContourSpec(g))
                       for g in (g1, g2))
             assert got == abs(v1 - v2)
 
@@ -172,8 +171,7 @@ class TestMirroredFactors:
         for energy, g1, g2 in _contour_shift_pairs():
             nu = complex(0.5, 0.5 * energy)
             for g in (g1, g2):
-                _, s, factors = mbf._node_set(
-                    nu, mbf.ContourSpec.default(g, energy))
+                _, s, factors = mbf._node_set(nu, mbf.ContourSpec(g))
                 self._assert_matches_oracle(s, nu, factors)
 
     @settings(max_examples=40, deadline=None)
@@ -192,7 +190,7 @@ class TestMirroredFactors:
 
     def test_most_nodes_are_mirrors_and_max_im_is_canonical(self):
         for energy, g1, g2 in _contour_shift_pairs()[:3]:
-            contour = mbf.ContourSpec.default(g1, energy)
+            contour = mbf.ContourSpec(g1)
             _, s, _ = mbf._node_set(complex(0.5, 0.5 * energy), contour)
             canon, mirror, partner = mbf._conjugate_split(s)
             assert mirror.size > 0.4 * s.size
@@ -273,12 +271,59 @@ class TestBatchedNewtonStep:
         assert [e.hex() for e in roots] == [e.hex() for e in want]
 
     @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_spectral_filter_is_the_normalised_backend(self, function):
+        for energy in (5.0, 17.3, 41.7, 60.0):
+            got = mbf.spectral_filter(function, energy, A02)
+            want = oc.filter_with_derivative_normalised(function, energy, A02)
+            assert (got.real.hex(), got.imag.hex()) \
+                == (want[0].real.hex(), want[0].imag.hex())
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
     def test_non_finite_energy_is_argument_domain(self, function):
         # the dressing's log_gamma checks E before the unchecked vector call
         with pytest.raises(ArgumentDomain, match="non-finite"):
             mbf._filter_with_derivative(function, math.nan, A02)
         with pytest.raises(ArgumentDomain, match="non-finite"):
             mbf.newton_filter_root(function, math.inf, A02)
+
+
+class TestNewtonNormalisation:
+    """The Newton backends leave out spectral_filter's prefactor * 2 pi i,
+    0.5 + 0j for zeta and 1 + 0j for beta: an exact power of two scales F
+    and dF/dE alike, so Newton on the oracle backends that keep it takes
+    the same iterates."""
+
+    @staticmethod
+    def _guesses(function):
+        frozen = oc.ZETA_ORDINATES if function == "zeta" else oc.BETA_ORDINATES
+        return [float(2 * mp.mpf(o)) + 0.05 for o in frozen[:10]]
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_prefactor_is_a_power_of_two(self, function):
+        norm = mbf.kernel_prefactor(function) * 2j * math.pi
+        assert norm == {"zeta": 0.5, "beta": 1.0}[function] + 0j
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_double_roots(self, function):
+        for g in self._guesses(function):
+            got, want = (mbf._newton(lambda e: backend(function, e, A02), g,
+                                     1e-12)
+                         for backend in (mbf._filter_with_derivative,
+                                         oc.filter_with_derivative_normalised))
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("function", ["zeta", "beta"])
+    def test_31_digit_roots(self, function):
+        for g in self._guesses(function):
+            start = mbf.newton_filter_root(function, g, A02)
+            with mp.workdps(31):
+                got, want = (
+                    mp.nstr(mbf._newton(lambda e: backend(function, e, A02),
+                                        mp.mpf(g), mp.mpf(10) ** -27,
+                                        mp.mpf(start)), 32)
+                    for backend in (mbf._hp_filter_with_derivative,
+                                    oc.hp_filter_with_derivative_normalised))
+            assert got == want
 
 
 class TestResidueSimpleZero:

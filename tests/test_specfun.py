@@ -539,10 +539,29 @@ class TestPointwise:
         t = np.array(heights)
         assert np.array_equal(
             sf.riemann_siegel_theta_vec(t).view(np.uint64),
-            np.array([sf.riemann_siegel_theta(x) for x in heights]).view(np.uint64))
+            np.array([oc.riemann_siegel_theta(x) for x in heights]).view(np.uint64))
         assert np.array_equal(
             sf.beta_theta_vec(t).view(np.uint64),
-            np.array([sf.beta_theta(x) for x in heights]).view(np.uint64))
+            np.array([oc.beta_theta(x) for x in heights]).view(np.uint64))
+        for x in heights:
+            assert sf.riemann_siegel_theta(x).hex() \
+                == oc.riemann_siegel_theta(x).hex()
+
+    @pytest.mark.parametrize("theta, scalar", [
+        (sf.riemann_siegel_theta_vec, oc.riemann_siegel_theta),
+        (sf.beta_theta_vec, oc.beta_theta)])
+    def test_theta_takes_a_scalar_or_a_2d_array(self, theta, scalar):
+        # a 0-d input gives a 0-d result with the scalar's bits, and a 2-d
+        # input keeps its shape (the cmath map runs over the raveled array)
+        for t in (0.0, 10.0, 21.072, 199.5):
+            got = theta(t)
+            assert np.shape(got) == () and float(got).hex() == scalar(t).hex()
+        grid = np.linspace(0.0, 200.0, 2000).reshape(40, 50)
+        got = theta(grid)
+        assert got.shape == (40, 50)
+        assert np.array_equal(
+            got.view(np.uint64),
+            np.array([[scalar(t) for t in row] for row in grid]).view(np.uint64))
 
     @settings(max_examples=100, deadline=None)
     @given(_HEIGHTS)

@@ -41,6 +41,13 @@ class TestScanZeros:
         for rec, frozen in zip(zeta_catalog_full, oc.ZETA_ORDINATES):
             assert abs(rec.ordinate - float(frozen)) < 1e-11
 
+    def test_zeros_to_200_are_over_a_quarter_apart(self, zeta_catalog_full):
+        # scan_zeros keeps one ordinate per bracket, with no dedupe: its
+        # brackets are disjoint strict sign changes, and the closest zeros
+        # (0.72 apart for zeta, 0.29 for beta) are far above 1e-9
+        for catalog in (zeta_catalog_full, zc.scan_zeros("beta", 200.0)):
+            assert np.min(np.diff([r.ordinate for r in catalog])) > 0.25
+
     def test_empty_below_first_zero(self):
         assert zc.scan_zeros("zeta", 10.0) == []
         assert zc.scan_zeros("beta", 5.0) == []
