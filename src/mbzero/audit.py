@@ -51,7 +51,7 @@ def _jsonable(v):
             return "nan"
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return float(format(v, ".17g"))
+        return v
     if isinstance(v, complex):
         return {"re": _jsonable(v.real), "im": _jsonable(v.imag)}
     if isinstance(v, (list, tuple)):

@@ -125,11 +125,7 @@ def _dd_root(function: str, scale: mbf.KernelScale, guess: float) -> tuple:
 def cmd_filter_roots(config) -> int:
     catalog = _load_catalog(config, config.function)
     scale = mbf.KernelScale(config.a)
-    ordinates = []
-    for r in catalog:
-        if 2.0 * r.ordinate > config.e_max:
-            break
-        ordinates.append(r.ordinate)
+    ordinates = [r.ordinate for r in catalog if 2.0 * r.ordinate <= config.e_max]
     guesses = [2.0 * t + 0.05 for t in ordinates]
     if config.precision == "double_double":
         roots = _fan_out(partial(_dd_root, config.function, scale), guesses,

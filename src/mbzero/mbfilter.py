@@ -372,24 +372,22 @@ def _root_residual(function: str, energy: float) -> float:
 
 def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     """Newton on the spectral filter in 31-digit scalars, started from the
-    double Newton root; the double Newton's NoConvergence propagates.  A
-    step takes one 31-digit L and the double dF/dE (good to ~1e-10), so a
-    start good to ~1e-14 takes three steps, the last one certifying
+    accepted double root (newton_filter_root), whose NoConvergence, a
+    residual |L| >= 1e-8 included, propagates before any 31-digit step.
+    A step takes one 31-digit L and the double dF/dE (good to ~1e-10), so
+    a start good to ~1e-14 takes three steps, the last one certifying
     convergence; the basin window and failure messages stay on e_guess.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
     """
     import mpmath as mp
-    start = _newton(lambda x: _filter_with_derivative(function, x, scale),
-                    float(e_guess), 1e-12)
+    start = newton_filter_root(function, e_guess, scale)
     with mp.workdps(_DD_DPS):
-        root = +_newton(lambda e: _hp_filter_with_derivative(function, e,
+        return +_newton(lambda e: _hp_filter_with_derivative(function, e,
                                                              scale),
                         mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
                         mp.mpf(start))
-    _root_residual(function, float(root))
-    return root
 
 
 def newton_filter_root(function: str, e_guess: float,
@@ -404,12 +402,12 @@ def newton_filter_root(function: str, e_guess: float,
 
 def filter_bijection(catalog: list, scale: KernelScale,
                      e_max: float) -> zc.BijectionAudit:
-    """Newton roots of the zeta filter from every ordinate of a zeta catalog,
-    audited against it up to min(e_max, 2 t_last - 0.2)."""
-    e_max = min(e_max, 2.0 * catalog[-1].ordinate - 0.2)
-    guesses = [2.0 * r.ordinate + 0.05
-               for r in catalog if 2.0 * r.ordinate <= e_max + 0.5]
-    roots = [newton_filter_root("zeta", g, scale) for g in guesses]
+    """Newton roots of the zeta filter from every ordinate t <= e_max/2 of a
+    zeta catalog, audited against it up to e_max.  ArgumentDomain, before
+    any Newton step, unless the catalog is complete to e_max/2."""
+    zc.require_complete(catalog, 0.5 * e_max)
+    roots = [newton_filter_root("zeta", 2.0 * r.ordinate + 0.05, scale)
+             for r in catalog if 2.0 * r.ordinate <= e_max]
     return zc.bijection_audit(catalog, roots, e_max)
 
 

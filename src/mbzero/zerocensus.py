@@ -86,6 +86,17 @@ def counting_prediction(function: str, t: float) -> float:
             + sf.arg_rectangle(sf.dirichlet_beta_vec, t) / math.pi)
 
 
+def require_complete(catalog: list, t: float) -> None:
+    """ArgumentDomain unless a zeta catalog holds every zero <= t: its count
+    there within 1/2 of the argument principle's (Turing's check; a
+    catalog records no census height)."""
+    below = sum(1 for r in catalog if r.ordinate <= t)
+    predicted = counting_prediction("zeta", t)
+    if abs(below - predicted) >= 0.5:
+        raise ArgumentDomain(f"catalog holds {below} zeros <= {t:.3f}, "
+                             f"the argument principle counts {predicted:.3f}")
+
+
 # ---------------------------------------------------------------------------
 # Scan
 # ---------------------------------------------------------------------------
@@ -236,15 +247,12 @@ def n_H_guinand_weil(energy: float) -> float:
 def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> BijectionAudit:
     """Delta(E) = N_H(E) - N_zeta(E/2) on grids straddling each jump.
 
-    N_H counts filter roots; the Guinand-Weil formula count is used as an
-    independent completeness guard, so a tampered catalog (and therefore
-    a missing seeded root) is flagged at its ordinate.
+    N_H counts filter roots; the Guinand-Weil formula count is an
+    independent guard at every grid point, so a tampered catalog (and
+    therefore a missing seeded root) is flagged near its ordinate, and a
+    catalog that ends below e_max/2 within a probe spacing past the first
+    zero it lacks (filter_bijection refuses such a catalog beforehand).
     """
-    if not catalog or catalog[-1].ordinate < 0.5 * e_max - 1e-9:
-        raise CatalogError(
-            f"catalog reaches {catalog[-1].ordinate if catalog else 0:.3f}, "
-            f"need {0.5 * e_max:.3f}"
-        )
     ordinates = [r.ordinate for r in catalog]
     roots = sorted(filter_roots)
     anchors = [4.0]

@@ -109,6 +109,26 @@ class TestBijectionCommand:
         assert code == 0
         assert "verdict: pass" in out
 
+    def test_catalog_short_of_e_max_exit_5(self, tmp_path, capsys):
+        # a t <= 32 catalog holds 4 of the 38 zeros below E/2 = 120
+        run(["census", "--function", "zeta", "--t-max", "32"], tmp_path)
+        capsys.readouterr()
+        assert run(["bijection", "--e-max", "240"], tmp_path) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("catalog holds 4 zeros <= 120.000, the argument principle "
+                "counts 38.000") in captured.err
+
+    def test_complete_catalog_audited_to_e_max(self, tmp_path, capsys):
+        # a t <= 30 catalog is complete to t = 30, so the audit reaches 60
+        run(["census", "--function", "zeta", "--t-max", "30"], tmp_path)
+        capsys.readouterr()
+        assert run(["bijection", "--e-max", "60"], tmp_path) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1] == "# verdict: pass"
+        assert rows[-2].split()[0] == "60.000000"
+        assert len(rows) == 1 + 32 + 1
+
 
 class TestAuditCommand:
     def test_single_claim_ledger(self, tmp_path, capsys):
@@ -866,7 +886,7 @@ _FAILURES = {
     "StepUnderflow": (3, lambda: quadrature.rk_adaptive(
         lambda x, y: 1.0 / (1.0 - x), 0.0, 0.0, 2.0)),
     "SeriesDivergent": (3, lambda: st.fredholm_audit(3.0, 0.9)),
-    "IncompleteCatalog": (4, lambda: zc.bijection_audit([], [], 120.0)),
+    "IncompleteCatalog": (5, lambda: zc.require_complete([], 60.0)),
     "ChecksumMismatch": (4, lambda: _load_blob(
         b"#zerocatalog v1 zeta\n#sha256 " + b"0" * 64 + b"\n")),
     "VersionUnsupported": (4, lambda: _load_blob(

@@ -427,6 +427,33 @@ class TestNewtonFilterRoot:
         with pytest.raises(NoConvergence, match="not a zero"):
             root("beta", 12.0, A02)
 
+    def test_dd_root_rejected_before_any_hp_step(self, monkeypatch):
+        # the double root's residual test comes first: no 31-digit L
+        calls = []
+        hp_arithmetic = mbf._hp_arithmetic
+
+        def counted_arithmetic(*args):
+            calls.append(args)
+            return hp_arithmetic(*args)
+
+        def rejected(function, energy):
+            raise NoConvergence("not a zero")
+
+        monkeypatch.setattr(mbf, "_hp_arithmetic", counted_arithmetic)
+        monkeypatch.setattr(mbf, "_root_residual", rejected)
+        with pytest.raises(NoConvergence, match="not a zero"):
+            mbf.newton_root_dd("beta", 12.0, A02)
+        assert calls == []
+
+    def test_bijection_checks_reach_before_newton(self, zeta_catalog_60,
+                                                  monkeypatch):
+        def never(*args):
+            raise AssertionError("Newton ran on an incomplete catalog")
+
+        monkeypatch.setattr(mbf, "newton_filter_root", never)
+        with pytest.raises(ArgumentDomain, match="argument principle counts"):
+            mbf.filter_bijection(zeta_catalog_60[:3], A02, 120.0)
+
     def test_dd_root_keeps_full_precision(self):
         root = mbf.newton_root_dd("beta", 12.0, A02)
         with mp.workdps(31):

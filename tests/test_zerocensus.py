@@ -248,8 +248,22 @@ class TestBijection:
         assert 0.0 <= e_fail - 2.0 * 21.022039638771602 < 2.0
 
     def test_incomplete_catalog(self, zeta_catalog_60):
-        with pytest.raises(CatalogError, match="catalog reaches"):
-            zc.bijection_audit(zeta_catalog_60[:3], [], 120.0)
+        # a catalog ending at t_3 = 25.01: the formula guard fails one top
+        # probe past 2 t_4 = 60.85, the first energy it counts one root more
+        short = zeta_catalog_60[:3]
+        roots = [mbf.newton_filter_root("zeta", 2.0 * r.ordinate + 0.05,
+                                        mbf.KernelScale(0.2)) for r in short]
+        audit = zc.bijection_audit(short, roots, 120.0)
+        assert audit.verdict == "fail at E = 70.051225"
+        assert all(d == 0 for d in audit.delta_values)
+        assert 0.0 < 70.051225 - 2.0 * zeta_catalog_60[3].ordinate < 10.0
+
+    def test_require_complete(self, zeta_catalog_60):
+        zc.require_complete(zeta_catalog_60, 60.0)
+        with pytest.raises(ArgumentDomain, match="catalog holds 2 zeros "
+                           r"<= 30\.000, the argument principle counts "
+                           r"3\.000"):
+            zc.require_complete(zeta_catalog_60[:2], 30.0)
 
 
 _POSITIVE = hst.floats(0.0, exclude_min=True, allow_infinity=False)
