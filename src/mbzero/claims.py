@@ -116,12 +116,9 @@ def claim_bessel_wronskian(config, catalog):
 
 def claim_contour_shift(config, catalog):
     rng = np.random.RandomState(8)
-    scale = mbf.KernelScale(config.a)
-    worst = 0.0
-    for _ in range(20):
-        energy = rng.uniform(5.0, 35.0)
-        g1, g2 = sorted(rng.uniform(0.54, 0.96, 2))
-        worst = max(worst, mbf.contour_shift_delta(energy, scale, g1, g2))
+    triples = [(rng.uniform(5.0, 35.0), *sorted(rng.uniform(0.54, 0.96, 2)))
+               for _ in range(20)]
+    worst = max(mbf.contour_shift_deltas(triples, mbf.KernelScale(config.a)))
     return _report(worst, 0.0, worst, 1e-10,
                    "20 random pole-free abscissa pairs, zeta kernel")
 

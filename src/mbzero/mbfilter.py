@@ -24,6 +24,9 @@ specfun.log_gamma_vec, and zeta(2s)) from a small cache keyed by
 on one contour do the expensive work once.  The tail bound's four probes
 use scalar log_gamma (same bits): log_gamma_vec costs about 1 ms a call.
 
+contour_shift_deltas takes zeta(2s) on the lines of many abscissa pairs
+from one specfun.zeta_lines call, which shares their base-grid ordinates.
+
 Mirror rule: Gamma(s) and zeta(2s) are conjugation-equivariant bit for
 bit, so each is evaluated once per conjugate pair of nodes.  A
 node whose exact conjugate is also a node (about 85 % of a line node set,
@@ -126,10 +129,11 @@ def _conjugate_split(s: np.ndarray):
     return np.flatnonzero(canon), mirror, partner
 
 
-def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
+def _mirrored(f, s: np.ndarray, split, canon_values=None) -> np.ndarray:
     """f(s) for a conjugation-equivariant f, evaluated on the canonical
-    nodes only; f's Euler-Maclaurin N (from max |Im|) is unchanged, as the
-    extreme node or its mirror is canonical.
+    nodes only, or taken there from canon_values; f's Euler-Maclaurin N
+    (from max |Im|) is unchanged, as the extreme node or its mirror is
+    canonical.
 
     A partner value that is non-finite or has an exactly zero imaginary
     part has no bit-exact mirror: a cancellation to 0 gives +0 at both
@@ -137,7 +141,7 @@ def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
     evaluated."""
     canon, mirror, partner = split
     out = np.empty(s.shape, dtype=complex)
-    out[canon] = f(s[canon])
+    out[canon] = f(s[canon]) if canon_values is None else canon_values
     v = out[partner]
     if not np.all(np.isfinite(v) & (v.imag != 0.0)):
         return f(s)
@@ -145,11 +149,13 @@ def _mirrored(f, s: np.ndarray, split) -> np.ndarray:
     return out
 
 
-def _scale_free_factors(s: np.ndarray, nu: complex):
-    """(log-Gamma part, zeta(2s)) of the integrand: all but (2a)^{2s}."""
-    split = _conjugate_split(s)
+def _scale_free_factors(s: np.ndarray, nu: complex, split=None,
+                        zeta_canon=None):
+    """(log-Gamma part, zeta(2s)) of the integrand: all but (2a)^{2s};
+    zeta_canon, when given, is zeta(2s) at split's canonical nodes."""
+    split = _conjugate_split(s) if split is None else split
     return (_mirrored(sf.log_gamma_vec, s, split) + sf.log_gamma_vec(s - nu),
-            _mirrored(lambda z: sf.zeta_vec(2.0 * z), s, split))
+            _mirrored(lambda z: sf.zeta_vec(2.0 * z), s, split, zeta_canon))
 
 
 def _kernel_integrand(nu: complex, s: np.ndarray, a: float,
@@ -213,23 +219,27 @@ def _graded_edges(nu: complex, contour: ContourSpec) -> np.ndarray:
     return np.array(sorted(edges))
 
 
+def _line_nodes(nu: complex, contour: ContourSpec):
+    """Weights and nodes of the line, each graded panel split once."""
+    t, w = panel_nodes_from_edges(_graded_edges(nu, contour), 1)
+    return w, contour.abscissa + 1j * t
+
+
 @lru_cache(maxsize=4)
 def _node_set(nu: complex, contour: ContourSpec):
-    """Weights, nodes and scale-free factors of the line's node set, each
-    graded panel split once; shared between calls (a +- h, the a -> 0
-    ladder), hence read-only."""
-    t, w = panel_nodes_from_edges(_graded_edges(nu, contour), 1)
-    s = contour.abscissa + 1j * t
+    """Weights, nodes and scale-free factors of the line's node set;
+    shared between calls (a +- h, the a -> 0 ladder), hence read-only."""
+    w, s = _line_nodes(nu, contour)
     factors = _scale_free_factors(s, nu)
     for arr in (w, s, *factors):
         arr.flags.writeable = False
     return w, s, factors
 
 
-def _line_sum(nu: complex, a: float, contour: ContourSpec,
-              d_da: bool = False) -> complex:
-    """Line quadrature; d_da differentiates (2a)^{2s} under the integral."""
-    w, s, factors = _node_set(nu, contour)
+def _line_sum(nu: complex, a: float, node_set, d_da: bool = False) -> complex:
+    """Line quadrature on a node set (weights, nodes, scale-free factors);
+    d_da differentiates (2a)^{2s} under the integral."""
+    w, s, factors = node_set
     vals = _kernel_integrand(nu, s, a, factors)
     if d_da:
         vals = vals * (2.0 * s / a)
@@ -260,8 +270,14 @@ def mb_integral(energy: float, scale: KernelScale,
     exceeds 1e-14 of |integral|; ArgumentDomain for an abscissa on a pole
     ladder or a non-finite value."""
     nu = complex(0.5, 0.5 * energy)
-    value = _line_sum(nu, scale.a, contour)
-    tail = _tail_estimate(nu, scale.a, contour)
+    return _line_integral(nu, scale.a, contour, _node_set(nu, contour))
+
+
+def _line_integral(nu: complex, a: float, contour: ContourSpec,
+                   node_set) -> complex:
+    """mb_integral on the line's node set, checks included."""
+    value = _line_sum(nu, a, node_set)
+    tail = _tail_estimate(nu, a, contour)
     accumulated = abs(value)
     if accumulated > 0.0 and tail > 1e-14 * accumulated and tail > 1e-280:
         raise NoConvergence(
@@ -277,7 +293,8 @@ def mb_scale_derivative(energy: float, scale: KernelScale,
                         contour: ContourSpec) -> complex:
     """d/da of mb_integral, differentiated under the integral: (2a)^{2s}
     contributes the weight 2 s / a on the same node set."""
-    return _line_sum(complex(0.5, 0.5 * energy), scale.a, contour, True)
+    nu = complex(0.5, 0.5 * energy)
+    return _line_sum(nu, scale.a, _node_set(nu, contour), True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +435,38 @@ def filter_bijection(catalog: list, scale: KernelScale,
 def contour_shift_delta(energy: float, scale: KernelScale,
                         g1: float, g2: float) -> float:
     """|mb_integral(g1) - mb_integral(g2)| over a pole-free strip."""
-    lo, hi = min(g1, g2), max(g1, g2)
-    ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
-    inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
-    if inside.size:
-        raise ArgumentDomain(
-            f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
-    v1, v2 = (mb_integral(energy, scale, ContourSpec(abscissa=g))
-              for g in (g1, g2))
-    return abs(v1 - v2)
+    return contour_shift_deltas([(energy, g1, g2)], scale)[0]
+
+
+def contour_shift_deltas(triples, scale: KernelScale) -> list:
+    """[contour_shift_delta(energy, scale, g1, g2) for (energy, g1, g2) in
+    triples], bit for bit, and the serial loop's first error, message
+    included: each line is built as mb_integral builds it, but zeta(2s) on
+    every line's canonical nodes comes from one sf.zeta_lines call."""
+    lines, failure = [], None
+    try:
+        for energy, g1, g2 in triples:
+            lo, hi = min(g1, g2), max(g1, g2)
+            ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
+            inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
+            if inside.size:
+                raise ArgumentDomain(
+                    f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
+            nu = complex(0.5, 0.5 * energy)
+            for g in (g1, g2):
+                contour = ContourSpec(abscissa=g)
+                w, s = _line_nodes(nu, contour)
+                lines.append((nu, contour, w, s, _conjugate_split(s)))
+    except ArgumentDomain as exc:  # raised once the lines before it are done
+        failure = exc
+    zetas = sf.zeta_lines([2.0 * s[split[0]] for *_, s, split in lines]
+                          ) if lines else []
+    values = [_line_integral(nu, scale.a, contour,
+                             (w, s, _scale_free_factors(s, nu, split, z)))
+              for (nu, contour, w, s, split), z in zip(lines, zetas)]
+    if failure is not None:
+        raise failure
+    return [abs(v1 - v2) for v1, v2 in zip(values[::2], values[1::2])]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ bit-equality property test guards that.
 Zeta and beta = 4^{-s}[zeta(s, 1/4) - zeta(s, 3/4)] are one Euler-Maclaurin
 sum (_em_core) with Bernoulli corrections through order 12 and N scaled to
 the largest |Im s| of a call, or to each point's own in critical_line_values;
-each run of points sharing N takes one head sum and one log(N + a).  The
+each run of points sharing N takes one head sum and one log(N + a).
+zeta_lines, for many lines at their own N, takes one head cexp row per
+distinct ordinate (_shared_phase_head); one line is faster without.  The
 phases theta of Hardy's rotations are array functions of any shape.
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
@@ -238,7 +240,37 @@ def _em_power(e: np.ndarray, log_x: list) -> np.ndarray:
     return np.exp(e * log_x[0]) - np.exp(e * log_x[1])
 
 
-def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False) -> np.ndarray:
+_HEAD_BLOCK = 512  # rows of one _shared_phase_head block
+
+
+def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
+                       log_n: np.ndarray) -> np.ndarray:
+    """_em_power's head sum over n < N of exp(-s log_n[n]) at each point's
+    N (n_of), bit for bit.  Complex np.exp is libm's cexp, exp(x) (cos y,
+    sin y) (checked on numpy 2.4.6, Python 3.11.7, glibc 2.36), so a term
+    is np.exp(x + 0j).real, a row per distinct abscissa, times
+    np.exp(0 + iy), a row per distinct ordinate in a block of _HEAD_BLOCK
+    points sorted by ordinate.  An imaginary zero's sign may differ, which
+    no sum sees: numpy's sum starts from +0."""
+    head, y = np.empty(s.shape, dtype=complex), -s.imag
+    xs, x_row = np.unique(-s.real, return_inverse=True)
+    amp = np.exp(np.multiply.outer(xs, log_n) + 0j).real
+    for n in np.unique(n_of).tolist():
+        rows = np.flatnonzero(n_of == n)
+        rows = rows[np.argsort(y[rows])]
+        for lo in range(0, rows.size, _HEAD_BLOCK):
+            block = rows[lo:lo + _HEAD_BLOCK]
+            ys, y_row = np.unique(y[block], return_inverse=True)
+            terms = np.exp(1j * np.multiply.outer(ys, log_n[:n]))[y_row]
+            r = amp[x_row[block], :n]
+            terms.real *= r
+            terms.imag *= r
+            head[block] = terms.sum(axis=1)
+    return head
+
+
+def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False,
+             runs: list = None) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
     zeta(s, b) for shifts = (a, b), over a 1-d complex array of s:
 
@@ -253,21 +285,26 @@ def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False) -> np.ndarra
     A run of consecutive points with one N (one run per N when |Im s| is
     sorted, as the census passes it) sums its head in one .sum(axis=1),
     pairwise per row as for one point, and takes log(N + a) once, so each
-    value equals the scalar call bit for bit.
+    value equals the scalar call bit for bit.  Given runs, (N, count) over
+    consecutive points, _shared_phase_head sums the head (one shift).
     """
+    shared = runs is not None
     if pointwise:
         runs = [(n, len(list(group))) for n, group in itertools.groupby(
             _em_truncation(y) for y in s.imag.tolist())]
-    else:
+    elif not shared:
         runs = [(_em_truncation(float(np.max(np.abs(s.imag)))), len(s))]
     ns, counts = zip(*runs)
     logs = [np.log(np.arange(max(ns), dtype=float) + a) for a in shifts]
-    e, heads, lo = -s[:, None], [], 0
-    for n, k in runs:
-        heads.append(_em_power(e[lo:lo + k], [x[:n] for x in logs])
-                     .sum(axis=1))
-        lo += k
-    head = np.concatenate(heads)
+    if shared:
+        head = _shared_phase_head(s, np.repeat(ns, counts), logs[0])
+    else:
+        e, heads, lo = -s[:, None], [], 0
+        for n, k in runs:
+            heads.append(_em_power(e[lo:lo + k], [x[:n] for x in logs])
+                         .sum(axis=1))
+            lo += k
+        head = np.concatenate(heads)
     log_x = [np.repeat([math.log(n + a) for n in ns], counts) for a in shifts]
     if len(shifts) == 1:
         tail = np.exp((1.0 - s) * log_x[0]) / (s - 1.0)
@@ -308,6 +345,18 @@ def zeta_vec(s: np.ndarray) -> np.ndarray:
     if np.any(np.abs(s - 1.0) <= 1e-10):
         raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
     return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
+
+
+def zeta_lines(lines: list) -> list:
+    """[zeta_vec(z) for z in lines] over 1-d arrays, bit for bit, with
+    exp(-it log n) taken once per ordinate the lines share."""
+    s = np.concatenate(lines)
+    if np.any(np.abs(s - 1.0) <= 1e-10):
+        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
+    runs = [(_em_truncation(float(np.max(np.abs(z.imag)))), len(z))
+            for z in lines]
+    out = _em_core(s, (1.0,), runs=runs)
+    return np.split(out, np.cumsum([k for _, k in runs])[:-1])
 
 
 def _beta_core(s: np.ndarray, pointwise: bool = False) -> np.ndarray:

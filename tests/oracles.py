@@ -296,6 +296,23 @@ def scale_free_factors_unmirrored(function: str, s: np.ndarray, nu: complex):
     return sf.log_gamma_vec(s) + sf.log_gamma_vec(s - nu), l_vec(2.0 * s)
 
 
+def contour_shift_deltas_serial(triples, scale) -> list:
+    """mbfilter.contour_shift_deltas as a loop of mb_integral calls, one
+    line at a time, each line's zeta(2s) from its own zeta_vec call."""
+    out = []
+    for energy, g1, g2 in triples:
+        lo, hi = min(g1, g2), max(g1, g2)
+        ladders = mbf.pole_abscissas(max(12.0, abs(lo) + 2, abs(hi) + 2))
+        inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
+        if inside.size:
+            raise ArgumentDomain(
+                f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
+        v1, v2 = (mbf.mb_integral(energy, scale, mbf.ContourSpec(g))
+                  for g in (g1, g2))
+        out.append(abs(v1 - v2))
+    return out
+
+
 def tail_estimate_two_calls(nu: complex, a: float, contour) -> float:
     """mbfilter._tail_estimate with one vector integrand call per side on
     its two probes, t_max - 1 and t_max."""

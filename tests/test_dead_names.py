@@ -50,9 +50,12 @@ def test_every_definition_has_a_caller_in_the_package():
     assert _dead_names() - _traced_names() == set()
 
 
-def test_only_two_definitions_live_by_the_tracer_alone():
-    # both are test-only and move to tests/oracles.py once untraced
+def test_only_these_definitions_live_by_the_tracer_alone():
+    # all are test-only and move to tests/oracles.py once untraced; the
+    # ledger claim calls contour_shift_deltas, of which contour_shift_delta
+    # is the one-pair form
     assert _dead_names() == {("mbfilter", "spectral_filter"),
+                             ("mbfilter", "contour_shift_delta"),
                              ("operatorlab", "prufer_integrate")}
 
 

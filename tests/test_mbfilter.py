@@ -156,6 +156,66 @@ def _contour_shift_pairs():
     return pairs
 
 
+def _outcome(deltas, triples, scale):
+    try:
+        return [d.hex() for d in deltas(triples, scale)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestContourShiftDeltas:
+    """contour_shift_deltas, one zeta_lines call for all the lines, against
+    the serial mb_integral loop: the same bits and the same first error."""
+
+    def test_claim_pairs(self):
+        pairs = _contour_shift_pairs()
+        got = mbf.contour_shift_deltas(pairs, A02)
+        assert [d.hex() for d in got] == \
+            [d.hex() for d in oc.contour_shift_deltas_serial(pairs, A02)]
+        assert max(got).hex() == "0x1.617398f2aaa48p-60"
+
+    @settings(max_examples=12, deadline=None)
+    @given(hst.lists(hst.tuples(hst.floats(-40.0, 40.0), hst.floats(-2.9, 2.9),
+                                hst.floats(-2.9, 2.9)), min_size=1, max_size=3),
+           hst.floats(0.01, 0.99))
+    # a strip with a pole ladder after a good pair
+    @example([(12.0, 0.6, 0.9), (10.0, 0.45, 0.7)], 0.2)
+    def test_random_pairs(self, triples, a):
+        scale = mbf.KernelScale(a)
+        assert _outcome(mbf.contour_shift_deltas, triples, scale) == \
+            _outcome(oc.contour_shift_deltas_serial, triples, scale)
+
+    def test_factors_line_by_line(self, monkeypatch):
+        # g = -2.875 and -2.65 take the mirror fallback of zeta(2s): a
+        # partner value there has no bit-exact conjugate
+        seen = []
+        line_integral = mbf._line_integral
+        monkeypatch.setattr(mbf, "_line_integral", lambda nu, a, c, node_set:
+                            seen.append((nu, node_set))
+                            or line_integral(nu, a, c, node_set))
+        triples = _contour_shift_pairs()[:2] + [(10.0, -2.875, -2.65)]
+        mbf.contour_shift_deltas(triples, A02)
+        assert len(seen) == 6
+        for nu, (_, s, factors) in seen:
+            want = oc.scale_free_factors_unmirrored("zeta", s, nu)
+            for got, ref in zip(factors, want):
+                assert np.array_equal(_bits(got), _bits(ref))
+        for _, (_, s, (_, arith)) in seen[4:]:
+            v = arith[mbf._conjugate_split(s)[2]]
+            assert not np.all(np.isfinite(v) & (v.imag != 0.0))
+
+    @pytest.mark.parametrize("bad", [
+        (10.0, 0.45, 0.70),             # a pole ladder inside the strip
+        (10.0, 0.5 + 1e-8, 0.70),       # a line on a pole ladder
+        (math.nan, 0.6, 0.8),           # raised by the log-Gamma part
+    ])
+    def test_first_error_after_good_pairs(self, bad):
+        triples = _contour_shift_pairs()[:2] + [bad, (12.0, 0.45, 0.7)]
+        want = _outcome(oc.contour_shift_deltas_serial, triples, A02)
+        assert want[0] is ArgumentDomain
+        assert _outcome(mbf.contour_shift_deltas, triples, A02) == want
+
+
 class TestMirroredFactors:
     """_node_set evaluates Gamma(s) and zeta(2s) once per conjugate pair of
     nodes; oc.scale_free_factors_unmirrored evaluates every node."""

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles as oc
@@ -644,6 +644,58 @@ class TestPointwise:
             sf.hardy_Z_vec("zeta", np.array([1.0, -0.5]))
         with pytest.raises(ArgumentDomain):
             sf.hardy_Z_vec("gamma", np.array([1.0]))
+
+
+# signed zeros, the smallest subnormal and a tiny normal, then |t| <= 200
+_ORDINATES = hst.one_of(
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]),
+    hst.floats(-200.0, 200.0))
+
+
+class TestSharedPhaseHead:
+    """zeta_lines' head, exp(-Re s log n) times one cexp row per distinct
+    ordinate, against the complex np.exp head and zeta_vec, bit for bit.
+    The cexp(x + iy) = exp(x) (cos y, sin y) identity it rests on was
+    checked on numpy 2.4.6, Python 3.11.7 and glibc 2.36."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(hst.lists(hst.floats(-2.9, 2.9), min_size=1, max_size=4),
+           hst.lists(_ORDINATES, min_size=1, max_size=24),
+           hst.lists(hst.lists(_ORDINATES, max_size=8), min_size=4,
+                     max_size=4),
+           hst.integers(1, 40))
+    # the Re 2s = -5.75 line of TestMirroredFactors.test_random_contours,
+    # with both signed zeros on it
+    @example([-2.875, 0.6], [0.0, -0.0, 27.0], [[5e-324], [], [], []], 2)
+    def test_matches_complex_exp(self, gs, shared, own, block):
+        # contour lines at Re 2s = 2g share the ordinates `shared`
+        lines = []
+        for g, extra in zip(gs, own):
+            t = np.array(shared + extra)
+            z = np.empty(t.size, dtype=complex)
+            z.real, z.imag = 2.0 * g, t
+            lines.append(z)
+        s = np.concatenate(lines)
+        ns = [sf._em_truncation(float(np.max(np.abs(z.imag)))) for z in lines]
+        n_of = np.repeat(ns, [z.size for z in lines])
+        log_n = np.log(np.arange(max(ns), dtype=float) + 1.0)
+        want = np.empty(s.size, dtype=complex)
+        for n in set(ns):
+            rows = n_of == n
+            want[rows] = np.exp(-s[rows][:, None] * log_n[:n]).sum(axis=1)
+        saved, sf._HEAD_BLOCK = sf._HEAD_BLOCK, block
+        try:
+            got = sf._shared_phase_head(s, n_of, log_n)
+        finally:
+            sf._HEAD_BLOCK = saved
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assume(np.all(np.abs(s - 1.0) > 1e-10))
+        for z, v in zip(lines, sf.zeta_lines(lines)):
+            assert np.array_equal(v.view(np.int64), sf.zeta_vec(z).view(np.int64))
+
+    def test_pole_guard(self):
+        with pytest.raises(ArgumentDomain, match="zeta pole"):
+            sf.zeta_lines([np.array([2.0 + 1j]), np.array([1.0 + 0j])])
 
 
 class TestVonMangoldt:
