@@ -180,8 +180,9 @@ def claim_filter_pairing_beta(config, catalog):
     beta_zeros = zc.scan_zeros("beta", 17.0)
     worst = 0.0
     rows = []
-    for r in beta_zeros:
-        e = mbf.newton_filter_root("beta", 2.0 * r.ordinate + 0.05, scale)
+    roots = mbf.newton_filter_roots(
+        "beta", [2.0 * r.ordinate + 0.05 for r in beta_zeros], scale)
+    for e, r in zip(roots, beta_zeros):
         gap = abs(e - 2.0 * r.ordinate)
         rows.append((e, r.ordinate, gap))
         worst = max(worst, gap)
@@ -196,12 +197,10 @@ def claim_guinand_weil_forms(config, catalog):
     zc.require_complete(catalog, 0.5 * energies[-1])
     worst_corrected = 0.0
     worst_printed = 0.0
-    for energy in energies:
+    counts, arg_zs = zc.n_H_guinand_weil(energies)
+    for energy, corrected, arg_z in zip(energies, counts, arg_zs):
         count = sum(1 for r in catalog if 2.0 * r.ordinate <= energy)
-        corrected = zc.n_H_guinand_weil(energy)
-        t = 0.5 * energy
         arg_g = sf.log_gamma(complex(0.25, 0.25 * energy)).imag
-        arg_z = sf.arg_zeta_rectangle(t)
         printed = (arg_g / math.pi
                    - energy / (2 * math.pi)
                    * (math.log(math.pi) - math.log(energy / (2 * math.e)))

@@ -131,8 +131,7 @@ def cmd_filter_roots(config) -> int:
         roots = _fan_out(partial(_dd_root, config.function, scale), guesses,
                          config.threads)
     else:
-        e_vals = [mbf.newton_filter_root(config.function, g, scale)
-                  for g in guesses]
+        e_vals = mbf.newton_filter_roots(config.function, guesses, scale)
         roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
             for (e_str, e_val), t in zip(roots, ordinates)]

@@ -34,14 +34,18 @@ where -t is a node bit for bit) takes the conjugate of its partner's
 value; Gamma(s - nu) has no mirror and is evaluated everywhere.
 
 Newton runs one loop over two (F, dF/dE) backends, complex doubles and
-31-digit mpmath scalars (mpmath is imported on first use).  Both leave
-out spectral_filter's prefactor * 2 pi i, 1/2 or 1, which moves no
-iterate.  A double step takes L(2 s0) and L(2 s0 +- ih) from one
-critical_line_values call, each point at its own Euler-Maclaurin N (the
-bits of three scalar calls), which rejects a tag other than "zeta" or
-"beta".  The 31-digit Newton starts from the double Newton root, fails
-where it fails, and takes one 31-digit L a step (zeta by Borwein's sum
-at every height) with the double dF/dE.
+31-digit mpmath scalars (mpmath is imported on first use); the loop
+advances a list of starts in lockstep.  Both backends leave out
+spectral_filter's prefactor * 2 pi i, 1/2 or 1, which moves no iterate.
+A double step takes L(2 s0) and L(2 s0 +- ih) of every active root from
+one critical_line_values call, each point at its own Euler-Maclaurin N
+(the bits of three scalar calls a root), which rejects a tag other than
+"zeta" or "beta".  newton_filter_roots then tests the residuals of all
+its roots in one call and raises the first error in input order, so its
+roots and errors are those of one guess at a time.  The 31-digit Newton
+maps its one start: it starts from the double Newton root, fails where
+it fails, and takes one 31-digit L a step (zeta by Borwein's sum at
+every height) with the double dF/dE.
 """
 
 import cmath
@@ -54,7 +58,7 @@ import numpy as np
 from . import specfun as sf
 from . import zerocensus as zc
 from .audit import AuditReport
-from .errors import ArgumentDomain, NoConvergence
+from .errors import ArgumentDomain, MbzeroError, NoConvergence
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
 _DD_DPS = 31  # working digits of the double-double mode
@@ -310,28 +314,39 @@ def spectral_filter(function: str, energy: float,
     exactly at E = 2 t_n.  Reported with the kernel's paper prefactor.
     """
     return (kernel_prefactor(function) * 2j * math.pi
-            * _filter_with_derivative(function, energy, scale)[0])
+            * _filter_with_derivative(function, [energy], scale)[0][0])
 
 
-def _filter_with_derivative(function: str, energy: float, scale: KernelScale):
-    """Unnormalised (F, dF/dE), the derivative taken under the extraction.
+def _filter_with_derivative(function: str, energies: list,
+                            scale: KernelScale) -> list:
+    """Unnormalised (F, dF/dE) at each energy, the derivative taken under
+    the extraction.
 
     dF/dE carries (i/4)(psi(s0) - psi(s0 - nu) + 2 log 2a) from the
     moving dressing (d nu/dE = i/2 appearing as -(i/4) net on s0 - nu)
     plus the (i/2) L'(2 s0) arithmetic term, L' by central differences.
-    L(2 s0) and L(2 s0 +- ih) come from one critical_line_values call,
-    each point at its own N (the bits of three scalar calls), after the
-    dressing, whose log_gamma raises ArgumentDomain for a non-finite E.
+    L(2 s0) and L(2 s0 +- ih) of every energy come from one
+    critical_line_values call, each point at its own N (the bits of three
+    scalar calls an energy), after the dressings, whose log_gamma raises
+    ArgumentDomain for a non-finite E.
     """
-    h, t = 1e-6, 0.5 * energy
-    s0, nu = complex(0.25, 0.25 * energy), complex(0.5, t)
-    dress = cmath.exp(sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
-                      + 2.0 * s0 * math.log(2.0 * scale.a))
-    lval, up, dn = sf.critical_line_values(function, [t, t + h, t - h]).tolist()
-    lp = (up - dn) / (2j * h)
-    dlog = 0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
-                    + 2.0 * math.log(2.0 * scale.a))
-    return dress * lval, dress * (dlog * lval + 0.5j * lp)
+    h, log_2a = 1e-6, math.log(2.0 * scale.a)
+    dress, dlog, ts = [], [], []
+    for energy in energies:
+        t = 0.5 * energy
+        s0, nu = complex(0.25, 0.25 * energy), complex(0.5, t)
+        dress.append(cmath.exp(sf.log_gamma(s0) + sf.log_gamma(s0 - nu)
+                               + 2.0 * s0 * log_2a))
+        dlog.append(0.25j * (sf.digamma(s0) - sf.digamma(s0 - nu)
+                             + 2.0 * log_2a))
+        ts += (t, t + h, t - h)
+    values = sf.critical_line_values(function, ts).tolist()
+    out = []
+    for d, g, lval, up, dn in zip(dress, dlog, values[::3], values[1::3],
+                                  values[2::3]):
+        lp = (up - dn) / (2j * h)
+        out.append((d * lval, d * (g * lval + 0.5j * lp)))
+    return out
 
 
 def _hp_filter_with_derivative(function: str, energy, scale: KernelScale):
@@ -343,48 +358,88 @@ def _hp_filter_with_derivative(function: str, energy, scale: KernelScale):
     dress = (mp.gamma(s0) * mp.gamma(s0 - nu)
              * mp.exp(2 * s0 * mp.log(2 * mp.mpf(scale.a))))
     return (dress * _hp_arithmetic(function, 2 * s0),
-            _filter_with_derivative(function, float(energy), scale)[1])
+            _filter_with_derivative(function, [float(energy)], scale)[0][1])
 
 
-def _newton(filter_and_derivative, e_guess, tol_step, start=None):
-    """Newton in E from start (default e_guess) on a backend's (F, dF/dE),
-    in the backend's number type (float, or mpf for the 31-digit backend).
+def _newton(filter_and_derivative, e_guesses: list, tol_step,
+            starts: list = None) -> tuple:
+    """Newton in E from each start (default its guess) on a backend that
+    maps a list of energies to their (F, dF/dE), in the backend's number
+    type (float, or mpf for the 31-digit backend).  The roots advance in
+    lockstep, one backend call a step; a call that raises is replayed one
+    energy at a time, so each error belongs to its root.
 
-    The iterate must stay within +-1 of the guess and |F| must decrease
-    over the first two steps; failure messages name the guess.  Converges
-    when the step falls below tol_step * max(1, |E|).
+    Each iterate must stay within +-1 of its guess and |F| must decrease
+    over its first two steps; failure messages name the guess.  A root
+    converges when its step falls below tol_step * max(1, |E|).  Returns
+    (roots, error): the error of the first guess in input order that
+    fails (None if none does), and the roots of the guesses before it,
+    as a loop over the guesses would meet them.
     """
-    e = e_guess if start is None else start
-    f_hist = []
+    es = list(e_guesses if starts is None else starts)
+    f0, roots, errors = [None] * len(es), {}, {}
+    active = list(range(len(es)))
     for it in range(_NEWTON_MAX_ITER):
-        f, df = filter_and_derivative(e)
-        f_hist.append(abs(f))
-        if it == 2 and not (f_hist[2] < f_hist[0]):
-            raise NoConvergence(f"|filter| not decreasing from guess "
-                                f"{float(e_guess)}")
-        if df == 0:
-            raise NoConvergence("filter derivative vanished")
-        step = (f / df).real
-        e_new = e - step
-        if abs(e_new - e_guess) > 1:
-            raise NoConvergence(f"iterate {float(e_new):.6f} left "
-                                f"[{e_guess - 1}, {e_guess + 1}]")
-        e = e_new
-        if abs(step) < tol_step * max(1, abs(e)):
-            return e
-    raise NoConvergence(f"Newton did not converge from {float(e_guess)} "
-                        f"in {_NEWTON_MAX_ITER}")
+        if not active:
+            break
+        try:
+            values = filter_and_derivative([es[k] for k in active])
+        except MbzeroError:
+            values = [_alone(filter_and_derivative, es[k]) for k in active]
+        for k, value in zip(active, values):
+            if isinstance(value, MbzeroError):
+                errors[k] = value
+                continue
+            f, df = value
+            f_abs = abs(f)
+            try:
+                if it == 0:
+                    f0[k] = f_abs
+                elif it == 2 and not (f_abs < f0[k]):
+                    raise NoConvergence(f"|filter| not decreasing from guess "
+                                        f"{float(e_guesses[k])}")
+                if df == 0:
+                    raise NoConvergence("filter derivative vanished")
+                step = (f / df).real
+                e_new = es[k] - step
+                if abs(e_new - e_guesses[k]) > 1:
+                    raise NoConvergence(
+                        f"iterate {float(e_new):.6f} left "
+                        f"[{e_guesses[k] - 1}, {e_guesses[k] + 1}]")
+                es[k] = e_new
+                if abs(step) < tol_step * max(1, abs(e_new)):
+                    roots[k] = e_new
+            except NoConvergence as exc:
+                errors[k] = exc
+        first = min(errors, default=len(es))
+        active = [k for k in active
+                  if k < first and k not in roots and k not in errors]
+    for k in active:
+        errors[k] = NoConvergence(f"Newton did not converge from "
+                                  f"{float(e_guesses[k])} in "
+                                  f"{_NEWTON_MAX_ITER}")
+    first = min(errors, default=len(es))
+    return [roots[k] for k in range(first)], errors.get(first)
 
 
-def _root_residual(function: str, energy: float) -> float:
-    """|L(1/2 + iE/2)| at a converged Newton root; NoConvergence unless it
-    is below the catalog's residual limit.  The dressed filter value is no
-    test: the dressing alone makes |F| < 1e-11 for every E above ~30."""
-    residual = zc._critical_abs(function, [0.5 * energy])[0]
-    if not residual < zc.RESIDUAL_LIMIT:
-        raise NoConvergence(f"|L| = {residual:.3e} at the converged "
-                            f"E = {energy:.6f}: not a zero")
-    return residual
+def _alone(filter_and_derivative, energy):
+    """The backend's (F, dF/dE) at one energy, or the error it raises."""
+    try:
+        return filter_and_derivative([energy])[0]
+    except MbzeroError as exc:
+        return exc
+
+
+def _check_residuals(function: str, energies: list) -> None:
+    """NoConvergence for the first converged Newton root E whose
+    |L(1/2 + iE/2)| is not below the catalog's residual limit, from one
+    _critical_abs call.  The dressed filter value is no test: the dressing
+    alone makes |F| < 1e-11 for every E above ~30."""
+    residuals = zc._critical_abs(function, [0.5 * e for e in energies])
+    for energy, residual in zip(energies, residuals):
+        if not residual < zc.RESIDUAL_LIMIT:
+            raise NoConvergence(f"|L| = {residual:.3e} at the converged "
+                                f"E = {energy:.6f}: not a zero")
 
 
 def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
@@ -401,20 +456,34 @@ def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
     import mpmath as mp
     start = newton_filter_root(function, e_guess, scale)
     with mp.workdps(_DD_DPS):
-        return +_newton(lambda e: _hp_filter_with_derivative(function, e,
-                                                             scale),
-                        mp.mpf(e_guess), mp.mpf(10) ** (-_DD_DPS + 4),
-                        mp.mpf(start))
+        roots, error = _newton(
+            lambda es: [_hp_filter_with_derivative(function, e, scale)
+                        for e in es],
+            [mp.mpf(e_guess)], mp.mpf(10) ** (-_DD_DPS + 4), [mp.mpf(start)])
+        if error is not None:
+            raise error
+        return +roots[0]
 
 
 def newton_filter_root(function: str, e_guess: float,
                        scale: KernelScale) -> float:
-    """The root energy E of Newton in E on the spectral filter from
-    e_guess, accepted when |L(1/2 + iE/2)| < 1e-8."""
-    e = _newton(lambda x: _filter_with_derivative(function, x, scale),
-                float(e_guess), 1e-12)
-    _root_residual(function, e)
-    return e
+    """newton_filter_roots from one guess."""
+    return newton_filter_roots(function, [e_guess], scale)[0]
+
+
+def newton_filter_roots(function: str, e_guesses: list,
+                        scale: KernelScale) -> list:
+    """The root energy E of Newton in E on the spectral filter from each
+    guess, accepted when |L(1/2 + iE/2)| < 1e-8.  The roots advance in
+    lockstep, bit for bit as one guess at a time, and the first error in
+    input order is raised, as by one call a guess."""
+    roots, error = _newton(
+        lambda es: _filter_with_derivative(function, es, scale),
+        [float(g) for g in e_guesses], 1e-12)
+    _check_residuals(function, roots)
+    if error is not None:
+        raise error
+    return roots
 
 
 def filter_bijection(catalog: list, scale: KernelScale,
@@ -423,8 +492,9 @@ def filter_bijection(catalog: list, scale: KernelScale,
     zeta catalog, audited against it up to e_max.  ArgumentDomain, before
     any Newton step, unless the catalog is complete to e_max/2."""
     zc.require_complete(catalog, 0.5 * e_max)
-    roots = [newton_filter_root("zeta", 2.0 * r.ordinate + 0.05, scale)
-             for r in catalog if 2.0 * r.ordinate <= e_max]
+    roots = newton_filter_roots("zeta", [2.0 * r.ordinate + 0.05
+                                         for r in catalog
+                                         if 2.0 * r.ordinate <= e_max], scale)
     return zc.bijection_audit(catalog, roots, e_max)
 
 

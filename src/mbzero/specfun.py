@@ -7,16 +7,21 @@ complex arithmetic in real numpy operations with cmath log/exp per
 element.  Python 3.14 changes the mixed float/complex rules; the
 bit-equality property test guards that.
 Zeta and beta = 4^{-s}[zeta(s, 1/4) - zeta(s, 3/4)] are one Euler-Maclaurin
-sum (_em_core) with Bernoulli corrections through order 12 and N scaled to
-the largest |Im s| of a call, or to each point's own in critical_line_values;
-each run of points sharing N takes one head sum and one log(N + a).
-zeta_lines, for many lines at their own N, takes one head cexp row per
-distinct ordinate (_shared_phase_head); one line is faster without.  The
-phases theta of Hardy's rotations are array functions of any shape.
+sum (_em_core) with Bernoulli corrections through order 12.  The caller
+passes the runs of points that share an N: by default one run at the
+largest |Im s| of the call (zeta, zeta_vec, the beta forms), each point's
+own N in critical_line_values, each line's in zeta_lines, and each
+height's for the seven leg points in arg_zeta_rectangles.  A run takes one
+head sum and one log(N + a).  The head is a plain exp-and-sum per run,
+except in zeta_lines, which for many lines takes one cexp row per distinct
+ordinate (_shared_phase_head); one line, or the legs of a height grid,
+are faster without.  The phases theta of Hardy's rotations are array
+functions of any shape.
 The continued arguments of zeta and beta on the critical line (S(t)) start
 from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
 (0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped step by
-step along the horizontal leg to 1/2 + it, evaluated in one vector call.
+step along the horizontal leg to 1/2 + it, evaluated in one vector call,
+or for a grid of heights in one _em_core call.
 """
 
 from __future__ import annotations
@@ -269,8 +274,14 @@ def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
     return head
 
 
-def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False,
-             runs: list = None) -> np.ndarray:
+def _runs(ns) -> list:
+    """(N, count) over the consecutive points of a sequence of N that share
+    one N."""
+    return [(n, len(list(group))) for n, group in itertools.groupby(ns)]
+
+
+def _em_core(s: np.ndarray, shifts: tuple, runs: list = None,
+             shared_head: bool = False) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
     zeta(s, b) for shifts = (a, b), over a 1-d complex array of s:
 
@@ -281,22 +292,17 @@ def _em_core(s: np.ndarray, shifts: tuple, pointwise: bool = False,
     term branches: (N+a)^{1-s}/(s-1) for one shift, an entire expm1 form
     for two.  Valid for Re s > -1, and s != 1 with one shift.
 
-    N is that of the largest |Im s|, or with pointwise each point's own.
-    A run of consecutive points with one N (one run per N when |Im s| is
-    sorted, as the census passes it) sums its head in one .sum(axis=1),
-    pairwise per row as for one point, and takes log(N + a) once, so each
-    value equals the scalar call bit for bit.  Given runs, (N, count) over
-    consecutive points, _shared_phase_head sums the head (one shift).
+    runs, (N, count) over consecutive points, sets each point's N; by
+    default one run at the N of the largest |Im s|.  A run sums its head
+    in one .sum(axis=1), pairwise per row as for one point, and takes
+    log(N + a) once, so each value equals the scalar call at its N bit for
+    bit.  shared_head sums the head by _shared_phase_head (one shift).
     """
-    shared = runs is not None
-    if pointwise:
-        runs = [(n, len(list(group))) for n, group in itertools.groupby(
-            _em_truncation(y) for y in s.imag.tolist())]
-    elif not shared:
+    if runs is None:
         runs = [(_em_truncation(float(np.max(np.abs(s.imag)))), len(s))]
     ns, counts = zip(*runs)
     logs = [np.log(np.arange(max(ns), dtype=float) + a) for a in shifts]
-    if shared:
+    if shared_head:
         head = _shared_phase_head(s, np.repeat(ns, counts), logs[0])
     else:
         e, heads, lo = -s[:, None], [], 0
@@ -339,11 +345,15 @@ def zeta(s) -> complex:
     return complex(_em_core(np.array([s]), (1.0,))[0])
 
 
+def _check_zeta_pole(s: np.ndarray) -> None:
+    if np.any(np.abs(s - 1.0) <= 1e-10):
+        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
+
+
 def zeta_vec(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for contour quadrature; same contract as zeta()."""
     s = np.asarray(s, dtype=complex)
-    if np.any(np.abs(s - 1.0) <= 1e-10):
-        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
+    _check_zeta_pole(s)
     return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
 
 
@@ -351,17 +361,16 @@ def zeta_lines(lines: list) -> list:
     """[zeta_vec(z) for z in lines] over 1-d arrays, bit for bit, with
     exp(-it log n) taken once per ordinate the lines share."""
     s = np.concatenate(lines)
-    if np.any(np.abs(s - 1.0) <= 1e-10):
-        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
+    _check_zeta_pole(s)
     runs = [(_em_truncation(float(np.max(np.abs(z.imag)))), len(z))
             for z in lines]
-    out = _em_core(s, (1.0,), runs=runs)
+    out = _em_core(s, (1.0,), runs, shared_head=True)
     return np.split(out, np.cumsum([k for _, k in runs])[:-1])
 
 
-def _beta_core(s: np.ndarray, pointwise: bool = False) -> np.ndarray:
+def _beta_core(s: np.ndarray, runs: list = None) -> np.ndarray:
     """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] on the _em_core engine."""
-    return np.exp(-s * math.log(4.0)) * _em_core(s, (0.25, 0.75), pointwise)
+    return np.exp(-s * math.log(4.0)) * _em_core(s, (0.25, 0.75), runs)
 
 
 def dirichlet_beta(s) -> complex:
@@ -425,10 +434,11 @@ def critical_line_values(function: str, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     s = np.empty(t.shape, dtype=complex)
     s.real, s.imag = 0.5, t
+    runs = _runs(_em_truncation(y) for y in t.tolist())
     if function == "zeta":
-        return _em_core(s, (1.0,), pointwise=True)
+        return _em_core(s, (1.0,), runs)
     if function == "beta":
-        return _beta_core(s, pointwise=True)
+        return _beta_core(s, runs)
     raise ArgumentDomain(f"unknown function tag {function!r}")
 
 
@@ -483,6 +493,21 @@ def _leg_step(evaluate, t: float, x0: float, x1: float, value: complex,
 _LEG = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5)
 
 
+def _check_height(t) -> None:
+    _require_finite(t)
+    if t < 0:
+        raise ArgumentDomain("arg_rectangle defined for t >= 0")
+
+
+def _unwrap_leg(evaluate, t: float, values) -> float:
+    """The argument continued along the leg's values at 2, 1.75, ..., 1/2
+    (+ it), from the principal one at 2 + it."""
+    arg = cmath.phase(values[0])
+    for k in range(1, len(_LEG)):
+        arg = _leg_step(evaluate, t, _LEG[k - 1], _LEG[k], values[k], arg)
+    return arg
+
+
 def arg_rectangle(evaluate, t: float) -> float:
     """arg L(1/2 + it) continued along 2 -> 2 + it -> 1/2 + it (Titchmarsh,
     2nd ed., 9.3); evaluate is the vector form of L (zeta_vec or
@@ -496,19 +521,41 @@ def arg_rectangle(evaluate, t: float) -> float:
     one bit for bit.  The unwrap then takes them in order, and only a step
     it rejects is split and evaluated point by point.
     """
-    _require_finite(t)
-    if t < 0:
-        raise ArgumentDomain("arg_rectangle defined for t >= 0")
-    values = evaluate(np.array([complex(x, t) for x in _LEG]))
-    arg = cmath.phase(values[0])
-    for k in range(1, len(_LEG)):
-        arg = _leg_step(evaluate, t, _LEG[k - 1], _LEG[k], values[k], arg)
-    return arg
+    _check_height(t)
+    return _unwrap_leg(evaluate, t,
+                       evaluate(np.array([complex(x, t) for x in _LEG])))
 
 
 def arg_zeta_rectangle(t: float) -> float:
     """arg zeta(1/2 + it) continued along the census rectangle."""
     return arg_rectangle(zeta_vec, t)
+
+
+def arg_zeta_rectangles(ts) -> list:
+    """[arg_zeta_rectangle(t) for t in ts], bit for bit, and the serial
+    loop's first error, message included.  The legs of every height come
+    from one _em_core call, a run of seven points at each height's N (that
+    of its zeta_vec call); the unwrap then walks each height, a split step
+    evaluated on its own."""
+    ts, failure = list(ts), None
+    s = np.empty((len(ts), len(_LEG)), dtype=complex)
+    s.real = _LEG
+    for k, t in enumerate(ts):
+        try:
+            _check_height(t)
+            s.imag[k] = t
+            _check_zeta_pole(s[k])
+        except ArgumentDomain as exc:  # raised once the walks before it are done
+            failure, ts, s = exc, ts[:k], s[:k]
+            break
+    ns = [_em_truncation(t) for t in ts]
+    values = _em_core(s.ravel(), (1.0,), _runs(
+        n for n in ns for _ in _LEG)) if ts else []
+    args = [_unwrap_leg(zeta_vec, t, values[k * len(_LEG):])
+            for k, t in enumerate(ts)]
+    if failure is not None:
+        raise failure
+    return args
 
 
 def s_of_t(t: float) -> float:

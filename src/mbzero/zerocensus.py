@@ -194,20 +194,22 @@ def hmty_bound(t: float) -> float:
 
 
 def s_grid(t_max: float):
-    """S(t) on the grid e, e + 0.1, ... <= t_max, one arg rectangle a point.
+    """S(t) on the grid e, e + 0.1, ... <= t_max.
 
-    Each rectangle starts at 2 + it (see specfun.arg_rectangle), so a
-    point costs the horizontal walk only.
+    Each arg rectangle starts at 2 + it (see specfun.arg_rectangle), so a
+    point costs the horizontal walk only, and the walks of the whole grid
+    and of the anchor t = 2 take their legs from one
+    specfun.arg_zeta_rectangles call.
     """
     if t_max < math.e:
         raise ArgumentDomain("grid needs t_max >= e")
-    anchor = sf.arg_zeta_rectangle(2.0)
-    out = []
+    grid = []
     t = math.e
     while t <= t_max + 1e-12:
-        out.append((t, (sf.arg_zeta_rectangle(t) - anchor) / math.pi))
+        grid.append(t)
         t += 0.1
-    return out
+    anchor, *args = sf.arg_zeta_rectangles([2.0] + grid)
+    return [(t, (arg - anchor) / math.pi) for t, arg in zip(grid, args)]
 
 
 def s_of_t_bound_check(t_max: float) -> AuditReport:
@@ -229,19 +231,31 @@ def s_of_t_bound_check(t_max: float) -> AuditReport:
     )
 
 
-def n_H_guinand_weil(energy: float) -> float:
-    """Three-term counting formula (arg Gamma, log pi, arg zeta) at E.
+def n_H_guinand_weil(energies) -> tuple:
+    """Three-term counting formula (arg Gamma, log pi, arg zeta) at each E
+    of a grid, with the arg zeta(1/2 + iE/2) it used: (counts, args).
 
     Evaluates (1/pi) arg Gamma(1/4 + iE/4) - (E/4 pi) log pi + 1
     + (1/pi) arg zeta(1/2 + iE/2) with both arguments tracked
-    continuously; within 1/2 of the number of filter roots <= E.
+    continuously; within 1/2 of the number of filter roots <= E.  The arg
+    rectangles of the grid come from one specfun.arg_zeta_rectangles call;
+    the first error in input order is raised, as by one call an energy.
     """
-    if energy < 4.0:
-        raise ArgumentDomain("n_H_guinand_weil needs E >= 4")
-    t = 0.5 * energy
-    arg_gamma = sf.log_gamma(complex(0.25, 0.25 * energy)).imag
-    return (arg_gamma / math.pi - 0.25 * energy * math.log(math.pi) / math.pi
-            + 1.0 + sf.arg_zeta_rectangle(t) / math.pi)
+    energies, arg_gamma, failure = list(energies), [], None
+    try:
+        for energy in energies:
+            if energy < 4.0:
+                raise ArgumentDomain("n_H_guinand_weil needs E >= 4")
+            arg_gamma.append(sf.log_gamma(complex(0.25, 0.25 * energy)).imag)
+    except ArgumentDomain as exc:  # raised once the walks before it are done
+        failure, energies = exc, energies[:len(arg_gamma)]
+    args = sf.arg_zeta_rectangles([0.5 * e for e in energies])
+    if failure is not None:
+        raise failure
+    counts = [g / math.pi - 0.25 * e * math.log(math.pi) / math.pi
+              + 1.0 + z / math.pi
+              for e, g, z in zip(energies, arg_gamma, args)]
+    return counts, args
 
 
 def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> BijectionAudit:
@@ -270,10 +284,9 @@ def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> Bijectio
     grid.append(anchors[-1])
     n_h, n_z, delta = [], [], []
     verdict = "pass"
-    for e in grid:
+    for e, formula in zip(grid, n_H_guinand_weil(grid)[0]):
         count_h = sum(1 for r in roots if r <= e)
         count_z = sum(1 for t in ordinates if t <= 0.5 * e)
-        formula = n_H_guinand_weil(e)
         n_h.append(count_h)
         n_z.append(count_z)
         delta.append(count_h - count_z)

@@ -40,6 +40,11 @@ def beta_catalog():
 
 
 @pytest.fixture(scope="session")
+def beta_catalog_60():
+    return zc.scan_zeros("beta", 60.0)
+
+
+@pytest.fixture(scope="session")
 def zeta_catalog_60():
     return zc.scan_zeros("zeta", 60.0)
 

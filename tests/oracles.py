@@ -13,7 +13,7 @@ of nodes, a trapezoid pass built from scratch at each spacing vs nested
 passes sharing one evaluation, vector Gamma on each side's two tail probes
 vs scalar Gamma on all four, the density on the full grid vs windows
 around the targets, three scalar L calls a Newton step vs one vector
-call, an ArgTracker object that raises and catches BranchJump vs a float
+call, one Newton loop a guess vs every root in lockstep, an ArgTracker object that raises and catches BranchJump vs a float
 unwrap that tests the step, the Newton backends with spectral_filter's
 prefactor vs without it, scalar theta vs the array forms).  The last
 section holds helpers whose only callers are tests.
@@ -32,6 +32,7 @@ from mbzero import bessel as bs
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import spectrostats as st
+from mbzero import zerocensus as zc
 from mbzero.errors import ArgumentDomain, MbzeroError, NoConvergence
 from mbzero.quadrature import circle_nodes, panel_nodes_from_edges
 
@@ -311,6 +312,35 @@ def contour_shift_deltas_serial(triples, scale) -> list:
                   for g in (g1, g2))
         out.append(abs(v1 - v2))
     return out
+
+
+def newton_filter_root_serial(function: str, e_guess: float, scale) -> float:
+    """mbfilter.newton_filter_root as one Newton loop a guess: a backend
+    call of one energy a step, then that root's residual test."""
+    e_guess = float(e_guess)
+    e, f_hist = e_guess, []
+    for it in range(mbf._NEWTON_MAX_ITER):
+        f, df = mbf._filter_with_derivative(function, [e], scale)[0]
+        f_hist.append(abs(f))
+        if it == 2 and not (f_hist[2] < f_hist[0]):
+            raise NoConvergence(f"|filter| not decreasing from guess "
+                                f"{e_guess}")
+        if df == 0:
+            raise NoConvergence("filter derivative vanished")
+        step = (f / df).real
+        e_new = e - step
+        if abs(e_new - e_guess) > 1:
+            raise NoConvergence(f"iterate {e_new:.6f} left "
+                                f"[{e_guess - 1}, {e_guess + 1}]")
+        e = e_new
+        if abs(step) < 1e-12 * max(1, abs(e)):
+            residual = abs(sf.critical_line_values(function, [0.5 * e])[0])
+            if not residual < zc.RESIDUAL_LIMIT:
+                raise NoConvergence(f"|L| = {residual:.3e} at the converged "
+                                    f"E = {e:.6f}: not a zero")
+            return e
+    raise NoConvergence(f"Newton did not converge from {e_guess} "
+                        f"in {mbf._NEWTON_MAX_ITER}")
 
 
 def tail_estimate_two_calls(nu: complex, a: float, contour) -> float:
@@ -632,6 +662,18 @@ def hp_filter_with_derivative_normalised(function: str, energy, scale):
 # ---------------------------------------------------------------------------
 # Test-only helpers
 # ---------------------------------------------------------------------------
+
+def em_core_flipped_at(t: float):
+    """specfun._em_core with zeta's sign flipped right of Re s = 1.3 at the
+    height t only: no split of the leg step across it unwraps, so the arg
+    walk at t stalls, as test_cli's stalled walk does at every height."""
+    em_core = sf._em_core
+
+    def flipped(s, *args, **kwargs):
+        flip = (s.real > 1.3) & (s.imag == t)
+        return em_core(s, *args, **kwargs) * np.where(flip, -1, 1)
+    return flipped
+
 
 class NotAZero(MbzeroError):
     """Residue extraction requested at a point that is not a zero."""

@@ -435,11 +435,6 @@ def _root_strings(table: bytes) -> list:
 
 
 @pytest.fixture(scope="module")
-def beta_catalog_60():
-    return zc.scan_zeros("beta", 60.0)
-
-
-@pytest.fixture(scope="module")
 def root_tables(tmp_path_factory, zeta_catalog_full, beta_catalog_60):
     """filter_roots.csv in each precision: zeta at E <= 400 on the t <= 200
     catalog, beta at E <= 120 on the t <= 60 catalog, two workers."""
@@ -546,6 +541,19 @@ class TestDoubleDoubleFilterRoots:
         assert _filter_roots(tmp_path, "--a", "1e-200", *flags) == (3, None)
         assert capsys.readouterr().err == (
             "error: Newton did not converge from 28.3194502834689 in 50\n")
+
+    @pytest.mark.parametrize("precision", ["double", "double_double"])
+    def test_small_scale_names_the_first_failing_guess(self, precision,
+                                                       tmp_path, capsys):
+        # at 1e-158 the double Newton converges from the first three of the
+        # four guesses and crawls from the last: the error names that one
+        run(["census", "--t-max", "32"], tmp_path)
+        capsys.readouterr()
+        assert _filter_roots(tmp_path, "--e-max", "400", "--a", "1e-158",
+                             "--precision", precision,
+                             "--threads", "1") == (3, None)
+        assert capsys.readouterr().err == (
+            "error: Newton did not converge from 60.89975225171948 in 50\n")
 
 
 def _pause_or_fail(task):
@@ -875,7 +883,7 @@ _FAILURES = {
     "ConfigError": (5, lambda: cli.cmd_bijection(
         argparse.Namespace(e_max=3.9))),
     "MissedZeroSuspected": (2, _miss_a_zero),
-    "NoConvergence": (3, lambda: mbf._root_residual("zeta", 60.0)),
+    "NoConvergence": (3, lambda: mbf._check_residuals("zeta", [60.0])),
     "BranchJump": (3, _stalled_arg_walk),
     "BasinEscape": (3, lambda: mbf.newton_filter_root("beta", 1.0, _A02)),
     "TailBoundViolated": (3, lambda: mbf.mb_integral(

@@ -11,7 +11,7 @@ import oracles as oc
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import ArgumentDomain, NoConvergence
+from mbzero.errors import ArgumentDomain, MbzeroError, NoConvergence
 
 A02 = mbf.KernelScale(0.2)
 BETA_E1 = 2.0 * float(oc.BETA_ORDINATES[0][:18])
@@ -298,7 +298,7 @@ class TestBatchedNewtonStep:
 
     @staticmethod
     def _assert_same_step(function, energy, scale):
-        got = mbf._filter_with_derivative(function, energy, scale)
+        got = mbf._filter_with_derivative(function, [energy], scale)[0]
         want = oc.filter_with_derivative_scalar(function, energy, scale)
         for g, w in zip(got, want):
             assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
@@ -325,8 +325,10 @@ class TestBatchedNewtonStep:
         guesses = [2.0 * r.ordinate + 0.05
                    for r in request.getfixturevalue(catalog)]
         roots = [mbf.newton_filter_root(function, g, A02) for g in guesses]
-        monkeypatch.setattr(mbf, "_filter_with_derivative",
-                            oc.filter_with_derivative_scalar)
+        monkeypatch.setattr(
+            mbf, "_filter_with_derivative", lambda f, energies, scale: [
+                oc.filter_with_derivative_scalar(f, e, scale)
+                for e in energies])
         want = [mbf.newton_filter_root(function, g, A02) for g in guesses]
         assert [e.hex() for e in roots] == [e.hex() for e in want]
 
@@ -342,7 +344,7 @@ class TestBatchedNewtonStep:
     def test_non_finite_energy_is_argument_domain(self, function):
         # the dressing's log_gamma checks E before the unchecked vector call
         with pytest.raises(ArgumentDomain, match="non-finite"):
-            mbf._filter_with_derivative(function, math.nan, A02)
+            mbf._filter_with_derivative(function, [math.nan], A02)
         with pytest.raises(ArgumentDomain, match="non-finite"):
             mbf.newton_filter_root(function, math.inf, A02)
 
@@ -366,11 +368,12 @@ class TestNewtonNormalisation:
     @pytest.mark.parametrize("function", ["zeta", "beta"])
     def test_double_roots(self, function):
         for g in self._guesses(function):
-            got, want = (mbf._newton(lambda e: backend(function, e, A02), g,
-                                     1e-12)
-                         for backend in (mbf._filter_with_derivative,
-                                         oc.filter_with_derivative_normalised))
-            assert got.hex() == want.hex()
+            got, want = (mbf._newton(backend, [g], 1e-12) for backend in (
+                lambda es: mbf._filter_with_derivative(function, es, A02),
+                lambda es: [oc.filter_with_derivative_normalised(
+                    function, e, A02) for e in es]))
+            assert got[1] is want[1] is None
+            assert got[0][0].hex() == want[0][0].hex()
 
     @pytest.mark.parametrize("function", ["zeta", "beta"])
     def test_31_digit_roots(self, function):
@@ -378,9 +381,10 @@ class TestNewtonNormalisation:
             start = mbf.newton_filter_root(function, g, A02)
             with mp.workdps(31):
                 got, want = (
-                    mp.nstr(mbf._newton(lambda e: backend(function, e, A02),
-                                        mp.mpf(g), mp.mpf(10) ** -27,
-                                        mp.mpf(start)), 32)
+                    mp.nstr(mbf._newton(
+                        lambda es: [backend(function, e, A02) for e in es],
+                        [mp.mpf(g)], mp.mpf(10) ** -27,
+                        [mp.mpf(start)])[0][0], 32)
                     for backend in (mbf._hp_filter_with_derivative,
                                     oc.hp_filter_with_derivative_normalised))
             assert got == want
@@ -476,7 +480,7 @@ class TestNewtonFilterRoot:
         # 1e-11 while |L(1/2 + 30i)| is about 0.6
         assert abs(mbf.spectral_filter("zeta", 60.0, A02)) < 1e-11
         with pytest.raises(NoConvergence, match="not a zero"):
-            mbf._root_residual("zeta", 60.0)
+            mbf._check_residuals("zeta", [60.0])
 
     @pytest.mark.parametrize("precision", ["double", "double_double"])
     def test_residual_above_limit_is_no_convergence(self, precision,
@@ -496,11 +500,11 @@ class TestNewtonFilterRoot:
             calls.append(args)
             return hp_arithmetic(*args)
 
-        def rejected(function, energy):
+        def rejected(function, energies):
             raise NoConvergence("not a zero")
 
         monkeypatch.setattr(mbf, "_hp_arithmetic", counted_arithmetic)
-        monkeypatch.setattr(mbf, "_root_residual", rejected)
+        monkeypatch.setattr(mbf, "_check_residuals", rejected)
         with pytest.raises(NoConvergence, match="not a zero"):
             mbf.newton_root_dd("beta", 12.0, A02)
         assert calls == []
@@ -510,7 +514,7 @@ class TestNewtonFilterRoot:
         def never(*args):
             raise AssertionError("Newton ran on an incomplete catalog")
 
-        monkeypatch.setattr(mbf, "newton_filter_root", never)
+        monkeypatch.setattr(mbf, "newton_filter_roots", never)
         with pytest.raises(ArgumentDomain, match="argument principle counts"):
             mbf.filter_bijection(zeta_catalog_60[:3], A02, 120.0)
 
@@ -549,8 +553,8 @@ class TestNewtonFilterRoot:
         filter_with_derivative = mbf._filter_with_derivative
 
         def scaled(*args):
-            f, df = filter_with_derivative(*args)
-            return f, df * factor
+            return [(f, df * factor)
+                    for f, df in filter_with_derivative(*args)]
 
         monkeypatch.setattr(mbf, "_filter_with_derivative", scaled)
         assert [mp.nstr(mbf.newton_root_dd(f, g, A02), 32)
@@ -566,6 +570,93 @@ class TestNewtonFilterRoot:
                  for r in beta_catalog]
         for e, cat in zip(roots, beta_catalog):
             assert abs(e - 2.0 * cat.ordinate) < 1e-8
+
+
+def _roots_outcome(roots, function, guesses, scale):
+    """The roots' float.hex, or the type and message of the error."""
+    try:
+        return [e.hex() for e in roots(function, guesses, scale)]
+    except MbzeroError as exc:
+        return type(exc), str(exc)
+
+
+def _serial_roots(function, guesses, scale):
+    return [oc.newton_filter_root_serial(function, g, scale) for g in guesses]
+
+
+# failing guesses: beta 1.0 escapes the basin, a non-finite guess is an
+# ArgumentDomain at the first dressing, 0.5 meets no zero within +-1
+_BAD_GUESSES = (1.0, 0.5, math.inf, -math.inf, math.nan)
+
+
+class TestLockstepNewton:
+    """newton_filter_roots, one backend call a step for all the roots,
+    against oc.newton_filter_root_serial, one Newton loop a guess: the same
+    bits and the same first error in input order."""
+
+    @pytest.mark.parametrize("a", [0.2, 0.17, 1e-150, 1e-157])
+    @pytest.mark.parametrize("function, catalog", [
+        ("zeta", "zeta_catalog_full"), ("beta", "beta_catalog_60")])
+    def test_filter_roots_guesses(self, function, catalog, a, request):
+        # filter-roots' guesses for zeta E <= 400 and beta E <= 120; at
+        # a = 1e-157 a guess in the middle of each list fails
+        guesses = [2.0 * r.ordinate + 0.05
+                   for r in request.getfixturevalue(catalog)]
+        scale = mbf.KernelScale(a)
+        want = _roots_outcome(_serial_roots, function, guesses, scale)
+        assert (want[0] is NoConvergence) == (a == 1e-157)
+        assert _roots_outcome(mbf.newton_filter_roots, function, guesses,
+                              scale) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.sampled_from(["zeta", "beta"]),
+           hst.lists(hst.one_of(hst.integers(0, 9),
+                                hst.sampled_from(_BAD_GUESSES),
+                                hst.floats(0.5, 120.0)),
+                     min_size=1, max_size=8),
+           hst.sampled_from([0.2, 0.17, 1e-150, 1e-158]))
+    @example("beta", [0, 1.0, 1], 0.2)
+    @example("beta", [1.0, 0, 1], 0.2)
+    @example("zeta", [0, 1, math.inf, 2], 0.2)
+    def test_mixed_guesses(self, function, picks, a):
+        # an integer k picks the guess 2 t_k + 0.05 from the frozen zeros
+        frozen = oc.ZETA_ORDINATES if function == "zeta" else oc.BETA_ORDINATES
+        guesses = [float(2 * mp.mpf(frozen[p])) + 0.05
+                   if isinstance(p, int) else p for p in picks]
+        scale = mbf.KernelScale(a)
+        assert _roots_outcome(mbf.newton_filter_roots, function, guesses,
+                              scale) \
+            == _roots_outcome(_serial_roots, function, guesses, scale)
+
+    def test_basin_escape_between_good_guesses(self):
+        guesses = [BETA_E1 + 0.05, 1.0, BETA_E1 + 0.05]
+        with pytest.raises(NoConvergence) as err:
+            mbf.newton_filter_roots("beta", guesses, A02)
+        with pytest.raises(NoConvergence) as want:
+            oc.newton_filter_root_serial("beta", 1.0, A02)
+        assert str(err.value) == str(want.value)
+
+    def test_residual_before_a_later_newton_failure(self, monkeypatch):
+        # the first root converges but fails its residual test: that error
+        # comes before the basin escape of the guess after it
+        monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        with pytest.raises(NoConvergence, match="not a zero"):
+            mbf.newton_filter_roots("beta", [BETA_E1 + 0.05, 1.0], A02)
+
+    def test_one_backend_call_a_step(self, monkeypatch):
+        calls = []
+        backend = mbf._filter_with_derivative
+
+        def counted(function, energies, scale):
+            calls.append(len(energies))
+            return backend(function, energies, scale)
+
+        monkeypatch.setattr(mbf, "_filter_with_derivative", counted)
+        guesses = [float(2 * mp.mpf(o)) + 0.05 for o in oc.BETA_ORDINATES]
+        mbf.newton_filter_roots("beta", guesses, A02)
+        # every root is active at the first step, and fewer at the last
+        assert calls[0] == len(guesses) and calls[-1] < len(guesses)
+        assert len(calls) < 10
 
 
 def _forced_zeta_error(t):

@@ -320,8 +320,8 @@ class TestArgRectangle:
 
     def test_zeta_bits_on_bijection_grid(self, zeta_catalog_full, monkeypatch):
         heights = []
-        monkeypatch.setattr(sf, "arg_zeta_rectangle",
-                            lambda t: heights.append(t) or 0.0)
+        monkeypatch.setattr(sf, "arg_zeta_rectangles",
+                            lambda ts: heights.extend(ts) or [0.0] * len(ts))
         roots = [2.0 * r.ordinate for r in zeta_catalog_full]
         zc.bijection_audit(zeta_catalog_full, roots, 240.0)
         assert len(heights) == 306
@@ -446,6 +446,84 @@ class TestArgRectangle:
                              jump, t)
 
 
+def _args_outcome(args, heights):
+    """The arguments' float.hex, or the type and message of the error."""
+    try:
+        return [a.hex() for a in args(heights)]
+    except MbzeroError as exc:
+        return type(exc), str(exc)
+
+
+def _serial_args(heights):
+    return [sf.arg_rectangle(sf.zeta_vec, t) for t in heights]
+
+
+def _batched_heights(run, monkeypatch):
+    """The heights of each arg_zeta_rectangles call that run() makes."""
+    calls = []
+    batched = sf.arg_zeta_rectangles
+    monkeypatch.setattr(sf, "arg_zeta_rectangles",
+                        lambda ts: calls.append(list(ts)) or batched(ts))
+    run()
+    return calls
+
+
+class TestArgZetaRectangles:
+    """arg_zeta_rectangles, one _em_core call for the legs of all the
+    heights, against one arg_rectangle(zeta_vec, t) a height: the same
+    bits, the same split points and the same first error."""
+
+    def test_bijection_heights(self, zeta_catalog_full, monkeypatch):
+        roots = [2.0 * r.ordinate for r in zeta_catalog_full]
+        calls = _batched_heights(lambda: zc.bijection_audit(
+            zeta_catalog_full, roots, 240.0), monkeypatch)
+        assert [len(ts) for ts in calls] == [306]
+        assert _args_outcome(sf.arg_zeta_rectangles, calls[0]) \
+            == _args_outcome(_serial_args, calls[0])
+
+    def test_s_grid_heights(self, monkeypatch):
+        # the anchor t = 2 and the 573 grid points e, e + 0.1, ... <= 60
+        calls = _batched_heights(lambda: zc.s_grid(60.0), monkeypatch)
+        assert [len(ts) for ts in calls] == [574] and calls[0][0] == 2.0
+        assert _args_outcome(sf.arg_zeta_rectangles, calls[0]) \
+            == _args_outcome(_serial_args, calls[0])
+
+    def test_split_steps(self, zeta_catalog_full, monkeypatch):
+        # just off a zero the leg's phase turns fast near Re s = 1/2, and a
+        # split step evaluates its midpoint through zeta_vec on its own
+        heights = [r.ordinate + d for r in zeta_catalog_full
+                   for d in (1e-2, 1e-3, 1e-4, -1e-3)]
+        points = []
+        zeta_vec = sf.zeta_vec
+        monkeypatch.setattr(sf, "zeta_vec", lambda s: points.append(
+            s.tolist()) or zeta_vec(s))
+        want = _args_outcome(_serial_args, heights)
+        splits = [p for p in points if len(p) == 1]
+        del points[:]
+        assert _args_outcome(sf.arg_zeta_rectangles, heights) == want
+        assert len(splits) > 100 and points == splits
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.floats(0.0, 200.0), max_size=30))
+    @example([14.1357, 0.0, 3.0])
+    def test_random_heights(self, heights):
+        assert _args_outcome(sf.arg_zeta_rectangles, heights) \
+            == _args_outcome(_serial_args, heights)
+
+    @pytest.mark.parametrize("heights, error", [
+        ([5.0, 10.0, -1.0, 3.7], ArgumentDomain),
+        ([5.0, 0.0, 3.7], ArgumentDomain),
+        ([5.0, math.nan, 3.7], ArgumentDomain),
+        ([5.0, 10.0, 3.7, -1.0, 0.0], NoConvergence),
+    ], ids=["negative", "pole", "non-finite", "stall"])
+    def test_first_error_after_good_heights(self, heights, error,
+                                            monkeypatch):
+        monkeypatch.setattr(sf, "_em_core", oc.em_core_flipped_at(3.7))
+        want = _args_outcome(_serial_args, heights)
+        assert want[0] is error
+        assert _args_outcome(sf.arg_zeta_rectangles, heights) == want
+
+
 _STRIP_RE = hst.floats(-0.9, 3.5, exclude_min=True, exclude_max=True)
 # the mirror rule pairs |Im s| >= 1e-150 only: below, an imaginary part can
 # underflow to a zero whose sign conjugation does not mirror
@@ -510,6 +588,11 @@ _HEIGHT = hst.one_of(
 _HEIGHTS = hst.lists(_HEIGHT, min_size=1, max_size=24)
 
 
+def _pointwise_runs(s) -> list:
+    """_em_core runs that give each point of s its own N."""
+    return sf._runs(sf._em_truncation(z.imag) for z in s)
+
+
 class TestPointwise:
     """Per-point Euler-Maclaurin N: each vector value equals the scalar
     call at that point bit for bit, and shared-N vector calls stay as they
@@ -527,9 +610,10 @@ class TestPointwise:
         # off the line, through the cores with the per-point N
         s = np.array([complex(re, t) for t in heights])
         assume(np.all(np.abs(s - 1.0) > 1e-10))
-        assert np.array_equal(_bits(sf._em_core(s, (1.0,), pointwise=True)),
+        runs = _pointwise_runs(s)
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), runs)),
                               _bits([sf.zeta(z) for z in s]))
-        assert np.array_equal(_bits(sf._beta_core(s, pointwise=True)),
+        assert np.array_equal(_bits(sf._beta_core(s, runs)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
     @settings(max_examples=150, deadline=None)
@@ -611,9 +695,10 @@ class TestPointwise:
                               _bits([sf.zeta(z) for z in line]))
         assert np.array_equal(_bits(sf.critical_line_values("beta", t)),
                               _bits([sf.dirichlet_beta(z) for z in line]))
-        assert np.array_equal(_bits(sf._em_core(s, (1.0,), pointwise=True)),
+        runs = _pointwise_runs(s)
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), runs)),
                               _bits([sf.zeta(z) for z in s]))
-        assert np.array_equal(_bits(sf._beta_core(s, pointwise=True)),
+        assert np.array_equal(_bits(sf._beta_core(s, runs)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
     @pytest.mark.parametrize("s, want_re, want_im", [
@@ -629,7 +714,8 @@ class TestPointwise:
         want = complex(float.fromhex(want_re), float.fromhex(want_im))
         for got in (sf.dirichlet_beta(s),
                     sf.dirichlet_beta_vec(np.array([s]))[0],
-                    sf._beta_core(np.array([s, s + 10j]), pointwise=True)[0]):
+                    sf._beta_core(np.array([s, s + 10j]),
+                                  _pointwise_runs([s, s + 10j]))[0]):
             assert np.array_equal(_bits(got), _bits(want))
 
     def test_hardy_rotation_residue_names_first_point(self, monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles as oc
-from mbzero import cli
+from mbzero import claims, cli
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import ArgumentDomain, CatalogError
+from mbzero.errors import ArgumentDomain, CatalogError, NoConvergence
 
 
 class TestScanZeros:
@@ -213,14 +213,41 @@ class TestSBound:
 class TestGuinandWeil:
     def test_just_above_first_zero(self, zeta_catalog_60):
         e = 2.0 * zeta_catalog_60[0].ordinate + 0.1
-        assert abs(zc.n_H_guinand_weil(e) - 1.0) < 0.5
+        assert abs(zc.n_H_guinand_weil([e])[0][0] - 1.0) < 0.5
 
     def test_below_first_root(self):
-        assert abs(zc.n_H_guinand_weil(20.0)) < 0.5
+        assert abs(zc.n_H_guinand_weil([20.0])[0][0]) < 0.5
 
     def test_above_second_zero(self, zeta_catalog_60):
         e = 2.0 * zeta_catalog_60[1].ordinate + 0.1
-        assert abs(zc.n_H_guinand_weil(e) - 2.0) < 0.5
+        assert abs(zc.n_H_guinand_weil([e])[0][0] - 2.0) < 0.5
+
+    @pytest.mark.parametrize("energies, error, match", [
+        ([20.0, 3.9, math.nan], ArgumentDomain, "needs E >= 4"),
+        ([20.0, math.nan, 3.9], ArgumentDomain, "non-finite"),
+        ([20.0, 7.4, 3.9], NoConvergence, "stalled"),
+    ])
+    def test_first_error_in_input_order(self, energies, error, match,
+                                        monkeypatch):
+        # the walk at t = 3.7 (E = 7.4) stalls
+        monkeypatch.setattr(sf, "_em_core", oc.em_core_flipped_at(3.7))
+        with pytest.raises(error, match=match):
+            zc.n_H_guinand_weil(energies)
+
+    def test_forms_claim_walks_each_rectangle_once(self, zeta_catalog_60,
+                                                   monkeypatch):
+        # require_complete walks the top height on its own; the forms take
+        # their three walks from one batched call
+        walked, single = [], []
+        batched, rectangle = sf.arg_zeta_rectangles, sf.arg_rectangle
+        monkeypatch.setattr(sf, "arg_zeta_rectangles",
+                            lambda ts: walked.append(list(ts)) or batched(ts))
+        monkeypatch.setattr(sf, "arg_rectangle",
+                            lambda f, t: single.append(t) or rectangle(f, t))
+        assert claims.claim_guinand_weil_forms(
+            None, zeta_catalog_60).verdict == "pass"
+        assert [len(ts) for ts in walked] == [3]
+        assert single == [walked[0][-1]]
 
 
 class TestBijection:
