@@ -2,50 +2,31 @@
 calculus, residue extraction, Hadamard finite parts, and Newton root
 finding on the spectral filter.
 
-Two distinct objects live here and must not be conflated:
+mb_integral is the literal line quadrature of the zeta(2s) kernel; it
+obeys contour-shift invariance and the a -> 0 limit lemmas, and it does
+not vanish at the spectral energies.  spectral_filter is the
+residue-localized value of the zeta(2s) or beta(2s) kernel at s0(E) =
+1/4 + iE/4, the Gamma dressing times L(1/2 + iE/2): its roots in E are
+exactly twice the critical-line ordinates.
 
-* ``mb_integral`` is the literal vertical-line quadrature of the zeta(2s)
-  kernel.  It obeys contour-shift invariance and the a -> 0 limit lemmas,
-  and it is what the tail-bound contract is written about.
-
-* ``spectral_filter`` is the residue-localized value of the zeta(2s) or
-  beta(2s) kernel, chosen by the catalog's function tag ("zeta" or
-  "beta"), at the spectral point s0(E) = 1/4 + iE/4, where the kernel's
-  arithmetic factor crosses the critical line: a closed-circle
-  extraction of kernel(s)/(s - s0).  Its roots in E are exactly twice
-  the critical-line ordinates, which is what Newton iterates on.  The
-  raw line integral provably does not vanish at those energies: the
-  vanish-iff statement holds for the localized arithmetic factor (the
-  Gamma dressing never vanishes), not for the unlocalized integral.
-
-Line sums take the scale-free part of the integrand (Gamma factors by
-specfun.log_gamma_vec, and zeta(2s)) from a small cache keyed by
-(nu, contour); only (2a)^{2s} is recomputed per scale, so sweeps over a
-on one contour do the expensive work once.  The tail bound's four probes
-use scalar log_gamma (same bits): log_gamma_vec costs about 1 ms a call.
-
-contour_shift_deltas takes zeta(2s) on the lines of many abscissa pairs
-from one specfun.zeta_lines call, which shares their base-grid ordinates.
-
-Mirror rule: Gamma(s) and zeta(2s) are conjugation-equivariant bit for
-bit, so each is evaluated once per conjugate pair of nodes.  A
-node whose exact conjugate is also a node (about 85 % of a line node set,
-where -t is a node bit for bit) takes the conjugate of its partner's
-value; Gamma(s - nu) has no mirror and is evaluated everywhere.
-
-Newton runs one loop over two (F, dF/dE) backends, complex doubles and
-31-digit mpmath scalars (mpmath is imported on first use); the loop
-advances a list of starts in lockstep.  Both backends leave out
-spectral_filter's prefactor * 2 pi i, 1/2 or 1, which moves no iterate.
-A double step takes L(2 s0) and L(2 s0 +- ih) of every active root from
-one critical_line_values call, each point at its own Euler-Maclaurin N
-(the bits of three scalar calls a root), which rejects a tag other than
-"zeta" or "beta".  newton_filter_roots then tests the residuals of all
-its roots in one call and raises the first error in input order, so its
-roots and errors are those of one guess at a time.  The 31-digit Newton
-maps its one start: it starts from the double Newton root, fails where
-it fails, and takes one 31-digit L a step (zeta by Borwein's sum at
-every height) with the double dF/dE.
+What is bit-identical to what:
+* A line sum to every node evaluated on its own: Gamma(s) and zeta(2s)
+  are conjugation-equivariant bit for bit, so each is evaluated once per
+  conjugate pair of nodes, and the scale-free factors of a line are
+  cached per (nu, contour) and reused at every scale a.
+* contour_shift_deltas to the loop of contour_shift_delta, with zeta(2s)
+  of all its lines from one specfun.zeta_lines call.
+* newton_filter_roots to one Newton loop a guess: the roots advance in
+  lockstep, one specfun.critical_line_values call a step, each point at
+  its own Euler-Maclaurin N.  Newton leaves out spectral_filter's
+  prefactor * 2 pi i, 1/2 or 1, which moves no iterate.
+* newton_root_dd starts from the accepted double root and takes one
+  31-digit L a step (mpmath, zeta by Borwein's sum) with the double dF/dE.
+Errors: NoConvergence for a failed Newton, a root with |L| >= 1e-8, or a
+tail bound above 1e-14 of |integral|; ArgumentDomain for a line on, or a
+strip across, a pole ladder, and for a non-finite value.  The batched
+forms raise the first error of their serial loop, message included
+(errors.until_error).
 """
 
 import cmath
@@ -58,7 +39,7 @@ import numpy as np
 from . import specfun as sf
 from . import zerocensus as zc
 from .audit import AuditReport
-from .errors import ArgumentDomain, MbzeroError, NoConvergence
+from .errors import ArgumentDomain, MbzeroError, NoConvergence, until_error
 from .quadrature import circle_nodes, panel_nodes_from_edges
 
 _DD_DPS = 31  # working digits of the double-double mode
@@ -367,7 +348,8 @@ def _newton(filter_and_derivative, e_guesses: list, tol_step,
     maps a list of energies to their (F, dF/dE), in the backend's number
     type (float, or mpf for the 31-digit backend).  The roots advance in
     lockstep, one backend call a step; a call that raises is replayed one
-    energy at a time, so each error belongs to its root.
+    energy at a time up to the first that raises (until_error), so the
+    error belongs to its root.
 
     Each iterate must stay within +-1 of its guess and |F| must decrease
     over its first two steps; failure messages name the guess.  A root
@@ -385,12 +367,11 @@ def _newton(filter_and_derivative, e_guesses: list, tol_step,
         try:
             values = filter_and_derivative([es[k] for k in active])
         except MbzeroError:
-            values = [_alone(filter_and_derivative, es[k]) for k in active]
-        for k, value in zip(active, values):
-            if isinstance(value, MbzeroError):
-                errors[k] = value
-                continue
-            f, df = value
+            values, error = until_error(
+                lambda e: filter_and_derivative([e])[0],
+                [es[k] for k in active])
+            errors[active[len(values)]] = error
+        for k, (f, df) in zip(active, values):
             f_abs = abs(f)
             try:
                 if it == 0:
@@ -420,14 +401,6 @@ def _newton(filter_and_derivative, e_guesses: list, tol_step,
                                   f"{_NEWTON_MAX_ITER}")
     first = min(errors, default=len(es))
     return [roots[k] for k in range(first)], errors.get(first)
-
-
-def _alone(filter_and_derivative, energy):
-    """The backend's (F, dF/dE) at one energy, or the error it raises."""
-    try:
-        return filter_and_derivative([energy])[0]
-    except MbzeroError as exc:
-        return exc
 
 
 def _check_residuals(function: str, energies: list) -> None:
@@ -508,27 +481,32 @@ def contour_shift_delta(energy: float, scale: KernelScale,
     return contour_shift_deltas([(energy, g1, g2)], scale)[0]
 
 
+def _shift_line(line: tuple) -> tuple:
+    """(nu, contour, weights, nodes, conjugate split) of the line Re s = g
+    at the energy of line = (energy, g, g1, g2); ArgumentDomain for a pole
+    ladder inside the strip between g1 and g2 or on the line."""
+    energy, g, g1, g2 = line
+    lo, hi = min(g1, g2), max(g1, g2)
+    ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
+    inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
+    if inside.size:
+        raise ArgumentDomain(
+            f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
+    nu, contour = complex(0.5, 0.5 * energy), ContourSpec(abscissa=g)
+    w, s = _line_nodes(nu, contour)
+    return nu, contour, w, s, _conjugate_split(s)
+
+
 def contour_shift_deltas(triples, scale: KernelScale) -> list:
     """[contour_shift_delta(energy, scale, g1, g2) for (energy, g1, g2) in
     triples], bit for bit, and the serial loop's first error, message
     included: each line is built as mb_integral builds it, but zeta(2s) on
-    every line's canonical nodes comes from one sf.zeta_lines call."""
-    lines, failure = [], None
-    try:
-        for energy, g1, g2 in triples:
-            lo, hi = min(g1, g2), max(g1, g2)
-            ladders = pole_abscissas(span=max(12.0, abs(lo) + 2, abs(hi) + 2))
-            inside = ladders[(ladders > lo + 1e-12) & (ladders < hi - 1e-12)]
-            if inside.size:
-                raise ArgumentDomain(
-                    f"pole ladder at Re s = {inside[0]} inside [{lo}, {hi}]")
-            nu = complex(0.5, 0.5 * energy)
-            for g in (g1, g2):
-                contour = ContourSpec(abscissa=g)
-                w, s = _line_nodes(nu, contour)
-                lines.append((nu, contour, w, s, _conjugate_split(s)))
-    except ArgumentDomain as exc:  # raised once the lines before it are done
-        failure = exc
+    every line's canonical nodes comes from one sf.zeta_lines call.  The
+    lines are built up to the first that fails (until_error), a line and
+    not a pair at a time: a pair's first line can fail its integral before
+    its second line fails to build."""
+    lines, failure = until_error(_shift_line, [
+        (energy, g, g1, g2) for energy, g1, g2 in triples for g in (g1, g2)])
     zetas = sf.zeta_lines([2.0 * s[split[0]] for *_, s, split in lines]
                           ) if lines else []
     values = [_line_integral(nu, scale.a, contour,

@@ -1,38 +1,30 @@
 """Complex special functions underpinning the rest of the library.
 
-Gamma is a Lanczos rational approximation with reflection below
-Re s = 1/2.  log_gamma_vec evaluates it over an array of nodes and is
-bit-identical to the scalar log_gamma: it replays CPython 3.10-3.13
-complex arithmetic in real numpy operations with cmath log/exp per
-element.  Python 3.14 changes the mixed float/complex rules; the
-bit-equality property test guards that.
-Zeta and beta = 4^{-s}[zeta(s, 1/4) - zeta(s, 3/4)] are one Euler-Maclaurin
-sum (_em_core) with Bernoulli corrections through order 12.  The caller
-passes the runs of points that share an N: by default one run at the
-largest |Im s| of the call (zeta, zeta_vec, the beta forms), each point's
-own N in critical_line_values, each line's in zeta_lines, and each
-height's for the seven leg points in arg_zeta_rectangles.  A run takes one
-head sum and one log(N + a).  The head is a plain exp-and-sum per run,
-except in zeta_lines, which for many lines takes one cexp row per distinct
-ordinate (_shared_phase_head); one line, or the legs of a height grid,
-are faster without.  The phases theta of Hardy's rotations are array
-functions of any shape.
-The continued arguments of zeta and beta on the critical line (S(t)) start
-from the principal argument at 2 + it, where |L(2 + it) - 1| <= L(2) - 1
-(0.645 for zeta, 0.234 for beta) keeps Re L > 0, and are unwrapped step by
-step along the horizontal leg to 1/2 + it, evaluated in one vector call,
-or for a grid of heights in one _em_core call.
+What is bit-identical to what:
+* log_gamma_vec(s) to [log_gamma(z) for z in s], CPython 3.10-3.13
+  complex arithmetic replayed in numpy (the property tests guard 3.14's
+  new mixed float/complex rules).
+* zeta and beta are one Euler-Maclaurin engine, _em_core.  Its batched
+  callers give each point the N of its unbatched call: each point's
+  scalar call in critical_line_values and hardy_Z_vec, each line's
+  zeta_vec call in zeta_lines, and each height's call of its seven leg
+  points in arg_rectangles.  Their values are those calls' bits.
+Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, a
+negative height or an unknown function tag; NoConvergence when a zero of
+L sits on an arg rectangle's path.  log_gamma_vec and arg_rectangles
+raise the first error of their serial loop, message included.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .errors import ArgumentDomain, NoConvergence
+from .errors import ArgumentDomain, NoConvergence, until_error
 
 # Lanczos coefficients, g = 4.7421875 (607/128), 14-term rational sum.
 _LANCZOS_G = 4.7421875
@@ -384,6 +376,16 @@ def dirichlet_beta_vec(s: np.ndarray) -> np.ndarray:
     return _beta_core(s.ravel()).reshape(s.shape)
 
 
+def _l_core(function: str, s: np.ndarray, runs: list) -> np.ndarray:
+    """zeta or beta, as function is "zeta" or "beta", over a 1-d array on
+    the _em_core engine, with no pole check; runs as _em_core takes them."""
+    if function == "zeta":
+        return _em_core(s, (1.0,), runs)
+    if function == "beta":
+        return _beta_core(s, runs)
+    raise ArgumentDomain(f"unknown function tag {function!r}")
+
+
 # ---------------------------------------------------------------------------
 # Completed functions and Hardy rotations
 # ---------------------------------------------------------------------------
@@ -434,12 +436,7 @@ def critical_line_values(function: str, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     s = np.empty(t.shape, dtype=complex)
     s.real, s.imag = 0.5, t
-    runs = _runs(_em_truncation(y) for y in t.tolist())
-    if function == "zeta":
-        return _em_core(s, (1.0,), runs)
-    if function == "beta":
-        return _beta_core(s, runs)
-    raise ArgumentDomain(f"unknown function tag {function!r}")
+    return _l_core(function, s, _runs(_em_truncation(y) for y in t.tolist()))
 
 
 def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
@@ -468,7 +465,7 @@ def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Continued arg zeta along the census rectangle
+# Continued arg zeta and beta along the census rectangle
 # ---------------------------------------------------------------------------
 
 def _leg_step(evaluate, t: float, x0: float, x1: float, value: complex,
@@ -493,12 +490,6 @@ def _leg_step(evaluate, t: float, x0: float, x1: float, value: complex,
 _LEG = (2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5)
 
 
-def _check_height(t) -> None:
-    _require_finite(t)
-    if t < 0:
-        raise ArgumentDomain("arg_rectangle defined for t >= 0")
-
-
 def _unwrap_leg(evaluate, t: float, values) -> float:
     """The argument continued along the leg's values at 2, 1.75, ..., 1/2
     (+ it), from the principal one at 2 + it."""
@@ -508,59 +499,48 @@ def _unwrap_leg(evaluate, t: float, values) -> float:
     return arg
 
 
-def arg_rectangle(evaluate, t: float) -> float:
-    """arg L(1/2 + it) continued along 2 -> 2 + it -> 1/2 + it (Titchmarsh,
-    2nd ed., 9.3); evaluate is the vector form of L (zeta_vec or
-    dirichlet_beta_vec).
+def _leg_points(function: str, t) -> np.ndarray:
+    """The points 2, 1.75, ..., 1/2 (+ it) of the horizontal leg at the
+    height t; ArgumentDomain for a negative or non-finite t, and for zeta
+    a leg through its pole."""
+    _require_finite(t)
+    if t < 0:
+        raise ArgumentDomain("arg_rectangles defined for t >= 0")
+    s = np.array([complex(x, t) for x in _LEG])
+    if function == "zeta":
+        _check_zeta_pole(s)
+    return s
+
+
+def arg_rectangles(function: str, ts: list) -> list:
+    """arg L(1/2 + it) at each height t >= 0, L = zeta or beta as function
+    is "zeta" or "beta", continued along 2 -> 2 + it -> 1/2 + it
+    (Titchmarsh, 2nd ed., 9.3).
 
     The leg up Re s = 2 needs no walk: |L(2 + iy) - 1| <= L(2) - 1, which
     is zeta(2) - 1 = 0.645 and pi^2/8 - 1 = 0.234, so Re L(2 + iy) > 0 and
     the argument continued from s = 2 is the principal one at 2 + it.  The
-    horizontal leg is one vector call: its seven points 2, 1.75, ..., 1/2
-    (+ it) share one Euler-Maclaurin N, so each value equals the scalar
-    one bit for bit.  The unwrap then takes them in order, and only a step
-    it rejects is split and evaluated point by point.
+    horizontal legs of all the heights come from one _em_core call, a run
+    of seven points at each height's N; the unwrap then walks each height,
+    and only a step it rejects is split, its midpoint evaluated on its own
+    by zeta_vec or dirichlet_beta_vec.  Values and first error are those
+    of one such call of the seven points a height, bit for bit.
     """
-    _check_height(t)
-    return _unwrap_leg(evaluate, t,
-                       evaluate(np.array([complex(x, t) for x in _LEG])))
-
-
-def arg_zeta_rectangle(t: float) -> float:
-    """arg zeta(1/2 + it) continued along the census rectangle."""
-    return arg_rectangle(zeta_vec, t)
-
-
-def arg_zeta_rectangles(ts) -> list:
-    """[arg_zeta_rectangle(t) for t in ts], bit for bit, and the serial
-    loop's first error, message included.  The legs of every height come
-    from one _em_core call, a run of seven points at each height's N (that
-    of its zeta_vec call); the unwrap then walks each height, a split step
-    evaluated on its own."""
-    ts, failure = list(ts), None
-    s = np.empty((len(ts), len(_LEG)), dtype=complex)
-    s.real = _LEG
-    for k, t in enumerate(ts):
-        try:
-            _check_height(t)
-            s.imag[k] = t
-            _check_zeta_pole(s[k])
-        except ArgumentDomain as exc:  # raised once the walks before it are done
-            failure, ts, s = exc, ts[:k], s[:k]
-            break
-    ns = [_em_truncation(t) for t in ts]
-    values = _em_core(s.ravel(), (1.0,), _runs(
-        n for n in ns for _ in _LEG)) if ts else []
-    args = [_unwrap_leg(zeta_vec, t, values[k * len(_LEG):])
+    evaluate = {"zeta": zeta_vec, "beta": dirichlet_beta_vec}.get(function)
+    legs, failure = until_error(functools.partial(_leg_points, function), ts)
+    ts = ts[:len(legs)]
+    values = _l_core(function, np.concatenate(legs), _runs(
+        _em_truncation(t) for t in ts for _ in _LEG)) if legs else []
+    args = [_unwrap_leg(evaluate, t, values[k * len(_LEG):])
             for k, t in enumerate(ts)]
     if failure is not None:
         raise failure
     return args
 
 
-def s_of_t(t: float) -> float:
-    """S(t) = (1/pi) arg zeta(1/2 + it), normalized so S(2) = 0."""
-    return (arg_zeta_rectangle(t) - arg_zeta_rectangle(2.0)) / math.pi
+def arg_zeta_rectangle(t: float) -> float:
+    """arg_rectangles for zeta at one height."""
+    return arg_rectangles("zeta", [t])[0]
 
 
 # ---------------------------------------------------------------------------

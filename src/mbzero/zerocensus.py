@@ -18,7 +18,8 @@ import numpy as np
 
 from . import specfun as sf
 from .audit import AuditReport
-from .errors import ArgumentDomain, CatalogError, MissedZeroSuspected
+from .errors import (ArgumentDomain, CatalogError, MissedZeroSuspected,
+                     until_error)
 from .spectrostats import smooth_count
 
 _T_CEILING = 200.0
@@ -79,11 +80,10 @@ def _critical_abs(function: str, ts: list) -> list:
 
 def counting_prediction(function: str, t: float) -> float:
     """Smooth + argument counting estimate of zeros with ordinate <= t."""
+    arg = sf.arg_rectangles(function, [t])[0]
     if function == "zeta":
-        return (sf.riemann_siegel_theta(t) / math.pi + 1.0
-                + sf.arg_zeta_rectangle(t) / math.pi)
-    return (float(sf.beta_theta_vec(t)) / math.pi
-            + sf.arg_rectangle(sf.dirichlet_beta_vec, t) / math.pi)
+        return sf.riemann_siegel_theta(t) / math.pi + 1.0 + arg / math.pi
+    return float(sf.beta_theta_vec(t)) / math.pi + arg / math.pi
 
 
 def require_complete(catalog: list, t: float) -> None:
@@ -179,13 +179,24 @@ def scan_zeros(function: str, t_max: float, step: float = _SCAN_STEP,
 # Riemann-von Mangoldt comparison
 # ---------------------------------------------------------------------------
 
-def riemann_von_mangoldt(t: float, catalog: list) -> CountingReport:
-    """Main term + arg-tracked S(T) against the catalog jump count."""
-    if t < 2.0:
+def _s_values(ts: list) -> list:
+    """S(t) = (arg zeta(1/2 + it) - arg zeta(1/2 + 2i)) / pi at each t,
+    so S(2) = 0, the arg rectangles of the anchor and of every t from one
+    specfun.arg_rectangles call."""
+    anchor, *args = sf.arg_rectangles("zeta", [2.0] + ts)
+    return [(arg - anchor) / math.pi for arg in args]
+
+
+def riemann_von_mangoldt(ts: list, catalog: list) -> list:
+    """Main term + arg-tracked S(T) against the catalog jump count, a
+    CountingReport at each height T of ts; ArgumentDomain, before any
+    walk, if a T is below 2."""
+    if any(t < 2.0 for t in ts):
         raise ArgumentDomain("riemann_von_mangoldt needs T >= 2")
-    jumps = sum(1 for r in catalog if r.ordinate <= t)
-    return CountingReport(total=smooth_count(t) + sf.s_of_t(t),
-                          jump_count=jumps)
+    return [CountingReport(total=smooth_count(t) + s,
+                           jump_count=sum(1 for r in catalog
+                                          if r.ordinate <= t))
+            for t, s in zip(ts, _s_values(ts))]
 
 
 def hmty_bound(t: float) -> float:
@@ -194,13 +205,7 @@ def hmty_bound(t: float) -> float:
 
 
 def s_grid(t_max: float):
-    """S(t) on the grid e, e + 0.1, ... <= t_max.
-
-    Each arg rectangle starts at 2 + it (see specfun.arg_rectangle), so a
-    point costs the horizontal walk only, and the walks of the whole grid
-    and of the anchor t = 2 take their legs from one
-    specfun.arg_zeta_rectangles call.
-    """
+    """S(t) on the grid e, e + 0.1, ... <= t_max."""
     if t_max < math.e:
         raise ArgumentDomain("grid needs t_max >= e")
     grid = []
@@ -208,8 +213,7 @@ def s_grid(t_max: float):
     while t <= t_max + 1e-12:
         grid.append(t)
         t += 0.1
-    anchor, *args = sf.arg_zeta_rectangles([2.0] + grid)
-    return [(t, (arg - anchor) / math.pi) for t, arg in zip(grid, args)]
+    return list(zip(grid, _s_values(grid)))
 
 
 def s_of_t_bound_check(t_max: float) -> AuditReport:
@@ -231,25 +235,26 @@ def s_of_t_bound_check(t_max: float) -> AuditReport:
     )
 
 
-def n_H_guinand_weil(energies) -> tuple:
+def _arg_gamma_quarter(energy: float) -> float:
+    """arg Gamma(1/4 + iE/4), for E >= 4."""
+    if energy < 4.0:
+        raise ArgumentDomain("n_H_guinand_weil needs E >= 4")
+    return sf.log_gamma(complex(0.25, 0.25 * energy)).imag
+
+
+def n_H_guinand_weil(energies: list) -> tuple:
     """Three-term counting formula (arg Gamma, log pi, arg zeta) at each E
     of a grid, with the arg zeta(1/2 + iE/2) it used: (counts, args).
 
     Evaluates (1/pi) arg Gamma(1/4 + iE/4) - (E/4 pi) log pi + 1
     + (1/pi) arg zeta(1/2 + iE/2) with both arguments tracked
     continuously; within 1/2 of the number of filter roots <= E.  The arg
-    rectangles of the grid come from one specfun.arg_zeta_rectangles call;
-    the first error in input order is raised, as by one call an energy.
+    rectangles of the grid come from one specfun.arg_rectangles call; the
+    first error in input order is raised, as by one call an energy.
     """
-    energies, arg_gamma, failure = list(energies), [], None
-    try:
-        for energy in energies:
-            if energy < 4.0:
-                raise ArgumentDomain("n_H_guinand_weil needs E >= 4")
-            arg_gamma.append(sf.log_gamma(complex(0.25, 0.25 * energy)).imag)
-    except ArgumentDomain as exc:  # raised once the walks before it are done
-        failure, energies = exc, energies[:len(arg_gamma)]
-    args = sf.arg_zeta_rectangles([0.5 * e for e in energies])
+    arg_gamma, failure = until_error(_arg_gamma_quarter, energies)
+    energies = energies[:len(arg_gamma)]
+    args = sf.arg_rectangles("zeta", [0.5 * e for e in energies])
     if failure is not None:
         raise failure
     counts = [g / math.pi - 0.25 * e * math.log(math.pi) / math.pi

@@ -13,7 +13,8 @@ of nodes, a trapezoid pass built from scratch at each spacing vs nested
 passes sharing one evaluation, vector Gamma on each side's two tail probes
 vs scalar Gamma on all four, the density on the full grid vs windows
 around the targets, three scalar L calls a Newton step vs one vector
-call, one Newton loop a guess vs every root in lockstep, an ArgTracker object that raises and catches BranchJump vs a float
+call, one Newton loop a guess vs every root in lockstep, one arg walk a
+height vs the legs of every height from one call, an ArgTracker object that raises and catches BranchJump vs a float
 unwrap that tests the step, the Newton backends with spectral_filter's
 prefactor vs without it, scalar theta vs the array forms).  The last
 section holds helpers whose only callers are tests.
@@ -207,13 +208,27 @@ def _leg_step_tracker(tracker: ArgTracker, evaluate, t: float, x0: float,
         _leg_step_tracker(tracker, evaluate, t, mid, x1, value)
 
 
-def arg_rectangle_tracker(evaluate, t: float) -> float:
-    """specfun.arg_rectangle with the unwrap kept in an ArgTracker, whose
-    rejected step raises BranchJump and is caught to split it."""
+def _leg_values(evaluate, t: float) -> np.ndarray:
+    """evaluate, the vector form of L, at the leg points 2, 1.75, ..., 1/2
+    (+ it) of a height t >= 0, in one call."""
     sf._require_finite(t)
     if t < 0:
-        raise ArgumentDomain("arg_rectangle defined for t >= 0")
-    values = evaluate(np.array([complex(x, t) for x in sf._LEG]))
+        raise ArgumentDomain("arg_rectangles defined for t >= 0")
+    return evaluate(np.array([complex(x, t) for x in sf._LEG]))
+
+
+def arg_rectangle(evaluate, t: float) -> float:
+    """specfun.arg_rectangles at one height, one vector call of the seven
+    leg points: evaluate is the vector form of L (zeta_vec,
+    dirichlet_beta_vec or a planted function), which also takes each split
+    midpoint.  The serial reference of the batched walk."""
+    return sf._unwrap_leg(evaluate, t, _leg_values(evaluate, t))
+
+
+def arg_rectangle_tracker(evaluate, t: float) -> float:
+    """arg_rectangle with the unwrap kept in an ArgTracker, whose rejected
+    step raises BranchJump and is caught to split it."""
+    values = _leg_values(evaluate, t)
     tracker = ArgTracker()
     tracker.step(complex(2.0, t), cmath.phase(values[0]))
     for k in range(1, len(sf._LEG)):
@@ -255,7 +270,7 @@ def walk_arg_generic(tracker: ArgTracker, evaluate, point_at,
 
 
 def arg_rectangle_march(evaluate, t: float) -> float:
-    """specfun.arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it with
+    """arg_rectangle by the full path 2 -> 2 + it -> 1/2 + it with
     the scalar evaluate, the leg up Re s = 2 marched in unit steps and the
     horizontal leg by walk_arg_generic, with the argument unwrapped."""
     tracker = ArgTracker()
@@ -662,6 +677,16 @@ def hp_filter_with_derivative_normalised(function: str, energy, scale):
 # ---------------------------------------------------------------------------
 # Test-only helpers
 # ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The float.hex of each value fn(*args) returns, or the type and
+    message of the MbzeroError it raises: what a batched evaluator and its
+    serial reference must share."""
+    try:
+        return [float.hex(v) for v in fn(*args)]
+    except MbzeroError as exc:
+        return type(exc), str(exc)
+
 
 def em_core_flipped_at(t: float):
     """specfun._em_core with zeta's sign flipped right of Re s = 1.3 at the

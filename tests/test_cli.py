@@ -858,8 +858,8 @@ def _miss_a_zero():
 def _stalled_arg_walk():
     # zeta with its sign flipped right of Re s = 1.3: no split of the leg
     # step across it unwraps
-    sf.arg_rectangle(lambda s: sf.zeta_vec(s) * np.where(s.real > 1.3, -1, 1),
-                     3.7)
+    with mock.patch.object(sf, "_em_core", oc.em_core_flipped_at(3.7)):
+        sf.arg_rectangles("zeta", [3.7])
 
 
 _V2_BODY = b"#zerocatalog v2 zeta\n"

@@ -52,10 +52,11 @@ def test_every_definition_has_a_caller_in_the_package():
 
 def test_only_these_definitions_live_by_the_tracer_alone():
     # all are test-only and move to tests/oracles.py once untraced; the
-    # ledger claim calls contour_shift_deltas, of which contour_shift_delta
-    # is the one-pair form
+    # package calls contour_shift_deltas and arg_rectangles, of which
+    # contour_shift_delta and arg_zeta_rectangle are the one-item forms
     assert _dead_names() == {("mbfilter", "spectral_filter"),
                              ("mbfilter", "contour_shift_delta"),
+                             ("specfun", "arg_zeta_rectangle"),
                              ("operatorlab", "prufer_integrate")}
 
 

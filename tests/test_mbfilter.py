@@ -11,7 +11,7 @@ import oracles as oc
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import ArgumentDomain, MbzeroError, NoConvergence
+from mbzero.errors import ArgumentDomain, NoConvergence
 
 A02 = mbf.KernelScale(0.2)
 BETA_E1 = 2.0 * float(oc.BETA_ORDINATES[0][:18])
@@ -156,13 +156,6 @@ def _contour_shift_pairs():
     return pairs
 
 
-def _outcome(deltas, triples, scale):
-    try:
-        return [d.hex() for d in deltas(triples, scale)]
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 class TestContourShiftDeltas:
     """contour_shift_deltas, one zeta_lines call for all the lines, against
     the serial mb_integral loop: the same bits and the same first error."""
@@ -180,10 +173,13 @@ class TestContourShiftDeltas:
            hst.floats(0.01, 0.99))
     # a strip with a pole ladder after a good pair
     @example([(12.0, 0.6, 0.9), (10.0, 0.45, 0.7)], 0.2)
+    # the first line's tail bound fails (NoConvergence, exit 3) before the
+    # second line, on a pole ladder, fails to build (ArgumentDomain, exit 5)
+    @example([(120.0, 0.2, 0.5 - 1e-9)], 0.2)
     def test_random_pairs(self, triples, a):
         scale = mbf.KernelScale(a)
-        assert _outcome(mbf.contour_shift_deltas, triples, scale) == \
-            _outcome(oc.contour_shift_deltas_serial, triples, scale)
+        assert oc.outcome(mbf.contour_shift_deltas, triples, scale) == \
+            oc.outcome(oc.contour_shift_deltas_serial, triples, scale)
 
     def test_factors_line_by_line(self, monkeypatch):
         # g = -2.875 and -2.65 take the mirror fallback of zeta(2s): a
@@ -211,9 +207,9 @@ class TestContourShiftDeltas:
     ])
     def test_first_error_after_good_pairs(self, bad):
         triples = _contour_shift_pairs()[:2] + [bad, (12.0, 0.45, 0.7)]
-        want = _outcome(oc.contour_shift_deltas_serial, triples, A02)
+        want = oc.outcome(oc.contour_shift_deltas_serial, triples, A02)
         assert want[0] is ArgumentDomain
-        assert _outcome(mbf.contour_shift_deltas, triples, A02) == want
+        assert oc.outcome(mbf.contour_shift_deltas, triples, A02) == want
 
 
 class TestMirroredFactors:
@@ -572,14 +568,6 @@ class TestNewtonFilterRoot:
             assert abs(e - 2.0 * cat.ordinate) < 1e-8
 
 
-def _roots_outcome(roots, function, guesses, scale):
-    """The roots' float.hex, or the type and message of the error."""
-    try:
-        return [e.hex() for e in roots(function, guesses, scale)]
-    except MbzeroError as exc:
-        return type(exc), str(exc)
-
-
 def _serial_roots(function, guesses, scale):
     return [oc.newton_filter_root_serial(function, g, scale) for g in guesses]
 
@@ -603,9 +591,9 @@ class TestLockstepNewton:
         guesses = [2.0 * r.ordinate + 0.05
                    for r in request.getfixturevalue(catalog)]
         scale = mbf.KernelScale(a)
-        want = _roots_outcome(_serial_roots, function, guesses, scale)
+        want = oc.outcome(_serial_roots, function, guesses, scale)
         assert (want[0] is NoConvergence) == (a == 1e-157)
-        assert _roots_outcome(mbf.newton_filter_roots, function, guesses,
+        assert oc.outcome(mbf.newton_filter_roots, function, guesses,
                               scale) == want
 
     @settings(max_examples=60, deadline=None)
@@ -624,9 +612,9 @@ class TestLockstepNewton:
         guesses = [float(2 * mp.mpf(frozen[p])) + 0.05
                    if isinstance(p, int) else p for p in picks]
         scale = mbf.KernelScale(a)
-        assert _roots_outcome(mbf.newton_filter_roots, function, guesses,
+        assert oc.outcome(mbf.newton_filter_roots, function, guesses,
                               scale) \
-            == _roots_outcome(_serial_roots, function, guesses, scale)
+            == oc.outcome(_serial_roots, function, guesses, scale)
 
     def test_basin_escape_between_good_guesses(self):
         guesses = [BETA_E1 + 0.05, 1.0, BETA_E1 + 0.05]

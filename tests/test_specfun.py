@@ -297,33 +297,39 @@ class TestHardyZ:
 
 class TestSNormalization:
     def test_s_at_anchor_is_zero(self):
-        assert abs(sf.s_of_t(2.0)) < 1e-12
+        # S(t) is the arg walk at t less the one at the anchor t = 2, so
+        # S(2) = 0
+        grid = zc.s_grid(30.0)
+        ts = [t for t, _ in grid]
+        anchor, *args = [oc.arg_rectangle(sf.zeta_vec, t) for t in [2.0] + ts]
+        assert grid == [(t, (a - anchor) / math.pi) for t, a in zip(ts, args)]
 
 
 class TestArgRectangle:
-    """arg_rectangle starts at 2 + it; oc.arg_rectangle_march, which
-    marches up Re s = 2 first, is the reference."""
+    """arg_rectangles starts at 2 + it; oc.arg_rectangle_march, which
+    marches up Re s = 2 first, is the reference.  The planted tests walk
+    oc.arg_rectangle, one height with any vector L, through the package's
+    unwrap."""
 
-    _VECTOR_FORM = {sf.zeta: sf.zeta_vec,
-                    sf.dirichlet_beta: sf.dirichlet_beta_vec}
+    _TAG = {sf.zeta: "zeta", sf.dirichlet_beta: "beta"}
 
     @staticmethod
     def _assert_bits_match(evaluate, heights):
         # the marches share their integer heights; evaluate is pure, so a
-        # memo changes their cost, not their bits.  arg_rectangle takes the
-        # vector form of the scalar evaluate the march takes.
+        # memo changes their cost, not their bits.  arg_rectangles walks
+        # every height from one call.
         memo = functools.lru_cache(maxsize=None)(evaluate)
-        vector = TestArgRectangle._VECTOR_FORM[evaluate]
-        for t in heights:
-            got = sf.arg_rectangle(vector, t)
-            assert got == oc.arg_rectangle_march(memo, t), t
+        got = sf.arg_rectangles(TestArgRectangle._TAG[evaluate], heights)
+        for t, arg in zip(heights, got):
+            assert arg == oc.arg_rectangle_march(memo, t), t
 
     def test_zeta_bits_on_bijection_grid(self, zeta_catalog_full, monkeypatch):
         heights = []
-        monkeypatch.setattr(sf, "arg_zeta_rectangles",
-                            lambda ts: heights.extend(ts) or [0.0] * len(ts))
+        monkeypatch.setattr(sf, "arg_rectangles", lambda f, ts: heights.extend(
+            ts) or [0.0] * len(ts))
         roots = [2.0 * r.ordinate for r in zeta_catalog_full]
         zc.bijection_audit(zeta_catalog_full, roots, 240.0)
+        monkeypatch.undo()
         assert len(heights) == 306
         self._assert_bits_match(sf.zeta, heights)
 
@@ -351,13 +357,14 @@ class TestArgRectangle:
 
     @pytest.mark.parametrize("t", [10.0, 100.0, 190.0])
     def test_zeta_evaluations_bounded(self, t, monkeypatch):
-        # points through the vector evaluator: the seven of the leg
+        # points through the Euler-Maclaurin engine: the seven of the leg
+        # and any split midpoints
         points = []
-        zeta_vec = sf.zeta_vec
-        monkeypatch.setattr(sf, "zeta_vec",
-                            lambda s: points.extend(s) or zeta_vec(s))
+        em_core = sf._em_core
+        monkeypatch.setattr(sf, "_em_core", lambda s, *args: points.extend(
+            s) or em_core(s, *args))
         sf.arg_zeta_rectangle(t)
-        assert 0 < len(points) <= 20
+        assert 7 <= len(points) <= 20
 
     @pytest.mark.parametrize("arg", [sf.arg_zeta_rectangle,
                                      lambda t: oc.arg_rectangle_march(sf.zeta, t)])
@@ -396,7 +403,7 @@ class TestArgRectangle:
     @pytest.mark.parametrize("t", [3.7, 14.2, 58.0, 131.0])
     def test_planted_phase_jump_agrees_with_march(self, lo, hi, jump, t):
         scalar, vector, calls = self._planted(lo, hi, jump)
-        assert sf.arg_rectangle(vector, t) == oc.arg_rectangle_march(scalar, t)
+        assert oc.arg_rectangle(vector, t) == oc.arg_rectangle_march(scalar, t)
         # the leg is one call of seven points; each halving adds one point
         assert calls[0] == 7 and len(calls) > 1 and set(calls[1:]) == {1}
 
@@ -405,7 +412,7 @@ class TestArgRectangle:
         # a jump of pi at Re s = 1.3 cannot be unwrapped by refinement
         scalar, vector, _ = self._planted(1.3, 1.3, math.pi)
         with pytest.raises(NoConvergence, match="stalled") as err:
-            sf.arg_rectangle(vector, t)
+            oc.arg_rectangle(vector, t)
         assert type(err.value) is NoConvergence
         with pytest.raises(NoConvergence, match="stalled") as tracked:
             oc.arg_rectangle_tracker(vector, t)
@@ -441,74 +448,72 @@ class TestArgRectangle:
                                               t):
         # the same bits, the same points in the same order, and the same
         # error message where the walk stalls or meets a pole
-        assert self._outcome(sf.arg_rectangle, function, lo, width, jump, t) \
+        assert self._outcome(oc.arg_rectangle, function, lo, width, jump, t) \
             == self._outcome(oc.arg_rectangle_tracker, function, lo, width,
                              jump, t)
 
 
-def _args_outcome(args, heights):
-    """The arguments' float.hex, or the type and message of the error."""
-    try:
-        return [a.hex() for a in args(heights)]
-    except MbzeroError as exc:
-        return type(exc), str(exc)
+_VECTOR = {"zeta": sf.zeta_vec, "beta": sf.dirichlet_beta_vec}
 
 
-def _serial_args(heights):
-    return [sf.arg_rectangle(sf.zeta_vec, t) for t in heights]
+def _serial_args(function, heights):
+    return [oc.arg_rectangle(_VECTOR[function], t) for t in heights]
 
 
 def _batched_heights(run, monkeypatch):
-    """The heights of each arg_zeta_rectangles call that run() makes."""
+    """The heights of each arg_rectangles call that run() makes."""
     calls = []
-    batched = sf.arg_zeta_rectangles
-    monkeypatch.setattr(sf, "arg_zeta_rectangles",
-                        lambda ts: calls.append(list(ts)) or batched(ts))
+    batched = sf.arg_rectangles
+    monkeypatch.setattr(sf, "arg_rectangles", lambda f, ts: calls.append(
+        list(ts)) or batched(f, ts))
     run()
     return calls
 
 
 class TestArgZetaRectangles:
-    """arg_zeta_rectangles, one _em_core call for the legs of all the
-    heights, against one arg_rectangle(zeta_vec, t) a height: the same
-    bits, the same split points and the same first error."""
+    """arg_rectangles for zeta, one _em_core call for the legs of all the
+    heights, against oc.arg_rectangle(zeta_vec, t), one vector call a
+    height: the same bits, the same split points and the same first
+    error."""
 
     def test_bijection_heights(self, zeta_catalog_full, monkeypatch):
         roots = [2.0 * r.ordinate for r in zeta_catalog_full]
         calls = _batched_heights(lambda: zc.bijection_audit(
             zeta_catalog_full, roots, 240.0), monkeypatch)
         assert [len(ts) for ts in calls] == [306]
-        assert _args_outcome(sf.arg_zeta_rectangles, calls[0]) \
-            == _args_outcome(_serial_args, calls[0])
+        assert oc.outcome(sf.arg_rectangles, "zeta", calls[0]) \
+            == oc.outcome(_serial_args, "zeta", calls[0])
 
     def test_s_grid_heights(self, monkeypatch):
         # the anchor t = 2 and the 573 grid points e, e + 0.1, ... <= 60
         calls = _batched_heights(lambda: zc.s_grid(60.0), monkeypatch)
         assert [len(ts) for ts in calls] == [574] and calls[0][0] == 2.0
-        assert _args_outcome(sf.arg_zeta_rectangles, calls[0]) \
-            == _args_outcome(_serial_args, calls[0])
+        assert oc.outcome(sf.arg_rectangles, "zeta", calls[0]) \
+            == oc.outcome(_serial_args, "zeta", calls[0])
 
     def test_split_steps(self, zeta_catalog_full, monkeypatch):
         # just off a zero the leg's phase turns fast near Re s = 1/2, and a
-        # split step evaluates its midpoint through zeta_vec on its own
+        # split step evaluates its midpoint on its own, after the one call
+        # of all the legs
         heights = [r.ordinate + d for r in zeta_catalog_full
                    for d in (1e-2, 1e-3, 1e-4, -1e-3)]
         points = []
-        zeta_vec = sf.zeta_vec
-        monkeypatch.setattr(sf, "zeta_vec", lambda s: points.append(
-            s.tolist()) or zeta_vec(s))
-        want = _args_outcome(_serial_args, heights)
+        em_core = sf._em_core
+        monkeypatch.setattr(sf, "_em_core", lambda s, *args: points.append(
+            s.tolist()) or em_core(s, *args))
+        want = oc.outcome(_serial_args, "zeta", heights)
         splits = [p for p in points if len(p) == 1]
         del points[:]
-        assert _args_outcome(sf.arg_zeta_rectangles, heights) == want
-        assert len(splits) > 100 and points == splits
+        assert oc.outcome(sf.arg_rectangles, "zeta", heights) == want
+        assert len(splits) > 100 and points[1:] == splits
+        assert len(points[0]) == 7 * len(heights)
 
     @settings(max_examples=60, deadline=None)
     @given(hst.lists(hst.floats(0.0, 200.0), max_size=30))
     @example([14.1357, 0.0, 3.0])
     def test_random_heights(self, heights):
-        assert _args_outcome(sf.arg_zeta_rectangles, heights) \
-            == _args_outcome(_serial_args, heights)
+        assert oc.outcome(sf.arg_rectangles, "zeta", heights) \
+            == oc.outcome(_serial_args, "zeta", heights)
 
     @pytest.mark.parametrize("heights, error", [
         ([5.0, 10.0, -1.0, 3.7], ArgumentDomain),
@@ -519,9 +524,45 @@ class TestArgZetaRectangles:
     def test_first_error_after_good_heights(self, heights, error,
                                             monkeypatch):
         monkeypatch.setattr(sf, "_em_core", oc.em_core_flipped_at(3.7))
-        want = _args_outcome(_serial_args, heights)
+        want = oc.outcome(_serial_args, "zeta", heights)
         assert want[0] is error
-        assert _args_outcome(sf.arg_zeta_rectangles, heights) == want
+        assert oc.outcome(sf.arg_rectangles, "zeta", heights) == want
+
+
+class TestArgBetaRectangles:
+    """arg_rectangles for beta against oc.arg_rectangle(dirichlet_beta_vec,
+    t), one vector call a height: the same bits and the same first error.
+    beta has no pole, so t = 0 walks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.floats(0.0, 200.0), max_size=30))
+    @example([0.0, 14.1357, 6.0209489, 3.0])
+    def test_random_heights(self, heights):
+        assert oc.outcome(sf.arg_rectangles, "beta", heights) \
+            == oc.outcome(_serial_args, "beta", heights)
+
+    def test_zero_height(self):
+        # beta(x) > 0 on the leg 2 >= x >= 1/2: the argument is 0
+        assert oc.outcome(sf.arg_rectangles, "beta", [0.0]) == ["0x0.0p+0"]
+
+    @pytest.mark.parametrize("heights, error", [
+        ([5.0, 10.0, -1.0, 3.7], ArgumentDomain),
+        ([5.0, math.inf, 3.7], ArgumentDomain),
+        ([5.0, 0.0, 10.0, 3.7, -1.0], NoConvergence),
+    ], ids=["negative", "non-finite", "stall"])
+    def test_first_error_after_good_heights(self, heights, error,
+                                            monkeypatch):
+        monkeypatch.setattr(sf, "_em_core", oc.em_core_flipped_at(3.7))
+        want = oc.outcome(_serial_args, "beta", heights)
+        assert want[0] is error
+        assert oc.outcome(sf.arg_rectangles, "beta", heights) == want
+
+    def test_counting_prediction(self):
+        # theta/pi + arg/pi, the arg from the batched walk
+        for t in (0.0, 6.0209489, 100.0):
+            want = (float(sf.beta_theta_vec(t)) / math.pi
+                    + oc.arg_rectangle(sf.dirichlet_beta_vec, t) / math.pi)
+            assert zc.counting_prediction("beta", t) == want
 
 
 _STRIP_RE = hst.floats(-0.9, 3.5, exclude_min=True, exclude_max=True)

@@ -175,23 +175,50 @@ class TestCatalogBytes:
 
 class TestRiemannVonMangoldt:
     def test_t20(self, zeta_catalog_60):
-        rep = zc.riemann_von_mangoldt(20.0, zeta_catalog_60)
+        rep, = zc.riemann_von_mangoldt([20.0], zeta_catalog_60)
         assert rep.jump_count == 1
         assert abs(rep.total - 1.0) < 0.5
 
     def test_t50(self, zeta_catalog_60):
-        rep = zc.riemann_von_mangoldt(50.0, zeta_catalog_60)
+        rep, = zc.riemann_von_mangoldt([50.0], zeta_catalog_60)
         assert rep.jump_count == 10
         assert abs(rep.total - 10.0) < 0.5
 
-    def test_s_normalized_at_anchor(self):
-        assert abs(sf.s_of_t(2.0)) < 1e-12
+    def test_s_normalized_at_anchor(self, zeta_catalog_60):
+        rep, = zc.riemann_von_mangoldt([2.0], zeta_catalog_60)
+        assert rep.total == zc.smooth_count(2.0) and rep.jump_count == 0
 
     def test_jump_across_each_ordinate(self, zeta_catalog_60):
-        for r in zeta_catalog_60[:6]:
-            up = zc.riemann_von_mangoldt(r.ordinate + 1e-4, zeta_catalog_60)
-            dn = zc.riemann_von_mangoldt(r.ordinate - 1e-4, zeta_catalog_60)
+        heights = [r.ordinate + d for r in zeta_catalog_60[:6]
+                   for d in (1e-4, -1e-4)]
+        reps = zc.riemann_von_mangoldt(heights, zeta_catalog_60)
+        for up, dn in zip(reps[::2], reps[1::2]):
             assert up.jump_count - dn.jump_count == 1
+
+    def test_one_walk_a_height_and_one_for_the_anchor(self, zeta_catalog_60):
+        # the same bits as a call a height, whose walks repeat the anchor's
+        heights = [20.0, 37.5, 50.0]
+        reps = zc.riemann_von_mangoldt(heights, zeta_catalog_60)
+        assert reps == [zc.riemann_von_mangoldt([t], zeta_catalog_60)[0]
+                        for t in heights]
+
+    @pytest.mark.parametrize("heights", [[20.0, 1.5], [1.5, math.nan]])
+    def test_height_below_two_before_any_walk(self, heights, monkeypatch):
+        monkeypatch.setattr(sf, "arg_rectangles", None)
+        with pytest.raises(ArgumentDomain, match="needs T >= 2"):
+            zc.riemann_von_mangoldt(heights, [])
+
+    def test_counting_claim_walks_13_rectangles_in_one_call(
+            self, zeta_catalog_60, monkeypatch):
+        # the 12 drawn heights and the anchor t = 2, once
+        calls = []
+        batched = sf.arg_rectangles
+        monkeypatch.setattr(sf, "arg_rectangles", lambda f, ts: calls.append(
+            (f, list(ts))) or batched(f, ts))
+        config = cli.build_parser().parse_args(["audit"])
+        assert claims.claim_counting_rvm(
+            config, zeta_catalog_60).verdict == "pass"
+        assert [(f, len(ts), ts[0]) for f, ts in calls] == [("zeta", 13, 2.0)]
 
 
 class TestSBound:
@@ -205,9 +232,10 @@ class TestSBound:
         assert rep.lhs.real < 2.0  # empirically small next to the bound ~9
 
     def test_s_jumps_across_ordinate(self, zeta_catalog_60):
+        # the main term moves by about 1e-5 over the 2e-4 step
         t = zeta_catalog_60[2].ordinate
-        jump = sf.s_of_t(t + 1e-4) - sf.s_of_t(t - 1e-4)
-        assert abs(abs(jump) - 1.0) < 0.01
+        up, dn = zc.riemann_von_mangoldt([t + 1e-4, t - 1e-4], [])
+        assert abs(abs(up.total - dn.total) - 1.0) < 0.01
 
 
 class TestGuinandWeil:
@@ -238,16 +266,14 @@ class TestGuinandWeil:
                                                    monkeypatch):
         # require_complete walks the top height on its own; the forms take
         # their three walks from one batched call
-        walked, single = [], []
-        batched, rectangle = sf.arg_zeta_rectangles, sf.arg_rectangle
-        monkeypatch.setattr(sf, "arg_zeta_rectangles",
-                            lambda ts: walked.append(list(ts)) or batched(ts))
-        monkeypatch.setattr(sf, "arg_rectangle",
-                            lambda f, t: single.append(t) or rectangle(f, t))
+        walked = []
+        batched = sf.arg_rectangles
+        monkeypatch.setattr(sf, "arg_rectangles", lambda f, ts: walked.append(
+            list(ts)) or batched(f, ts))
         assert claims.claim_guinand_weil_forms(
             None, zeta_catalog_60).verdict == "pass"
-        assert [len(ts) for ts in walked] == [3]
-        assert single == [walked[0][-1]]
+        assert [len(ts) for ts in walked] == [1, 3]
+        assert walked[0] == [walked[1][-1]]
 
 
 class TestBijection:
