@@ -3,7 +3,8 @@
 What is bit-identical to what:
 * log_gamma_vec(s) to [log_gamma(z) for z in s], CPython 3.10-3.13
   complex arithmetic replayed in numpy (the property tests guard 3.14's
-  new mixed float/complex rules).
+  new mixed float/complex rules), in blocks of _LANCZOS_BLOCK points; a
+  point's bits do not depend on its block or on the call's size.
 * zeta and beta are one Euler-Maclaurin engine, _em_core.  Its batched
   callers give each point the N of its unbatched call: each point's
   scalar call in critical_line_values and hardy_Z_vec, each line's
@@ -138,19 +139,34 @@ def _c_map(fn, re, im):
     return out.real.reshape(z.shape), out.imag.reshape(z.shape)
 
 
+_LANCZOS_BLOCK = 512  # points per (14, block) quotient division
+# c_j as whole rows, not a broadcast column: a block divides about 10 % faster
+_LANCZOS_C_ROWS = np.repeat(np.array(_LANCZOS_C)[:, None], _LANCZOS_BLOCK, 1)
+_LANCZOS_J_COL = np.arange(float(len(_LANCZOS_C)))[:, None]
+
+
 def _lanczos_right_vec(zr, zi):
-    """_lanczos_log_gamma_right, operation for operation."""
-    ser_r, ser_i = _LANCZOS_C0, 0.0
-    for j, c in enumerate(_LANCZOS_C):
+    """_lanczos_log_gamma_right, operation for operation, on arrays of one
+    shape.  A block's 14 quotients are one _c_div on (14, block) arrays,
+    added into ser row by row in the scalar order, which a reduce breaks."""
+    shape, zr, zi = np.shape(zr), np.ravel(zr), np.ravel(zi)
+    ser_r, ser_i = np.full(zr.shape, _LANCZOS_C0), np.zeros(zr.shape)
+    for lo in range(0, zr.size, _LANCZOS_BLOCK):
+        block = slice(lo, lo + _LANCZOS_BLOCK)
+        b_r, b_i, b_z = ser_r[block], ser_i[block], zr[block]
         # ser += c / (z + 1.0 + j)
-        q_r, q_i = _c_div(c, 0.0, zr + 1.0 + j, zi + 0.0 + 0.0)
-        ser_r, ser_i = ser_r + q_r, ser_i + q_i
+        q_r, q_i = _c_div(_LANCZOS_C_ROWS[:, :b_z.size], 0.0,
+                          b_z + 1.0 + _LANCZOS_J_COL, zi[block] + 0.0 + 0.0)
+        for j in range(len(_LANCZOS_C)):
+            b_r += q_r[j]
+            b_i += q_i[j]
     tmp_r, tmp_i = zr + _LANCZOS_G + 0.5, zi + 0.0 + 0.0
     # (z + 0.5) * log(tmp) - tmp + log(_SQRT_2PI * ser / z)
     p_r, p_i = _c_mul(zr + 0.5, zi + 0.0, *_c_map(cmath.log, tmp_r, tmp_i))
     q_r, q_i = _c_div(*_c_mul(_SQRT_2PI, 0.0, ser_r, ser_i), zr, zi)
     m_r, m_i = _c_map(cmath.log, q_r, q_i)
-    return p_r - tmp_r + m_r, p_i - tmp_i + m_i
+    return ((p_r - tmp_r + m_r).reshape(shape),
+            (p_i - tmp_i + m_i).reshape(shape))
 
 
 _NEG_I_PI = -1j * math.pi
@@ -194,11 +210,12 @@ def log_gamma_vec(s) -> np.ndarray:
     right = sr >= 0.5
     r_r, r_i = _lanczos_right_vec(sr[right], si[right])
     out.real[right], out.imag[right] = r_r, r_i
-    lr, li = sr[~right], si[~right]
-    sin_r, sin_i = _log_sin_pi_vec(lr, li)
-    g_r, g_i = _lanczos_right_vec(1.0 - lr, 0.0 - li)
-    out.real[~right] = math.log(math.pi) - sin_r - g_r
-    out.imag[~right] = 0.0 - sin_i - g_i
+    if not right.all():
+        lr, li = sr[~right], si[~right]
+        sin_r, sin_i = _log_sin_pi_vec(lr, li)
+        g_r, g_i = _lanczos_right_vec(1.0 - lr, 0.0 - li)
+        out.real[~right] = math.log(math.pi) - sin_r - g_r
+        out.imag[~right] = 0.0 - sin_i - g_i
     return out.reshape(s.shape)
 
 

@@ -106,6 +106,63 @@ class TestLogGammaVec:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+_B = sf._LANCZOS_BLOCK
+
+
+def _hex(values):
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, values)]
+
+
+class TestLanczosBlocks:
+    """The vector Lanczos sum divides a block of _LANCZOS_BLOCK points at
+    a time: values keep the scalar bits on both sides of a block edge, and
+    the number of divisions a call makes does not grow with the 14 terms."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, _B - 1, _B, _B + 1,
+                                   2 * _B + 1])
+    def test_block_edges_keep_the_scalar_bits(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(-200.0, 200.0, n)
+        # all right of Re s = 1/2, then all left: n points reach the sum
+        for x in (rng.uniform(0.5, 40.0, n), rng.uniform(-40.0, 0.5, n)):
+            s = x + 1j * y
+            assert _hex(sf.log_gamma_vec(s)) \
+                == _hex([sf.log_gamma(z) for z in s.tolist()])
+        for theta, scalar in (
+                (sf.riemann_siegel_theta_vec, oc.riemann_siegel_theta),
+                (sf.beta_theta_vec, oc.beta_theta)):
+            got = theta(y)
+            assert got.shape == (n,)
+            assert _hex(got) == _hex([scalar(t) for t in y.tolist()])
+
+    def test_zero_d_input(self):
+        z = complex(0.75, -31.5)
+        got = sf.log_gamma_vec(np.complex128(z))
+        assert got.shape == () and _hex([got]) == _hex([sf.log_gamma(z)])
+        theta = sf.riemann_siegel_theta(31.5)
+        assert type(theta) is float
+        assert theta.hex() == oc.riemann_siegel_theta(31.5).hex()
+
+    @pytest.mark.parametrize("call, divisions", [
+        (lambda: sf.log_gamma_vec(np.full(1, 2.0 + 3j)), 2),
+        (lambda: sf.log_gamma_vec(np.linspace(0.5, 9.0, _B) + 1j), 2),
+        (lambda: sf.log_gamma_vec(np.linspace(0.5, 9.0, 2 * _B + 1) + 1j), 4),
+        (lambda: sf.hardy_Z_vec("beta", np.array([3.0, 5.0, 7.0, 9.0])), 2),
+    ], ids=["log_gamma_vec-1", "log_gamma_vec-B", "log_gamma_vec-2B+1",
+            "hardy_Z_vec-beta-4"])
+    def test_divisions_per_call(self, call, divisions, monkeypatch):
+        # one _c_div per block for the 14 quotients, one for ser / z
+        calls, div = [], sf._c_div
+
+        def counted(*args):
+            calls.append(args)
+            return div(*args)
+
+        monkeypatch.setattr(sf, "_c_div", counted)
+        call()
+        assert len(calls) == divisions
+
+
 class TestLogGammaContinuous:
     def test_fresh_tracker_at_two(self):
         tracker = oc.ArgTracker()
