@@ -115,10 +115,11 @@ def cmd_census(config) -> int:
     return EXIT_OK
 
 
-def _dd_root(function: str, scale: mbf.KernelScale, guess: float) -> tuple:
-    """One double-double Newton root as (32-digit string, float)."""
+def _dd_root(function: str, scale: mbf.KernelScale, pair: tuple) -> tuple:
+    """The double-double Newton root from a (guess, accepted double root)
+    pair as (32-digit string, float)."""
     import mpmath as mp
-    root = mbf.newton_root_dd(function, guess, scale)
+    root = mbf.newton_root_dd(function, *pair, scale)
     return mp.nstr(root, 32), float(root)
 
 
@@ -127,11 +128,12 @@ def cmd_filter_roots(config) -> int:
     scale = mbf.KernelScale(config.a)
     ordinates = [r.ordinate for r in catalog if 2.0 * r.ordinate <= config.e_max]
     guesses = [2.0 * t + 0.05 for t in ordinates]
+    # every double root is accepted before any 31-digit step
+    e_vals = mbf.newton_filter_roots(config.function, guesses, scale)
     if config.precision == "double_double":
-        roots = _fan_out(partial(_dd_root, config.function, scale), guesses,
-                         config.threads)
+        roots = _fan_out(partial(_dd_root, config.function, scale),
+                         list(zip(guesses, e_vals)), config.threads)
     else:
-        e_vals = mbf.newton_filter_roots(config.function, guesses, scale)
         roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
             for (e_str, e_val), t in zip(roots, ordinates)]

@@ -20,7 +20,7 @@ What is bit-identical to what:
   lockstep, one specfun.critical_line_values call a step, each point at
   its own Euler-Maclaurin N.  Newton leaves out spectral_filter's
   prefactor * 2 pi i, 1/2 or 1, which moves no iterate.
-* newton_root_dd starts from the accepted double root and takes one
+* newton_root_dd starts from an accepted double root and takes one
   31-digit L a step (mpmath, zeta by Borwein's sum) with the double dF/dE.
 Errors: NoConvergence for a failed Newton, a root with |L| >= 1e-8, or a
 tail bound above 1e-14 of |integral|; ArgumentDomain for a line on, or a
@@ -415,19 +415,18 @@ def _check_residuals(function: str, energies: list) -> None:
                                 f"E = {energy:.6f}: not a zero")
 
 
-def newton_root_dd(function: str, e_guess: float, scale: KernelScale):
-    """Newton on the spectral filter in 31-digit scalars, started from the
-    accepted double root (newton_filter_root), whose NoConvergence, a
-    residual |L| >= 1e-8 included, propagates before any 31-digit step.
-    A step takes one 31-digit L and the double dF/dE (good to ~1e-10), so
-    a start good to ~1e-14 takes three steps, the last one certifying
+def newton_root_dd(function: str, e_guess: float, start: float,
+                   scale: KernelScale):
+    """Newton on the spectral filter in 31-digit scalars, started from
+    start, the accepted double root of e_guess (newton_filter_roots).  A
+    step takes one 31-digit L and the double dF/dE (good to ~1e-10), so a
+    start good to ~1e-14 takes three steps, the last one certifying
     convergence; the basin window and failure messages stay on e_guess.
 
     Returns the root as an mpmath mpf (full working precision) for the
     32-digit serialization path.
     """
     import mpmath as mp
-    start = newton_filter_root(function, e_guess, scale)
     with mp.workdps(_DD_DPS):
         roots, error = _newton(
             lambda es: [_hp_filter_with_derivative(function, e, scale)
@@ -507,8 +506,7 @@ def contour_shift_deltas(triples, scale: KernelScale) -> list:
     its second line fails to build."""
     lines, failure = until_error(_shift_line, [
         (energy, g, g1, g2) for energy, g1, g2 in triples for g in (g1, g2)])
-    zetas = sf.zeta_lines([2.0 * s[split[0]] for *_, s, split in lines]
-                          ) if lines else []
+    zetas = sf.zeta_lines([2.0 * s[split[0]] for *_, s, split in lines])
     values = [_line_integral(nu, scale.a, contour,
                              (w, s, _scale_free_factors(s, nu, split, z)))
               for (nu, contour, w, s, split), z in zip(lines, zetas)]

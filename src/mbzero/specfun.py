@@ -5,15 +5,14 @@ What is bit-identical to what:
   complex arithmetic replayed in numpy (the property tests guard 3.14's
   new mixed float/complex rules), in blocks of _LANCZOS_BLOCK points; a
   point's bits do not depend on its block or on the call's size.
-* zeta and beta are one Euler-Maclaurin engine, _em_core.  Its batched
-  callers give each point the N of its unbatched call: each point's
-  scalar call in critical_line_values and hardy_Z_vec, each line's
-  zeta_vec call in zeta_lines, and each height's call of its seven leg
-  points in arg_rectangles.  Their values are those calls' bits.
+* zeta and beta are one Euler-Maclaurin engine, _em_core.  A caller
+  names its groups of points, and a group's truncation N is that of its
+  largest |Im s|, so each value has the bits of a call of its group alone.
 Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, a
 negative height or an unknown function tag; NoConvergence when a zero of
 L sits on an arg rectangle's path.  log_gamma_vec and arg_rectangles
-raise the first error of their serial loop, message included.
+raise the first error of their serial loop, message included.  No
+points give an empty result.
 """
 
 from __future__ import annotations
@@ -243,8 +242,11 @@ def digamma(s) -> complex:
 # Euler-Maclaurin zeta, Hurwitz zeta and beta
 # ---------------------------------------------------------------------------
 
-def _em_truncation(im_max: float) -> int:
-    return max(24, int(1.4 * abs(im_max)) + 16)
+def _em_truncation(im_max: np.ndarray) -> np.ndarray:
+    """max(24, int(1.4 |Im s|) + 16) at each largest |Im s|, as int64; an
+    |Im s| above 2^60, whose head np.arange refuses, does not wrap."""
+    return np.maximum(24, (1.4 * np.minimum(np.abs(im_max), 2.0 ** 60))
+                      .astype(np.int64) + 16)
 
 
 def _em_power(e: np.ndarray, log_x: list) -> np.ndarray:
@@ -283,13 +285,7 @@ def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
     return head
 
 
-def _runs(ns) -> list:
-    """(N, count) over the consecutive points of a sequence of N that share
-    one N."""
-    return [(n, len(list(group))) for n, group in itertools.groupby(ns)]
-
-
-def _em_core(s: np.ndarray, shifts: tuple, runs: list = None,
+def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
              shared_head: bool = False) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
     zeta(s, b) for shifts = (a, b), over a 1-d complex array of s:
@@ -301,21 +297,35 @@ def _em_core(s: np.ndarray, shifts: tuple, runs: list = None,
     term branches: (N+a)^{1-s}/(s-1) for one shift, an entire expm1 form
     for two.  Valid for Re s > -1, and s != 1 with one shift.
 
-    runs, (N, count) over consecutive points, sets each point's N; by
-    default one run at the N of the largest |Im s|.  A run sums its head
-    in one .sum(axis=1), pairwise per row as for one point, and takes
-    log(N + a) once, so each value equals the scalar call at its N bit for
-    bit.  shared_head sums the head by _shared_phase_head (one shift).
+    groups, the sizes of consecutive groups of points (default one group
+    of all), gives every point of a group the N of the group's largest
+    |Im s|.  Consecutive points of one N sum their head in one
+    .sum(axis=1), pairwise per row as for one point, and take log(N + a)
+    once, so each value equals the one-group call of its group alone bit
+    for bit.  shared_head sums the head by _shared_phase_head (one shift).
+    ArgumentDomain for the first non-finite point; no points give an
+    empty array.
     """
-    if runs is None:
-        runs = [(_em_truncation(float(np.max(np.abs(s.imag)))), len(s))]
-    ns, counts = zip(*runs)
+    if not np.isfinite(s).all():
+        first = complex(s[np.argmin(np.isfinite(s))])
+        raise ArgumentDomain(f"non-finite argument {first!r}")
+    if not s.size:
+        return np.empty(0, dtype=complex)
+    if groups is None:                  # one group: no reduce
+        ns, counts = [int(_em_truncation(np.abs(s.imag).max()))], [s.size]
+    else:                               # a run: consecutive points of one N
+        sizes = np.array([k for k in groups if k])
+        n_at = _em_truncation(np.maximum.reduceat(np.abs(s.imag),
+                                                  np.cumsum(sizes) - sizes))
+        first = np.flatnonzero(np.concatenate(([True], n_at[1:] != n_at[:-1])))
+        ns = n_at[first].tolist()
+        counts = np.add.reduceat(sizes, first).tolist()
     logs = [np.log(np.arange(max(ns), dtype=float) + a) for a in shifts]
     if shared_head:
         head = _shared_phase_head(s, np.repeat(ns, counts), logs[0])
     else:
         e, heads, lo = -s[:, None], [], 0
-        for n, k in runs:
+        for n, k in zip(ns, counts):
             heads.append(_em_power(e[lo:lo + k], [x[:n] for x in logs])
                          .sum(axis=1))
             lo += k
@@ -342,65 +352,57 @@ def _em_core(s: np.ndarray, shifts: tuple, runs: list = None,
     return head + tail
 
 
+def _l_values(function: str, s, groups: list = None,
+              shared_head: bool = False) -> np.ndarray:
+    """L(s) over an array of any shape, L = zeta, or beta as
+    4^{-s} [zeta(s,1/4) - zeta(s,3/4)], as function is "zeta" or "beta";
+    groups (over the raveled s) and shared_head as _em_core takes them.
+    ArgumentDomain for an unknown tag, for a zeta point within 1e-10 of
+    s = 1, and for the first non-finite point."""
+    s = np.asarray(s, dtype=complex)
+    flat = s.ravel()
+    if function == "zeta":
+        if (np.abs(flat - 1.0) <= 1e-10).any():
+            raise ArgumentDomain("zeta pole at s = 1")
+        out = _em_core(flat, (1.0,), groups, shared_head)
+    elif function == "beta":
+        core = _em_core(flat, (0.25, 0.75), groups, shared_head)
+        out = np.exp(-flat * math.log(4.0)) * core
+    else:
+        raise ArgumentDomain(f"unknown function tag {function!r}")
+    return out.reshape(s.shape)
+
+
 def zeta(s) -> complex:
     """Riemann zeta via Euler-Maclaurin continuation.
 
     Relative error <= 1e-12 for |Im s| <= 200, -1 < Re s <= 4;
     conjugation-equivariant by construction.
     """
-    s = _require_finite(s)
-    if abs(s - 1.0) <= 1e-10:
-        raise ArgumentDomain("zeta pole at s = 1")
-    return complex(_em_core(np.array([s]), (1.0,))[0])
-
-
-def _check_zeta_pole(s: np.ndarray) -> None:
-    if np.any(np.abs(s - 1.0) <= 1e-10):
-        raise ArgumentDomain("zeta pole at s = 1 inside vector argument")
+    return complex(_l_values("zeta", s))
 
 
 def zeta_vec(s: np.ndarray) -> np.ndarray:
     """Vectorized zeta for contour quadrature; same contract as zeta()."""
-    s = np.asarray(s, dtype=complex)
-    _check_zeta_pole(s)
-    return _em_core(s.ravel(), (1.0,)).reshape(s.shape)
+    return _l_values("zeta", s)
 
 
 def zeta_lines(lines: list) -> list:
     """[zeta_vec(z) for z in lines] over 1-d arrays, bit for bit, with
     exp(-it log n) taken once per ordinate the lines share."""
-    s = np.concatenate(lines)
-    _check_zeta_pole(s)
-    runs = [(_em_truncation(float(np.max(np.abs(z.imag)))), len(z))
-            for z in lines]
-    out = _em_core(s, (1.0,), runs, shared_head=True)
-    return np.split(out, np.cumsum([k for _, k in runs])[:-1])
-
-
-def _beta_core(s: np.ndarray, runs: list = None) -> np.ndarray:
-    """4^{-s} [zeta(s,1/4) - zeta(s,3/4)] on the _em_core engine."""
-    return np.exp(-s * math.log(4.0)) * _em_core(s, (0.25, 0.75), runs)
+    s, sizes = np.concatenate([np.empty(0), *lines]), [len(z) for z in lines]
+    out = _l_values("zeta", s, sizes, shared_head=True)
+    return [out[end - k:end] for end, k in zip(itertools.accumulate(sizes),
+                                               sizes)]
 
 
 def dirichlet_beta(s) -> complex:
     """Dirichlet beta via the Hurwitz split 4^{-s}[zeta(s,1/4)-zeta(s,3/4)]."""
-    s = _require_finite(s)
-    return complex(_beta_core(np.array([s]))[0])
+    return complex(_l_values("beta", s))
 
 
 def dirichlet_beta_vec(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=complex)
-    return _beta_core(s.ravel()).reshape(s.shape)
-
-
-def _l_core(function: str, s: np.ndarray, runs: list) -> np.ndarray:
-    """zeta or beta, as function is "zeta" or "beta", over a 1-d array on
-    the _em_core engine, with no pole check; runs as _em_core takes them."""
-    if function == "zeta":
-        return _em_core(s, (1.0,), runs)
-    if function == "beta":
-        return _beta_core(s, runs)
-    raise ArgumentDomain(f"unknown function tag {function!r}")
+    return _l_values("beta", s)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ def critical_line_values(function: str, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     s = np.empty(t.shape, dtype=complex)
     s.real, s.imag = 0.5, t
-    return _l_core(function, s, _runs(_em_truncation(y) for y in t.tolist()))
+    return _l_values(function, s, [1] * s.size)
 
 
 def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
@@ -523,10 +525,9 @@ def _leg_points(function: str, t) -> np.ndarray:
     _require_finite(t)
     if t < 0:
         raise ArgumentDomain("arg_rectangles defined for t >= 0")
-    s = np.array([complex(x, t) for x in _LEG])
-    if function == "zeta":
-        _check_zeta_pole(s)
-    return s
+    if function == "zeta" and t <= 1e-10:  # 1 + it within 1e-10 of s = 1
+        raise ArgumentDomain("zeta pole at s = 1")
+    return np.array([complex(x, t) for x in _LEG])
 
 
 def arg_rectangles(function: str, ts: list) -> list:
@@ -537,8 +538,8 @@ def arg_rectangles(function: str, ts: list) -> list:
     The leg up Re s = 2 needs no walk: |L(2 + iy) - 1| <= L(2) - 1, which
     is zeta(2) - 1 = 0.645 and pi^2/8 - 1 = 0.234, so Re L(2 + iy) > 0 and
     the argument continued from s = 2 is the principal one at 2 + it.  The
-    horizontal legs of all the heights come from one _em_core call, a run
-    of seven points at each height's N; the unwrap then walks each height,
+    horizontal legs of all the heights come from one _em_core call, a group
+    of seven points a height; the unwrap then walks each height,
     and only a step it rejects is split, its midpoint evaluated on its own
     by zeta_vec or dirichlet_beta_vec.  Values and first error are those
     of one such call of the seven points a height, bit for bit.
@@ -546,8 +547,8 @@ def arg_rectangles(function: str, ts: list) -> list:
     evaluate = {"zeta": zeta_vec, "beta": dirichlet_beta_vec}.get(function)
     legs, failure = until_error(functools.partial(_leg_points, function), ts)
     ts = ts[:len(legs)]
-    values = _l_core(function, np.concatenate(legs), _runs(
-        _em_truncation(t) for t in ts for _ in _LEG)) if legs else []
+    values = _l_values(function, np.concatenate([np.empty(0), *legs]),
+                       [len(_LEG)] * len(legs))
     args = [_unwrap_leg(evaluate, t, values[k * len(_LEG):])
             for k, t in enumerate(ts)]
     if failure is not None:

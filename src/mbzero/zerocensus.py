@@ -69,8 +69,6 @@ class BijectionAudit:
 
 def _critical_abs(function: str, ts: list) -> list:
     """|L(1/2 + it)| at each t, equal to abs() of the scalar call."""
-    if not ts:
-        return []
     return [abs(v) for v in sf.critical_line_values(function, ts).tolist()]
 
 

@@ -358,6 +358,13 @@ def newton_filter_root_serial(function: str, e_guess: float, scale) -> float:
                         f"in {mbf._NEWTON_MAX_ITER}")
 
 
+def newton_root_dd(function: str, e_guess: float, scale):
+    """mbfilter.newton_root_dd from the accepted double root of e_guess, as
+    double-double filter-roots starts it."""
+    start = mbf.newton_filter_roots(function, [e_guess], scale)[0]
+    return mbf.newton_root_dd(function, e_guess, start, scale)
+
+
 def tail_estimate_two_calls(nu: complex, a: float, contour) -> float:
     """mbfilter._tail_estimate with one vector integrand call per side on
     its two probes, t_max - 1 and t_max."""

@@ -51,7 +51,7 @@ def test_criterion_2_appendix_filter_roots():
         t_ref = float(frozen)
         e = mbf.newton_filter_root("beta", 2.0 * t_ref + 0.04, A02)
         worst_double = max(worst_double, abs(e - 2.0 * t_ref))
-        e_dd = float(mbf.newton_root_dd("beta", 2.0 * t_ref + 0.04, A02))
+        e_dd = float(oc.newton_root_dd("beta", 2.0 * t_ref + 0.04, A02))
         worst_dd = max(worst_dd, abs(e_dd - 2.0 * t_ref))
     elapsed = time.monotonic() - t0
     ok = worst_double < 1e-8 and worst_dd < 1e-10 and elapsed < 120.0

@@ -95,6 +95,16 @@ class TestFilterRootsCommand:
         for row in rows:
             assert float(row.split(",")[2]) < 1e-8
 
+    @pytest.mark.parametrize("precision", ["double", "double_double"])
+    def test_no_root_below_e_max(self, precision, tmp_path, capsys):
+        # beta's first zero is at t = 6.02: no guess below E = 12
+        run(["census", "--function", "beta", "--t-max", "17"], tmp_path)
+        code = run(["filter-roots", "--function", "beta", "--e-max", "12",
+                    "--precision", precision], tmp_path)
+        assert code == 0
+        assert (tmp_path / "filter_roots.csv").read_text().endswith(
+            "# worst |E - 2t| = 0.000e+00 over 0 roots\n")
+
     def test_missing_catalog_exit_4(self, tmp_path, capsys):
         code = run(["filter-roots"], tmp_path)
         assert code == 4
@@ -373,6 +383,23 @@ class TestRootAcceptance:
         monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
         code = run(["filter-roots", "--function", "beta", "--e-max", "13",
                     "--precision", "double_double"], tmp_path)
+        assert code == 3
+        assert "not a zero" in capsys.readouterr().err
+
+    def test_dd_root_rejected_before_any_hp_step(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # one double pass accepts every root first: a rejected one exits 3
+        # with no fork, no 31-digit Newton and no 31-digit L
+        run(["census", "--function", "beta", "--t-max", "26"], tmp_path)
+        records = zc.catalog_load(str(tmp_path / "cat.txt"))
+        monkeypatch.setattr(zc, "catalog_load", lambda path: records)
+        monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
+        for work in ((mbf, "_hp_arithmetic"), (mbf, "newton_root_dd"),
+                     (cli, "_fan_out")):
+            monkeypatch.setattr(*work, _fail_if_called)
+        code = run(["filter-roots", "--function", "beta", "--e-max", "26",
+                    "--precision", "double_double", "--threads", "2"],
+                   tmp_path)
         assert code == 3
         assert "not a zero" in capsys.readouterr().err
 

@@ -52,10 +52,12 @@ def test_every_definition_has_a_caller_in_the_package():
 
 def test_only_these_definitions_live_by_the_tracer_alone():
     # all are test-only and move to tests/oracles.py once untraced; the
-    # package calls contour_shift_deltas and arg_rectangles, of which
-    # contour_shift_delta and arg_zeta_rectangle are the one-item forms
+    # package calls contour_shift_deltas, newton_filter_roots and
+    # arg_rectangles, of which contour_shift_delta, newton_filter_root and
+    # arg_zeta_rectangle are the one-item forms
     assert _dead_names() == {("mbfilter", "spectral_filter"),
                              ("mbfilter", "contour_shift_delta"),
+                             ("mbfilter", "newton_filter_root"),
                              ("specfun", "arg_zeta_rectangle"),
                              ("operatorlab", "prufer_integrate")}
 

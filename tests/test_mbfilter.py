@@ -64,7 +64,8 @@ class TestFunctionTag:
     def test_unknown_tag_raises(self):
         # a kernel name or an unknown function never reaches another kernel
         for root in (mbf.spectral_filter, mbf.newton_filter_root,
-                     mbf.newton_root_dd):
+                     lambda tag, e, scale: mbf.newton_root_dd(tag, e, e,
+                                                              scale)):
             for tag in ("zeta2s", "xi"):
                 with pytest.raises(ArgumentDomain, match="unknown function"):
                     root(tag, 28.3, A02)
@@ -176,10 +177,15 @@ class TestContourShiftDeltas:
     # the first line's tail bound fails (NoConvergence, exit 3) before the
     # second line, on a pole ladder, fails to build (ArgumentDomain, exit 5)
     @example([(120.0, 0.2, 0.5 - 1e-9)], 0.2)
+    # the first line fails to build: no line reaches zeta_lines
+    @example([(10.0, 0.45, 0.7)], 0.2)
     def test_random_pairs(self, triples, a):
         scale = mbf.KernelScale(a)
         assert oc.outcome(mbf.contour_shift_deltas, triples, scale) == \
             oc.outcome(oc.contour_shift_deltas_serial, triples, scale)
+
+    def test_no_pairs(self):
+        assert mbf.contour_shift_deltas([], A02) == []
 
     def test_factors_line_by_line(self, monkeypatch):
         # g = -2.875 and -2.65 take the mirror fallback of zeta(2s): a
@@ -467,7 +473,7 @@ class TestNewtonFilterRoot:
         assert abs(e - 2.0 * t1) < 1e-7
 
     def test_double_double_tightens(self):
-        e = float(mbf.newton_root_dd("beta", 12.0, A02))
+        e = float(oc.newton_root_dd("beta", 12.0, A02))
         want = 2.0 * float(oc.BETA_ORDINATES[0][:22])
         assert abs(e - want) < 1e-10
 
@@ -483,27 +489,9 @@ class TestNewtonFilterRoot:
                                                      monkeypatch):
         monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
         root = {"double": mbf.newton_filter_root,
-                "double_double": mbf.newton_root_dd}[precision]
+                "double_double": oc.newton_root_dd}[precision]
         with pytest.raises(NoConvergence, match="not a zero"):
             root("beta", 12.0, A02)
-
-    def test_dd_root_rejected_before_any_hp_step(self, monkeypatch):
-        # the double root's residual test comes first: no 31-digit L
-        calls = []
-        hp_arithmetic = mbf._hp_arithmetic
-
-        def counted_arithmetic(*args):
-            calls.append(args)
-            return hp_arithmetic(*args)
-
-        def rejected(function, energies):
-            raise NoConvergence("not a zero")
-
-        monkeypatch.setattr(mbf, "_hp_arithmetic", counted_arithmetic)
-        monkeypatch.setattr(mbf, "_check_residuals", rejected)
-        with pytest.raises(NoConvergence, match="not a zero"):
-            mbf.newton_root_dd("beta", 12.0, A02)
-        assert calls == []
 
     def test_bijection_checks_reach_before_newton(self, zeta_catalog_60,
                                                   monkeypatch):
@@ -515,7 +503,7 @@ class TestNewtonFilterRoot:
             mbf.filter_bijection(zeta_catalog_60[:3], A02, 120.0)
 
     def test_dd_root_keeps_full_precision(self):
-        root = mbf.newton_root_dd("beta", 12.0, A02)
+        root = oc.newton_root_dd("beta", 12.0, A02)
         with mp.workdps(31):
             assert abs(root - 2 * mp.mpf(oc.BETA_ORDINATES[0])) < 1e-20
 
@@ -524,7 +512,7 @@ class TestNewtonFilterRoot:
         with mp.workdps(40):
             for frozen in oc.ZETA_ORDINATES[:10]:
                 want = 2 * mp.mpf(frozen)
-                root = mbf.newton_root_dd("zeta", float(want) + 0.05, A02)
+                root = oc.newton_root_dd("zeta", float(want) + 0.05, A02)
                 assert abs(root - want) < 1e-30 * want
 
     def test_dd_beta_roots_match_findroot(self):
@@ -532,7 +520,7 @@ class TestNewtonFilterRoot:
         with mp.workdps(40):
             for frozen in oc.BETA_ORDINATES[:10]:
                 want = 2 * mp.mpf(frozen)
-                root = mbf.newton_root_dd("beta", float(want) + 0.05, A02)
+                root = oc.newton_root_dd("beta", float(want) + 0.05, A02)
                 assert abs(root - want) < 1e-30 * want
 
     @pytest.mark.parametrize("factor", [1 + 1e-8, 1 - 1e-8])
@@ -544,7 +532,7 @@ class TestNewtonFilterRoot:
                    for function, frozen in (("zeta", oc.ZETA_ORDINATES),
                                             ("beta", oc.BETA_ORDINATES))
                    for o in frozen[:10]]
-        exact = [mp.nstr(mbf.newton_root_dd(f, g, A02), 32)
+        exact = [mp.nstr(oc.newton_root_dd(f, g, A02), 32)
                  for f, g in guesses]
         filter_with_derivative = mbf._filter_with_derivative
 
@@ -553,7 +541,7 @@ class TestNewtonFilterRoot:
                     for f, df in filter_with_derivative(*args)]
 
         monkeypatch.setattr(mbf, "_filter_with_derivative", scaled)
-        assert [mp.nstr(mbf.newton_root_dd(f, g, A02), 32)
+        assert [mp.nstr(oc.newton_root_dd(f, g, A02), 32)
                 for f, g in guesses] == exact
 
     def test_unreachable_guess(self):

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -686,11 +687,6 @@ _HEIGHT = hst.one_of(
 _HEIGHTS = hst.lists(_HEIGHT, min_size=1, max_size=24)
 
 
-def _pointwise_runs(s) -> list:
-    """_em_core runs that give each point of s its own N."""
-    return sf._runs(sf._em_truncation(z.imag) for z in s)
-
-
 class TestPointwise:
     """Per-point Euler-Maclaurin N: each vector value equals the scalar
     call at that point bit for bit, and shared-N vector calls stay as they
@@ -708,10 +704,10 @@ class TestPointwise:
         # off the line, through the cores with the per-point N
         s = np.array([complex(re, t) for t in heights])
         assume(np.all(np.abs(s - 1.0) > 1e-10))
-        runs = _pointwise_runs(s)
-        assert np.array_equal(_bits(sf._em_core(s, (1.0,), runs)),
+        groups = [1] * len(s)           # each point its own N
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), groups)),
                               _bits([sf.zeta(z) for z in s]))
-        assert np.array_equal(_bits(sf._beta_core(s, runs)),
+        assert np.array_equal(_bits(sf._l_values("beta", s, groups)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
     @settings(max_examples=150, deadline=None)
@@ -793,10 +789,10 @@ class TestPointwise:
                               _bits([sf.zeta(z) for z in line]))
         assert np.array_equal(_bits(sf.critical_line_values("beta", t)),
                               _bits([sf.dirichlet_beta(z) for z in line]))
-        runs = _pointwise_runs(s)
-        assert np.array_equal(_bits(sf._em_core(s, (1.0,), runs)),
+        groups = [1] * len(s)           # each point its own N
+        assert np.array_equal(_bits(sf._em_core(s, (1.0,), groups)),
                               _bits([sf.zeta(z) for z in s]))
-        assert np.array_equal(_bits(sf._beta_core(s, runs)),
+        assert np.array_equal(_bits(sf._l_values("beta", s, groups)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
     @pytest.mark.parametrize("s, want_re, want_im", [
@@ -812,8 +808,8 @@ class TestPointwise:
         want = complex(float.fromhex(want_re), float.fromhex(want_im))
         for got in (sf.dirichlet_beta(s),
                     sf.dirichlet_beta_vec(np.array([s]))[0],
-                    sf._beta_core(np.array([s, s + 10j]),
-                                  _pointwise_runs([s, s + 10j]))[0]):
+                    sf._l_values("beta", np.array([s, s + 10j]),
+                                 [1, 1])[0]):
             assert np.array_equal(_bits(got), _bits(want))
 
     def test_hardy_rotation_residue_names_first_point(self, monkeypatch):
@@ -880,6 +876,91 @@ class TestSharedPhaseHead:
     def test_pole_guard(self):
         with pytest.raises(ArgumentDomain, match="zeta pole"):
             sf.zeta_lines([np.array([2.0 + 1j]), np.array([1.0 + 0j])])
+
+
+_ENGINE_POINT = hst.builds(complex, _STRIP_RE, hst.floats(-200.0, 200.0))
+_NON_FINITE_T = hst.sampled_from([math.nan, math.inf])
+
+
+def _insert(items, placed):
+    """items with each (position, item) of placed inserted in turn."""
+    items = list(items)
+    for k, item in placed:
+        items.insert(min(k, len(items)), item)
+    return items
+
+
+class TestEngineContract:
+    """One way into the Euler-Maclaurin engine: no points give an empty
+    result of the input's shape, a non-finite point raises ArgumentDomain
+    naming the first one, and each group of an _em_core call has the bits
+    of a one-group call of its points alone."""
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_no_points(self, shape):
+        s = np.empty(shape, dtype=complex)
+        for got in (sf.zeta_vec(s), sf.dirichlet_beta_vec(s),
+                    sf._l_values("zeta", s), sf._l_values("beta", s)):
+            assert got.shape == shape and got.dtype == complex
+        for function in ("zeta", "beta"):
+            for got in (sf.critical_line_values(function, []),
+                        sf.hardy_Z_vec(function, np.array([]))):
+                assert got.shape == (0,)
+            assert zc._critical_abs(function, []) == []
+            assert sf.arg_rectangles(function, []) == []
+        assert sf.zeta_lines([]) == []
+        lines = sf.zeta_lines([s.ravel(), np.array([2.0 + 1j]), s.ravel()])
+        assert [z.shape for z in lines] == [(0,), (1,), (0,)]
+        assert lines[1][0] == sf.zeta(2.0 + 1j)
+        for groups in (None, [], [0, 0]):
+            assert sf._em_core(s.ravel(), (1.0,), groups).shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(_ENGINE_POINT, max_size=12),
+           hst.lists(hst.tuples(hst.integers(0, 12), _NON_FINITE),
+                     min_size=1, max_size=3),
+           hst.integers(0, 12))
+    def test_first_non_finite_point_named(self, points, placed, cut):
+        assume(all(abs(z - 1.0) > 1e-10 for z in points))
+        s = np.array(_insert(points, placed))
+        first = next(z for z in s.tolist() if not cmath.isfinite(z))
+        named = re.escape(f"non-finite argument {first!r}")
+        for call in (sf.zeta_vec, sf.dirichlet_beta_vec,
+                     lambda s: sf.zeta_lines([s[:cut], s[cut:]]),
+                     lambda s: sf.zeta(s[np.argmin(np.isfinite(s))]),
+                     lambda s: sf.dirichlet_beta(
+                         s[np.argmin(np.isfinite(s))])):
+            with pytest.raises(ArgumentDomain, match=named):
+                call(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(hst.floats(0.0, 200.0), max_size=12),
+           hst.lists(hst.tuples(hst.integers(0, 12), _NON_FINITE_T),
+                     min_size=1, max_size=3))
+    def test_first_non_finite_height_named(self, heights, placed):
+        t = np.array(_insert(heights, placed))
+        first = complex(0.5, t[np.argmin(np.isfinite(t))])
+        named = re.escape(f"non-finite argument {first!r}")
+        for function in ("zeta", "beta"):
+            for call in (sf.critical_line_values, sf.hardy_Z_vec):
+                with pytest.raises(ArgumentDomain, match=named):
+                    call(function, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(hst.lists(_ENGINE_POINT, max_size=6), max_size=6),
+           hst.sampled_from([((1.0,), False), ((0.25, 0.75), False),
+                             ((1.0,), True)]))
+    @example([[], [2.0 + 1j, 0.5 - 30j], [], [3.0 + 0j]], ((1.0,), True))
+    def test_groups_equal_one_group_calls(self, groups, engine):
+        # a group takes the N of its largest |Im s|, whatever its neighbours
+        shifts, shared_head = engine
+        points = [z for group in groups for z in group]
+        assume(all(abs(z - 1.0) > 1e-10 for z in points))
+        got = sf._em_core(np.array(points, dtype=complex), shifts,
+                          [len(group) for group in groups], shared_head)
+        want = [v for group in groups if group
+                for v in sf._em_core(np.array(group), shifts)]
+        assert _hex(got) == _hex(want)
 
 
 class TestVonMangoldt:
