@@ -6,14 +6,16 @@ keeps --threads, unread); any other flag is a usage error.  Numbers are
 serialized at 17 significant digits (32 in double-double mode, tagged per
 row); identical configuration and cache produce byte-identical outputs at
 any --threads value from 1 to 64.  --threads is the number of worker
-processes that `audit` runs its claims in and double-double `filter-roots`
-its Newton roots in; it defaults to the usable CPU count, and 1 runs
+processes, forked for each call with no pool and no thread, that pull
+`audit`'s claims or double-double `filter-roots`' Newton roots from one
+pipe of task indices; it defaults to the usable CPU count, and 1 runs
 everything in this process.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
-4 I/O failure (missing, unusable or empty catalog, unwritable output);
-5 invalid configuration or command line; 6 cache verification failure.
+4 I/O failure (missing, unusable or empty catalog, unwritable output, a
+worker dead without results); 5 invalid configuration or command line;
+6 cache verification failure.
 errors.py has one class per code; main maps it once.  `bijection`,
 `stats` and `audit` read only a zeta catalog.  Commands that write into
 --out check that it is a directory before any work starts.
@@ -22,9 +24,10 @@ errors.py has one class per code; main maps it once.  `bijection`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import pickle
 import sys
-import time
 from functools import partial
 
 import numpy as np
@@ -58,36 +61,57 @@ def _usable_cpus() -> int:
     return min(n, _MAX_THREADS)
 
 
-def _os_threads() -> set:
-    """This process's OS thread ids; empty where /proc is missing."""
-    tasks = "/proc/self/task"
-    return set(os.listdir(tasks)) if os.path.isdir(tasks) else set()
-
-
 def _fan_out(fn, items, workers: int) -> list:
-    """[fn(x) for x in items] over up to `workers` forked processes.
-
-    Results come back in input order and the first failure in input order
-    is raised, so outputs, stderr and exit code are the serial loop's.  One
-    worker runs the loop in this process, with no pool.  A joined pool
-    thread can outlive its join at the OS level, and a later fork beside it
-    warns on Python 3.12+, so this returns once every thread the pool
-    started has exited (waiting at most a second).
-    """
+    """[fn(x) for x in items] over up to `workers` children forked for this
+    call, with the serial loop's results and first failure in input order;
+    OSError for a child that ends without sending its results.  One worker
+    runs the loop in this process."""
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    context = multiprocessing.get_context("fork")
-    before = _os_threads()
+    ends = [open(fd, mode, buffering=0) for _ in range(workers + 1)
+            for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+    pids = []  # ends: the index pipe's, then each child's result pipe's
     try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(fn, items))
+        for mine in ends[3::2]:
+            pids.append(os.fork())
+            if not pids[-1]:  # the child: never returns, whatever is raised
+                try:
+                    for end in set(ends[1:]) - {mine}:
+                        end.close()
+                    done = []
+                    while len(record := ends[0].read(4)) == 4:
+                        i = int.from_bytes(record, "little")
+                        try:
+                            done.append((i, True, fn(items[i])))
+                        except Exception as exc:
+                            done.append((i, False, exc))
+                    with open(mine.fileno(), "wb", closefd=False) as fh:
+                        pickle.dump(done, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+        for end in ends[:1] + ends[3::2]:
+            end.close()
+        # after the forks, so that a full pipe has a reader; 4 <= PIPE_BUF
+        with contextlib.suppress(BrokenPipeError):  # every child has ended
+            for i in range(len(items)):
+                ends[1].write(i.to_bytes(4, "little"))
+        ends[1].close()
+        sent = [end.readall() for end in ends[2::2]]
     finally:
-        deadline = time.monotonic() + 1.0
-        while _os_threads() - before and time.monotonic() < deadline:
-            time.sleep(1e-4)
+        for end in ends:
+            end.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    for pid, code, data in zip(pids, codes, sent):
+        if code or not data:
+            raise OSError(f"worker {pid} sent no results (exit status {code})")
+    done = sorted(x for data in sent for x in pickle.loads(data))
+    for _, ok, value in done:
+        if not ok:
+            raise value
+    return [value for *_, value in done]
 
 
 def _load_catalog(config, function: str = None) -> list:

@@ -8,11 +8,11 @@ What is bit-identical to what:
 * zeta and beta are one Euler-Maclaurin engine, _em_core.  A caller
   names its groups of points, and a group's truncation N is that of its
   largest |Im s|, so each value has the bits of a call of its group alone.
-Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, a
-negative height or an unknown function tag; NoConvergence when a zero of
-L sits on an arg rectangle's path.  log_gamma_vec and arg_rectangles
-raise the first error of their serial loop, message included.  No
-points give an empty result.
+Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, an
+L point above |Im s| = 1e4, a negative height or an unknown function tag;
+NoConvergence when a zero of L sits on an arg rectangle's path.
+log_gamma_vec and arg_rectangles raise the first error of their serial
+loop, message included.  No points give an empty result.
 """
 
 from __future__ import annotations
@@ -243,10 +243,8 @@ def digamma(s) -> complex:
 # ---------------------------------------------------------------------------
 
 def _em_truncation(im_max: np.ndarray) -> np.ndarray:
-    """max(24, int(1.4 |Im s|) + 16) at each largest |Im s|, as int64; an
-    |Im s| above 2^60, whose head np.arange refuses, does not wrap."""
-    return np.maximum(24, (1.4 * np.minimum(np.abs(im_max), 2.0 ** 60))
-                      .astype(np.int64) + 16)
+    """max(24, int(1.4 |Im s|) + 16) at each largest |Im s|, as int64."""
+    return np.maximum(24, (1.4 * np.abs(im_max)).astype(np.int64) + 16)
 
 
 def _em_power(e: np.ndarray, log_x: list) -> np.ndarray:
@@ -257,6 +255,7 @@ def _em_power(e: np.ndarray, log_x: list) -> np.ndarray:
 
 
 _HEAD_BLOCK = 512  # rows of one _shared_phase_head block
+_EM_IM_MAX = 1e4  # 50 times zeta's |Im s| <= 200 contract; N ~ 1.4 |Im s|
 
 
 def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
@@ -303,12 +302,15 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
     .sum(axis=1), pairwise per row as for one point, and take log(N + a)
     once, so each value equals the one-group call of its group alone bit
     for bit.  shared_head sums the head by _shared_phase_head (one shift).
-    ArgumentDomain for the first non-finite point; no points give an
-    empty array.
+    ArgumentDomain for the first point that is not finite or lies above
+    |Im s| = _EM_IM_MAX; no points give an empty array.
     """
-    if not np.isfinite(s).all():
-        first = complex(s[np.argmin(np.isfinite(s))])
-        raise ArgumentDomain(f"non-finite argument {first!r}")
+    ok = np.isfinite(s.real) & (np.abs(s.imag) <= _EM_IM_MAX)
+    if not ok.all():
+        first = complex(s[np.argmin(ok)])
+        raise ArgumentDomain(f"|Im s| above {_EM_IM_MAX:g} at {first!r}"
+                             if cmath.isfinite(first)
+                             else f"non-finite argument {first!r}")
     if not s.size:
         return np.empty(0, dtype=complex)
     if groups is None:                  # one group: no reduce
@@ -358,7 +360,7 @@ def _l_values(function: str, s, groups: list = None,
     4^{-s} [zeta(s,1/4) - zeta(s,3/4)], as function is "zeta" or "beta";
     groups (over the raveled s) and shared_head as _em_core takes them.
     ArgumentDomain for an unknown tag, for a zeta point within 1e-10 of
-    s = 1, and for the first non-finite point."""
+    s = 1, and for the first point outside _em_core's domain."""
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     if function == "zeta":

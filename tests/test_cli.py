@@ -4,15 +4,16 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 import warnings
-from concurrent import futures
 from pathlib import Path
 from unittest import mock
 
@@ -592,8 +593,30 @@ def _pause_or_fail(task):
     return seconds
 
 
-def _never_constructed(*args, **kwargs):
-    raise AssertionError("ProcessPoolExecutor constructed")
+def _never_forked():
+    raise AssertionError("forked")
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _kill_own_worker(task):
+    """A fan-out task: SIGKILL the worker process it runs in, if named."""
+    if task == "kill":
+        assert os.getpid() != _TEST_PROCESS, "not in a worker process"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def _negative_fails(task):
+    if task < 0:
+        raise ValueError(f"negative task {task}")
+    return task
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerProcesses:
@@ -669,14 +692,61 @@ class TestWorkerProcesses:
     def test_one_worker_builds_no_pool(self, tmp_path, zeta_catalog_60,
                                        capsys, monkeypatch):
         zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", _never_constructed)
+        monkeypatch.setattr(os, "fork", _never_forked)
         assert run(["audit", "--claims", self.CHEAP_CLAIMS,
                     "--threads", "1"], tmp_path) == 0
         assert run(["filter-roots", "--e-max", "45", "--precision",
                     "double_double", "--threads", "1"], tmp_path) == 0
-        with pytest.raises(AssertionError, match="constructed"):
+        with pytest.raises(AssertionError, match="forked"):
             run(["audit", "--claims", self.CHEAP_CLAIMS, "--threads", "2"],
                 tmp_path)
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_more_indices_than_a_pipe_holds(self, workers):
+        # 80 KB of 4-byte indices: written before any child could read
+        # them, they would fill a 64 KiB pipe and block the parent; each
+        # index is taken once, also by more workers than cores
+        items = list(range(20_000))
+        assert cli._fan_out(operator.neg, items, workers) == \
+            [-i for i in items]
+        _assert_no_child_left()
+
+    def test_killed_worker_raises_oserror(self):
+        with pytest.raises(OSError, match=r"^worker \d+ sent no results "
+                                          r"\(exit status -9\)$"):
+            cli._fan_out(_kill_own_worker, ["kill", "ok", "ok"], 2)
+        _assert_no_child_left()
+
+    def test_killed_worker_exits_4(self, tmp_path, zeta_catalog_60, capsys,
+                                   monkeypatch):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
+        monkeypatch.setattr(cli.cl, "run_claim",
+                            lambda config, catalog, claim_id:
+                            _kill_own_worker("kill"))
+        assert run(["audit", "--claims", self.CHEAP_CLAIMS, "--threads", "2"],
+                   tmp_path) == 4
+        assert re.fullmatch(r"error: I/O failure: worker \d+ sent no results "
+                            r"\(exit status -9\)\n", capsys.readouterr().err)
+        assert not (tmp_path / "audit_ledger.json").exists()
+        _assert_no_child_left()
+
+    def test_other_exception_raised_as_the_serial_loop_raises_it(
+            self, tmp_path):
+        items = [1, 0, -2, 3, -4]
+        with pytest.raises(ValueError) as serial:
+            [_negative_fails(x) for x in items]
+        with pytest.raises(ValueError) as forked:
+            cli._fan_out(_negative_fails, items, 3)
+        # the caller's code after _fan_out runs in this process only: a
+        # worker that returned into it would log its pid here, then end
+        with open(tmp_path / "after.log", "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != _TEST_PROCESS:
+            os._exit(0)
+        assert (tmp_path / "after.log").read_text() == f"{_TEST_PROCESS}\n"
+        assert type(forked.value) is ValueError
+        assert str(forked.value) == str(serial.value) == "negative task -2"
+        _assert_no_child_left()
 
 
 def _env_importing_this_mbzero():
@@ -704,6 +774,29 @@ def test_cli_import_leaves_process_pools_unloaded():
         capture_output=True, text=True, env=_env_importing_this_mbzero(),
         timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_forking_commands_leave_process_pools_unloaded(tmp_path):
+    # audit and double-double filter-roots on 2 workers, in one fresh
+    # process: the fan-out forks with no process-pool module
+    script = f"""
+import contextlib, io, sys
+from mbzero import cli
+paths = ["--cache", {str(tmp_path / "cat.txt")!r}]
+out = paths + ["--out", {str(tmp_path)!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["census", "--t-max", "40"] + paths),
+             cli.main(["audit", "--claims", {TestWorkerProcesses.CHEAP_CLAIMS!r},
+                       "--threads", "2"] + out),
+             cli.main(["filter-roots", "--e-max", "80", "--precision",
+                       "double_double", "--threads", "2"] + out)]
+print(codes, sorted({{"concurrent.futures", "multiprocessing"}}
+                    & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_env_importing_this_mbzero(),
+                          timeout=300, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
 def _fail_if_called(*args, **kwargs):

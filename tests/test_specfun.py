@@ -892,9 +892,9 @@ def _insert(items, placed):
 
 class TestEngineContract:
     """One way into the Euler-Maclaurin engine: no points give an empty
-    result of the input's shape, a non-finite point raises ArgumentDomain
-    naming the first one, and each group of an _em_core call has the bits
-    of a one-group call of its points alone."""
+    result of the input's shape, a non-finite point or one above |Im s| =
+    1e4 raises ArgumentDomain naming the first one, and each group of an
+    _em_core call has the bits of a one-group call of its points alone."""
 
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
     def test_no_points(self, shape):
@@ -930,6 +930,38 @@ class TestEngineContract:
                      lambda s: sf.zeta(s[np.argmin(np.isfinite(s))]),
                      lambda s: sf.dirichlet_beta(
                          s[np.argmin(np.isfinite(s))])):
+            with pytest.raises(ArgumentDomain, match=named):
+                call(s)
+
+    @pytest.mark.parametrize("call, first", [
+        (lambda: sf.zeta(0.5 + 1e12j), 0.5 + 1e12j),
+        (lambda: sf.critical_line_values("zeta", [1.0, 1e12]), 0.5 + 1e12j),
+        (lambda: sf.zeta_vec(np.array([2.0, 2.0 - 1e19j])), 2.0 - 1e19j)],
+        ids=["zeta", "critical_line_values", "zeta_vec"])
+    def test_height_above_ceiling_named(self, call, first):
+        # N = 1.4 |Im s| + 16 head terms: 1e12 asked numpy for 10 TiB, and
+        # 1e19 for an array too big to make
+        with pytest.raises(ArgumentDomain,
+                           match=re.escape(f"|Im s| above 10000 at {first!r}")):
+            call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(_ENGINE_POINT, max_size=8),
+           hst.lists(hst.tuples(hst.integers(0, 8), hst.one_of(
+               _NON_FINITE, hst.builds(complex, _STRIP_RE, hst.sampled_from(
+                   [math.nextafter(1e4, 2e4), -2e4, 1e12, 1e19, -1e300])))),
+                     min_size=1, max_size=3))
+    def test_first_point_out_of_domain_named(self, points, placed):
+        # non-finite or above the ceiling: the first in input order
+        assume(all(abs(z - 1.0) > 1e-10 for z in points))
+        s = np.array(_insert(points, placed))
+        first = next(z for z in s.tolist()
+                     if not (cmath.isfinite(z) and abs(z.imag) <= 1e4))
+        named = re.escape(f"|Im s| above 10000 at {first!r}"
+                          if cmath.isfinite(first)
+                          else f"non-finite argument {first!r}")
+        for call in (sf.zeta_vec, sf.dirichlet_beta_vec,
+                     lambda s: sf.zeta_lines([s[:2], s[2:]])):
             with pytest.raises(ArgumentDomain, match=named):
                 call(s)
 
