@@ -1,15 +1,15 @@
 """Command-line driver.
 
 Subcommands: census, filter-roots, bijection, stats, audit, cache.  Each
-accepts only the flags it reads, declared once in `_FLAGS` (census also
-keeps --threads, unread); any other flag is a usage error.  Numbers are
-serialized at 17 significant digits (32 in double-double mode, tagged per
-row); identical configuration and cache produce byte-identical outputs at
-any --threads value from 1 to 64.  --threads is the number of worker
-processes, forked for each call with no pool and no thread, that pull
-`audit`'s claims or double-double `filter-roots`' Newton roots from one
-pipe of task indices; it defaults to the usable CPU count, and 1 runs
-everything in this process.
+accepts only the flags it reads, declared once in `_FLAGS`; any other
+flag is a usage error.  Numbers are serialized at 17 significant digits
+(32 in double-double mode, tagged per row); identical configuration and
+cache produce byte-identical outputs at any --threads value from 1 to 64.
+--threads is the number of worker processes, forked for each call with no
+pool and no thread (fanout.fan_out), that pull `audit`'s claims, double-
+double `filter-roots`' Newton roots or the slices of a census scan large
+enough to pay for a fork from one pipe of task indices; it defaults to
+the usable CPU count, and 1 runs everything in this process.
 
 Exit codes: 0 success; 2 suspected missed zero in a census scan;
 3 numerical failure (Newton, quadrature, ODE step or argument walk);
@@ -24,9 +24,7 @@ errors.py has one class per code; main maps it once.  `bijection`,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import pickle
 import sys
 from functools import partial
 
@@ -38,13 +36,14 @@ from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import ledger_json
 from .errors import ArgumentDomain, MbzeroError
+from .fanout import fan_out
 
 EXIT_OK = 0
 EXIT_IO = 4
 EXIT_CONFIG = 5
 EXIT_CACHE = 6
 
-# audit and double-double filter-roots fork at most this many workers
+# the most workers census, audit and double-double filter-roots fork
 _MAX_THREADS = 64
 
 def _fmt(x: float) -> str:
@@ -61,59 +60,6 @@ def _usable_cpus() -> int:
     return min(n, _MAX_THREADS)
 
 
-def _fan_out(fn, items, workers: int) -> list:
-    """[fn(x) for x in items] over up to `workers` children forked for this
-    call, with the serial loop's results and first failure in input order;
-    OSError for a child that ends without sending its results.  One worker
-    runs the loop in this process."""
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    ends = [open(fd, mode, buffering=0) for _ in range(workers + 1)
-            for fd, mode in zip(os.pipe(), ("rb", "wb"))]
-    pids = []  # ends: the index pipe's, then each child's result pipe's
-    try:
-        for mine in ends[3::2]:
-            pids.append(os.fork())
-            if not pids[-1]:  # the child: never returns, whatever is raised
-                try:
-                    for end in set(ends[1:]) - {mine}:
-                        end.close()
-                    done = []
-                    while len(record := ends[0].read(4)) == 4:
-                        i = int.from_bytes(record, "little")
-                        try:
-                            done.append((i, True, fn(items[i])))
-                        except Exception as exc:
-                            done.append((i, False, exc))
-                    with open(mine.fileno(), "wb", closefd=False) as fh:
-                        pickle.dump(done, fh)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-        for end in ends[:1] + ends[3::2]:
-            end.close()
-        # after the forks, so that a full pipe has a reader; 4 <= PIPE_BUF
-        with contextlib.suppress(BrokenPipeError):  # every child has ended
-            for i in range(len(items)):
-                ends[1].write(i.to_bytes(4, "little"))
-        ends[1].close()
-        sent = [end.readall() for end in ends[2::2]]
-    finally:
-        for end in ends:
-            end.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid in pids]
-    for pid, code, data in zip(pids, codes, sent):
-        if code or not data:
-            raise OSError(f"worker {pid} sent no results (exit status {code})")
-    done = sorted(x for data in sent for x in pickle.loads(data))
-    for _, ok, value in done:
-        if not ok:
-            raise value
-    return [value for *_, value in done]
-
-
 def _load_catalog(config, function: str = None) -> list:
     if not os.path.isfile(config.cache):
         raise FileNotFoundError(f"catalog {config.cache} not found or "
@@ -127,7 +73,7 @@ def _load_catalog(config, function: str = None) -> list:
 
 
 def cmd_census(config) -> int:
-    records = zc.scan_zeros(config.function, config.t_max)
+    records = zc.scan_zeros(config.function, config.t_max, config.threads)
     if records:
         zc.catalog_store(config.cache, records)
     print(f"# {config.function} zeros with ordinate <= {_fmt(config.t_max)}")
@@ -155,8 +101,8 @@ def cmd_filter_roots(config) -> int:
     # every double root is accepted before any 31-digit step
     e_vals = mbf.newton_filter_roots(config.function, guesses, scale)
     if config.precision == "double_double":
-        roots = _fan_out(partial(_dd_root, config.function, scale),
-                         list(zip(guesses, e_vals)), config.threads)
+        roots = fan_out(partial(_dd_root, config.function, scale),
+                        list(zip(guesses, e_vals)), config.threads)
     else:
         roots = [(_fmt(e), e) for e in e_vals]
     rows = [(e_str, t, abs(e_val - 2.0 * t))
@@ -254,9 +200,9 @@ def cmd_audit(config) -> int:
             raise ArgumentDomain(f"{exc}; the full audit writes spacing "
                                  "statistics, so choose claims with "
                                  "--claims") from None
-    reports = _fan_out(partial(cl.run_claim, config, catalog),
-                       [c for c in cl.REGISTRY if not only or c in only],
-                       config.threads)
+    reports = fan_out(partial(cl.run_claim, config, catalog),
+                      [c for c in cl.REGISTRY if not only or c in only],
+                      config.threads)
     ledger = ledger_json(reports)
     path = os.path.join(config.out, "audit_ledger.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -322,8 +268,6 @@ _FLAGS = {
             (lambda v: 0.0 < v < 1.0, "(0, 1)")),
     "--precision": (("filter-roots",), dict(
         default="double", choices=("double", "double_double")), None),
-    # census reads no --threads; it keeps the flag while perfbench times
-    # `census --threads 2`, until cli.census.threads2.s times audit instead
     "--threads": (("census", "filter-roots", "audit"),
                   dict(type=int, default=_usable_cpus()),
                   (lambda v: 1 <= v <= _MAX_THREADS, f"[1, {_MAX_THREADS}]")),

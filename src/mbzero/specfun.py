@@ -11,8 +11,9 @@ What is bit-identical to what:
 Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, an
 L point above |Im s| = 1e4, a negative height or an unknown function tag;
 NoConvergence when a zero of L sits on an arg rectangle's path.
-log_gamma_vec and arg_rectangles raise the first error of their serial
-loop, message included.  No points give an empty result.
+log_gamma_vec, arg_rectangles, zeta_vec, dirichlet_beta_vec and
+zeta_lines raise the first error of their serial loop, message included.
+No points give an empty result.
 """
 
 from __future__ import annotations
@@ -284,6 +285,17 @@ def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
     return head
 
 
+def _check_em_domain(s: np.ndarray) -> None:
+    """ArgumentDomain for the first point of a 1-d array outside _em_core's
+    domain: not finite, or above |Im s| = _EM_IM_MAX."""
+    ok = np.isfinite(s.real) & (np.abs(s.imag) <= _EM_IM_MAX)
+    if not ok.all():
+        first = complex(s[np.argmin(ok)])
+        raise ArgumentDomain(f"|Im s| above {_EM_IM_MAX:g} at {first!r}"
+                             if cmath.isfinite(first)
+                             else f"non-finite argument {first!r}")
+
+
 def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
              shared_head: bool = False) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
@@ -305,12 +317,7 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
     ArgumentDomain for the first point that is not finite or lies above
     |Im s| = _EM_IM_MAX; no points give an empty array.
     """
-    ok = np.isfinite(s.real) & (np.abs(s.imag) <= _EM_IM_MAX)
-    if not ok.all():
-        first = complex(s[np.argmin(ok)])
-        raise ArgumentDomain(f"|Im s| above {_EM_IM_MAX:g} at {first!r}"
-                             if cmath.isfinite(first)
-                             else f"non-finite argument {first!r}")
+    _check_em_domain(s)
     if not s.size:
         return np.empty(0, dtype=complex)
     if groups is None:                  # one group: no reduce
@@ -359,12 +366,15 @@ def _l_values(function: str, s, groups: list = None,
     """L(s) over an array of any shape, L = zeta, or beta as
     4^{-s} [zeta(s,1/4) - zeta(s,3/4)], as function is "zeta" or "beta";
     groups (over the raveled s) and shared_head as _em_core takes them.
-    ArgumentDomain for an unknown tag, for a zeta point within 1e-10 of
-    s = 1, and for the first point outside _em_core's domain."""
+    ArgumentDomain for an unknown tag, else for the first point in input
+    order that is outside _em_core's domain or, for zeta, within 1e-10 of
+    s = 1."""
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     if function == "zeta":
-        if (np.abs(flat - 1.0) <= 1e-10).any():
+        pole = np.abs(flat - 1.0) <= 1e-10
+        if pole.any():
+            _check_em_domain(flat[:np.argmax(pole)])
             raise ArgumentDomain("zeta pole at s = 1")
         out = _em_core(flat, (1.0,), groups, shared_head)
     elif function == "beta":

@@ -26,7 +26,7 @@ from hypothesis import strategies as hst
 import mbzero
 import oracles as oc
 from mbzero import bessel as bs
-from mbzero import cli, errors, quadrature
+from mbzero import cli, errors, fanout, quadrature
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import spectrostats as st
@@ -79,6 +79,87 @@ class TestCensusCommand:
         run(["census", "--function", "zeta", "--t-max", "40",
              "--threads", "4"], tmp_path)
         assert (tmp_path / "cat.txt").read_bytes() == one
+
+    def _census_at(self, argv, threads, tmp_path, capsys):
+        """(exit code, stdout, stderr, catalog bytes or None) of a census
+        at each --threads value."""
+        outcomes = []
+        for n in threads:
+            (tmp_path / "cat.txt").unlink(missing_ok=True)
+            code = run(argv + ["--threads", n], tmp_path)
+            out, err = capsys.readouterr()
+            path = tmp_path / "cat.txt"
+            outcomes.append((code, out, err,
+                             path.read_bytes() if path.exists() else None))
+        return outcomes
+
+    def test_forked_census_bytes_at_one_to_three_workers(self, tmp_path,
+                                                         capsys, monkeypatch):
+        forks = []  # the slice count of each scan
+        fan_out = zc.fan_out
+
+        def counted(fn, items, workers):
+            forks.append(len(items))
+            return fan_out(fn, items, workers)
+
+        monkeypatch.setattr(zc, "fan_out", counted)
+        zeta = self._census_at(["census", "--t-max", "200"], "123",
+                               tmp_path, capsys)
+        assert forks == [1, 2, 3]
+        assert len(set(zeta)) == 1 and zeta[0][0] == 0
+        assert hashlib.sha256(zeta[0][3]).hexdigest() == ZETA_200_SHA256
+        # a beta scan to 60 forks once the fork threshold is patched down
+        monkeypatch.setattr(zc, "_FORK_WORK", 1000)
+        beta = self._census_at(["census", "--function", "beta", "--t-max",
+                                "60"], "123", tmp_path, capsys)
+        assert forks[3:] == [1, 2, 3]
+        assert len(set(beta)) == 1 and beta[0][0] == 0
+        assert beta[0][3] == zc.catalog_serialize(zc.scan_zeros("beta", 60.0))
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--t-max", "60"],
+        ["census", "--function", "beta", "--t-max", "17"]])
+    def test_small_census_forks_nothing(self, argv, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(os, "fork", _never_forked)
+        assert run(argv + ["--threads", "2"], tmp_path) == 0
+
+    def test_same_failure_in_the_upper_slice_at_one_and_two_workers(
+            self, tmp_path, capsys, monkeypatch):
+        grid = np.linspace(0.5, 200.0, 3991)
+        upper = zc._slices(grid, 2)[1]
+        bad = float(upper[len(upper) // 2])
+        vector = sf.hardy_Z_vec
+
+        def failing(function, t):
+            if bad in np.asarray(t):
+                raise errors.NoConvergence(f"injected at t = {bad!r}")
+            return vector(function, t)
+
+        monkeypatch.setattr(sf, "hardy_Z_vec", failing)
+        outcomes = self._census_at(["census", "--t-max", "200"], "12",
+                                   tmp_path, capsys)
+        assert outcomes[0] == outcomes[1]
+        code, out, err, written = outcomes[0]
+        assert (code, out, written) == (3, "", None)
+        assert err == f"error: injected at t = {bad!r}\n"
+
+    def test_same_step_halving_retry_at_one_and_two_workers(
+            self, tmp_path, capsys, monkeypatch):
+        # the first count is one short, so the scan retries at step 0.025
+        predictions = []
+        predict = zc.counting_prediction
+
+        def short_once(function, t):
+            predictions.append(t)
+            return predict(function, t) + (len(predictions) % 2)
+
+        monkeypatch.setattr(zc, "counting_prediction", short_once)
+        outcomes = self._census_at(["census", "--t-max", "200"], "12",
+                                   tmp_path, capsys)
+        assert predictions == [200.0] * 4
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0 and "# 79 records" in outcomes[0][1]
 
 
 class TestFilterRootsCommand:
@@ -396,7 +477,7 @@ class TestRootAcceptance:
         monkeypatch.setattr(zc, "catalog_load", lambda path: records)
         monkeypatch.setattr(zc, "RESIDUAL_LIMIT", 0.0)
         for work in ((mbf, "_hp_arithmetic"), (mbf, "newton_root_dd"),
-                     (cli, "_fan_out")):
+                     (cli, "fan_out")):
             monkeypatch.setattr(*work, _fail_if_called)
         code = run(["filter-roots", "--function", "beta", "--e-max", "26",
                     "--precision", "double_double", "--threads", "2"],
@@ -625,14 +706,14 @@ class TestWorkerProcesses:
 
     def test_results_in_input_order(self):
         tasks = [(0.2, None), (0.0, None), (0.1, None)]
-        assert cli._fan_out(_pause_or_fail, tasks, 3) == [0.2, 0.0, 0.1]
+        assert fanout.fan_out(_pause_or_fail, tasks, 3) == [0.2, 0.0, 0.1]
 
     def test_first_failure_in_input_order_is_raised(self):
         # the later task fails first in time
         tasks = [(0.0, None), (0.3, "NoConvergence"), (0.0, "CatalogError")]
         with pytest.raises(errors.NoConvergence,
                            match="^NoConvergence from a worker$") as err:
-            cli._fan_out(_pause_or_fail, tasks, 3)
+            fanout.fan_out(_pause_or_fail, tasks, 3)
         assert type(err.value) is errors.NoConvergence
 
     @pytest.mark.skipif(not (hasattr(os, "fork")
@@ -643,7 +724,7 @@ class TestWorkerProcesses:
         # the conftest records the OS thread count at every fork
         tasks = [(0.0, None)] * 2
         for _ in range(20):
-            assert cli._fan_out(_pause_or_fail, tasks, 2) == [0.0, 0.0]
+            assert fanout.fan_out(_pause_or_fail, tasks, 2) == [0.0, 0.0]
         assert len(forks_single_threaded) >= 40
         assert set(forks_single_threaded) == {1}
 
@@ -707,14 +788,14 @@ class TestWorkerProcesses:
         # them, they would fill a 64 KiB pipe and block the parent; each
         # index is taken once, also by more workers than cores
         items = list(range(20_000))
-        assert cli._fan_out(operator.neg, items, workers) == \
+        assert fanout.fan_out(operator.neg, items, workers) == \
             [-i for i in items]
         _assert_no_child_left()
 
     def test_killed_worker_raises_oserror(self):
         with pytest.raises(OSError, match=r"^worker \d+ sent no results "
                                           r"\(exit status -9\)$"):
-            cli._fan_out(_kill_own_worker, ["kill", "ok", "ok"], 2)
+            fanout.fan_out(_kill_own_worker, ["kill", "ok", "ok"], 2)
         _assert_no_child_left()
 
     def test_killed_worker_exits_4(self, tmp_path, zeta_catalog_60, capsys,
@@ -736,8 +817,8 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError) as serial:
             [_negative_fails(x) for x in items]
         with pytest.raises(ValueError) as forked:
-            cli._fan_out(_negative_fails, items, 3)
-        # the caller's code after _fan_out runs in this process only: a
+            fanout.fan_out(_negative_fails, items, 3)
+        # the caller's code after fan_out runs in this process only: a
         # worker that returned into it would log its pid here, then end
         with open(tmp_path / "after.log", "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
@@ -1043,7 +1124,7 @@ class TestExitCodeMapping:
         with pytest.raises(errors.MbzeroError) as here:
             _fail(failure)
         with pytest.raises(errors.MbzeroError) as there:
-            cli._fan_out(_fail, [failure, failure], 2)
+            fanout.fan_out(_fail, [failure, failure], 2)
         assert type(there.value) is type(here.value)
         assert str(there.value) == str(here.value)
         assert there.value.exit_code == _FAILURES[failure][0]

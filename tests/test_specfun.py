@@ -882,6 +882,24 @@ _ENGINE_POINT = hst.builds(complex, _STRIP_RE, hst.floats(-200.0, 200.0))
 _NON_FINITE_T = hst.sampled_from([math.nan, math.inf])
 
 
+# engine points, with zeta's pole and a point within 1e-10 of it
+_ENGINE_OR_POLE = hst.one_of(_ENGINE_POINT, hst.sampled_from(
+    [1.0 + 0j, complex(1.0, 5e-11)]))
+
+
+def _first_named(s, zeta: bool) -> str:
+    """The message of the first point of s outside the engine's domain
+    or, if zeta, at zeta's pole."""
+    for z in s.tolist():
+        if not cmath.isfinite(z):
+            return f"non-finite argument {z!r}"
+        if abs(z.imag) > 1e4:
+            return f"|Im s| above 10000 at {z!r}"
+        if zeta and abs(z - 1.0) <= 1e-10:
+            return "zeta pole at s = 1"
+    raise AssertionError("every point in the domain")
+
+
 def _insert(items, placed):
     """items with each (position, item) of placed inserted in turn."""
     items = list(items)
@@ -916,21 +934,25 @@ class TestEngineContract:
             assert sf._em_core(s.ravel(), (1.0,), groups).shape == (0,)
 
     @settings(max_examples=100, deadline=None)
-    @given(hst.lists(_ENGINE_POINT, max_size=12),
+    @given(hst.lists(_ENGINE_OR_POLE, max_size=12),
            hst.lists(hst.tuples(hst.integers(0, 12), _NON_FINITE),
                      min_size=1, max_size=3),
            hst.integers(0, 12))
     def test_first_non_finite_point_named(self, points, placed, cut):
-        assume(all(abs(z - 1.0) > 1e-10 for z in points))
         s = np.array(_insert(points, placed))
-        first = next(z for z in s.tolist() if not cmath.isfinite(z))
-        named = re.escape(f"non-finite argument {first!r}")
-        for call in (sf.zeta_vec, sf.dirichlet_beta_vec,
-                     lambda s: sf.zeta_lines([s[:cut], s[cut:]]),
-                     lambda s: sf.zeta(s[np.argmin(np.isfinite(s))]),
+        named = re.escape(f"non-finite argument "
+                          f"{complex(s[np.argmin(np.isfinite(s))])!r}")
+        for call in (lambda s: sf.zeta(s[np.argmin(np.isfinite(s))]),
                      lambda s: sf.dirichlet_beta(
                          s[np.argmin(np.isfinite(s))])):
             with pytest.raises(ArgumentDomain, match=named):
+                call(s)
+        # a zeta pole before the first non-finite point is the error
+        for call, zeta in ((sf.zeta_vec, True), (sf.dirichlet_beta_vec, False),
+                           (lambda s: sf.zeta_lines([s[:cut], s[cut:]]),
+                            True)):
+            with pytest.raises(ArgumentDomain,
+                               match=re.escape(_first_named(s, zeta))):
                 call(s)
 
     @pytest.mark.parametrize("call, first", [
@@ -946,24 +968,28 @@ class TestEngineContract:
             call()
 
     @settings(max_examples=100, deadline=None)
-    @given(hst.lists(_ENGINE_POINT, max_size=8),
+    @given(hst.lists(_ENGINE_OR_POLE, max_size=8),
            hst.lists(hst.tuples(hst.integers(0, 8), hst.one_of(
                _NON_FINITE, hst.builds(complex, _STRIP_RE, hst.sampled_from(
                    [math.nextafter(1e4, 2e4), -2e4, 1e12, 1e19, -1e300])))),
                      min_size=1, max_size=3))
     def test_first_point_out_of_domain_named(self, points, placed):
-        # non-finite or above the ceiling: the first in input order
-        assume(all(abs(z - 1.0) > 1e-10 for z in points))
+        # non-finite, above the ceiling or, for zeta, at the pole: the
+        # first in input order
         s = np.array(_insert(points, placed))
-        first = next(z for z in s.tolist()
-                     if not (cmath.isfinite(z) and abs(z.imag) <= 1e4))
-        named = re.escape(f"|Im s| above 10000 at {first!r}"
-                          if cmath.isfinite(first)
-                          else f"non-finite argument {first!r}")
-        for call in (sf.zeta_vec, sf.dirichlet_beta_vec,
-                     lambda s: sf.zeta_lines([s[:2], s[2:]])):
-            with pytest.raises(ArgumentDomain, match=named):
+        for call, zeta in ((sf.zeta_vec, True), (sf.dirichlet_beta_vec, False),
+                           (lambda s: sf.zeta_lines([s[:2], s[2:]]), True)):
+            with pytest.raises(ArgumentDomain,
+                               match=re.escape(_first_named(s, zeta))):
                 call(s)
+
+    @pytest.mark.parametrize("points, named", [
+        ([math.nan, 1.0], "non-finite argument (nan+0j)"),
+        ([2.0 + 2e4j, 1.0], "|Im s| above 10000 at (2+20000j)"),
+        ([1.0, math.nan], "zeta pole at s = 1")])
+    def test_pole_and_domain_in_input_order(self, points, named):
+        with pytest.raises(ArgumentDomain, match=f"^{re.escape(named)}$"):
+            sf.zeta_vec(np.array(points, dtype=complex))
 
     @settings(max_examples=100, deadline=None)
     @given(hst.lists(hst.floats(0.0, 200.0), max_size=12),

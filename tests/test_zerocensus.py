@@ -62,8 +62,7 @@ class TestScanZeros:
 
     def test_threads_produce_identical_output(self, zeta_catalog_60,
                                               tmp_path, capsys):
-        # --threads sizes the audit and double-double filter-roots pools;
-        # the census scan is one vector evaluation at any value
+        # a scan to t = 60 is too small to fork for: one slice in process
         cache = tmp_path / "cat.txt"
         assert cli.main(["census", "--t-max", "60", "--threads", "4",
                          "--cache", str(cache)]) == 0
@@ -132,6 +131,72 @@ class TestLockstepRefinement:
         assert zc._refine_brackets("zeta", brackets) == \
             oc.refine_brackets_scalar("zeta", brackets)
         assert zc._refine_brackets("zeta", []) == []
+
+
+def _cut(items, cuts):
+    """items cut at the sorted distinct positions in cuts."""
+    ends = [0, *sorted(set(cuts)), len(items)]
+    return [items[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+class TestSlicedScan:
+    """The invariant the forked census rests on: every grid value and every
+    bisected bracket is the same however the points are grouped."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(function=hst.sampled_from(["zeta", "beta"]),
+           ts=hst.lists(hst.floats(0.0, 200.0), min_size=1, max_size=40),
+           cuts=hst.lists(hst.integers(0, 40), max_size=5))
+    def test_grid_pieces_equal_one_call(self, function, ts, cuts):
+        grid = np.sort(np.array(ts))
+        whole = sf.hardy_Z_vec(function, grid)
+        pieces = np.concatenate([sf.hardy_Z_vec(function, piece)
+                                 for piece in _cut(grid, cuts)])
+        assert [v.hex() for v in pieces.tolist()] == \
+            [v.hex() for v in whole.tolist()]
+
+    @settings(max_examples=15, deadline=None)
+    @given(function=hst.sampled_from(["zeta", "beta"]),
+           starts=hst.lists(hst.integers(1, 3990), min_size=1, max_size=8,
+                            unique=True),
+           cuts=hst.lists(hst.integers(0, 8), max_size=3))
+    def test_bracket_splits_equal_one_call(self, function, starts, cuts):
+        # brackets of the scan grid of t <= 200, sign change or not
+        grid = np.linspace(0.5, 200.0, 3991)
+        brackets = [(float(grid[i]), float(grid[i + 1]))
+                    for i in sorted(starts)]
+        whole = zc._refine_brackets(function, brackets)
+        split = [t for piece in _cut(brackets, cuts)
+                 for t in zc._refine_brackets(function, piece)]
+        assert [t.hex() for t in split] == [t.hex() for t in whole]
+
+    @pytest.mark.parametrize("function, t_max, workers, fork_work, sizes", [
+        ("zeta", 200.0, 2, zc._FORK_WORK, 2),
+        ("zeta", 200.0, 3, zc._FORK_WORK, 3),
+        ("zeta", 200.0, 64, zc._FORK_WORK, 3),
+        ("zeta", 110.0, 2, zc._FORK_WORK, 1),
+        ("beta", 17.0, 64, zc._FORK_WORK, 1),
+        ("beta", 17.0, 64, 1, 64)])
+    def test_slices_share_their_ends(self, function, t_max, workers,
+                                     fork_work, sizes, monkeypatch):
+        monkeypatch.setattr(zc, "_FORK_WORK", fork_work)
+        grid = np.linspace(0.5, t_max, int(math.ceil((t_max - 0.5) / 0.05))
+                           + 1)
+        slices = zc._slices(grid, workers)
+        assert len(slices) == sizes
+        assert all(a[-1] == b[0] for a, b in zip(slices, slices[1:]))
+        joined = np.concatenate([s[:-1] for s in slices] + [grid[-1:]])
+        assert np.array_equal(joined, grid)
+        if sizes > 1:  # each cut lands within a point of its share
+            work = [(sf._em_truncation(s[1:]) + zc._POINT_WORK).sum()
+                    for s in slices]
+            assert max(work) - min(work) <= 2 * (296 + zc._POINT_WORK)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_forked_scan_equals_serial(self, workers, monkeypatch):
+        monkeypatch.setattr(zc, "_FORK_WORK", 1)
+        assert zc.scan_zeros("beta", 60.0, workers=workers) == \
+            zc.scan_zeros("beta", 60.0)
 
 
 class TestScanGridValues:
