@@ -177,15 +177,10 @@ def claim_hadamard_ladders(config, catalog):
 
 def claim_filter_pairing_beta(config, catalog):
     scale = mbf.KernelScale(config.a)
-    beta_zeros = zc.scan_zeros("beta", 17.0)
-    worst = 0.0
-    rows = []
-    roots = mbf.newton_filter_roots(
-        "beta", [2.0 * r.ordinate + 0.05 for r in beta_zeros], scale)
-    for e, r in zip(roots, beta_zeros):
-        gap = abs(e - 2.0 * r.ordinate)
-        rows.append((e, r.ordinate, gap))
-        worst = max(worst, gap)
+    ordinates, guesses = mbf.newton_guesses(zc.scan_zeros("beta", 17.0))
+    roots = mbf.newton_filter_roots("beta", guesses, scale)
+    rows = [(e, t, abs(e - 2.0 * t)) for e, t in zip(roots, ordinates)]
+    worst = max(gap for *_, gap in rows)
     return _report(worst, 0.0, worst, 1e-8,
                    "Newton roots of the beta filter pair with 2 t_n",
                    extra={"pairs": rows})

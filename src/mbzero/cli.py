@@ -96,8 +96,7 @@ def _dd_root(function: str, scale: mbf.KernelScale, pair: tuple) -> tuple:
 def cmd_filter_roots(config) -> int:
     catalog = _load_catalog(config, config.function)
     scale = mbf.KernelScale(config.a)
-    ordinates = [r.ordinate for r in catalog if 2.0 * r.ordinate <= config.e_max]
-    guesses = [2.0 * t + 0.05 for t in ordinates]
+    ordinates, guesses = mbf.newton_guesses(catalog, config.e_max)
     # every double root is accepted before any 31-digit step
     e_vals = mbf.newton_filter_roots(config.function, guesses, scale)
     if config.precision == "double_double":

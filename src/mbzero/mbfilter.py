@@ -458,16 +458,21 @@ def newton_filter_roots(function: str, e_guesses: list,
     return roots
 
 
+def newton_guesses(catalog: list, e_max: float = math.inf) -> tuple:
+    """(ordinates, guesses): each catalog ordinate t with 2t <= e_max, and
+    the Newton guess 2t + 0.05 for the filter root E = 2t paired with it."""
+    ordinates = [r.ordinate for r in catalog if 2.0 * r.ordinate <= e_max]
+    return ordinates, [2.0 * t + 0.05 for t in ordinates]
+
+
 def filter_bijection(catalog: list, scale: KernelScale,
                      e_max: float) -> zc.BijectionAudit:
     """Newton roots of the zeta filter from every ordinate t <= e_max/2 of a
     zeta catalog, audited against it up to e_max.  ArgumentDomain, before
     any Newton step, unless the catalog is complete to e_max/2."""
     zc.require_complete(catalog, 0.5 * e_max)
-    roots = newton_filter_roots("zeta", [2.0 * r.ordinate + 0.05
-                                         for r in catalog
-                                         if 2.0 * r.ordinate <= e_max], scale)
-    return zc.bijection_audit(catalog, roots, e_max)
+    return zc.bijection_audit(catalog, newton_filter_roots(
+        "zeta", newton_guesses(catalog, e_max)[1], scale), e_max)
 
 
 # ---------------------------------------------------------------------------

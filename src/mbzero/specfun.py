@@ -11,9 +11,9 @@ What is bit-identical to what:
 Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, an
 L point above |Im s| = 1e4, a negative height or an unknown function tag;
 NoConvergence when a zero of L sits on an arg rectangle's path.
-log_gamma_vec, arg_rectangles, zeta_vec, dirichlet_beta_vec and
-zeta_lines raise the first error of their serial loop, message included.
-No points give an empty result.
+log_gamma_vec, arg_rectangles, zeta_vec, dirichlet_beta_vec, zeta_lines
+and hardy_Z_vec raise the first error of their serial loop, message
+included (_raise_first, until_error).  No points give an empty result.
 """
 
 from __future__ import annotations
@@ -56,13 +56,25 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j)
                    for j, b in enumerate(_BERNOULLI, 1))
 
 _POLE_MARGIN = 1e-12
+_NON_FINITE = "non-finite argument {!r}"
 
 
 def _require_finite(s) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ArgumentDomain(f"non-finite argument {s!r}")
+        raise ArgumentDomain(_NON_FINITE.format(s))
     return s
+
+
+def _raise_first(points, checks: list) -> None:
+    """ArgumentDomain for the first point, in input order, that fails a
+    check: (mask, message) pairs with masks of one shape, tried in turn at
+    that point; message.format(point) names it."""
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+    if bad.any():
+        k = int(np.argmax(np.ravel(bad)))
+        message = next(m for mask, m in checks if np.ravel(mask)[k])
+        raise ArgumentDomain(message.format(complex(np.ravel(points)[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +206,12 @@ def log_gamma_vec(s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     sr, si = s.real.ravel(), s.imag.ravel()
-    nonfinite = ~(np.isfinite(sr) & np.isfinite(si))
     near = np.round(sr)
     with np.errstate(invalid="ignore"):
         pole = ((np.abs(si) < _POLE_MARGIN) & (sr < 0.5) & (near <= 0)
                 & (np.abs(sr - near) < _POLE_MARGIN))
-    bad = nonfinite | pole
-    if bad.any():
-        k = int(np.argmax(bad))
-        z = complex(s.flat[k])
-        if nonfinite[k]:
-            raise ArgumentDomain(f"non-finite argument {z!r}")
-        raise ArgumentDomain(f"Gamma pole within 1e-12 of s = {z!r}")
+    _raise_first(s, [(~np.isfinite(s.ravel()), _NON_FINITE),
+                     (pole, "Gamma pole within 1e-12 of s = {!r}")])
     out = np.empty(sr.shape, dtype=complex)
     right = sr >= 0.5
     r_r, r_i = _lanczos_right_vec(sr[right], si[right])
@@ -285,15 +291,11 @@ def _shared_phase_head(s: np.ndarray, n_of: np.ndarray,
     return head
 
 
-def _check_em_domain(s: np.ndarray) -> None:
-    """ArgumentDomain for the first point of a 1-d array outside _em_core's
-    domain: not finite, or above |Im s| = _EM_IM_MAX."""
-    ok = np.isfinite(s.real) & (np.abs(s.imag) <= _EM_IM_MAX)
-    if not ok.all():
-        first = complex(s[np.argmin(ok)])
-        raise ArgumentDomain(f"|Im s| above {_EM_IM_MAX:g} at {first!r}"
-                             if cmath.isfinite(first)
-                             else f"non-finite argument {first!r}")
+def _em_domain(s: np.ndarray) -> list:
+    """_em_core's domain, finite and |Im s| <= _EM_IM_MAX, as checks."""
+    return [(~np.isfinite(s), _NON_FINITE),
+            (np.abs(s.imag) > _EM_IM_MAX,
+             f"|Im s| above {_EM_IM_MAX:g} at {{!r}}")]
 
 
 def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
@@ -308,7 +310,7 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
     term branches: (N+a)^{1-s}/(s-1) for one shift, an entire expm1 form
     for two.  Valid for Re s > -1, and s != 1 with one shift.
 
-    groups, the sizes of consecutive groups of points (default one group
+    groups, the sizes of consecutive groups of points (None: one group
     of all), gives every point of a group the N of the group's largest
     |Im s|.  Consecutive points of one N sum their head in one
     .sum(axis=1), pairwise per row as for one point, and take log(N + a)
@@ -317,18 +319,15 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
     ArgumentDomain for the first point that is not finite or lies above
     |Im s| = _EM_IM_MAX; no points give an empty array.
     """
-    _check_em_domain(s)
+    _raise_first(s, _em_domain(s))
     if not s.size:
         return np.empty(0, dtype=complex)
-    if groups is None:                  # one group: no reduce
-        ns, counts = [int(_em_truncation(np.abs(s.imag).max()))], [s.size]
-    else:                               # a run: consecutive points of one N
-        sizes = np.array([k for k in groups if k])
-        n_at = _em_truncation(np.maximum.reduceat(np.abs(s.imag),
-                                                  np.cumsum(sizes) - sizes))
-        first = np.flatnonzero(np.concatenate(([True], n_at[1:] != n_at[:-1])))
-        ns = n_at[first].tolist()
-        counts = np.add.reduceat(sizes, first).tolist()
+    sizes = np.array([k for k in groups or [s.size] if k])
+    n_at = _em_truncation(np.maximum.reduceat(np.abs(s.imag),
+                                              np.cumsum(sizes) - sizes))
+    first = np.flatnonzero(np.concatenate(([True], n_at[1:] != n_at[:-1])))
+    ns = n_at[first].tolist()
+    counts = np.add.reduceat(sizes, first).tolist()
     logs = [np.log(np.arange(max(ns), dtype=float) + a) for a in shifts]
     if shared_head:
         head = _shared_phase_head(s, np.repeat(ns, counts), logs[0])
@@ -373,9 +372,7 @@ def _l_values(function: str, s, groups: list = None,
     flat = s.ravel()
     if function == "zeta":
         pole = np.abs(flat - 1.0) <= 1e-10
-        if pole.any():
-            _check_em_domain(flat[:np.argmax(pole)])
-            raise ArgumentDomain("zeta pole at s = 1")
+        _raise_first(flat, [*_em_domain(flat), (pole, "zeta pole at s = 1")])
         out = _em_core(flat, (1.0,), groups, shared_head)
     elif function == "beta":
         core = _em_core(flat, (0.25, 0.75), groups, shared_head)
@@ -460,14 +457,18 @@ def beta_theta_vec(t: np.ndarray) -> np.ndarray:
     return p_i + g_i
 
 
+def _on_critical_line(t) -> np.ndarray:
+    """1/2 + it at each t, with an infinite t kept in the imaginary part."""
+    s = np.empty(np.shape(t), dtype=complex)
+    s.real, s.imag = 0.5, t
+    return s
+
+
 def critical_line_values(function: str, t) -> np.ndarray:
     """L(1/2 + it) at each t of a 1-d array, L = zeta or beta.  Each point
     gets the Euler-Maclaurin N that zeta/dirichlet_beta give it alone, so
     each value equals the scalar call bit for bit."""
-    t = np.asarray(t, dtype=float)
-    s = np.empty(t.shape, dtype=complex)
-    s.real, s.imag = 0.5, t
-    return _l_values(function, s, [1] * s.size)
+    return _l_values(function, _on_critical_line(t), [1] * np.size(t))
 
 
 def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
@@ -476,12 +477,13 @@ def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
 
     L comes from critical_line_values and the rotation replays CPython
     complex arithmetic, so each value equals the one-point evaluation bit
-    for bit.  Raises ArgumentDomain for the first t whose rotation leaves
-    an imaginary residue of 1e-10 relative or more.
+    for bit.  ArgumentDomain for the first t < 0 or out of the engine's
+    domain, then for the first rotation residue of 1e-10 relative or more.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ArgumentDomain("hardy_Z_vec defined for t >= 0")
+    s = _on_critical_line(t)
+    _raise_first(s, [(t < 0, "hardy_Z_vec defined for t >= 0"),
+                     *_em_domain(s)])
     vals = critical_line_values(function, t)
     theta = (riemann_siegel_theta_vec(t) if function == "zeta"
              else beta_theta_vec(t))

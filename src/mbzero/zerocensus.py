@@ -158,17 +158,18 @@ def _slices(grid: np.ndarray, workers: int) -> list:
     return [grid[lo:hi + 1] for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def scan_zeros(function: str, t_max: float, workers: int = 1,
-               step: float = _SCAN_STEP, _depth: int = 0) -> list:
+def scan_zeros(function: str, t_max: float, workers: int = 1) -> list:
     """All critical-line zeros with ordinate <= t_max, residual < 1e-9.
 
-    Every rotated value, on the bracketing grid and in the lockstep
-    bisection of the brackets (_refine_brackets), comes from sf.hardy_Z_vec
-    with the per-point Euler-Maclaurin N of the scalar call, so every
-    ordinate and residual equals that of bisecting its bracket alone with
-    scalar calls, however the grid is sliced: up to `workers` forked
-    workers scan a slice each (_slices), and a failure is the first
-    failing slice's.
+    A pass scans a grid of step _SCAN_STEP, halved at each of at most two
+    retries, until its count is within 1/2 of the counting prediction
+    (require_complete's rule); else MissedZeroSuspected names the widest
+    gap between the range's ends and its zeros.  Every rotated value, on
+    the grid and in the lockstep bisection (_refine_brackets), comes from
+    sf.hardy_Z_vec with the per-point N of the scalar call, so every
+    ordinate and residual equals that of bisecting its bracket alone,
+    however the grid is sliced: up to `workers` forked workers scan a
+    slice each (_slices), and a failure is the first failing slice's.
     """
     if function not in ("zeta", "beta"):
         raise ArgumentDomain(f"unknown function {function!r}")
@@ -177,32 +178,25 @@ def scan_zeros(function: str, t_max: float, workers: int = 1,
     t_lo = 0.5
     if t_max <= t_lo:
         return []
-    n_pts = max(int(math.ceil((t_max - t_lo) / step)), 2) + 1
-    grid = np.linspace(t_lo, t_max, n_pts)
-    found = fan_out(partial(_scan_slice, function), _slices(grid, workers),
-                    workers)
-    records = [
-        ZeroRecord(index=k, ordinate=t, residual=r,
-                   function=function, method="sign_scan")
-        for k, (t, r) in enumerate(
-            (pair for ts, rs in found for pair in zip(ts, rs)), start=1)
-    ]
-    predicted = counting_prediction(function, t_max)
-    if abs(len(records) - predicted) > 0.5:
-        if _depth < 2:
-            return scan_zeros(function, t_max, workers, step=0.5 * step,
-                              _depth=_depth + 1)
-        gap_at = max(
-            range(len(records) + 1),
-            key=lambda i: (records[i].ordinate if i < len(records) else t_max)
-            - (records[i - 1].ordinate if i > 0 else t_lo),
-        )
-        lo = records[gap_at - 1].ordinate if gap_at > 0 else t_lo
-        hi = records[gap_at].ordinate if gap_at < len(records) else t_max
-        raise MissedZeroSuspected(
-            f"found {len(records)} zeros <= {t_max}, prediction "
-            f"{predicted:.3f}; suspect interval {(lo, hi)}")
-    return records
+    for step in (_SCAN_STEP, 0.5 * _SCAN_STEP, 0.25 * _SCAN_STEP):
+        n_pts = max(int(math.ceil((t_max - t_lo) / step)), 2) + 1
+        grid = np.linspace(t_lo, t_max, n_pts)
+        found = fan_out(partial(_scan_slice, function),
+                        _slices(grid, workers), workers)
+        records = [
+            ZeroRecord(index=k, ordinate=t, residual=r,
+                       function=function, method="sign_scan")
+            for k, (t, r) in enumerate(
+                (pair for ts, rs in found for pair in zip(ts, rs)), start=1)
+        ]
+        predicted = counting_prediction(function, t_max)
+        if abs(len(records) - predicted) < 0.5:
+            return records
+    edges = [t_lo, *(r.ordinate for r in records), t_max]
+    gap = max(zip(edges, edges[1:]), key=lambda pair: pair[1] - pair[0])
+    raise MissedZeroSuspected(
+        f"found {len(records)} zeros <= {t_max}, prediction "
+        f"{predicted:.3f}; suspect interval {gap}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +299,9 @@ def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> Bijectio
     ordinates = [r.ordinate for r in catalog]
     roots = sorted(filter_roots)
     anchors = [4.0]
-    for t in ordinates:
-        if 2.0 * t <= e_max:
-            anchors.extend((2.0 * t - 0.05, 2.0 * t + 0.05))
+    for e in (2.0 * t for t in ordinates):
+        if e <= e_max:
+            anchors.extend((e - 0.05, e + 0.05))
     anchors.append(e_max)
     # interior probes between jumps let the formula guard pinpoint a
     # missing catalog zero near its ordinate, not just at the next jump
@@ -379,7 +373,10 @@ def catalog_load(path: str) -> list:
     digest = hashlib.sha256(body).hexdigest()
     if last[len(b"#sha256 "):] != digest.encode("ascii"):
         raise CatalogError("catalog checksum does not match contents")
-    lines = body.decode("utf-8").splitlines()
+    try:
+        lines = body.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog is not UTF-8 text: {exc}") from None
     header = lines[0].split()
     if len(header) != 3 or header[0] != "#zerocatalog":
         raise CatalogError(f"malformed header {lines[0]!r}")

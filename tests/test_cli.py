@@ -342,6 +342,42 @@ class TestCorruptedCatalogProperty:
         assert cli.main(["cache"] + cache) == 6
         assert cli.main(["stats", "--out", str(directory)] + cache) == 4
 
+    def _resigned(self, body: bytes) -> bytes:
+        """body with a checksum line that matches it."""
+        return body + b"#sha256 " + hashlib.sha256(body).hexdigest().encode() \
+            + b"\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.data())
+    def test_bytes_changed_and_checksum_recomputed(self, tmp_path_factory,
+                                                   data):
+        # a re-signed change passes the checksum, so the body itself must
+        # be refused or read: no command may raise
+        body = bytearray(self._BLOB[:self._BLOB.rindex(b"#sha256 ")])
+        for position in data.draw(hst.lists(hst.integers(0, len(body) - 1),
+                                            min_size=1, max_size=3,
+                                            unique=True)):
+            body[position] = data.draw(hst.integers(0, 255))
+        directory = tmp_path_factory.mktemp("resigned")
+        (directory / "cat.txt").write_bytes(self._resigned(bytes(body)))
+        cache = ["--cache", str(directory / "cat.txt")]
+        out = ["--out", str(directory)]
+        assert cli.main(["cache"] + cache) in (0, 6)
+        assert cli.main(["stats"] + out + cache) in _DOCUMENTED_CODES
+        assert cli.main(["filter-roots", "--function", "beta", "--threads",
+                         "1"] + out + cache) in _DOCUMENTED_CODES
+
+    def test_body_not_utf8(self, tmp_path, capsys):
+        body = self._BLOB[:self._BLOB.rindex(b"#sha256 ")] + b"4\t\xff\n"
+        (tmp_path / "cat.txt").write_bytes(self._resigned(body))
+        assert run(["cache"], tmp_path) == 6
+        assert "catalog is not UTF-8 text" in capsys.readouterr().err
+        for command in ("stats", "filter-roots", "bijection", "audit"):
+            assert run([command], tmp_path) == 4
+
+
+_DOCUMENTED_CODES = (0, 2, 3, 4, 5, 6)
+
 
 def _write_checksummed_catalog(path, *records):
     body = "".join(line + "\n" for line in ("#zerocatalog v1 zeta",) + records)

@@ -1021,6 +1021,68 @@ class TestEngineContract:
         assert _hex(got) == _hex(want)
 
 
+# points that fail a check of log_gamma_vec, of the engine or of zeta alone
+_FAILING = hst.sampled_from([
+    complex(math.nan, 0.0), complex(1.0, math.inf), complex(-math.inf, -2.0),
+    complex(0.5, 2e4), complex(2.0, -1e12), 1.0 + 0j, complex(1.0, 5e-11),
+    -3.0 + 0j, complex(-1.0, 5e-13), 0j])
+_FAILING_T = hst.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300,
+                               2e4, -2e4, 1e12])
+
+
+def _serial_first(call, points):
+    """(type, message) of the first error of call on each point alone, or
+    None if no point fails."""
+    for z in points:
+        try:
+            call(np.array([z]))
+        except MbzeroError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestFirstFailingPoint:
+    """One rule, specfun._raise_first: a vector evaluator raises what its
+    point-by-point loop raises first, message included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(_ENGINE_POINT, max_size=8),
+           hst.lists(hst.tuples(hst.integers(0, 8), _FAILING),
+                     min_size=1, max_size=3))
+    def test_complex_evaluators(self, points, placed):
+        s = _insert(points, placed)
+        for call in (sf.log_gamma_vec, sf.zeta_vec, sf.dirichlet_beta_vec):
+            expected = _serial_first(call, s)
+            if expected is None:
+                call(np.array(s))
+                continue
+            with pytest.raises(MbzeroError) as err:
+                call(np.array(s))
+            assert (type(err.value), str(err.value)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.sampled_from(["zeta", "beta"]),
+           hst.lists(hst.floats(0.0, 200.0), max_size=8),
+           hst.lists(hst.tuples(hst.integers(0, 8), _FAILING_T),
+                     min_size=1, max_size=3))
+    def test_hardy_rotation(self, function, heights, placed):
+        t = _insert(heights, placed)
+        call = functools.partial(sf.hardy_Z_vec, function)
+        with pytest.raises(MbzeroError) as err:
+            call(np.array(t))
+        assert (type(err.value), str(err.value)) == _serial_first(call, t)
+
+    @pytest.mark.parametrize("t, named", [
+        ([math.nan, -1.0], "non-finite argument (0.5+nanj)"),
+        ([2e4, -1.0], "|Im s| above 10000 at (0.5+20000j)"),
+        ([-1.0, math.nan], "hardy_Z_vec defined for t >= 0")])
+    def test_hardy_rotation_names_the_first_point(self, t, named):
+        for function in ("zeta", "beta"):
+            with pytest.raises(ArgumentDomain,
+                               match=f"^{re.escape(named)}$"):
+                sf.hardy_Z_vec(function, np.array(t))
+
+
 class TestVonMangoldt:
     def test_small_table(self):
         table = sf.von_mangoldt_table(10)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,8 @@ from mbzero import claims, cli
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
 from mbzero import zerocensus as zc
-from mbzero.errors import ArgumentDomain, CatalogError, NoConvergence
+from mbzero.errors import (ArgumentDomain, CatalogError, MissedZeroSuspected,
+                           NoConvergence)
 
 
 class TestScanZeros:
@@ -92,12 +94,24 @@ class TestScanZeros:
 _BENCH_HEIGHTS = (200.0, 199.0, 198.5, 197.5, 199.5, 196.5, 196.0)
 
 
-def _scalar_census(monkeypatch, function, t_max, **kwargs):
+def _scalar_census(monkeypatch, function, t_max):
     """scan_zeros with every bracket bisected alone, one point a step."""
     with monkeypatch.context() as m:
         m.setattr(zc, "_refine_brackets", oc.refine_brackets_scalar)
         m.setattr(zc, "_critical_abs", oc.critical_abs_scalar)
-        return zc.scan_zeros(function, t_max, **kwargs)
+        return zc.scan_zeros(function, t_max)
+
+
+def _count_passes(monkeypatch) -> list:
+    """The heights of scan_zeros' counting predictions, one a pass."""
+    passes, predict = [], zc.counting_prediction
+
+    def counted(function, t):
+        passes.append(t)
+        return predict(function, t)
+
+    monkeypatch.setattr(zc, "counting_prediction", counted)
+    return passes
 
 
 class TestLockstepRefinement:
@@ -113,18 +127,42 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("function, t_max, step", [
         ("zeta", 200.0, 1.0), ("beta", 40.0, 2.0)])
     def test_step_halving_retry(self, function, t_max, step, monkeypatch):
-        depths = []
-        scan = zc.scan_zeros
+        # a coarse first step misses a zero, and one halving finds it
+        monkeypatch.setattr(zc, "_SCAN_STEP", step)
+        passes = _count_passes(monkeypatch)
+        lockstep = zc.scan_zeros(function, t_max)
+        assert passes == [t_max] * 2
+        assert lockstep == _scalar_census(monkeypatch, function, t_max)
 
-        def counted(*args, **kwargs):
-            depths.append(kwargs.get("_depth", 0))
-            return scan(*args, **kwargs)
+    @pytest.mark.parametrize("offset, passes, code", [
+        (0.0, 1, None), (0.49, 1, None), (0.5, 3, MissedZeroSuspected),
+        (-0.5, 3, MissedZeroSuspected), (1.0, 3, MissedZeroSuspected)])
+    def test_complete_within_half_of_the_prediction(self, offset, passes,
+                                                    code, monkeypatch):
+        # require_complete's rule: a count 1/2 or more from the
+        # prediction is incomplete, and two halvings are the last retry
+        heights = _count_passes(monkeypatch)
+        predict = zc.counting_prediction
+        monkeypatch.setattr(zc, "counting_prediction",
+                            lambda f, t: round(predict(f, t)) + offset)
+        if code is None:
+            assert len(zc.scan_zeros("beta", 17.0)) == 4
+        else:
+            with pytest.raises(code, match=re.escape(
+                    "found 4 zeros <= 17.0, prediction "
+                    f"{4 + offset:.3f}; suspect interval (0.5, 6.02094890")):
+                zc.scan_zeros("beta", 17.0)
+        assert heights == [17.0] * passes
 
-        monkeypatch.setattr(zc, "scan_zeros", counted)
-        lockstep = zc.scan_zeros(function, t_max, step=step)
-        assert depths == [0, 1]
-        assert lockstep == _scalar_census(monkeypatch, function, t_max,
-                                          step=step)
+    def test_three_passes_at_halved_steps(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(zc, "counting_prediction", lambda f, t: 99.0)
+        monkeypatch.setattr(zc, "_slices", lambda grid, workers: grids.append(
+            grid) or [grid])
+        with pytest.raises(MissedZeroSuspected):
+            zc.scan_zeros("beta", 17.0)
+        assert [np.diff(g).max() for g in grids] == pytest.approx(
+            [0.05, 0.025, 0.0125], rel=1e-3)
 
     def test_brackets_equal_one_at_a_time(self):
         brackets = [(14.1, 14.15), (0.6, 0.65), (21.0, 21.05), (25.0, 25.05)]
@@ -157,7 +195,7 @@ class TestSlicedScan:
 
     @settings(max_examples=15, deadline=None)
     @given(function=hst.sampled_from(["zeta", "beta"]),
-           starts=hst.lists(hst.integers(1, 3990), min_size=1, max_size=8,
+           starts=hst.lists(hst.integers(1, 3989), min_size=1, max_size=8,
                             unique=True),
            cuts=hst.lists(hst.integers(0, 8), max_size=3))
     def test_bracket_splits_equal_one_call(self, function, starts, cuts):
