@@ -11,9 +11,9 @@ What is bit-identical to what:
 Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, an
 L point above |Im s| = 1e4, a negative height or an unknown function tag;
 NoConvergence when a zero of L sits on an arg rectangle's path.
-log_gamma_vec, arg_rectangles, zeta_vec, dirichlet_beta_vec, zeta_lines
-and hardy_Z_vec raise the first error of their serial loop, message
-included (_raise_first, until_error).  No points give an empty result.
+log_gamma_vec, arg_rectangles, zeta, zeta_vec, dirichlet_beta_vec,
+zeta_lines, completed_xi and hardy_Z_vec raise their serial loop's first
+error (_raise_first, until_error).  No points give an empty result.
 """
 
 from __future__ import annotations
@@ -382,13 +382,15 @@ def _l_values(function: str, s, groups: list = None,
     return out.reshape(s.shape)
 
 
-def zeta(s) -> complex:
+def zeta(s):
     """Riemann zeta via Euler-Maclaurin continuation.
 
     Relative error <= 1e-12 for |Im s| <= 200, -1 < Re s <= 4;
-    conjugation-equivariant by construction.
+    conjugation-equivariant by construction.  An array gives each point
+    its own N, the one-point loop's values; zeta_vec shares one N.
     """
-    return complex(_l_values("zeta", s))
+    out = _l_values("zeta", s, [1] * np.size(s))
+    return out if np.ndim(s) else complex(out)
 
 
 def zeta_vec(s: np.ndarray) -> np.ndarray:
@@ -418,21 +420,31 @@ def dirichlet_beta_vec(s: np.ndarray) -> np.ndarray:
 # Completed functions and Hardy rotations
 # ---------------------------------------------------------------------------
 
-def completed_xi(s) -> complex:
+def completed_xi(s):
     """xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s).
 
     Evaluated as pi^{-s/2} Gamma(s/2 + 1) (s-1) zeta(s), finite through
-    both s = 0 and s = 1.
+    both s = 0 and s = 1; an array takes zeta from one _em_core call at
+    each point's own N: the one-point loop's values and first error.
     """
-    s = _require_finite(s)
-    val = cmath.exp(-0.5 * s * math.log(math.pi) + log_gamma(0.5 * s + 1.0))
-    # (s - 1) zeta(s) is entire: 1 within 1e-13 of s = 1
-    shifted = (1.0 + 0.0j if abs(s - 1.0) <= 1e-13
-               else (s - 1.0) * complex(_em_core(np.array([s]), (1.0,))[0]))
-    out = val * shifted
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise ArgumentDomain(f"completed xi not finite at s = {s!r}")
-    return out
+    s = np.asarray(s, dtype=complex)
+    points, out = s.ravel(), []
+    one = np.abs(points - 1.0) <= 1e-13
+    outside = np.logical_or.reduce([m for m, _ in _em_domain(points)])
+    zetas = _em_core(np.where(one | outside, 2.0, points), (1.0,),
+                     [1] * points.size).tolist()
+    for k, z in enumerate(points.tolist()):
+        z = _require_finite(z)
+        val = cmath.exp(-0.5 * z * math.log(math.pi)
+                        + log_gamma(0.5 * z + 1.0))
+        if outside[k]:  # above the engine's |Im s|: it names the point
+            _em_core(points[k:k + 1], (1.0,))
+        # (s - 1) zeta(s) is entire: 1 within 1e-13 of s = 1
+        xi = val * (1.0 + 0.0j if one[k] else (z - 1.0) * zetas[k])
+        if not (math.isfinite(xi.real) and math.isfinite(xi.imag)):
+            raise ArgumentDomain(f"completed xi not finite at s = {z!r}")
+        out.append(xi)
+    return np.array(out, dtype=complex).reshape(s.shape) if s.ndim else out[0]
 
 
 def riemann_siegel_theta(t: float) -> float:

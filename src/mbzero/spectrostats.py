@@ -21,6 +21,7 @@ from .specfun import primes_upto, von_mangoldt_table, zeta
 _PRIME_LIMIT_CEILING = 1_000_000
 _GAMMA_QUARTER_NEG = -4.901666809860711  # Gamma(-1/4)
 _ZERO_CAP = 100  # zeros summed by the trace audits
+_DENSITY_BLOCK = 256  # prime powers per cos block: 8 MB at 4,000 points
 
 
 def smooth_count(t: float) -> float:
@@ -161,47 +162,67 @@ def oscillatory_density(e_grid, prime_limit: int,
     Carries the sign that makes mean_density + oscillatory_density peak at
     the zero ordinates (level clustering at zeros): each prime power
     contributes -(1/pi) (log p / p^{k/2}) cos(E k log p) e^{-(k log p)^2
-    sigma^2 / 2}.
+    sigma^2 / 2}.  Bit for bit the loop over primes, then k: math.log and
+    math.exp (numpy's SIMD forms round otherwise), the terms subtracted in
+    order, _DENSITY_BLOCK at a time.
     """
     if prime_limit > _PRIME_LIMIT_CEILING:
         raise ArgumentDomain(f"prime_limit above {_PRIME_LIMIT_CEILING}")
     e = np.asarray(e_grid, dtype=float)
-    out = np.zeros_like(e)
-    for p in primes_upto(prime_limit):
-        logp = math.log(p)
-        k = 1
-        while True:
-            x = k * logp
-            damp = math.exp(-0.5 * (x * sigma) ** 2)
-            if damp < 1e-14 or p ** (0.5 * k) > 1e12:
-                break
-            out -= (logp / p ** (0.5 * k)) * damp * np.cos(e * x) / math.pi
-            k += 1
-    return out
+    primes = primes_upto(prime_limit)
+    logp = np.array([math.log(p) for p in primes.tolist()])
+    k, alive, table = 1, np.arange(primes.size), [np.empty((3, 0))]
+    while alive.size:  # table columns: prime index, k log p, coefficient
+        x = k * logp[alive]
+        damp = np.array([math.exp(-0.5 * (v * sigma) ** 2)
+                         for v in x.tolist()])
+        power = primes[alive] ** (0.5 * k)
+        keep = ~((damp < 1e-14) | (power > 1e12))
+        alive, k = alive[keep], k + 1
+        table.append([alive, x[keep],
+                      (logp[alive] / power[keep]) * damp[keep]])
+    table = np.concatenate(table, axis=1)
+    _, x, coeff = table[:, np.argsort(table[0], kind="stable")]
+    out = np.zeros(e.size)
+    for lo in range(0, x.size, _DENSITY_BLOCK):
+        hi = lo + _DENSITY_BLOCK
+        terms = (coeff[lo:hi, None]
+                 * np.cos(np.multiply.outer(x[lo:hi], e.ravel())) / math.pi)
+        # a reduce down rows subtracts them in turn, as out -= term does
+        out = np.subtract.reduce(np.vstack([out[None], terms]), axis=0)
+    return out.reshape(e.shape)
 
 
 def peak_distances(e_grid, targets, prime_limit: int,
                    sigma: float = 0.3) -> np.ndarray:
-    """Distance from each finite target to the nearest local maximum of
-    mean + oscillatory density on the sorted grid, bit for bit, evaluated
-    only within r of open targets plus a neighbour a side.  A peak at d
-    stands once all points within d are tested or the window is the grid;
-    else r doubles.  ArgumentDomain when the grid holds no peak."""
+    """Distance from each target to the nearest local maximum of mean +
+    oscillatory density on the sorted grid, bit for bit, evaluated once a
+    point within r of open targets plus a neighbour a side; r starts at
+    the mean grid step.  A peak at d stands once all points within d are
+    tested or the window is the grid; else r doubles.  ArgumentDomain for
+    a non-finite target, before any evaluation, or a grid with no peak."""
     e, ts = np.asarray(e_grid, dtype=float), np.asarray(targets, dtype=float)
-    total, out = np.empty_like(e), np.empty(ts.size)
-    pending, r = set(range(ts.size)), 0.25
+    if not np.isfinite(ts).all():
+        raise ArgumentDomain(f"non-finite target {ts[~np.isfinite(ts)][0]}")
+    n = e.size
+    total, out, tested = np.empty(n), np.empty(ts.size), np.zeros(n, bool)
+    r = (e[-1] - e[0]) / (n - 1) if n > 1 and e[-1] > e[0] else math.inf
+    pending = set(range(ts.size))
     while pending:
         lo = np.maximum(np.searchsorted(e, ts - r) - 1, 0)
-        hi = np.minimum(np.searchsorted(e, ts + r, "right"), e.size - 1)
+        hi = np.minimum(np.searchsorted(e, ts + r, "right"), n - 1)
         idx = np.unique(np.concatenate([np.arange(lo[j], hi[j] + 1)
                                         for j in pending]))
-        total[idx] = (mean_density(e[idx])
-                      + oscillatory_density(e[idx], prime_limit, sigma))
+        idx = idx[~tested[idx]]
+        if idx.size:
+            total[idx] = (mean_density(e[idx])
+                          + oscillatory_density(e[idx], prime_limit, sigma))
+            tested[idx] = True
         for j in list(pending):
             i = np.arange(lo[j] + 1, hi[j])
             d = np.abs(e[i[(total[i] > total[i - 1])
                           & (total[i] > total[i + 1])]] - ts[j])
-            whole = lo[j] == 0 and hi[j] == e.size - 1
+            whole = lo[j] == 0 and hi[j] == n - 1
             if d.size == 0 and whole:
                 raise ArgumentDomain("no density peak on the grid")
             # e is sorted: the untested points lie beyond the window's ends

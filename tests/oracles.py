@@ -382,11 +382,30 @@ def tail_estimate_two_calls(nu: complex, a: float, contour) -> float:
     return out * abs(mbf.kernel_prefactor("zeta"))
 
 
+def oscillatory_density(e_grid, prime_limit: int,
+                        sigma: float = 0.3) -> np.ndarray:
+    """spectrostats.oscillatory_density one prime power at a time: the
+    reference for its blocked form."""
+    e = np.asarray(e_grid, dtype=float)
+    out = np.zeros_like(e)
+    for p in sf.primes_upto(prime_limit):
+        logp = math.log(p)
+        k = 1
+        while True:
+            x = k * logp
+            damp = math.exp(-0.5 * (x * sigma) ** 2)
+            if damp < 1e-14 or p ** (0.5 * k) > 1e12:
+                break
+            out -= (logp / p ** (0.5 * k)) * damp * np.cos(e * x) / math.pi
+            k += 1
+    return out
+
+
 def density_peaks(e_grid, prime_limit: int, sigma: float = 0.3) -> np.ndarray:
     """Local maxima of mean + oscillatory density over the whole grid: the
-    reference for spectrostats.peak_distances."""
+    reference for spectrostats.peak_distances, its oscillation the loop's."""
     e = np.asarray(e_grid, dtype=float)
-    total = st.mean_density(e) + st.oscillatory_density(e, prime_limit, sigma)
+    total = st.mean_density(e) + oscillatory_density(e, prime_limit, sigma)
     idx = np.flatnonzero((total[1:-1] > total[:-2]) & (total[1:-1] > total[2:])) + 1
     return e[idx]
 
@@ -583,6 +602,19 @@ def beta_theta(t: float) -> float:
     s = complex(0.5, t)
     return (0.5 * (s + 1.0) * math.log(4.0 / math.pi)
             + sf._lanczos_log_gamma_right(0.5 * (s + 1.0))).imag
+
+
+def completed_xi(s) -> complex:
+    """specfun.completed_xi at one point, its zeta from a one-point
+    _em_core call: the reference for the array form."""
+    s = sf._require_finite(s)
+    val = cmath.exp(-0.5 * s * math.log(math.pi) + sf.log_gamma(0.5 * s + 1.0))
+    shifted = (1.0 + 0.0j if abs(s - 1.0) <= 1e-13
+               else (s - 1.0) * complex(sf._em_core(np.array([s]), (1.0,))[0]))
+    out = val * shifted
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise ArgumentDomain(f"completed xi not finite at s = {s!r}")
+    return out
 
 
 def hardy_Z(t: float) -> float:

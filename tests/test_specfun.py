@@ -324,6 +324,82 @@ class TestCompletedXi:
         assert abs(x1 - sf.completed_xi(1.0 - s)) <= 1e-11 * abs(x1)
 
 
+# s = 0, s = 1, points within 1e-13 of 1 (where (s - 1) zeta(s) is 1)
+# and just beyond, then points on both sides of the strip
+_XI_POINT = hst.one_of(
+    hst.sampled_from([0j, 1.0 + 0j, complex(1.0 + 5e-14, 0.0),
+                      complex(1.0, -8e-14), complex(1.0 - 2e-13, 0.0)]),
+    hst.builds(complex, hst.floats(-3.0, 4.0), hst.floats(-60.0, 60.0)))
+# a non-finite argument, Gamma poles, a point above the engine's
+# |Im s|, a value that is not finite and one whose Gamma factor overflows
+_XI_FAILING = hst.sampled_from([
+    complex(math.nan, 0.0), complex(1.0, math.inf), -2.0 + 0j, -6.0 + 0j,
+    complex(0.5, 2e4), -301.5 + 0j, 800.0 + 0j])
+
+
+def _xi_serial(points):
+    """(values, (type, message) of the first error or None) of the
+    one-point reference over points in turn."""
+    values = []
+    for z in points:
+        try:
+            values.append(oc.completed_xi(z))
+        except (MbzeroError, OverflowError) as exc:
+            return values, (type(exc), str(exc))
+    return values, None
+
+
+class TestCompletedXiArray:
+    """completed_xi over an array: the one-point loop's bits and first
+    error, its zeta from one engine call with each point's own N."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(_XI_POINT, max_size=30))
+    @example([0j, 1.0 + 0j, complex(1.0 + 5e-14, 0.0), complex(0.5, 45.0)])
+    def test_equals_one_point_loop(self, points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, error = _xi_serial(points)
+            assume(error is None)
+            got = sf.completed_xi(points)
+        assert got.shape == (len(points),)
+        assert _hex(got) == _hex(want)
+        assert _hex(got) == _hex([sf.completed_xi(z) for z in points])
+
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(_XI_POINT, max_size=8),
+           hst.lists(hst.tuples(hst.integers(0, 8), _XI_FAILING),
+                     min_size=1, max_size=3))
+    def test_first_error_of_the_loop(self, points, placed):
+        s = _insert(points, placed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, error = _xi_serial(s)
+            with pytest.raises((MbzeroError, OverflowError)) as err:
+                sf.completed_xi(s)
+        assert (type(err.value), str(err.value)) == error
+
+    def test_first_non_finite_point_named(self):
+        with pytest.raises(ArgumentDomain,
+                           match=re.escape("non-finite argument (nan+0j)")):
+            sf.completed_xi([0.5 + 3j, complex(math.nan, 0.0),
+                             complex(1.0, math.inf)])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArgumentDomain, match=re.escape(
+                    "completed xi not finite at s = (-301.5+0j)")):
+            sf.completed_xi([0.5 + 3j, -301.5 + 0j, complex(math.nan, 0.0)])
+
+    def test_scalar_0d_and_2d(self):
+        grid = np.array([[0j, 1.0 + 0j], [complex(0.3, 14.0), -1.5 + 2j]])
+        got = sf.completed_xi(grid)
+        assert got.shape == (2, 2)
+        assert _hex(got.ravel()) == _hex([oc.completed_xi(z)
+                                          for z in grid.ravel()])
+        for z in grid.ravel():
+            for one in (sf.completed_xi(z), sf.completed_xi(np.array(z))):
+                assert type(one) is complex
+                assert _hex([one]) == _hex([oc.completed_xi(z)])
+        assert sf.completed_xi([]).shape == (0,)
+
+
 class TestHardyZ:
     def test_at_zero(self):
         # Euler-Maclaurin oracle value of zeta(1/2)
@@ -710,6 +786,18 @@ class TestPointwise:
         assert np.array_equal(_bits(sf._l_values("beta", s, groups)),
                               _bits([sf.dirichlet_beta(z) for z in s]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(hst.lists(hst.builds(complex, _STRIP_RE, hst.floats(-200.0, 200.0)),
+                     max_size=24))
+    def test_zeta_array_equals_scalar(self, points):
+        # zeta over an array gives each point its own N
+        assume(all(abs(z - 1.0) > 1e-10 for z in points))
+        got = sf.zeta(points)
+        assert got.shape == (len(points),)
+        assert _hex(got) == _hex([sf.zeta(z) for z in points])
+        assert _hex(got) == _hex([sf.zeta_vec(np.array([z]))[0]
+                                  for z in points])
+
     @settings(max_examples=150, deadline=None)
     @given(hst.lists(hst.one_of(_HEIGHT, hst.floats(-200.0, 0.0)),
                      min_size=1, max_size=24))
@@ -1051,7 +1139,8 @@ class TestFirstFailingPoint:
                      min_size=1, max_size=3))
     def test_complex_evaluators(self, points, placed):
         s = _insert(points, placed)
-        for call in (sf.log_gamma_vec, sf.zeta_vec, sf.dirichlet_beta_vec):
+        for call in (sf.log_gamma_vec, sf.zeta_vec, sf.dirichlet_beta_vec,
+                     sf.zeta):
             expected = _serial_first(call, s)
             if expected is None:
                 call(np.array(s))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import spectrostats as st
@@ -117,16 +119,39 @@ class TestOscillatoryDensity:
         with pytest.raises(ArgumentDomain, match="prime_limit above"):
             st.oscillatory_density([10.0], 2_000_000)
 
+    # prime_limit 2 gives 79 prime powers, one block of _DENSITY_BLOCK =
+    # 256; from prime_limit 300 on there are several blocks
+    @settings(max_examples=25, deadline=None)
+    @given(hst.integers(0, 600), hst.floats(0.5, 200.0),
+           hst.floats(0.0, 100.0), hst.integers(2, 100_000),
+           hst.floats(0.05, 0.6))
+    @example(0, 10.0, 1.0, 100_000, 0.3)
+    @example(257, 12.0, 48.0, 2, 0.05)
+    @example(600, 12.0, 48.0, 100_000, 0.3)
+    def test_equals_serial_loop(self, n, lo, width, prime_limit, sigma):
+        grid = np.linspace(lo, lo + width, n)
+        got = st.oscillatory_density(grid, prime_limit, sigma)
+        want = oc.oscillatory_density(grid, prime_limit, sigma)
+        assert [v.hex() for v in got.tolist()] \
+            == [v.hex() for v in want.tolist()]
+
+    def test_keeps_the_grid_shape(self):
+        grid = np.linspace(12.0, 60.0, 24).reshape(4, 6)
+        got = st.oscillatory_density(grid, 1000)
+        assert got.shape == (4, 6)
+        assert np.array_equal(got.view(np.uint64), oc.oscillatory_density(
+            grid, 1000).view(np.uint64))
+
 
 def _hex_distances(targets, peaks):
     return [float(np.min(np.abs(peaks - t))).hex() for t in targets]
 
 
 def _count_rounds(monkeypatch) -> list:
-    """A list that gains an item at each oscillatory_density call."""
+    """A list that gains the points of each oscillatory_density call."""
     rounds, density = [], st.oscillatory_density
     monkeypatch.setattr(st, "oscillatory_density",
-                        lambda *args: rounds.append(1) or density(*args))
+                        lambda e, *args: rounds.append(e) or density(e, *args))
     return rounds
 
 
@@ -153,26 +178,78 @@ class TestPeakDistances:
     def test_window_grows(self, monkeypatch):
         # p = 2 alone puts peaks about 8.4 apart near 6.8 and 15.2; a
         # target halfway between them is about 4.2 from both, so r doubles
-        # from 0.25 to 8 before a peak stands: six evaluation rounds
+        # from the grid spacing h = 25/4999 until h 2^10 = 5.12 covers that
+        # distance before a peak stands: eleven evaluation rounds
         grid = np.linspace(5.0, 30.0, 5000)
         peaks = oc.density_peaks(grid, 2, sigma=0.05)
         target = 0.5 * (peaks[0] + peaks[1])
         rounds = _count_rounds(monkeypatch)
         got = st.peak_distances(grid, [target], 2, sigma=0.05)
-        assert len(rounds) == 6
+        assert len(rounds) == 11
         assert [float(got[0]).hex()] == _hex_distances([target], peaks)
         assert 4.0 < got[0] < 4.4
 
     def test_grid_end_in_reach_grows_to_whole_grid(self, monkeypatch):
         # the peak near 6.8 is about 1.3 from the target 5.5, but the
-        # grid's first point, 5.0, is 0.5 away and never tested, so the
-        # window grows to the whole grid (r = 32) before the peak stands
+        # grid's first point, 5.0, is 0.5 away, so the window grows to the
+        # whole grid before the peak stands: from the grid spacing
+        # h = 25/4999, r = h 2^13 = 41 first reaches the last point, 30,
+        # 24.5 away (h 2^12 = 20.5 falls short), and every round adds points
+        # on the right: fourteen evaluation rounds
         grid = np.linspace(5.0, 30.0, 5000)
         rounds = _count_rounds(monkeypatch)
         got = st.peak_distances(grid, [5.5], 2, sigma=0.05)
-        assert len(rounds) == 8
+        assert len(rounds) == 14
         peaks = oc.density_peaks(grid, 2, sigma=0.05)
         assert [float(got[0]).hex()] == _hex_distances([5.5], peaks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(3, 3000),
+           hst.lists(hst.floats(0.0, 40.0), min_size=1, max_size=6),
+           hst.sampled_from([2, 3, 30, 1000]), hst.floats(0.05, 0.6))
+    def test_each_point_once(self, n, targets, prime_limit, sigma):
+        grid = np.linspace(5.0, 30.0, n)
+        peaks = oc.density_peaks(grid, prime_limit, sigma)
+        with pytest.MonkeyPatch.context() as patch:
+            rounds = _count_rounds(patch)
+            if peaks.size == 0:
+                with pytest.raises(ArgumentDomain, match="no density peak"):
+                    st.peak_distances(grid, targets, prime_limit, sigma)
+            else:
+                got = st.peak_distances(grid, targets, prime_limit, sigma)
+                assert [float(d).hex() for d in got] \
+                    == _hex_distances(targets, peaks)
+        seen = np.concatenate([np.empty(0), *rounds])
+        assert np.unique(seen).size == seen.size
+        assert all(e.size for e in rounds)
+
+    def test_claim_grid_takes_one_round(self, monkeypatch, zeta_catalog_full):
+        # each of the ledger claim's ten ordinates has its peak within one
+        # grid step, so the first window, a few points a target, settles all
+        grid = np.linspace(12.0, 60.0, 4000)
+        ts = [r.ordinate for r in zeta_catalog_full[:10]]
+        rounds = _count_rounds(monkeypatch)
+        st.peak_distances(grid, ts, 100_000)
+        assert len(rounds) == 1 and rounds[0].size <= 5 * len(ts)
+
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target_named_before_evaluation(self, monkeypatch,
+                                                       target):
+        # r would double to inf and the window go NaN: the search would
+        # not end
+        rounds = _count_rounds(monkeypatch)
+        grid = np.linspace(12.0, 60.0, 400)
+        with pytest.raises(ArgumentDomain,
+                           match=f"non-finite target {target!r}"):
+            st.peak_distances(grid, [14.0, target, math.nan], 100)
+        assert rounds == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_grid_too_short_for_a_peak(self, n):
+        grid = np.linspace(12.0, 60.0, n)
+        with pytest.raises(ArgumentDomain, match="no density peak"):
+            st.peak_distances(grid, [14.0], 100)
+        assert st.peak_distances(grid, [], 100).size == 0
 
     def test_no_peak_on_grid(self):
         # after the p = 2 peak near 15.2 the total falls to a trough near
