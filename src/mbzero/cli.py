@@ -18,7 +18,8 @@ worker dead without results); 5 invalid configuration or command line;
 6 cache verification failure.
 errors.py has one class per code; main maps it once.  `bijection`,
 `stats` and `audit` read only a zeta catalog.  Commands that write into
---out check that it is a directory before any work starts.
+--out check that it is a directory before any work starts.  Each command
+imports only the modules it runs, so `cache` and `census` start fast.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from functools import partial
 
 import numpy as np
 
-from . import claims as cl
-from . import mbfilter as mbf
-from . import spectrostats as st
 from . import zerocensus as zc
 from .audit import ledger_json
 from .errors import ArgumentDomain, MbzeroError
@@ -89,11 +87,13 @@ def _dd_root(function: str, scale: mbf.KernelScale, pair: tuple) -> tuple:
     """The double-double Newton root from a (guess, accepted double root)
     pair as (32-digit string, float)."""
     import mpmath as mp
+    from . import mbfilter as mbf
     root = mbf.newton_root_dd(function, *pair, scale)
     return mp.nstr(root, 32), float(root)
 
 
 def cmd_filter_roots(config) -> int:
+    from . import mbfilter as mbf
     catalog = _load_catalog(config, config.function)
     scale = mbf.KernelScale(config.a)
     ordinates, guesses = mbf.newton_guesses(catalog, config.e_max)
@@ -124,6 +124,7 @@ def cmd_filter_roots(config) -> int:
 
 
 def cmd_bijection(config) -> int:
+    from . import mbfilter as mbf
     if not config.e_max >= 4.0:
         raise ArgumentDomain("--e-max must be >= 4 for bijection (the "
                              "Guinand-Weil count starts at E = 4)")
@@ -139,6 +140,7 @@ def cmd_bijection(config) -> int:
 
 
 def _emit_stats(config, unfolded) -> None:
+    from . import spectrostats as st
     spacings = np.diff(unfolded)
     edges = np.arange(0.0, 3.2001, 0.2)
     counts, _ = np.histogram(spacings, bins=edges)
@@ -178,6 +180,7 @@ def _emit_stats(config, unfolded) -> None:
 
 
 def cmd_stats(config) -> int:
+    from . import spectrostats as st
     # the unfolding counts with the Riemann-von Mangoldt term of zeta
     catalog = _load_catalog(config, "zeta")
     _emit_stats(config, st.unfold(catalog))
@@ -187,6 +190,7 @@ def cmd_stats(config) -> int:
 
 
 def cmd_audit(config) -> int:
+    from . import claims as cl, spectrostats as st
     # every ledger claim tests a zeta identity
     catalog = _load_catalog(config, "zeta")
     only = set(config.claims) or None
@@ -243,6 +247,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _claim_ids(text: str) -> tuple:
+    from . import claims as cl
     ids = tuple(c for c in text.split(",") if c)
     if not ids:
         raise argparse.ArgumentTypeError("no claim ids given")

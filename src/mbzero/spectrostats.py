@@ -17,17 +17,12 @@ import numpy as np
 from .audit import AuditReport
 from .errors import ArgumentDomain, NoConvergence
 from .specfun import primes_upto, von_mangoldt_table, zeta
+from .zerocensus import smooth_count
 
 _PRIME_LIMIT_CEILING = 1_000_000
 _GAMMA_QUARTER_NEG = -4.901666809860711  # Gamma(-1/4)
 _ZERO_CAP = 100  # zeros summed by the trace audits
 _DENSITY_BLOCK = 256  # prime powers per cos block: 8 MB at 4,000 points
-
-
-def smooth_count(t: float) -> float:
-    """Riemann-von Mangoldt main term (T/2pi) log(T/2pi) - T/2pi + 7/8."""
-    x = t / (2.0 * math.pi)
-    return x * math.log(x) - x + 0.875
 
 
 def unfold(catalog: list) -> list:

@@ -23,7 +23,6 @@ from .audit import AuditReport
 from .errors import (ArgumentDomain, CatalogError, MissedZeroSuspected,
                      until_error)
 from .fanout import fan_out
-from .spectrostats import smooth_count
 
 _T_CEILING = 200.0
 _SCAN_STEP = 0.05
@@ -209,6 +208,12 @@ def _s_values(ts: list) -> list:
     specfun.arg_rectangles call."""
     anchor, *args = sf.arg_rectangles("zeta", [2.0] + ts)
     return [(arg - anchor) / math.pi for arg in args]
+
+
+def smooth_count(t: float) -> float:
+    """Riemann-von Mangoldt main term (T/2pi) log(T/2pi) - T/2pi + 7/8."""
+    x = t / (2.0 * math.pi)
+    return x * math.log(x) - x + 0.875
 
 
 def riemann_von_mangoldt(ts: list, catalog: list) -> list:

@@ -26,6 +26,7 @@ from hypothesis import strategies as hst
 import mbzero
 import oracles as oc
 from mbzero import bessel as bs
+from mbzero import claims as cl
 from mbzero import cli, errors, fanout, quadrature
 from mbzero import mbfilter as mbf
 from mbzero import specfun as sf
@@ -249,8 +250,8 @@ class TestAuditCommand:
                                      claims):
         # an empty list is a usage error, not the full audit
         run(["census", "--function", "zeta", "--t-max", "20"], tmp_path)
-        monkeypatch.setattr(cli.cl, "run_claim", _fail_if_called)
-        monkeypatch.setattr(cli.st, "unfold", _fail_if_called)
+        monkeypatch.setattr(cl, "run_claim", _fail_if_called)
+        monkeypatch.setattr(st, "unfold", _fail_if_called)
         capsys.readouterr()
         assert run(["audit", "--claims", claims], tmp_path) == 5
         assert "--claims: no claim ids given" in capsys.readouterr().err
@@ -271,7 +272,7 @@ class TestAuditCommand:
         # 25 beta zeros: enough for the spacing statistics, but every
         # ledger claim tests a zeta identity
         run(["census", "--function", "beta", "--t-max", "60"], tmp_path)
-        monkeypatch.setattr(cli.cl, "run_claim", _fail_if_called)
+        monkeypatch.setattr(cl, "run_claim", _fail_if_called)
         capsys.readouterr()
         for claims in ([], ["--claims", "counting_rvm,trace_I_even_odd"]):
             assert run(["audit", "--threads", "1"] + claims, tmp_path) == 5
@@ -837,7 +838,7 @@ class TestWorkerProcesses:
     def test_killed_worker_exits_4(self, tmp_path, zeta_catalog_60, capsys,
                                    monkeypatch):
         zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_60)
-        monkeypatch.setattr(cli.cl, "run_claim",
+        monkeypatch.setattr(cl, "run_claim",
                             lambda config, catalog, claim_id:
                             _kill_own_worker("kill"))
         assert run(["audit", "--claims", self.CHEAP_CLAIMS, "--threads", "2"],
@@ -916,6 +917,58 @@ print(codes, sorted({{"concurrent.futures", "multiprocessing"}}
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
+class TestModulesLoaded:
+    """Each subcommand, in a fresh interpreter, imports only the mbzero
+    modules it runs: a cold start compiles every module it imports."""
+
+    BASE = {"mbzero", "mbzero.cli", "mbzero.zerocensus", "mbzero.specfun",
+            "mbzero.audit", "mbzero.errors", "mbzero.fanout"}
+    ALL = BASE | {"mbzero.claims", "mbzero.mbfilter", "mbzero.bessel",
+                  "mbzero.operatorlab", "mbzero.quadrature",
+                  "mbzero.spectrostats"}
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["cache"], set()),
+        (["census", "--t-max", "30", "--threads", "1"], set()),
+        (["stats"], {"mbzero.spectrostats"}),
+        (["filter-roots", "--e-max", "60", "--threads", "1"],
+         {"mbzero.mbfilter", "mbzero.quadrature"}),
+        (["bijection", "--e-max", "60"],
+         {"mbzero.mbfilter", "mbzero.quadrature"}),
+        (["audit", "--claims", TestWorkerProcesses.CHEAP_CLAIMS,
+          "--threads", "1"], ALL - BASE),
+    ], ids=["cache", "census", "stats", "filter-roots", "bijection", "audit"])
+    def test_subcommand_loads(self, argv, extra, tmp_path, zeta_catalog_110):
+        zc.catalog_store(str(tmp_path / "zeta.txt"), zeta_catalog_110)
+        cache = "census.txt" if argv[0] == "census" else "zeta.txt"
+        out = ["--out", "."] if argv[0] in cli._FLAGS["--out"][0] else []
+        script = f"""
+import contextlib, io, sys
+from mbzero import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv + out + ["--cache", cache]!r})
+print(code, sorted(k for k in sys.modules
+                   if k == "mbzero" or k.startswith("mbzero.")))
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=_env_importing_this_mbzero(), timeout=120,
+                              check=True)
+        assert proc.stdout.strip() == \
+            f"0 {sorted(self.BASE | extra)}", proc.stderr
+
+    def test_repeated_filter_roots_in_process_same_bytes(
+            self, tmp_path, zeta_catalog_110, capsys):
+        zc.catalog_store(str(tmp_path / "cat.txt"), zeta_catalog_110)
+        outputs = []
+        for _ in range(2):
+            assert run(["filter-roots", "--e-max", "120", "--threads", "1"],
+                       tmp_path) == 0
+            outputs.append((capsys.readouterr().out,
+                            (tmp_path / "filter_roots.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the output check")
 
@@ -930,10 +983,10 @@ class TestUnwritableOutput:
         assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, work", [
-        (["audit"], (cli.cl, "run_claim")),
+        (["audit"], (cl, "run_claim")),
         (["filter-roots", "--precision", "double_double"],
-         (cli.mbf, "newton_root_dd")),
-        (["stats"], (cli.st, "unfold")),
+         (mbf, "newton_root_dd")),
+        (["stats"], (st, "unfold")),
     ])
     def test_out_checked_before_work(self, command, work, tmp_path,
                                      zeta_catalog_60, capsys, monkeypatch):

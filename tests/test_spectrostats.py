@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 import oracles as oc
 from mbzero import spectrostats as st
+from mbzero import zerocensus as zc
 from mbzero.errors import ArgumentDomain, NoConvergence
 
 
@@ -25,6 +26,9 @@ class TestUnfold:
         diffs_shift = np.diff([st.smooth_count(t) for t in shifted])
         # translation changes unfolded differences only at O(delta rho-bar')
         assert float(np.max(np.abs(diffs_shift - diffs_orig))) < 1e-6
+
+    def test_smooth_term_is_the_census_one(self):
+        assert st.smooth_count is zc.smooth_count
 
     def test_sparse_window(self, zeta_catalog_110):
         with pytest.raises(ArgumentDomain, match="need 20"):
