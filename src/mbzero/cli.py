@@ -19,7 +19,8 @@ worker dead without results); 5 invalid configuration or command line;
 errors.py has one class per code; main maps it once.  `bijection`,
 `stats` and `audit` read only a zeta catalog.  Commands that write into
 --out check that it is a directory before any work starts.  Each command
-imports only the modules it runs, so `cache` and `census` start fast.
+imports only the modules it runs: `cache`, --help and a rejected command
+line load no numpy, so they start fast.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import argparse
 import os
 import sys
 from functools import partial
-
-import numpy as np
 
 from . import zerocensus as zc
 from .audit import ledger_json
@@ -140,6 +139,7 @@ def cmd_bijection(config) -> int:
 
 
 def _emit_stats(config, unfolded) -> None:
+    import numpy as np
     from . import spectrostats as st
     spacings = np.diff(unfolded)
     edges = np.arange(0.0, 3.2001, 0.2)

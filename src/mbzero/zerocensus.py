@@ -5,7 +5,8 @@ Zeros are located by sign-change bracketing on the rotated real function
 (Hardy Z for zeta, the completed-function rotation for beta), refined by
 bisection of all brackets in lockstep; a large scan forks its grid's
 slices to workers.  Completeness is checked against the counting
-prediction theta(T)/pi (+1 for zeta) + S(T).
+prediction theta(T)/pi (+1 for zeta) + S(T).  numpy and specfun are
+imported in the functions that use them: the catalog code needs neither.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from . import specfun as sf
 from .audit import AuditReport
 from .errors import (ArgumentDomain, CatalogError, MissedZeroSuspected,
                      until_error)
@@ -80,6 +78,7 @@ class BijectionAudit:
 
 def _critical_abs(function: str, ts: list) -> list:
     """|L(1/2 + it)| at each t, equal to abs() of the scalar call."""
+    from . import specfun as sf
     return [abs(v) for v in sf.critical_line_values(function, ts).tolist()]
 
 
@@ -89,6 +88,7 @@ def _critical_abs(function: str, ts: list) -> list:
 
 def counting_prediction(function: str, t: float) -> float:
     """Smooth + argument counting estimate of zeros with ordinate <= t."""
+    from . import specfun as sf
     arg = sf.arg_rectangles(function, [t])[0]
     if function == "zeta":
         return sf.riemann_siegel_theta(t) / math.pi + 1.0 + arg / math.pi
@@ -118,6 +118,8 @@ def _refine_brackets(function: str, brackets: list) -> list:
     max(1, hi).  The vector rotation equals the scalar one bit for bit,
     so each ordinate equals that of bisecting its bracket alone.
     """
+    import numpy as np
+    from . import specfun as sf
     if not brackets:
         return []
     lo, hi = (np.array(side) for side in zip(*brackets))
@@ -139,6 +141,8 @@ def _refine_brackets(function: str, brackets: list) -> list:
 
 def _scan_slice(function: str, grid: np.ndarray) -> tuple:
     """(ordinates, residuals) of the zeros bracketed on one grid slice."""
+    import numpy as np
+    from . import specfun as sf
     vals = sf.hardy_Z_vec(function, grid)
     brackets = [(float(grid[i]), float(grid[i + 1]))
                 for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
@@ -150,6 +154,8 @@ def _slices(grid: np.ndarray, workers: int) -> list:
     """The grid cut into contiguous slices of about equal estimated work,
     each Euler-Maclaurin N plus _POINT_WORK a point, neighbours sharing
     their end point: one slice a worker, at most one per _FORK_WORK."""
+    import numpy as np
+    from . import specfun as sf
     work = np.cumsum(sf._em_truncation(grid) + _POINT_WORK)
     workers = max(1, min(workers, int(work[-1] // _FORK_WORK)))
     cuts = np.searchsorted(work, work[-1] / workers * np.arange(1, workers))
@@ -170,6 +176,7 @@ def scan_zeros(function: str, t_max: float, workers: int = 1) -> list:
     however the grid is sliced: up to `workers` forked workers scan a
     slice each (_slices), and a failure is the first failing slice's.
     """
+    import numpy as np
     if function not in ("zeta", "beta"):
         raise ArgumentDomain(f"unknown function {function!r}")
     if t_max > _T_CEILING:
@@ -206,6 +213,7 @@ def _s_values(ts: list) -> list:
     """S(t) = (arg zeta(1/2 + it) - arg zeta(1/2 + 2i)) / pi at each t,
     so S(2) = 0, the arg rectangles of the anchor and of every t from one
     specfun.arg_rectangles call."""
+    from . import specfun as sf
     anchor, *args = sf.arg_rectangles("zeta", [2.0] + ts)
     return [(arg - anchor) / math.pi for arg in args]
 
@@ -266,6 +274,7 @@ def s_of_t_bound_check(t_max: float) -> AuditReport:
 
 def _arg_gamma_quarter(energy: float) -> float:
     """arg Gamma(1/4 + iE/4), for E >= 4."""
+    from . import specfun as sf
     if energy < 4.0:
         raise ArgumentDomain("n_H_guinand_weil needs E >= 4")
     return sf.log_gamma(complex(0.25, 0.25 * energy)).imag
@@ -281,6 +290,7 @@ def n_H_guinand_weil(energies: list) -> tuple:
     rectangles of the grid come from one specfun.arg_rectangles call; the
     first error in input order is raised, as by one call an energy.
     """
+    from . import specfun as sf
     arg_gamma, failure = until_error(_arg_gamma_quarter, energies)
     energies = energies[:len(arg_gamma)]
     args = sf.arg_rectangles("zeta", [0.5 * e for e in energies])
@@ -301,6 +311,7 @@ def bijection_audit(catalog: list, filter_roots: list, e_max: float) -> Bijectio
     catalog that ends below e_max/2 within a probe spacing past the first
     zero it lacks (filter_bijection refuses such a catalog beforehand).
     """
+    import numpy as np
     ordinates = [r.ordinate for r in catalog]
     roots = sorted(filter_roots)
     anchors = [4.0]

@@ -919,43 +919,67 @@ print(codes, sorted({{"concurrent.futures", "multiprocessing"}}
 
 class TestModulesLoaded:
     """Each subcommand, in a fresh interpreter, imports only the mbzero
-    modules it runs: a cold start compiles every module it imports."""
+    modules it runs: a cold start compiles every module it imports, and
+    `cache`, --help and a rejected command line import no numpy."""
 
-    BASE = {"mbzero", "mbzero.cli", "mbzero.zerocensus", "mbzero.specfun",
-            "mbzero.audit", "mbzero.errors", "mbzero.fanout"}
-    ALL = BASE | {"mbzero.claims", "mbzero.mbfilter", "mbzero.bessel",
-                  "mbzero.operatorlab", "mbzero.quadrature",
-                  "mbzero.spectrostats"}
+    BASE = {"mbzero", "mbzero.cli", "mbzero.zerocensus", "mbzero.audit",
+            "mbzero.errors", "mbzero.fanout"}
+    COMPUTE = BASE | {"mbzero.specfun", "numpy"}
+    ALL = COMPUTE | {"mbzero.claims", "mbzero.mbfilter", "mbzero.bessel",
+                     "mbzero.operatorlab", "mbzero.quadrature",
+                     "mbzero.spectrostats"}
 
-    @pytest.mark.parametrize("argv, extra", [
-        (["cache"], set()),
-        (["census", "--t-max", "30", "--threads", "1"], set()),
-        (["stats"], {"mbzero.spectrostats"}),
-        (["filter-roots", "--e-max", "60", "--threads", "1"],
-         {"mbzero.mbfilter", "mbzero.quadrature"}),
-        (["bijection", "--e-max", "60"],
-         {"mbzero.mbfilter", "mbzero.quadrature"}),
+    @pytest.mark.parametrize("argv, code, loaded", [
+        (["cache"], 0, BASE),
+        (["--help"], 0, BASE),
+        (["cache", "--bogus"], 5, BASE),
+        (["filter-roots", "--a", "2"], 5, BASE),
+        (["census", "--t-max", "30", "--threads", "1"], 0, COMPUTE),
+        (["stats"], 0, COMPUTE | {"mbzero.spectrostats"}),
+        (["filter-roots", "--e-max", "60", "--threads", "1"], 0,
+         COMPUTE | {"mbzero.mbfilter", "mbzero.quadrature"}),
+        (["bijection", "--e-max", "60"], 0,
+         COMPUTE | {"mbzero.mbfilter", "mbzero.quadrature"}),
         (["audit", "--claims", TestWorkerProcesses.CHEAP_CLAIMS,
-          "--threads", "1"], ALL - BASE),
-    ], ids=["cache", "census", "stats", "filter-roots", "bijection", "audit"])
-    def test_subcommand_loads(self, argv, extra, tmp_path, zeta_catalog_110):
+          "--threads", "1"], 0, ALL),
+    ], ids=["cache", "help", "unknown-flag", "out-of-range", "census",
+            "stats", "filter-roots", "bijection", "audit"])
+    def test_subcommand_loads(self, argv, code, loaded, tmp_path,
+                              zeta_catalog_110):
         zc.catalog_store(str(tmp_path / "zeta.txt"), zeta_catalog_110)
-        cache = "census.txt" if argv[0] == "census" else "zeta.txt"
-        out = ["--out", "."] if argv[0] in cli._FLAGS["--out"][0] else []
+        if argv[0] in cli._COMMANDS:
+            cache = "census.txt" if argv[0] == "census" else "zeta.txt"
+            out = ["--out", "."] if argv[0] in cli._FLAGS["--out"][0] else []
+            argv = argv + out + ["--cache", cache]
         script = f"""
 import contextlib, io, sys
 from mbzero import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main({argv + out + ["--cache", cache]!r})
+    code = cli.main({argv!r})
 print(code, sorted(k for k in sys.modules
-                   if k == "mbzero" or k.startswith("mbzero.")))
+                   if k == "numpy" or k.split(".")[0] == "mbzero"))
 """
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=_env_importing_this_mbzero(), timeout=120,
                               check=True)
+        assert proc.stdout.strip() == f"{code} {sorted(loaded)}", proc.stderr
+
+    def test_census_without_cli_same_records(self):
+        # zerocensus imports numpy and specfun inside its functions, so a
+        # direct call must find them with no cli import before it
+        script = """
+import sys
+from mbzero import zerocensus as zc
+records = zc.scan_zeros("beta", 17.0)
+print("mbzero.cli" in sys.modules, repr(records))
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=_env_importing_this_mbzero(), timeout=120,
+                              check=True)
         assert proc.stdout.strip() == \
-            f"0 {sorted(self.BASE | extra)}", proc.stderr
+            f"False {zc.scan_zeros('beta', 17.0)!r}", proc.stderr
 
     def test_repeated_filter_roots_in_process_same_bytes(
             self, tmp_path, zeta_catalog_110, capsys):

@@ -1,12 +1,16 @@
 """Every module-level function and class in the package has a caller in
 the package: library code whose only user is a test belongs in
 tests/oracles.py.  The names that perfbench's tracer wraps are exempt
-while it wraps them.  Every module-level import is used in its module.
-Two error classes share an exit code only when the package tells them
-apart in an except clause."""
+while it wraps them.  Every module-level import is used in its module,
+and every global name a function reads is bound at module level or is a
+builtin, so a function-local import cannot go missing unseen.  Two error
+classes share an exit code only when the package tells them apart in an
+except clause."""
 
 import ast
+import builtins
 import re
+import symtable
 from collections import defaultdict
 from pathlib import Path
 
@@ -83,6 +87,38 @@ def _unused_imports() -> set:
 
 def test_every_module_level_import_is_used():
     assert _unused_imports() == set()
+
+
+def _function_tables(table):
+    """Every function, lambda and comprehension scope below ``table``;
+    annotation scopes are left out, since ``from __future__ import
+    annotations`` never evaluates them."""
+    for child in table.get_children():
+        if child.get_type() == "function":
+            yield child
+        yield from _function_tables(child)
+
+
+def _unbound_global_reads() -> set:
+    """(module, scope, name) of each global name that a function scope reads
+    but neither its module binds nor the builtins define."""
+    unbound = set()
+    for path in sorted(SRC.glob("*.py")):
+        top = symtable.symtable(path.read_text(encoding="utf-8"),
+                                str(path), "exec")
+        scopes = list(_function_tables(top))
+        bound = {sym.get_name() for sym in top.get_symbols()
+                 if sym.is_assigned() or sym.is_imported()}
+        unbound |= {(path.stem, scope.get_name(), sym.get_name())
+                    for scope in scopes for sym in scope.get_symbols()
+                    if sym.is_global() and sym.is_referenced()
+                    and sym.get_name() not in bound
+                    and not hasattr(builtins, sym.get_name())}
+    return unbound
+
+
+def test_every_global_a_function_reads_is_bound():
+    assert _unbound_global_reads() == set()
 
 
 def _caught_names() -> set:
