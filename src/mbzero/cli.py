@@ -82,7 +82,7 @@ def cmd_census(config) -> int:
     return EXIT_OK
 
 
-def _dd_root(function: str, scale: mbf.KernelScale, pair: tuple) -> tuple:
+def _dd_root(function: str, scale, pair: tuple) -> tuple:
     """The double-double Newton root from a (guess, accepted double root)
     pair as (32-digit string, float)."""
     import mpmath as mp

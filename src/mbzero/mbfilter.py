@@ -542,7 +542,7 @@ def double_pole_circle(anchor: complex):
     printed = 2j * math.pi * (a0 * b1)
     rows = []
     for eps in (0.05, 0.025, 0.0125):
-        s, w = circle_nodes(s0, eps, 64)
+        s, w = circle_nodes(s0, eps)
         quad = complex(np.sum(np.array([A(z) * B(z) for z in s]) * w
                               / (s - s0) ** 2))
         rows.append((eps, abs(quad - full), abs(quad - printed)))

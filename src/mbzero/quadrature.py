@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import NoConvergence
 
+_CIRCLE_NODES = 64  # nodes of every trapezoid-on-circle rule
+
 
 @lru_cache(maxsize=1)
 def _gl_nodes():
@@ -35,12 +37,11 @@ def panel_nodes_from_edges(edges: np.ndarray, refine: int = 0):
     return nodes, weights
 
 
-def circle_nodes(center: complex, radius: float, n_points: int = 64):
+def circle_nodes(center: complex, radius: float):
     """Equispaced nodes and d(s) weights for a counterclockwise circle."""
-    theta = 2.0 * math.pi * np.arange(n_points) / n_points
-    rim = np.exp(1j * theta)
+    rim = np.exp(1j * (2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES))
     nodes = center + radius * rim
-    weights = (2.0j * math.pi * radius / n_points) * rim
+    weights = (2.0j * math.pi * radius / _CIRCLE_NODES) * rim
     return nodes, weights
 
 

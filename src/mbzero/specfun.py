@@ -10,10 +10,10 @@ What is bit-identical to what:
   largest |Im s|, so each value has the bits of a call of its group alone.
 Errors: ArgumentDomain for a non-finite argument, a Gamma or zeta pole, an
 L point above |Im s| = 1e4, a negative height or an unknown function tag;
-NoConvergence when a zero of L sits on an arg rectangle's path.
-log_gamma_vec, arg_rectangles, zeta, zeta_vec, dirichlet_beta_vec,
-zeta_lines, completed_xi and hardy_Z_vec raise their serial loop's first
-error (_raise_first, until_error).  No points give an empty result.
+NoConvergence when a zero of L sits on an arg rectangle's path.  Every
+vector evaluator raises its serial loop's first error (_raise_first,
+until_error); only _em_core checks an L point, its callers handing it
+their checks.  No points give an empty result.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def _em_domain(s: np.ndarray) -> list:
 
 
 def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
-             shared_head: bool = False) -> np.ndarray:
+             shared_head: bool = False, checks: tuple = ()) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for shifts = (a,), or zeta(s, a) -
     zeta(s, b) for shifts = (a, b), over a 1-d complex array of s:
 
@@ -316,10 +316,11 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
     .sum(axis=1), pairwise per row as for one point, and take log(N + a)
     once, so each value equals the one-group call of its group alone bit
     for bit.  shared_head sums the head by _shared_phase_head (one shift).
-    ArgumentDomain for the first point that is not finite or lies above
-    |Im s| = _EM_IM_MAX; no points give an empty array.
+    The L path's one check: ArgumentDomain for the first point that fails
+    checks, the caller's (mask, message) pairs, else is not finite or lies
+    above |Im s| = _EM_IM_MAX; no points give an empty array.
     """
-    _raise_first(s, _em_domain(s))
+    _raise_first(s, [*checks, *_em_domain(s)])
     if not s.size:
         return np.empty(0, dtype=complex)
     sizes = np.array([k for k in groups or [s.size] if k])
@@ -361,23 +362,23 @@ def _em_core(s: np.ndarray, shifts: tuple, groups: list = None,
 
 
 def _l_values(function: str, s, groups: list = None,
-              shared_head: bool = False) -> np.ndarray:
+              shared_head: bool = False, checks: tuple = ()) -> np.ndarray:
     """L(s) over an array of any shape, L = zeta, or beta as
     4^{-s} [zeta(s,1/4) - zeta(s,3/4)], as function is "zeta" or "beta";
-    groups (over the raveled s) and shared_head as _em_core takes them.
-    ArgumentDomain for an unknown tag, else for the first point in input
-    order that is outside _em_core's domain or, for zeta, within 1e-10 of
-    s = 1."""
+    groups (over the raveled s), shared_head and checks as _em_core takes
+    them, zeta adding its pole (1e-10 from s = 1) to the checks; an
+    unknown tag is ArgumentDomain once the points pass checks handed in."""
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     if function == "zeta":
-        pole = np.abs(flat - 1.0) <= 1e-10
-        _raise_first(flat, [*_em_domain(flat), (pole, "zeta pole at s = 1")])
-        out = _em_core(flat, (1.0,), groups, shared_head)
+        pole = (np.abs(flat - 1.0) <= 1e-10, "zeta pole at s = 1")
+        out = _em_core(flat, (1.0,), groups, shared_head, (*checks, pole))
     elif function == "beta":
-        core = _em_core(flat, (0.25, 0.75), groups, shared_head)
+        core = _em_core(flat, (0.25, 0.75), groups, shared_head, checks)
         out = np.exp(-flat * math.log(4.0)) * core
     else:
+        if checks:  # a caller's failing point is named before the tag
+            _em_core(flat, (1.0,), groups, shared_head, checks)
         raise ArgumentDomain(f"unknown function tag {function!r}")
     return out.reshape(s.shape)
 
@@ -487,16 +488,14 @@ def hardy_Z_vec(function: str, t: np.ndarray) -> np.ndarray:
     """Real rotation e^{i theta(t)} L(1/2 + it) at each t >= 0: Hardy Z for
     zeta, the completed-function phase beta_theta_vec for beta.
 
-    L comes from critical_line_values and the rotation replays CPython
-    complex arithmetic, so each value equals the one-point evaluation bit
-    for bit.  ArgumentDomain for the first t < 0 or out of the engine's
+    L comes from _l_values, t < 0 handed to _em_core's one check; the rotation
+    replays CPython complex arithmetic, so each value equals the one-point call
+    bit for bit.  ArgumentDomain for the first t < 0 or out of the engine's
     domain, then for the first rotation residue of 1e-10 relative or more.
     """
     t = np.asarray(t, dtype=float)
-    s = _on_critical_line(t)
-    _raise_first(s, [(t < 0, "hardy_Z_vec defined for t >= 0"),
-                     *_em_domain(s)])
-    vals = critical_line_values(function, t)
+    vals = _l_values(function, _on_critical_line(t), [1] * t.size, False,
+                     ((t.ravel() < 0, "hardy_Z_vec defined for t >= 0"),))
     theta = (riemann_siegel_theta_vec(t) if function == "zeta"
              else beta_theta_vec(t))
     # cmath.exp(1j * theta) * vals

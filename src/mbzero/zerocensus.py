@@ -139,7 +139,7 @@ def _refine_brackets(function: str, brackets: list) -> list:
     return (0.5 * (lo + hi)).tolist()
 
 
-def _scan_slice(function: str, grid: np.ndarray) -> tuple:
+def _scan_slice(function: str, grid) -> tuple:
     """(ordinates, residuals) of the zeros bracketed on one grid slice."""
     import numpy as np
     from . import specfun as sf
@@ -150,7 +150,7 @@ def _scan_slice(function: str, grid: np.ndarray) -> tuple:
     return ordinates, _critical_abs(function, ordinates)
 
 
-def _slices(grid: np.ndarray, workers: int) -> list:
+def _slices(grid, workers: int) -> list:
     """The grid cut into contiguous slices of about equal estimated work,
     each Euler-Maclaurin N plus _POINT_WORK a point, neighbours sharing
     their end point: one slice a worker, at most one per _FORK_WORK."""
@@ -164,7 +164,7 @@ def _slices(grid: np.ndarray, workers: int) -> list:
 
 
 def scan_zeros(function: str, t_max: float, workers: int = 1) -> list:
-    """All critical-line zeros with ordinate <= t_max, residual < 1e-9.
+    """All critical-line zeros up to t_max, residual < RESIDUAL_LIMIT (1e-8).
 
     A pass scans a grid of step _SCAN_STEP, halved at each of at most two
     retries, until its count is within 1/2 of the counting prediction

@@ -411,12 +411,12 @@ def density_peaks(e_grid, prime_limit: int, sigma: float = 0.3) -> np.ndarray:
 
 
 def spectral_filter_circle(function: str, energy: float, a: float,
-                           radius: float = 0.05, n_points: int = 64) -> complex:
+                           radius: float = 0.05) -> complex:
     """mbfilter.spectral_filter by closed-circle quadrature of
     kernel(s)/(s - s0) around s0 = 1/4 + iE/4; spectrally accurate since
     the integrand is meromorphic with one enclosed pole."""
     s0, nu = complex(0.25, 0.25 * energy), complex(0.5, 0.5 * energy)
-    s, w = circle_nodes(s0, radius, n_points)
+    s, w = circle_nodes(s0, radius)
     lg, arith = scale_free_factors_unmirrored(function, s, nu)
     vals = np.exp(lg + 2.0 * s * math.log(2.0 * a)) * arith / (s - s0)
     return complex(np.sum(vals * w)) * mbf.kernel_prefactor(function)
@@ -765,11 +765,10 @@ def hurwitz_zeta(s, a: float) -> complex:
 
 
 def residue_at_pole(energy: float, scale: mbf.KernelScale,
-                    pole: complex, radius: float = 0.05,
-                    n_points: int = 64) -> complex:
+                    pole: complex, radius: float = 0.05) -> complex:
     """Residue of the raw zeta kernel integrand at a pole, by circle
     quadrature."""
-    s, w = circle_nodes(complex(pole), radius, n_points)
+    s, w = circle_nodes(complex(pole), radius)
     vals = mbf._kernel_integrand(complex(0.5, 0.5 * energy), s, scale.a)
     return complex(np.sum(vals * w)) / (2j * math.pi)
 

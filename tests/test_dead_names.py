@@ -3,14 +3,18 @@ the package: library code whose only user is a test belongs in
 tests/oracles.py.  The names that perfbench's tracer wraps are exempt
 while it wraps them.  Every module-level import is used in its module,
 and every global name a function reads is bound at module level or is a
-builtin, so a function-local import cannot go missing unseen.  Two error
+builtin, so a function-local import cannot go missing unseen; nor can a
+name that an annotation still reads (typing.get_type_hints).  Two error
 classes share an exit code only when the package tells them apart in an
 except clause."""
 
 import ast
 import builtins
+import importlib
+import inspect
 import re
 import symtable
+import typing
 from collections import defaultdict
 from pathlib import Path
 
@@ -119,6 +123,29 @@ def _unbound_global_reads() -> set:
 
 def test_every_global_a_function_reads_is_bound():
     assert _unbound_global_reads() == set()
+
+
+def _unresolved_annotations() -> set:
+    """(module, name) of each module-level function or class whose
+    annotations typing.get_type_hints cannot evaluate, as when an
+    annotation names a module that only a function body imports."""
+    unresolved = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "mbzero" if path.stem == "__init__" else f"mbzero.{path.stem}")
+        for name, obj in vars(module).items():
+            if not ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                continue
+            try:
+                typing.get_type_hints(obj)
+            except NameError:
+                unresolved.add((path.stem, name))
+    return unresolved
+
+
+def test_every_annotation_resolves():
+    assert _unresolved_annotations() == set()
 
 
 def _caught_names() -> set:

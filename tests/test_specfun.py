@@ -1,7 +1,9 @@
+import ast
 import cmath
 import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -902,7 +904,7 @@ class TestPointwise:
 
     def test_hardy_rotation_residue_names_first_point(self, monkeypatch):
         monkeypatch.setattr(sf, "riemann_siegel_theta_vec", np.zeros_like)
-        monkeypatch.setattr(sf, "critical_line_values", lambda f, t: np.array(
+        monkeypatch.setattr(sf, "_l_values", lambda *args: np.array(
             [1.0, 1.0 + 3e-9j, 1.0 + 5e-9j]))
         with pytest.raises(ArgumentDomain, match="residue 3.000e-09"):
             sf.hardy_Z_vec("zeta", np.array([1.0, 2.0, 3.0]))
@@ -1129,9 +1131,34 @@ def _serial_first(call, points):
     return None
 
 
+def _callers(callee: str) -> set:
+    """(module, module-level definition) of each call of callee, by name or
+    as an attribute, in the package's source."""
+    callers = set()
+    for path in sorted(Path(sf.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers |= {(path.stem, stmt.name) for node in ast.walk(stmt)
+                        if isinstance(node, ast.Call) and callee in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))}
+    return callers
+
+
 class TestFirstFailingPoint:
     """One rule, specfun._raise_first: a vector evaluator raises what its
     point-by-point loop raises first, message included."""
+
+    def test_one_check_site_per_path(self):
+        # the Euler-Maclaurin engine checks each L point once, its callers'
+        # checks handed in; the Gamma path checks its own points
+        assert _callers("_raise_first") == {("specfun", "_em_core"),
+                                            ("specfun", "log_gamma_vec")}
+
+    def test_engine_entered_through_l_values_and_completed_xi(self):
+        # completed_xi calls the engine on sanitised points; every other
+        # L value passes _l_values, which adds zeta's pole to the checks
+        assert _callers("_em_core") == {("specfun", "_l_values"),
+                                        ("specfun", "completed_xi")}
 
     @settings(max_examples=100, deadline=None)
     @given(hst.lists(_ENGINE_POINT, max_size=8),
